@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .action import OMReport, om_action, om_gradient, om_integrand, residual, residuals, trace_term
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     DegenerateNoiseError,
     IntegrationError,
     OmlatError,
@@ -53,7 +52,7 @@ from .kl import (
     spectrum_weight_decay,
     wilson_interval,
 )
-from .mpp import BVPSpec, MPPResult, action_along_homotopy, el_residual_example5, solve_mpp
+from .mpp import BVPSpec, MPPResult, el_residual_example5, solve_mpp
 from .paths import Path
 from .sde import BoundReport, apriori_bound_check, cocycle_check, integrate, truncation_tail
 from .tube import TubeExperiment, TubeTable, l2rho_path_norm, tube_ratio

@@ -26,7 +26,6 @@ from .action import om_action
 from .config import config_hash, load_config
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     IntegrationError,
     OmlatError,
     StatisticalPowerError,
@@ -139,6 +138,7 @@ def cmd_mpp(args) -> int:
     started = time.perf_counter()
     cfg = load_config(args.config)
     steps = _steps_from_dt(cfg.T, args.dt, 600)
+    sites = _parse_slice(args.slice, cfg.n) if args.slice else []
     out = _prepare_out(
         args, "mpp",
         {"dt": cfg.T / steps, "steps": steps, "phi0": args.phi0, "phiT": args.phiT,
@@ -164,17 +164,12 @@ def cmd_mpp(args) -> int:
             for k, (a, g) in enumerate(zip(result.action_history, result.gradient_history))
         ],
     )
-    if args.slice:
-        sites = _parse_slice(args.slice)
-        for i in sites:
-            if abs(i) > cfg.n:
-                raise ConfigurationError(f"slice site {i} outside -{cfg.n}..{cfg.n}")
-            col = i + cfg.n
-            write_csv(
-                out / f"slice_i{i}.csv",
-                f"t,u_{i}",
-                zip(result.path.times, result.path.states[:, col]),
-            )
+    for i in sites:
+        write_csv(
+            out / f"slice_i{i}.csv",
+            f"t,u_{i}",
+            zip(result.path.times, result.path.states[:, i + cfg.n]),
+        )
     _finish_manifest(out, started)
     status = "converged" if result.converged else "NOT converged"
     print(
@@ -184,14 +179,20 @@ def cmd_mpp(args) -> int:
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
-def _parse_slice(raw: str):
+def _parse_slice(raw: str, n: int) -> list:
+    """Sites named by a ``--slice`` spec such as ``i=0,10``, each checked
+    against the lattice -n..n."""
     body = raw.strip()
     if body.startswith("i="):
         body = body[2:]
     try:
-        return [int(tok) for tok in body.split(",") if tok.strip() != ""]
+        sites = [int(tok) for tok in body.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigurationError(f"bad slice spec {raw!r}; expected i=0,10") from exc
+    for i in sites:
+        if abs(i) > n:
+            raise ConfigurationError(f"slice site {i} outside -{n}..{n}")
+    return sites
 
 
 def cmd_om(args) -> int:
@@ -490,7 +491,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ConvergenceError) as exc:
+    except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except StatisticalPowerError as exc:

@@ -29,9 +29,5 @@ class IntegrationError(OmlatError):
         self.time = time
 
 
-class ConvergenceError(OmlatError):
-    """An iterative solver did not reach its tolerance."""
-
-
 class StatisticalPowerError(OmlatError):
     """A Monte Carlo experiment has too few hits to say anything."""

@@ -3,9 +3,12 @@
 The solver minimizes the discretized action directly over the interior
 states: Gauss-Newton on the quadratic (drift) part with the exact trace
 gradient added, safeguarded by a backtracking line search on the total
-action and a plain gradient-descent fallback.  Shooting on the
-second-order stationarity system was rejected: that system is stiff and
-boundary-sensitive, while the discrete action is bounded below.
+action and a plain gradient-descent fallback.  The Gauss-Newton matrix is
+block-tridiagonal in time with periodic-banded site blocks, so each step
+is one banded Cholesky solve, damped Levenberg-style when the
+factorization fails.  Shooting on the second-order stationarity system
+was rejected: that system is stiff and boundary-sensitive, while the
+discrete action is bounded below.
 
 A hard-coded evaluator for the stationarity system of the worked
 disease-spread configuration (nu=0.1, lam=0.4, cubic 0.1 u^3, noise
@@ -17,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from .action import OMReport, om_action, om_gradient, residuals
 from .errors import ConfigurationError
-from .lattice import LatticeConfig, dense_A
+from .lattice import LatticeConfig
 from .paths import Path
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "MPPResult",
     "solve_mpp",
     "el_residual_example5",
-    "action_along_homotopy",
 ]
 
 
@@ -80,75 +81,65 @@ class MPPResult:
     gradient_history: np.ndarray = field(repr=False, default=None)
 
 
-class _DriftJacobian:
-    """Sparse Jacobian of the scaled drift residuals with respect to the
-    interior states, with a precomputed index pattern."""
+def _shift_diagonals(c, u, c2, h):
+    """Cyclic diagonals of ``M diag(u) M2`` for ``M = diag(c) + h (S + S^T)``
+    and ``M2 = diag(c2) + h (S + S^T)``, S the cyclic shift on the sites.
 
-    def __init__(self, cfg: LatticeConfig, steps: int, dt: float):
-        d = cfg.d
-        base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
-        ta, tb = np.nonzero((base != 0.0) | np.eye(d, dtype=bool))
-        self.ta, self.tb = ta, tb
-        self.tv = base[ta, tb]
-        self.diag = (ta == tb).astype(float)
-        self.cfg = cfg
-        self.steps = steps
-        self.dt = dt
-        n_int = steps - 1
-        P = ta.size
-        # right blocks: interval k depends on phi_{k+1}, k = 0..N-2
-        kr = np.arange(steps - 1)
-        self.rows_r = (kr[:, None] * d + ta[None, :]).ravel()
-        self.cols_r = (kr[:, None] * d + tb[None, :]).ravel()
-        # left blocks: interval k depends on phi_k, k = 1..N-1
-        kl = np.arange(1, steps)
-        self.rows_l = (kl[:, None] * d + ta[None, :]).ravel()
-        self.cols_l = ((kl[:, None] - 1) * d + tb[None, :]).ravel()
-        self.shape = (steps * d, n_int * d)
-        self._P = P
-
-    def build(self, mids: np.ndarray, row_weight: np.ndarray) -> sp.csr_matrix:
-        """J at the current path; ``mids`` are interval midpoints (N, d),
-        ``row_weight[k, a] = sqrt(dt) rho_a / q_mid[k, a]``."""
-        fp = self.cfg.f.deriv(mids)
-        common = 0.5 * (self.tv[None, :] + self.diag[None, :] * fp[:, self.ta])
-        w = row_weight[:, self.ta]
-        vals_r = ((common + self.diag[None, :] / self.dt) * w)[:-1].ravel()
-        vals_l = ((common - self.diag[None, :] / self.dt) * w)[1:].ravel()
-        return sp.coo_matrix(
-            (
-                np.concatenate([vals_r, vals_l]),
-                (
-                    np.concatenate([self.rows_r, self.rows_l]),
-                    np.concatenate([self.cols_r, self.cols_l]),
-                ),
-            ),
-            shape=self.shape,
-        ).tocsr()
+    Returns ``{s: v}`` with ``v[..., a]`` the entry at (a, (a + s) mod d);
+    shifts that coincide on short rings add up."""
+    up, dn = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)  # u[a+1], u[a-1]
+    cu, uc2 = c * u, u * c2
+    return {
+        0: cu * c2 + h * h * (up + dn),
+        1: h * (cu + np.roll(uc2, -1, axis=-1)),
+        -1: h * (cu + np.roll(uc2, 1, axis=-1)),
+        2: h * h * up,
+        -2: h * h * dn,
+    }
 
 
-def _curvature_correction(jac: _DriftJacobian, cfg, mids, scaled_res, row_weight, dt):
-    """Second-order terms ignored by Gauss-Newton: site-diagonal blocks
-    coupling phi_k and phi_{k+1} through f'' and f''' at the midpoints."""
+def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool = False) -> np.ndarray:
+    """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
+    states (time-major), plus the exact curvature terms when ``newton``.
+
+    J is the Jacobian of the scaled residuals ``row_weight * r_k``.  Interval
+    k contributes the blocks ``diag(w_k) M_k^+`` in phi_{k+1} and
+    ``diag(w_k) M_k^-`` in phi_k, with
+    ``M_k^+- = (nu A + lam I + diag f'(m_k)) / 2 +- I / dt``, so each block of
+    H is a product of periodic tridiagonals with five cyclic diagonals.
+    Storage is LAPACK lower banded, ``band[o, j] = H[j + o, j]``, with
+    half-bandwidth 2d - 1 (the off-diagonal time block reaches it).
+    """
     d = cfg.d
-    steps = jac.steps
-    c = (
-        0.5 * scaled_res * row_weight * cfg.f.deriv2(mids)
-        - 0.25 * dt * cfg.rho**2 * cfg.f.deriv3(mids)
-    )  # (N, d)
-    rows, cols, vals = [], [], []
-    idx = np.arange(d)
-    for k in range(steps):
-        for a in (k - 1, k):  # interior indices of phi_k, phi_{k+1}
-            for b in (k - 1, k):
-                if 0 <= a < steps - 1 and 0 <= b < steps - 1:
-                    rows.append(a * d + idx)
-                    cols.append(b * d + idx)
-                    vals.append(c[k])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(jac.shape[1], jac.shape[1]),
-    ).tocsr()
+    N = path.steps
+    dt = path.dt
+    mids = 0.5 * (path.states[:-1] + path.states[1:])
+    u = 2.0 * row_weight**2  # H = 2 J^T J
+    base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids)
+    cp, cm = base + 1.0 / dt, base - 1.0 / dt
+    h = -0.5 * cfg.nu
+    plus = _shift_diagonals(cp[:-1], u[:-1], cp[:-1], h)  # interval j in phi_{j+1}
+    minus = _shift_diagonals(cm[1:], u[1:], cm[1:], h)  # interval j+1 in phi_{j+1}
+    cross = _shift_diagonals(cp[1:-1], u[1:-1], cm[1:-1], h)  # phi_{j+2} x phi_{j+1}
+    if newton:
+        # second-order terms of the residuals and the trace part: site-
+        # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
+        curv = (
+            0.25 * u * residuals(path, cfg) * cfg.f.deriv2(mids)
+            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv3(mids)
+        )
+        plus[0] += curv[:-1]
+        minus[0] += curv[1:]
+        cross[0] += curv[1:-1]
+    # band3[j, b, o] = H[j d + b + o, j d + b]
+    band3 = np.zeros((N - 1, d, 2 * d))
+    a = np.arange(d)
+    for s in plus:
+        b = (a + s) % d
+        low = a >= b
+        band3[:, b[low], (a - b)[low]] += (plus[s] + minus[s])[:, low]
+        band3[:-1, b, d + a - b] += cross[s]
+    return band3.reshape(-1, 2 * d).T
 
 
 def _as_path(states: np.ndarray, dt: float, meta=None) -> Path:
@@ -173,7 +164,6 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     t_mid = dt * (np.arange(N) + 0.5)
     q_mid = cfg.q.grid(t_mid, cfg.n)
     row_weight = np.sqrt(dt) * cfg.rho[None, :] / q_mid
-    jac = _DriftJacobian(cfg, N, dt)
 
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
     states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
@@ -195,22 +185,19 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
             converged = True
             break
 
-        mids = 0.5 * (path.states[:-1] + path.states[1:])
-        res = residuals(path, cfg)
-        scaled_res = row_weight * res
-        J = jac.build(mids, row_weight)
-        H = 2.0 * (J.T @ J)
-        if spec.newton:
-            H = H + _curvature_correction(jac, cfg, mids, scaled_res, row_weight, dt)
         g_flat = grad.ravel()
 
         step = None
         for _ in range(8):
-            Hd = H if damping == 0.0 else H + damping * sp.identity(H.shape[0], format="csr")
+            # the Cholesky factor overwrites the band, so every attempt builds
+            # one; dropping it after the solve keeps a single band alive
+            band = _hessian_band(path, cfg, row_weight, spec.newton)
+            band[0] += damping
             try:
-                cand = spla.spsolve(Hd.tocsc(), -g_flat)
-            except Exception:
+                cand = solveh_banded(band, -g_flat, overwrite_ab=True, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:  # not positive definite: damp harder
                 cand = None
+            del band
             if cand is not None and np.all(np.isfinite(cand)) and float(g_flat @ cand) < 0.0:
                 step = cand
                 break
@@ -340,20 +327,3 @@ def el_residual_example5(path: Path, displayed_form: bool = False) -> np.ndarray
         - 2.0 * r / s
     )
     return acc - rhs
-
-
-def action_along_homotopy(spec: BVPSpec, path_a: Path, path_b: Path, samples: int = 11) -> np.ndarray:
-    """Action along the straight-line blend of two paths sharing both
-    endpoints, at ``samples`` equally spaced blend weights from 0 to 1.
-
-    Used to verify that a computed path is a directional local minimum.
-    """
-    if not path_a.same_grid(path_b):
-        raise ConfigurationError("paths must share one grid")
-    if np.any(path_a.states[0] != path_b.states[0]) or np.any(path_a.states[-1] != path_b.states[-1]):
-        raise ConfigurationError("paths must share both endpoints")
-    out = np.empty(samples)
-    for j, w in enumerate(np.linspace(0.0, 1.0, samples)):
-        blend = (1.0 - w) * path_a.states + w * path_b.states
-        out[j] = om_action(_as_path(blend, path_a.dt), spec.cfg).total
-    return out

@@ -185,6 +185,16 @@ class TestCliRuns:
         np.testing.assert_array_equal(path.states[0], phi0)
         np.testing.assert_array_equal(path.states[-1], np.zeros(9))
 
+    @pytest.mark.parametrize("spec", ["i=99", "i=abc"])
+    def test_mpp_bad_slice_rejected_before_solving(self, example5_file, tmp_path, spec):
+        out = tmp_path / "mpp"
+        code = main([
+            "mpp", "--config", example5_file, "--out", str(out), "--dt", "0.05",
+            "--slice", spec,
+        ])
+        assert code == 2
+        assert not (out / "mpp_path.csv").exists()
+
     def test_mpp_zero_boundaries_trace_only(self, scalar_file, tmp_path):
         out = tmp_path / "mpp0"
         code = main([

@@ -7,9 +7,11 @@ from omlat import (
     NoiseCoefficient,
     Path,
     PolynomialNonlinearity,
+    om_action,
     om_gradient,
+    residuals,
 )
-from omlat.mpp import BVPSpec, action_along_homotopy, el_residual_example5, solve_mpp
+from omlat.mpp import BVPSpec, _hessian_band, el_residual_example5, solve_mpp
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -31,6 +33,20 @@ def example5_spec(n=30, steps=600, tol=None):
 def path_from_grid(states, dt):
     states = np.asarray(states, dtype=float)
     return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
+
+
+def action_along_homotopy(spec, path_a, path_b, samples=11):
+    """Action along the straight-line blend of two paths sharing both
+    endpoints, at ``samples`` equally spaced blend weights from 0 to 1."""
+    if not path_a.same_grid(path_b):
+        raise ConfigurationError("paths must share one grid")
+    if np.any(path_a.states[0] != path_b.states[0]) or np.any(path_a.states[-1] != path_b.states[-1]):
+        raise ConfigurationError("paths must share both endpoints")
+    out = np.empty(samples)
+    for j, w in enumerate(np.linspace(0.0, 1.0, samples)):
+        blend = (1.0 - w) * path_a.states + w * path_b.states
+        out[j] = om_action(path_from_grid(blend, path_a.dt), spec.cfg).total
+    return out
 
 
 class TestSolveMpp:
@@ -205,9 +221,9 @@ class TestSolverFallback:
         import omlat.mpp as mpp_mod
 
         def broken_solve(*args, **kwargs):
-            raise RuntimeError("factorization disabled")
+            raise np.linalg.LinAlgError("factorization disabled")
 
-        monkeypatch.setattr(mpp_mod.spla, "spsolve", broken_solve)
+        monkeypatch.setattr(mpp_mod, "solveh_banded", broken_solve)
         spec = BVPSpec(
             cfg=scalar_cfg(lam=0.8), phi0=np.array([1.0]), phiT=np.array([0.2]),
             steps=16, max_iterations=50, gradient_tol=1e-10,
@@ -217,3 +233,83 @@ class TestSolverFallback:
         assert res.action_history[-1] < res.action_history[0]
         np.testing.assert_array_equal(res.path.states[0], spec.phi0)
         np.testing.assert_array_equal(res.path.states[-1], spec.phiT)
+
+
+def dense_from_lower_band(band):
+    half, size = band.shape
+    H = np.zeros((size, size))
+    for o in range(half):
+        j = np.arange(size - o)
+        H[j + o, j] = H[j, j + o] = band[o, : size - o]
+    return H
+
+
+def central_jacobian(fun, x, h=1e-5):
+    """Central-difference Jacobian of ``fun`` (array -> array) at ``x``."""
+    cols = []
+    for m in range(x.size):
+        e = np.zeros(x.size)
+        e[m] = h
+        cols.append((fun(x + e) - fun(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+class TestHessianBand:
+    """The assembled band against oracles that share none of its algebra:
+    central differences of the scaled residuals and of the gradient."""
+
+    STEPS = 8
+
+    def setup_problem(self, n):
+        rng = np.random.default_rng(40 + n)
+        cfg = LatticeConfig(
+            n=n, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.01, 31.0), T=30.0,
+            rho=rng.uniform(0.5, 1.5, 2 * n + 1),
+        )
+        dt = cfg.T / self.STEPS
+        path = path_from_grid(rng.normal(size=(self.STEPS + 1, cfg.d)), dt)
+        t_mid = dt * (np.arange(self.STEPS) + 0.5)
+        row_weight = np.sqrt(dt) * cfg.rho / cfg.q.grid(t_mid, n)
+
+        def with_interior(x):
+            states = path.states.copy()
+            states[1:-1] = x.reshape(self.STEPS - 1, cfg.d)
+            return path_from_grid(states, dt)
+
+        return cfg, path, row_weight, with_interior
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_gauss_newton_band_is_2_jt_j(self, n):
+        cfg, path, row_weight, with_interior = self.setup_problem(n)
+
+        def scaled(x):
+            return (row_weight * residuals(with_interior(x), cfg)).ravel()
+
+        x0 = path.states[1:-1].ravel()
+        # the scaling is the one whose squares sum to the drift part
+        assert np.sum(scaled(x0) ** 2) == pytest.approx(om_action(path, cfg).drift_term, rel=1e-13)
+        J = central_jacobian(scaled, x0)
+        oracle = 2.0 * J.T @ J
+        H = dense_from_lower_band(_hessian_band(path, cfg, row_weight))
+        assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_newton_band_is_exact_hessian(self, n):
+        cfg, path, row_weight, with_interior = self.setup_problem(n)
+
+        def gradient(x):
+            return om_gradient(with_interior(x), cfg).ravel()
+
+        oracle = central_jacobian(gradient, path.states[1:-1].ravel())
+        H = dense_from_lower_band(_hessian_band(path, cfg, row_weight, newton=True))
+        assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_half_bandwidth(self, n):
+        cfg, path, row_weight, _ = self.setup_problem(n)
+        d = cfg.d
+        band = _hessian_band(path, cfg, row_weight, newton=True)
+        assert band.shape == (2 * d, (self.STEPS - 1) * d)
+        H = dense_from_lower_band(band)
+        rows, cols = np.nonzero(H)
+        assert np.max(np.abs(rows - cols)) == 2 * d - 1
