@@ -6,9 +6,11 @@ boundary-value solver for those paths, and the spectral / small-ball /
 tube-probability machinery used to verify the theory at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
-from .action import OMReport, om_action, om_gradient, om_integrand, residual, residuals, trace_term
+from .action import OMReport, om_action, om_gradient, residuals, trace_term
 from .errors import (
     ConfigurationError,
     DegenerateNoiseError,
@@ -31,10 +33,8 @@ from .lattice import (
 from .noise import (
     NoiseCoefficient,
     NoisePath,
-    increment_row,
     ou_convolution,
     sample_noise,
-    sample_noise_ensemble,
     shift_noise,
     wq_path,
 )
@@ -49,7 +49,6 @@ from .kl import (
     ou_kernel,
     smallball_bounds,
     smallball_mc,
-    spectrum_weight_decay,
     wilson_interval,
 )
 from .mpp import BVPSpec, MPPResult, el_residual_example5, solve_mpp
@@ -57,4 +56,8 @@ from .paths import Path
 from .sde import BoundReport, apriori_bound_check, cocycle_check, integrate, truncation_tail
 from .tube import TubeExperiment, TubeTable, l2rho_path_norm, tube_ratio
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules bind themselves here on import; they are not part of the API.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -29,12 +29,10 @@ from .paths import Path
 
 __all__ = [
     "OMReport",
-    "residual",
     "residuals",
     "trace_term",
     "om_action",
     "om_gradient",
-    "om_integrand",
 ]
 
 #: Below this magnitude a noise coefficient counts as degenerate.
@@ -94,18 +92,6 @@ def _q_mid(path: Path, cfg: LatticeConfig, t_mid) -> np.ndarray:
     return qs
 
 
-def residual(path: Path, k: int, cfg: LatticeConfig) -> np.ndarray:
-    """Midpoint residual of interval k:
-    ``(phi_{k+1} - phi_k)/dt + (nu A + lam I) m + f(m) - g`` with
-    ``m = (phi_k + phi_{k+1}) / 2``.
-
-    Vanishes at O(dt^2) on trajectories of the noise-free flow.
-    """
-    if not 0 <= k < path.steps:
-        raise ConfigurationError(f"interval index {k} out of range [0, {path.steps})")
-    return residuals(path, cfg)[k]
-
-
 def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
     """All interval residuals, shape (N, d)."""
     _check_path(path, cfg)
@@ -114,27 +100,15 @@ def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
     return vel + cfg.nu * apply_A(mids) + cfg.lam * mids + cfg.f(mids) - cfg.g
 
 
-def trace_term(state, cfg: LatticeConfig) -> float:
-    """Weighted trace of the drift's state derivative at one state.
+def trace_term(state, cfg: LatticeConfig):
+    """Weighted trace of the drift's state derivative: a float for one
+    state of shape (d,), an array for a stack of states (..., d).
 
     The nonlinearity acts componentwise, so the derivative is diagonal and
     the trace reduces to ``sum_i rho_i^2 (-f'(u_i))``.
     """
     state = np.asarray(state, dtype=float)
-    return float(-np.sum(cfg.rho**2 * cfg.f.deriv(state)))
-
-
-def om_integrand(state, velocity, t: float, cfg: LatticeConfig) -> float:
-    """Action integrand at a continuous-time point (state, velocity, t):
-    ``| (v + (nu A + lam I) u + f(u) - g) / q(t) |_rho^2 + trace``.
-
-    Convenience surface for cross-checking hand-expanded forms.
-    """
-    state = np.asarray(state, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    qs = cfg.q.at(t, cfg.n)
-    r = velocity + cfg.nu * apply_A(state) + cfg.lam * state + cfg.f(state) - cfg.g
-    return float(np.sum((cfg.rho * r / qs) ** 2)) + trace_term(state, cfg)
+    return -np.sum(cfg.rho**2 * cfg.f.deriv(state), axis=-1)
 
 
 def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
@@ -152,7 +126,7 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
     res = residuals(path, cfg)
     dt = path.dt
     drift_k = dt * np.sum((cfg.rho * res / qs) ** 2, axis=1)
-    trace_k = dt * (-np.sum(cfg.rho**2 * cfg.f.deriv(mids), axis=1))
+    trace_k = dt * trace_term(mids, cfg)
     drift_total = float(np.sum(drift_k))
     trace_total = float(np.sum(trace_k))
     return OMReport(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .action import om_action
-from .config import config_hash, load_config
+from .config import _parse_float_list, config_hash, load_config
 from .errors import (
     ConfigurationError,
     IntegrationError,
@@ -46,13 +46,6 @@ EXIT_NUMERICAL = 3
 EXIT_POWER = 4
 
 
-def _floats(raw: str, what: str) -> list:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigurationError(f"{what}: cannot parse {raw!r}") from exc
-
-
 def parse_state_spec(raw: str, n: int) -> np.ndarray:
     """Boundary/initial state grammar: ``zero`` | ``gauss:<amp>,<sigma>``
     | ``csv:<path>`` (single-row CSV of 2n+1 values)."""
@@ -61,10 +54,12 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
     if kind == "zero":
         return np.zeros(d)
     if kind == "gauss":
-        parts = _floats(rest, "gauss state spec")
+        parts = _parse_float_list(rest, "gauss state spec")
         if len(parts) != 2:
             raise ConfigurationError("gauss state spec needs <amp>,<sigma>")
         amp, sigma = parts
+        if not sigma > 0:
+            raise ConfigurationError(f"gauss state spec: sigma must be positive, got {sigma:g}")
         i = np.arange(-n, n + 1)
         return amp * np.exp(-(i**2) / (2.0 * sigma**2))
     if kind == "csv":
@@ -78,6 +73,14 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
             raise ConfigurationError(f"state file {rest}: expected {d} values, got {data.size}")
         return data.astype(float)
     raise ConfigurationError(f"unknown state spec {raw!r}")
+
+
+def _radii(raw: str) -> list:
+    """The ``--eps`` list: at least one number."""
+    eps = _parse_float_list(raw, "--eps")
+    if not eps:
+        raise ConfigurationError(f"--eps: need at least one radius, got {raw!r}")
+    return eps
 
 
 def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
@@ -260,15 +263,18 @@ def _verify_cocycle(args) -> int:
 def _verify_truncation(args) -> int:
     started = time.perf_counter()
     cfg = load_config(args.config)
+    if cfg.n < 1:
+        raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
     steps = _steps_from_dt(cfg.T, args.dt, 256)
     out = _prepare_out(
         args, "verify-truncation", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble}
     )
+    bump = min(2, cfg.n)
 
     def run(n):
         sub = cfg if n == cfg.n else _with_n(cfg, n)
         u0 = np.zeros(sub.d)
-        for i in range(-2, 3):
+        for i in range(-bump, bump + 1):
             u0[i + n] = 1.0 / (1.0 + i * i)
         paths = [
             integrate(u0, sample_noise(args.seed, steps, sub.d, sub.T / steps, trajectory=j), sub)
@@ -340,16 +346,17 @@ def _verify_bound(args) -> int:
 
 def _verify_smallball(args) -> int:
     started = time.perf_counter()
-    eps = _floats(args.eps, "--eps")
+    eps = _radii(args.eps)
+    bounds = [smallball_bounds(args.alpha, e) for e in eps]  # range checks before sampling
     out = _prepare_out(
         args, "verify-smallball",
         {"alpha": args.alpha, "imax": args.imax, "eps": eps, "samples": args.samples},
     )
     res = smallball_mc(args.alpha, args.imax, eps, args.samples, seed=args.seed)
-    rows = []
-    for j, e in enumerate(eps):
-        b = smallball_bounds(args.alpha, e)
-        rows.append((e, res.estimates[j], res.ci_lo[j], res.ci_hi[j], b.rate_up, b.rate_low))
+    rows = [
+        (e, res.estimates[j], res.ci_lo[j], res.ci_hi[j], b.rate_up, b.rate_low)
+        for j, (e, b) in enumerate(zip(eps, bounds))
+    ]
     write_csv(out / "smallball.csv", "eps,estimate,ci_lo,ci_hi,rate_up,rate_low", rows)
     _finish_manifest(out, started)
     print(
@@ -367,7 +374,7 @@ def _verify_tube(args) -> int:
             f"tube experiments are desk scale: need n <= 1, config has n={cfg.n}"
         )
     steps = _steps_from_dt(cfg.T, args.dt, 256)
-    eps = tuple(_floats(args.eps, "--eps"))
+    eps = tuple(_radii(args.eps))
     out = _prepare_out(
         args, "verify-tube",
         {"dt": cfg.T / steps, "steps": steps, "eps": list(eps), "samples": args.samples,
@@ -378,7 +385,7 @@ def _verify_tube(args) -> int:
     if kind == "zero":
         states = np.zeros((steps + 1, cfg.d))
     elif kind == "sine":
-        amp = _floats(rest, "--reference sine")[0] if rest else 0.5
+        amp = (_parse_float_list(rest, "--reference sine") or [0.5])[0]
         states = amp * np.sin(np.pi * ts / (2.0 * cfg.T))[:, None] * np.ones(cfg.d)[None, :]
     else:
         raise ConfigurationError(f"unknown tube reference {args.reference!r}")

@@ -37,10 +37,15 @@ _REQUIRED = {"n", "nu", "lambda", "f_coeffs", "p", "C_f", "g", "q_spec", "rho", 
 
 
 def _parse_float_list(raw: str, key: str) -> list:
+    """Comma-separated finite numbers (empty tokens skipped); a
+    configuration error names ``key`` otherwise."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigurationError(f"field {key!r}: cannot parse list {raw!r}") from exc
+        raise ConfigurationError(f"{key}: cannot parse list {raw!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigurationError(f"{key}: non-finite value in {raw!r}")
+    return values
 
 
 def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
+from .noise import _TAG_SMALLBALL_BLOCK, _TAG_SMALLBALL_TAIL, _philox_key
 
 __all__ = [
     "KLSpectrum",
@@ -40,11 +41,7 @@ __all__ = [
     "smallball_mc",
     "SmallBallMC",
     "wilson_interval",
-    "spectrum_weight_decay",
 ]
-
-_TAG_SMALLBALL_BLOCK = 3
-_TAG_SMALLBALL_TAIL = 4
 
 
 @dataclass(frozen=True)
@@ -308,12 +305,12 @@ def smallball_mc(
     for block_start in range(0, samples, block_size):
         count = min(block_size, samples - block_start)
         block_index = block_start // block_size
-        g = Generator(Philox(key=_key(seed, _TAG_SMALLBALL_BLOCK, block_index)))
+        g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
         x = g.standard_normal((count, head), dtype=np.float32).astype(np.float64)
         sums = np.einsum("ij,ij,j->i", x, x, w_head)
         if w_tail.size:
             for j in np.nonzero(sums <= cutoff)[0]:
-                gj = Generator(Philox(key=_key(seed, _TAG_SMALLBALL_TAIL, block_start + int(j))))
+                gj = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, block_start + int(j))))
                 xt = gj.standard_normal(w_tail.size, dtype=np.float32).astype(np.float64)
                 sums[j] += xt @ (xt * w_tail)
         hits_sorted += np.searchsorted(np.sort(sums), thresholds, side="right")
@@ -335,19 +332,3 @@ def smallball_mc(
         ci_hi=ci[:, 1],
     )
 
-
-def _key(seed: int, tag: int, index: int) -> np.ndarray:
-    word = (np.uint64(tag) << np.uint64(56)) | np.uint64(index)
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
-
-
-def spectrum_weight_decay(spec: KLSpectrum) -> float:
-    """Log-log slope of sqrt(mu_i) against i.
-
-    The eigenvalues decay like ``mu_i ~ gamma_i^(-2) ~ (pi i)^(-2)``, so
-    the weights sqrt(mu_i) match the ``i^(-alpha)`` small-ball family with
-    alpha ~ 1; the fitted slope makes the mapping quantitative.
-    """
-    i = np.arange(1, spec.count + 1, dtype=float)
-    slope = np.polyfit(np.log(i), 0.5 * np.log(spec.mu), 1)[0]
-    return float(-slope)

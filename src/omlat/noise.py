@@ -20,16 +20,19 @@ __all__ = [
     "NoiseCoefficient",
     "NoisePath",
     "sample_noise",
-    "sample_noise_ensemble",
-    "increment_row",
     "wq_path",
     "ou_convolution",
     "shift_noise",
 ]
 
-# Tags keeping the Philox key spaces of different consumers disjoint.
-_TAG_NOISE_ROW = 1
-_TAG_NOISE_TRAJECTORY = 2
+# Every Philox key in the package is built here.  Key word 0 is the seed;
+# key word 1 packs (tag << 56) | (a << 32) | b.  The tag keeps the key
+# spaces of different consumers disjoint.  Tag 2 (whole-trajectory draws)
+# is retired: it must not be reused.
+_TAG_NOISE_ROW = 1  # a = trajectory, b = step
+_TAG_SMALLBALL_BLOCK = 3  # b = sample block
+_TAG_SMALLBALL_TAIL = 4  # b = sample
+_TAG_TUBE_BLOCK = 5  # b = trajectory block
 
 
 def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
@@ -48,19 +51,6 @@ def _center_out_order(d: int) -> np.ndarray:
         order[2 * i - 1] = n + i
         order[2 * i] = n - i
     return order
-
-
-def increment_row(seed: int, trajectory: int, k: int, d: int, dt: float) -> np.ndarray:
-    """Wiener increments of step k for all d sites, Normal(0, dt).
-
-    Pure function of its arguments: the value at site i is the same for
-    every truncation width that contains site i.
-    """
-    g = Generator(Philox(key=_philox_key(seed, _TAG_NOISE_ROW, trajectory, k)))
-    draws = g.standard_normal(d)
-    row = np.empty(d)
-    row[_center_out_order(d)] = draws
-    return row * np.sqrt(dt)
 
 
 @dataclass(frozen=True)
@@ -96,9 +86,9 @@ class NoisePath:
 def sample_noise(seed: int, steps: int, d: int, dt: float, trajectory: int = 0) -> NoisePath:
     """Generate ``steps`` x ``d`` independent Normal(0, dt) increments.
 
-    Keyed by (seed, trajectory, step, site): rows can be produced in any
-    order, and distinct seeds or trajectory indices give independent
-    streams.
+    Keyed by (seed, trajectory, step, site): row k does not depend on how
+    many steps are drawn, so a shorter draw is a prefix of a longer one,
+    and distinct seeds or trajectory indices give independent streams.
     """
     if steps < 1 or d < 1 or not dt > 0:
         raise ConfigurationError(f"need steps >= 1, d >= 1, dt > 0, got {(steps, d, dt)}")
@@ -112,24 +102,6 @@ def sample_noise(seed: int, steps: int, d: int, dt: float, trajectory: int = 0) 
         inc[k, order] = g.standard_normal(d)
     inc *= sqdt
     return NoisePath(seed=seed, dt=dt, increments=inc, trajectory=trajectory)
-
-
-def sample_noise_ensemble(seed: int, count: int, steps: int, d: int, dt: float):
-    """Yield ``count`` independent noise paths keyed per (seed, trajectory).
-
-    Throughput variant for large ensembles: each trajectory comes from a
-    single generator call, so individual steps are not separately
-    addressable and widening d reshuffles the draws.  Trajectories are
-    still independent of generation order, and the whole ensemble is a
-    pure function of (seed, count, steps, d, dt).
-    """
-    if steps < 1 or d < 1 or not dt > 0:
-        raise ConfigurationError(f"need steps >= 1, d >= 1, dt > 0, got {(steps, d, dt)}")
-    sqdt = np.sqrt(dt)
-    for j in range(count):
-        g = Generator(Philox(key=_philox_key(seed, _TAG_NOISE_TRAJECTORY, 0, j)))
-        inc = sqdt * g.standard_normal((steps, d))
-        yield NoisePath(seed=seed, dt=dt, increments=inc, trajectory=j)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,11 @@ from numpy.random import Generator, Philox
 from .action import om_action
 from .errors import ConfigurationError, StatisticalPowerError
 from .lattice import LatticeConfig, dense_A, drift
+from .noise import _TAG_TUBE_BLOCK, _philox_key
 from .paths import Path
 from .utils import worker_count
 
 __all__ = ["TubeExperiment", "TubeTable", "l2rho_path_norm", "tube_ratio"]
-
-_TAG_TUBE_BLOCK = 5
 
 #: Trajectories per generator key; fixed so results do not depend on the
 #: thread count.
@@ -106,7 +105,7 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
     rho_sq = (cfg.rho**2)[None, :]
-    g = Generator(Philox(key=_key(exp.seed, _TAG_TUBE_BLOCK, block_index)))
+    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
     dW = np.sqrt(dt) * g.standard_normal((count, N, d))
     qs = cfg.q.grid(dt * np.arange(N), cfg.n)
 
@@ -134,11 +133,6 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
         num_sq += w * np.sum(rho_sq * (u - phi[k + 1]) ** 2, axis=1)
         den_sq += w * np.sum(rho_sq * y**2, axis=1)
     return num_sq, den_sq
-
-
-def _key(seed: int, tag: int, index: int) -> np.ndarray:
-    word = (np.uint64(tag) << np.uint64(56)) | np.uint64(index)
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
 
 
 def tube_ratio(exp: TubeExperiment) -> TubeTable:

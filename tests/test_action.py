@@ -11,8 +11,6 @@ from omlat import (
     dense_A,
     om_action,
     om_gradient,
-    om_integrand,
-    residual,
     residuals,
     trace_term,
 )
@@ -66,7 +64,7 @@ class TestResidual:
         for k in range(8):
             t_mid = (k + 0.5) * dt
             expected = v + M @ (a + v * t_mid)
-            np.testing.assert_allclose(residual(p, k, cfg), expected, atol=1e-12)
+            np.testing.assert_allclose(residuals(p, cfg)[k], expected, atol=1e-12)
 
     def test_deterministic_flow_residual_second_order(self):
         cfg = example_cfg(n=2, T=1.0)
@@ -79,10 +77,10 @@ class TestResidual:
         assert 3.0 <= norms[0] / norms[1] <= 5.0
 
     def test_interval_index_range(self):
+        # one residual per interval k = 0..N-1
         cfg = example_cfg(T=1.0)
         p = path_from_grid(np.zeros((5, 3)), 0.25)
-        with pytest.raises(ConfigurationError):
-            residual(p, 4, cfg)
+        assert residuals(p, cfg).shape == (4, 3)
 
 
 class TestTraceTerm:
@@ -175,19 +173,21 @@ class TestOmAction:
             om_action(p, cfg)
 
     def test_integrand_matches_hand_expanded_form(self):
-        # the worked-example integrand, expanded by hand
-        cfg = example_cfg(n=3)
+        # the worked-example integrand, expanded by hand, against the action
+        # of one interval whose midpoint is phi at time t with velocity vel
+        t = 11.37
+        cfg = example_cfg(n=3, T=2 * t)
         rng = np.random.default_rng(8)
         phi = rng.standard_normal(7)
         vel = rng.standard_normal(7)
-        t = 11.37
         sites = np.arange(-3, 4)
         s = 31.0 - t + 1.0 / (np.abs(sites) + 1.0)
         lap = np.roll(phi, 1) - 2 * phi + np.roll(phi, -1)
         hand = np.sum(
             ((vel - 0.1 * lap + 0.4 * phi + 0.1 * phi**3) / (0.01 * s)) ** 2
         ) - 0.3 * np.sum(phi**2)
-        assert om_integrand(phi, vel, t, cfg) == pytest.approx(hand, rel=1e-12)
+        p = path_from_grid([phi - t * vel, phi + t * vel], 2 * t)
+        assert om_action(p, cfg).total == pytest.approx(2 * t * hand, rel=1e-12)
 
 
 class TestOmGradient:

@@ -299,6 +299,47 @@ class TestCliRuns:
         assert code == 3
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("eps", ["", ","])
+    def test_verify_smallball_empty_radius_list_rejected(self, tmp_path, capsys, eps):
+        code = main(["verify", "smallball", "--eps", eps, "--out", str(tmp_path / "sb")])
+        assert code == 2
+        assert "--eps" in capsys.readouterr().err
+
+    def test_verify_smallball_radius_range_checked_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("smallball_mc ran before the radii were checked")
+
+        monkeypatch.setattr("omlat.cli.smallball_mc", no_sampling)
+        code = main(["verify", "smallball", "--eps", "0.5,2", "--out", str(tmp_path / "sb")])
+        assert code == 2
+
+    @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
+    def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):
+        code = main([
+            "simulate", "--config", example5_file, "--out", str(tmp_path / "sim"),
+            "--dt", "0.25", "--u0", spec,
+        ])
+        assert code == 2
+        assert "gauss state spec" in capsys.readouterr().err
+
+    def test_verify_truncation_small_lattices(self, tmp_path, capsys):
+        from pathlib import Path as FsPath
+
+        scalar = FsPath(__file__).resolve().parent.parent / "configs" / "scalar.cfg"
+        code = main(["verify", "truncation", "--config", str(scalar), "--out", str(tmp_path / "t0")])
+        assert code == 2
+        assert "n=0" in capsys.readouterr().err
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1"))
+        out = tmp_path / "t1"
+        code = main([
+            "verify", "truncation", "--config", str(cfg), "--out", str(out),
+            "--dt", "0.5", "--ensemble", "2",
+        ])
+        assert code == 0
+        rows = (out / "truncation.csv").read_text().splitlines()
+        assert rows[0] == "K,tail,tail_wide" and len(rows) == 2
+
 
 def _write_csv_state(tmp_path, values):
     f = tmp_path / "state.csv"

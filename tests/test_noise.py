@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from omlat import (
     ConfigurationError,
     NoiseCoefficient,
-    increment_row,
+    NoisePath,
     ou_convolution,
     sample_noise,
-    sample_noise_ensemble,
     shift_noise,
     wq_path,
 )
+from omlat.noise import _philox_key
+
+
+def trajectory_draws(seed, count, steps, d, dt):
+    """``count`` independent noise paths, each from one generator call.
+
+    Keyed by the retired whole-trajectory tag 2, so the statistical
+    checks below see the same draws they were calibrated on.
+    """
+    for j in range(count):
+        g = Generator(Philox(key=_philox_key(seed, 2, 0, j)))
+        yield NoisePath(seed=seed, dt=dt, increments=np.sqrt(dt) * g.standard_normal((steps, d)), trajectory=j)
 
 
 class TestSampling:
@@ -31,9 +43,10 @@ class TestSampling:
 
     def test_rows_are_order_independent(self):
         full = sample_noise(42, 100, 7, 0.5)
-        # regenerating single rows in arbitrary order reproduces the array
+        # row k of a (k+1)-step draw is row k of the full draw, whatever
+        # order the draws are made in
         for k in (99, 3, 57, 0):
-            np.testing.assert_array_equal(increment_row(42, 0, k, 7, 0.5), full.increments[k])
+            np.testing.assert_array_equal(sample_noise(42, k + 1, 7, 0.5).increments[k], full.increments[k])
 
     def test_site_values_stable_under_widening(self):
         # widening the truncation keeps the values on common sites
@@ -107,7 +120,7 @@ class TestWqPath:
         q = NoiseCoefficient.affine(0.05, 3.0)
         steps, d, dt = 64, 3, 1.0 / 64
         finals = np.empty((10_000, d))
-        for j, noise in enumerate(sample_noise_ensemble(99, 10_000, steps, d, dt)):
+        for j, noise in enumerate(trajectory_draws(99, 10_000, steps, d, dt)):
             finals[j] = wq_path(noise, q).states[-1]
         ts = np.linspace(0.0, 1.0, 1001)
         target = np.trapezoid(q.grid(ts, 1) ** 2, ts, axis=0)
@@ -133,7 +146,7 @@ class TestOuConvolution:
         alpha, qval, steps, dt = 1.0, 0.8, 256, 2.0 / 256
         q = NoiseCoefficient.constant(qval)
         finals = np.empty(10_000)
-        for j, noise in enumerate(sample_noise_ensemble(4242, 10_000, steps, 1, dt)):
+        for j, noise in enumerate(trajectory_draws(4242, 10_000, steps, 1, dt)):
             finals[j] = ou_convolution(noise, q, alpha=alpha).states[-1, 0]
         target = qval**2 * (1.0 - np.exp(-2 * alpha * 2.0)) / (2 * alpha)
         assert abs(finals.var() / target - 1.0) < 0.05
@@ -179,7 +192,7 @@ class TestShift:
         q = NoiseCoefficient.affine(0.05, 3.0)
         steps, dt = 64, 1.0 / 64
         sq = np.empty(10_000)
-        for j, noise in enumerate(sample_noise_ensemble(31337, 10_000, steps, 1, dt)):
+        for j, noise in enumerate(trajectory_draws(31337, 10_000, steps, 1, dt)):
             sq[j] = wq_path(noise, q).states[-1, 0] ** 2
         ts = np.linspace(0.0, 1.0, 2001)
         target = float(np.trapezoid(q.grid(ts, 0)[:, 0] ** 2, ts))

@@ -13,8 +13,8 @@ from omlat import (
     integrate,
     ou_convolution,
 )
-from omlat.tube import TubeExperiment, _key, l2rho_path_norm, tube_ratio
-from omlat.tube import _TAG_TUBE_BLOCK
+from omlat.noise import _TAG_TUBE_BLOCK, _philox_key
+from omlat.tube import TubeExperiment, l2rho_path_norm, tube_ratio
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
@@ -80,7 +80,7 @@ class TestBlockArithmetic:
         from omlat.tube import _block_distances
 
         num_sq, den_sq = _block_distances(exp, 0, count)
-        g = Generator(Philox(key=_key(99, _TAG_TUBE_BLOCK, 0)))
+        g = Generator(Philox(key=_philox_key(99, _TAG_TUBE_BLOCK, 0, 0)))
         dW = np.sqrt(dt) * g.standard_normal((count, N, 3))
         alpha = np.linalg.eigvalsh(cfg.nu * np.array([[2., -1, -1], [-1, 2, -1], [-1, -1, 2]]) + cfg.lam * np.eye(3))
         for j in range(count):
