@@ -36,7 +36,7 @@ from .lattice import weighted_norm
 from .mpp import BVPSpec, solve_mpp
 from .noise import sample_noise, wq_path
 from .paths import Path
-from .sde import apriori_bound_check, cocycle_check, integrate, truncation_tail
+from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
 from .utils import format_float as _f
 
@@ -83,6 +83,12 @@ def _radii(raw: str) -> list:
     return eps
 
 
+def _check_ensemble(count: int) -> None:
+    """The ``--ensemble`` count: at least one trajectory."""
+    if count < 1:
+        raise ConfigurationError(f"--ensemble: need at least one trajectory, got {count}")
+
+
 def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
     if dt is None:
         return default_steps
@@ -118,13 +124,12 @@ def _finish_manifest(out: FsPath, started: float) -> None:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     cfg = load_config(args.config)
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 1024)
     out = _prepare_out(args, "simulate", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble, "u0": args.u0})
     u0 = parse_state_spec(args.u0, cfg.n)
     summary = {"trajectories": [], "steps": steps, "dt": cfg.T / steps}
-    for j in range(args.ensemble):
-        noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps, trajectory=j)
-        path = integrate(u0, noise, cfg)
+    for j, (_, path) in enumerate(integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg)):
         name = f"path_{j:03d}.csv"
         write_path_csv(path, out / name)
         norms = [weighted_norm(s, cfg.rho) for s in path.states]
@@ -265,6 +270,7 @@ def _verify_truncation(args) -> int:
     cfg = load_config(args.config)
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 256)
     out = _prepare_out(
         args, "verify-truncation", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble}
@@ -276,11 +282,7 @@ def _verify_truncation(args) -> int:
         u0 = np.zeros(sub.d)
         for i in range(-bump, bump + 1):
             u0[i + n] = 1.0 / (1.0 + i * i)
-        paths = [
-            integrate(u0, sample_noise(args.seed, steps, sub.d, sub.T / steps, trajectory=j), sub)
-            for j in range(args.ensemble)
-        ]
-        return sub, paths
+        return sub, [path for _, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, sub)]
 
     base, paths = run(cfg.n)
     wide, paths_wide = run(2 * cfg.n)
@@ -323,15 +325,15 @@ def _with_n(cfg, n):
 def _verify_bound(args) -> int:
     started = time.perf_counter()
     cfg = load_config(args.config)
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 256)
     out = _prepare_out(
         args, "verify-bound", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble}
     )
     u0 = parse_state_spec(args.u0, cfg.n)
     paths, wqs = [], []
-    for j in range(args.ensemble):
-        noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps, trajectory=j)
-        paths.append(integrate(u0, noise, cfg))
+    for noise, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg):
+        paths.append(path)
         wqs.append(wq_path(noise, cfg.q))
     report = apriori_bound_check(paths, wqs, cfg)
     write_csv(

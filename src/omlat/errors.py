@@ -23,10 +23,11 @@ class DegenerateNoiseError(ConfigurationError):
 class IntegrationError(OmlatError):
     """Trajectory blow-up or other failure inside a time stepper."""
 
-    def __init__(self, message, step=None, time=None):
+    def __init__(self, message, step=None, time=None, trajectory=None):
         super().__init__(message)
         self.step = step
         self.time = time
+        self.trajectory = trajectory
 
 
 class StatisticalPowerError(OmlatError):

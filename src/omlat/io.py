@@ -39,10 +39,23 @@ def read_path_csv(src) -> Path:
     if not p.exists():
         raise ConfigurationError(f"no such path file: {p}")
     lines = p.read_text().strip().splitlines()
+    if not lines:
+        raise ConfigurationError(f"{p}: empty path CSV")
     header = lines[0].split(",")
     if header[0] != "t" or len(header) < 2:
         raise ConfigurationError(f"{p}: not a path CSV (header {lines[0]!r})")
-    data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigurationError(
+                f"{p}, line {number}: {len(cells)} cells, the header has {len(header)}"
+            )
+        try:
+            rows.append([float(tok) for tok in cells])
+        except ValueError:
+            raise ConfigurationError(f"{p}, line {number}: not a number in {line!r}") from None
+    data = np.array(rows)
     if data.shape[0] < 2:
         raise ConfigurationError(f"{p}: need at least two grid rows")
     dt = data[1, 0] - data[0, 0]

@@ -256,6 +256,24 @@ class SmallBallMC:
     ci_hi: np.ndarray
 
 
+#: Rows of a small-ball head block drawn at a time.  Each draw continues
+#: the block's stream, so the sums do not depend on it; it caps the
+#: memory of a block at this many rows.
+_HEAD_CHUNK_ROWS = 8192
+
+
+def _head_sums(g: Generator, count: int, w_head: np.ndarray) -> np.ndarray:
+    """``sum_j w_head[j] x_ij^2`` for ``count`` rows of single-precision
+    normals drawn from ``g``, row after row, in chunks of
+    :data:`_HEAD_CHUNK_ROWS` rows."""
+    sums = np.empty(count)
+    for lo in range(0, count, _HEAD_CHUNK_ROWS):
+        rows = min(_HEAD_CHUNK_ROWS, count - lo)
+        x = g.standard_normal((rows, w_head.size), dtype=np.float32).astype(np.float64)
+        sums[lo : lo + rows] = np.einsum("ij,ij,j->i", x, x, w_head)
+    return sums
+
+
 def _required_i_max(alpha: float, eps_min: float) -> int:
     # sum_{i > I} i^(-2 alpha) <= I^(1 - 2 alpha) / (2 alpha - 1) < 1e-3 eps_min^2
     target = 1e-3 * eps_min**2 * (2.0 * alpha - 1.0)
@@ -306,8 +324,7 @@ def smallball_mc(
         count = min(block_size, samples - block_start)
         block_index = block_start // block_size
         g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
-        x = g.standard_normal((count, head), dtype=np.float32).astype(np.float64)
-        sums = np.einsum("ij,ij,j->i", x, x, w_head)
+        sums = _head_sums(g, count, w_head)
         if w_tail.size:
             for j in np.nonzero(sums <= cutoff)[0]:
                 gj = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, block_start + int(j))))

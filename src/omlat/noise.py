@@ -38,8 +38,8 @@ _TAG_TUBE_BLOCK = 5  # b = trajectory block
 def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
     if not (0 <= a < 2**24 and 0 <= b < 2**32):
         raise ConfigurationError(f"counter components out of range: {(a, b)}")
-    word = (np.uint64(tag) << np.uint64(56)) | (np.uint64(a) << np.uint64(32)) | np.uint64(b)
-    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
+    word = (int(tag) << 56) | (int(a) << 32) | int(b)
+    return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
 
 
 def _center_out_order(d: int) -> np.ndarray:
@@ -96,9 +96,15 @@ def sample_noise(seed: int, steps: int, d: int, dt: float, trajectory: int = 0) 
         raise ConfigurationError(f"dimension must be odd (d = 2n + 1), got {d}")
     order = _center_out_order(d)
     sqdt = np.sqrt(dt)
+    bits = Philox(key=_philox_key(seed, _TAG_NOISE_ROW, trajectory, 0))
+    g = Generator(bits)
+    # Re-keying with the counter at zero and the buffer empty leaves the
+    # generator as Philox(key=...) builds it, without building one per row.
+    fresh = bits.state
     inc = np.empty((steps, d))
     for k in range(steps):
-        g = Generator(Philox(key=_philox_key(seed, _TAG_NOISE_ROW, trajectory, k)))
+        fresh["state"]["key"] = _philox_key(seed, _TAG_NOISE_ROW, trajectory, k)
+        bits.state = fresh
         inc[k, order] = g.standard_normal(d)
     inc *= sqdt
     return NoisePath(seed=seed, dt=dt, increments=inc, trajectory=trajectory)

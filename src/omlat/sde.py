@@ -2,6 +2,10 @@
 pathwise and ensemble diagnostics that back the well-posedness theory:
 the a priori sup-norm bound, the flow/shift consistency check, and the
 truncation tail statistics.
+
+:func:`euler_maruyama` is the one time stepper: it advances a batch of
+trajectories together.  :func:`integrate` is its one-trajectory case and
+:func:`integrate_ensemble` steps keyed noise trajectories in groups.
 """
 from __future__ import annotations
 
@@ -11,16 +15,73 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
 from .lattice import BLOWUP_THRESHOLD, LatticeConfig, drift, weighted_norm
-from .noise import NoisePath, shift_noise
+from .noise import NoisePath, sample_noise, shift_noise
 from .paths import Path
 
 __all__ = [
+    "euler_maruyama",
     "integrate",
+    "integrate_ensemble",
     "apriori_bound_check",
     "BoundReport",
     "cocycle_check",
     "truncation_tail",
 ]
+
+#: States one group of :func:`integrate_ensemble` may hold, in bytes: a
+#: group has ``ENSEMBLE_STATE_BYTES // (8 (steps + 1) d)`` trajectories,
+#: and at least one.
+ENSEMBLE_STATE_BYTES = 32 * 2**20
+
+
+def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
+                   t_offset: float = 0.0, observe=None):
+    """Advance the states ``u0`` (m, d) by one Euler-Maruyama update per
+    increment, all m trajectories together:
+
+        ``u_{k+1} = u_k + drift(u_k) dt + q(t_k) * dW_k``,  ``t_k = t_offset + k dt``,
+
+    where ``dW_k = increments[:, k]`` and ``increments`` has shape
+    (m, N, d); ``trajectories[j]`` is the index that row j reports in an
+    error.  Every row takes the same floating-point operations in the
+    same order whatever m is, so a trajectory does not depend on the batch
+    it is stepped in.
+
+    Returns the states, shape (m, N + 1, d).  With ``observe`` no state is
+    kept: ``observe(k, u_{k+1}, q(t_k) * dW_k)`` is called after each step
+    and the final states (m, d) are returned.
+
+    Raises
+    ------
+    IntegrationError
+        If a component exceeds the blow-up threshold, naming the trajectory,
+        the step and the site.
+    """
+    u = np.array(u0, dtype=float)
+    m, steps, d = increments.shape
+    qs = cfg.q.grid(t_offset + dt * np.arange(steps), cfg.n)
+    states = None
+    if observe is None:
+        states = np.empty((m, steps + 1, d))
+        states[:, 0] = u
+    for k in range(steps):
+        forced = qs[k] * increments[:, k]
+        u = u + drift(u, cfg) * dt + forced
+        if not np.all(np.abs(u) < BLOWUP_THRESHOLD):
+            j, i = divmod(int(np.argmax(np.abs(u))), d)  # the largest component, or a NaN
+            label = trajectories[j]
+            raise IntegrationError(
+                f"trajectory {label} blew up at step {k + 1} (t={dt * (k + 1):.6g}), "
+                f"site {i - cfg.n}: |u|={abs(u[j, i]):.3e}",
+                step=k + 1,
+                time=dt * (k + 1),
+                trajectory=label,
+            )
+        if states is None:
+            observe(k, u, forced)
+        else:
+            states[:, k + 1] = u
+    return u if states is None else states
 
 
 def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -> Path:
@@ -35,7 +96,8 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -
     Raises
     ------
     IntegrationError
-        If any component exceeds the blow-up threshold, naming the step.
+        If any component exceeds the blow-up threshold, naming the noise
+        path's trajectory index, the step and the site.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.d,):
@@ -43,27 +105,39 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -
     if noise.d != cfg.d:
         raise ConfigurationError(f"noise has {noise.d} sites, config has {cfg.d}")
     dt = noise.dt
-    qs = cfg.q.grid(t_offset + dt * np.arange(noise.steps), cfg.n)
-    states = np.empty((noise.steps + 1, cfg.d))
-    states[0] = u0
-    u = u0.copy()
-    for k in range(noise.steps):
-        u = u + drift(u, cfg) * dt + qs[k] * noise.increments[k]
-        if not np.all(np.abs(u) < BLOWUP_THRESHOLD):
-            i = int(np.argmax(np.abs(u)))
-            raise IntegrationError(
-                f"trajectory blew up at step {k + 1} (t={dt * (k + 1):.6g}), "
-                f"site {i - cfg.n}: |u|={np.max(np.abs(u)):.3e}",
-                step=k + 1,
-                time=dt * (k + 1),
-            )
-        states[k + 1] = u
+    states = euler_maruyama(u0[None], noise.increments[None], cfg, dt, [noise.trajectory], t_offset)
     return Path(
         times=dt * np.arange(noise.steps + 1),
-        states=states,
+        states=states[0],
         dt=dt,
         meta={"seed": noise.seed, "trajectory": noise.trajectory, "t_offset": t_offset},
     )
+
+
+def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig):
+    """Trajectories 0..count-1 of the keyed noise, each integrated from u0
+    over ``steps`` steps of T / steps: yields ``(noise, path)`` in
+    trajectory order, the same pairs as
+    ``integrate(u0, sample_noise(seed, steps, d, dt, trajectory=j), cfg)``.
+
+    Trajectories are stepped together in groups that hold at most
+    :data:`ENSEMBLE_STATE_BYTES` of states; a group is stepped only when
+    the previous one has been consumed.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (cfg.d,):
+        raise ConfigurationError(f"u0 must have shape ({cfg.d},), got {u0.shape}")
+    dt = cfg.T / steps
+    times = dt * np.arange(steps + 1)
+    size = max(1, ENSEMBLE_STATE_BYTES // (8 * (steps + 1) * cfg.d))
+    for start in range(0, count, size):
+        group = range(start, min(start + size, count))
+        noises = [sample_noise(seed, steps, cfg.d, dt, trajectory=j) for j in group]
+        increments = np.stack([noise.increments for noise in noises])
+        states = euler_maruyama(np.tile(u0, (len(group), 1)), increments, cfg, dt, group)
+        for noise, path_states in zip(noises, states):
+            meta = {"seed": seed, "trajectory": noise.trajectory, "t_offset": 0.0}
+            yield noise, Path(times=times, states=path_states, dt=dt, meta=meta)
 
 
 @dataclass(frozen=True)

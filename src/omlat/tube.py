@@ -23,9 +23,10 @@ from numpy.random import Generator, Philox
 
 from .action import om_action
 from .errors import ConfigurationError, StatisticalPowerError
-from .lattice import LatticeConfig, dense_A, drift
+from .lattice import LatticeConfig, dense_A
 from .noise import _TAG_TUBE_BLOCK, _philox_key
 from .paths import Path
+from .sde import euler_maruyama
 from .utils import worker_count
 
 __all__ = ["TubeExperiment", "TubeTable", "l2rho_path_norm", "tube_ratio"]
@@ -106,32 +107,39 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     dt = exp.phi.dt
     rho_sq = (cfg.rho**2)[None, :]
     g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
-    dW = np.sqrt(dt) * g.standard_normal((count, N, d))
-    qs = cfg.q.grid(dt * np.arange(N), cfg.n)
+    dW = g.standard_normal((count, N, d))
+    dW *= np.sqrt(dt)
 
     base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
     alpha, V = np.linalg.eigh(base)
     decay = np.exp(-alpha * dt)[None, :]
+    convolution = exp.denominator == "convolution"
+    # At d = 1 the eigenbasis is [[1.0]] and the basis changes are exact
+    # copies, so they are skipped: `@` on (count, 1) is a slow per-row
+    # loop, and np.dot hands it to BLAS, whose threads contend with the pool.
+    rotate = d > 1
 
-    u = np.tile(phi[0], (count, 1))
     x = np.zeros((count, d))  # reference-noise state, eigenbasis coordinates
+    # trapezoid accumulation: half weight at k = 0 and k = N; at k = 0 both
+    # ensembles sit exactly on their reference, so that term is zero
     num_sq = np.zeros(count)
     den_sq = np.zeros(count)
-    # trapezoid accumulation: half weight at k = 0 and k = N
-    num_sq += 0.5 * dt * np.sum(rho_sq * (u - phi[0]) ** 2, axis=1)
-    den_sq += 0.0  # reference starts at zero exactly
-    for k in range(N):
-        forced = qs[k] * dW[:, k, :]
-        u = u + drift(u, cfg) * dt + forced
-        if exp.denominator == "convolution":
-            x = decay * (x + forced @ V)
-            y = x @ V.T
+
+    def accumulate(k, u, forced):
+        nonlocal x, num_sq, den_sq
+        if convolution:
+            x = decay * (x + (forced @ V if rotate else forced))
+            y = x @ V.T if rotate else x
         else:
             x = x + forced
             y = x
         w = dt if k < N - 1 else 0.5 * dt
         num_sq += w * np.sum(rho_sq * (u - phi[k + 1]) ** 2, axis=1)
         den_sq += w * np.sum(rho_sq * y**2, axis=1)
+
+    first = block_index * TUBE_BLOCK_SIZE
+    trajectories = range(first, first + count)
+    euler_maruyama(np.tile(phi[0], (count, 1)), dW, cfg, dt, trajectories, observe=accumulate)
     return num_sq, den_sq
 
 
@@ -144,6 +152,8 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     StatisticalPowerError
         If either event has fewer than ``min_hits`` hits at the largest
         radius; the message suggests larger samples or radii.
+    IntegrationError
+        If a trajectory of the solution ensemble blows up.
     """
     report = om_action(exp.phi, exp.cfg)
     predicted = float(np.exp(-0.5 * report.total))

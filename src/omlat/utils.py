@@ -7,7 +7,7 @@ __all__ = ["worker_count", "format_float"]
 
 
 def worker_count() -> int:
-    """Worker cap for ensemble loops: the OMLAT_THREADS environment
+    """Worker cap for the tube's block pool: the OMLAT_THREADS environment
     variable when set, else the CPU count."""
     raw = os.environ.get("OMLAT_THREADS", "")
     if raw.strip():

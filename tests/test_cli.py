@@ -154,15 +154,20 @@ class TestCliRuns:
         assert manifest["subcommand"] == "simulate"
         assert manifest["config_hash"]
 
-    def test_simulate_empty_ensemble_manifest_only(self, example5_file, tmp_path):
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["verify", "truncation"], ["verify", "bound"]],
+        ids=["simulate", "truncation", "bound"],
+    )
+    def test_ensemble_below_one_rejected(self, example5_file, tmp_path, capsys, command, count):
         out = tmp_path / "empty"
-        code = main([
-            "simulate", "--config", example5_file, "--out", str(out),
-            "--dt", "0.25", "--ensemble", "0",
+        code = main(command + [
+            "--config", example5_file, "--out", str(out), "--dt", "0.25", "--ensemble", count,
         ])
-        assert code == 0
-        files = sorted(f.name for f in out.iterdir())
-        assert files == ["manifest.json", "summary.json"]
+        assert code == 2
+        assert "--ensemble" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mpp_artifacts_and_slices(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -206,6 +211,23 @@ class TestCliRuns:
         assert report["drift_term"] == 0.0
         conv = (out / "convergence.csv").read_text().splitlines()
         assert len(conv) == 2  # header + single stationary iteration
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [("0.25,abc,0,0", "not a number"), ("0.25,0", "2 cells, the header has 4")],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_om_bad_path_csv_names_file_and_line(self, tmp_path, capsys, row, fault):
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1").replace("T = 30", "T = 0.5"))
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"t,u_-1,u_0,u_1\n0,0,0,0\n{row}\n")
+        with pytest.raises(ConfigurationError, match=f"line 3: {fault}"):
+            read_path_csv(csv)
+        code = main(["om", "--config", str(cfg), "--path", str(csv), "--out", str(tmp_path / "om")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.csv, line 3" in err and "Traceback" not in err
 
     def test_om_round_trip(self, example5_file, tmp_path):
         sim = tmp_path / "sim"

@@ -1,0 +1,71 @@
+"""Golden digests: the sha256 of every CSV that small ``simulate``,
+``verify truncation``, ``verify bound`` and ``verify tube`` runs write.
+
+The digests were taken from the per-trajectory Euler-Maruyama loops that
+the batched stepper replaced, so they check on every run that batching
+leaves each file byte-identical.  The ensemble runs are repeated with one
+trajectory per group, and the tube runs with one and with two worker
+threads.  A change to the noise stream changes every digest: such a
+change re-pins them and says so.
+"""
+import hashlib
+from pathlib import Path as FsPath
+
+import pytest
+
+from omlat import sde
+from omlat.cli import main
+
+CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
+EX5 = str(CONFIGS / "example5.cfg")
+SCALAR = str(CONFIGS / "scalar.cfg")
+THREE_SITES = (
+    "n = 1\nnu = 0.2\nlambda = 0.5\nf_coeffs = 0, 0.1\np = 1\nC_f = 0.1\n"
+    "g = zero\nq_spec = constant:0.8\nrho = uniform\nT = 1\n"
+)
+
+RUNS = {
+    "simulate": ["simulate", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
+    "truncation": ["verify", "truncation", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
+    "bound": ["verify", "bound", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
+    "tube": ["verify", "tube", "--config", SCALAR, "--samples", "20000", "--eps", "0.5,0.3"],
+    "tube3": [
+        "verify", "tube", "--config", "{three_sites}", "--samples", "20000", "--eps", "1.0,0.6",
+        "--reference", "sine:0.3", "--denominator", "plain", "--dt", "0.015625",
+    ],
+}
+
+DIGESTS = {
+    "simulate": {
+        "path_000.csv": "b9cce76d991beeece4d112454eac15599f074b21207f762b93432993d66ba01a",
+        "path_001.csv": "f4c013a935f0d550ab4fff68653cdd3aa91fd9dc82cc8fe6cfad8d8cd3784929",
+        "path_002.csv": "98b34285cf50524668d8dc3d50f3850cf8a35ac04c10913a7dd8e312abdd39bb",
+    },
+    "truncation": {"truncation.csv": "6748ca34089773c6fc2160d5f5bdd097a099c13d8bc78ede54a5a37e62c39422"},
+    "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
+    "tube": {"tube.csv": "8db4a8c37b3568132d81fbef3837f82c301f807afc52ba0b1598e9f735853229"},
+    "tube3": {"tube.csv": "5b328736e8af5cf7fde422807e6c3722be250b959c52bf9d05342f8b9142cdfc"},
+}
+
+# (run, variant): ensembles at the default group size and one trajectory
+# per group; tubes on one and two threads.
+CASES = [
+    (run, variant)
+    for run in RUNS
+    for variant in (("threads1", "threads2") if run.startswith("tube") else ("grouped", "single"))
+]
+
+
+@pytest.mark.parametrize("run, variant", CASES, ids=[f"{r}-{v}" for r, v in CASES])
+def test_csv_digests(tmp_path, monkeypatch, run, variant):
+    three_sites = tmp_path / "three_sites.cfg"
+    three_sites.write_text(THREE_SITES)
+    if variant == "single":
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", 1)
+    elif variant.startswith("threads"):
+        monkeypatch.setenv("OMLAT_THREADS", variant[-1])
+    out = tmp_path / run
+    argv = [arg.replace("{three_sites}", str(three_sites)) for arg in RUNS[run]]
+    assert main(argv + ["--seed", "11", "--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.glob("*.csv"))}
+    assert digests == DIGESTS[run]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
-from omlat import ConfigurationError
+from omlat import ConfigurationError, kl
 from omlat.kl import (
     eigenfunction_orthogonality,
     kernel_eigen_check,
@@ -170,6 +171,18 @@ class TestSmallBallMC:
         a = smallball_mc(1.0, 256, [2.0], 4096, seed=3, block_size=4096)
         b = smallball_mc(1.0, 256, [2.0], 4096, seed=3, block_size=4096, head_size=256)
         assert np.array_equal(a.hits, b.hits)
+
+    @pytest.mark.parametrize("count", [65536, 34464, 1001])
+    @pytest.mark.parametrize("chunk", [8192, 777])
+    def test_chunked_head_sums_equal_one_shot_sums(self, monkeypatch, count, chunk):
+        # each chunk continues the block's stream, so the sums equal those
+        # of one (count, head) draw
+        monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", chunk)
+        w_head = np.arange(1, 257, dtype=float) ** -2.0
+        key = np.array([11, 3 << 56], dtype=np.uint64)
+        x = Generator(Philox(key=key)).standard_normal((count, 256), dtype=np.float32).astype(np.float64)
+        one_shot = np.einsum("ij,ij,j->i", x, x, w_head)
+        np.testing.assert_array_equal(kl._head_sums(Generator(Philox(key=key)), count, w_head), one_shot)
 
     def test_truncation_precondition_names_required_size(self):
         with pytest.raises(ConfigurationError) as err:

@@ -70,6 +70,31 @@ class TestSampling:
             sample_noise(1, 10, 3, 0.0)
 
 
+def numpy_scalar_key(seed, tag, a, b):
+    """The Philox key built with numpy scalar operations, as it was before
+    the key words were computed as Python integers."""
+    word = (np.uint64(tag) << np.uint64(56)) | (np.uint64(a) << np.uint64(32)) | np.uint64(b)
+    return np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), word], dtype=np.uint64)
+
+
+class TestRekeyedGenerator:
+    @pytest.mark.parametrize("seed", [0, -1, 2**63, 12345])
+    def test_rows_match_a_fresh_generator_per_row(self, seed):
+        d, steps, dt = 7, 40, 0.3
+        center_out = [3, 4, 2, 5, 1, 6, 0]  # array positions of sites 0, +1, -1, ...
+        for trajectory in (0, 1, 17, 2**24 - 1):
+            got = sample_noise(seed, steps, d, dt, trajectory=trajectory).increments
+            for k in range(steps):
+                row = np.empty(d)
+                row[center_out] = Generator(Philox(key=_philox_key(seed, 1, trajectory, k))).standard_normal(d)
+                np.testing.assert_array_equal(got[k], row * np.sqrt(dt))
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**63, 12345])
+    def test_key_words_match_numpy_scalar_construction(self, seed):
+        for tag, a, b in [(1, 0, 0), (1, 2**24 - 1, 2**32 - 1), (3, 0, 77), (4, 0, 2**31), (5, 0, 12)]:
+            np.testing.assert_array_equal(_philox_key(seed, tag, a, b), numpy_scalar_key(seed, tag, a, b))
+
+
 class TestCoefficient:
     def test_constant(self):
         q = NoiseCoefficient.constant(2.5)

@@ -17,6 +17,8 @@ from omlat import (
     weighted_norm,
     wq_path,
 )
+from omlat import sde
+from omlat.sde import euler_maruyama, integrate_ensemble
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -124,6 +126,91 @@ class TestIntegrate:
             integrate(np.zeros(5), silent_noise(8, 3, 1.0 / 8), cfg)
         with pytest.raises(ConfigurationError):
             integrate(np.zeros(3), silent_noise(8, 5, 1.0 / 8), cfg)
+
+
+def per_trajectory_updates(u0, increments, cfg, dt):
+    """Reference for the batched stepper: each trajectory on its own, with
+    the update ``u + drift(u) dt + q(t_k) dW_k`` written out."""
+    m, steps, d = increments.shape
+    qs = cfg.q.grid(dt * np.arange(steps), cfg.n)
+    out = np.empty((m, steps + 1, d))
+    for j in range(m):
+        u = np.array(u0[j], dtype=float)
+        out[j, 0] = u
+        for k in range(steps):
+            u = u + drift(u, cfg) * dt + qs[k] * increments[j, k]
+            out[j, k + 1] = u
+    return out
+
+
+class TestBatchedStepper:
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_matches_per_trajectory_loop(self, n):
+        g = np.linspace(-0.2, 0.3, 2 * n + 1)
+        cfg = LatticeConfig(n=n, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.01, 31.0), T=30.0, g=g)
+        steps, m = 60, 5
+        dt = cfg.T / steps
+        increments = np.stack([sample_noise(3, steps, cfg.d, dt, trajectory=j).increments for j in range(m)])
+        u0 = np.random.default_rng(n).standard_normal((m, cfg.d))
+        expected = per_trajectory_updates(u0, increments, cfg, dt)
+        np.testing.assert_array_equal(euler_maruyama(u0, increments, cfg, dt, range(m)), expected)
+        for j in range(m):
+            noise = NoisePath(seed=3, dt=dt, increments=increments[j], trajectory=j)
+            np.testing.assert_array_equal(integrate(u0[j], noise, cfg).states, expected[j])
+
+    def test_observer_sees_each_state_and_forcing(self):
+        cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.01, 31.0), T=1.0)
+        steps, dt = 16, 1.0 / 16
+        increments = np.stack([sample_noise(4, steps, 3, dt, trajectory=j).increments for j in range(2)])
+        u0 = np.ones((2, 3))
+        states = euler_maruyama(u0, increments, cfg, dt, range(2))
+        qs = cfg.q.grid(dt * np.arange(steps), cfg.n)
+        seen = []
+
+        def observe(k, u, forced):
+            np.testing.assert_array_equal(u, states[:, k + 1])
+            np.testing.assert_array_equal(forced, qs[k] * increments[:, k])
+            seen.append(k)
+
+        final = euler_maruyama(u0, increments, cfg, dt, range(2), observe=observe)
+        assert seen == list(range(steps))
+        np.testing.assert_array_equal(final, states[:, -1])
+
+    def test_ensemble_matches_integrate_whatever_the_group_size(self, monkeypatch):
+        cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.4), T=1.0)
+        u0 = np.array([0.1, 0.5, 1.0, 0.5, 0.1])
+        steps = 32
+        expected = [integrate(u0, sample_noise(6, steps, 5, 1.0 / steps, trajectory=j), cfg) for j in range(5)]
+        for budget in (sde.ENSEMBLE_STATE_BYTES, 1, 2 * 8 * (steps + 1) * 5):
+            monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
+            pairs = list(integrate_ensemble(u0, 6, 5, steps, cfg))
+            assert [noise.trajectory for noise, _ in pairs] == list(range(5))
+            for (_, path), ref in zip(pairs, expected):
+                np.testing.assert_array_equal(path.states, ref.states)
+                np.testing.assert_array_equal(path.times, ref.times)
+
+    def test_blowup_names_trajectory_step_and_site(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
+        cfg = LatticeConfig(n=1, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=4.0)
+        steps, dt = 64, 4.0 / 64
+        u0 = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 5.0], [0.2, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = per_trajectory_updates(u0, np.zeros((3, steps, 3)), cfg, dt)
+        bad = ~(np.abs(ref) < 1.0e8).all(axis=2)  # (trajectory, time)
+        step = int(np.argmax(bad.any(axis=0)))
+        assert bad[1, step] and not bad[0].any() and not bad[2].any()
+        site = int(np.argmax(np.abs(ref[1, step]))) - 1
+        with pytest.raises(IntegrationError) as err:
+            euler_maruyama(u0, np.zeros((3, steps, 3)), cfg, dt, range(40, 43))
+        assert (err.value.trajectory, err.value.step) == (41, step)
+        assert f"trajectory 41 blew up at step {step} " in str(err.value)
+        assert f"site {site}:" in str(err.value)
+        with pytest.raises(IntegrationError, match=f"trajectory 7 blew up at step {step} "):
+            integrate(u0[1], NoisePath(seed=0, dt=dt, increments=np.zeros((steps, 3)), trajectory=7), cfg)
 
 
 class TestAprioriBound:

@@ -10,11 +10,13 @@ from omlat import (
     Path,
     PolynomialNonlinearity,
     StatisticalPowerError,
+    dense_A,
+    drift,
     integrate,
     ou_convolution,
 )
 from omlat.noise import _TAG_TUBE_BLOCK, _philox_key
-from omlat.tube import TubeExperiment, l2rho_path_norm, tube_ratio
+from omlat.tube import TubeExperiment, _block_distances, l2rho_path_norm, tube_ratio
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
@@ -77,8 +79,6 @@ class TestBlockArithmetic:
         table = tube_ratio(exp)
         assert table.num_hits[0] == count  # huge radius: sanity
 
-        from omlat.tube import _block_distances
-
         num_sq, den_sq = _block_distances(exp, 0, count)
         g = Generator(Philox(key=_philox_key(99, _TAG_TUBE_BLOCK, 0, 0)))
         dW = np.sqrt(dt) * g.standard_normal((count, N, 3))
@@ -97,6 +97,57 @@ class TestBlockArithmetic:
             y = conv.states @ V.T
             expected = l2rho_path_norm(grid_path(y, dt), grid_path(np.zeros((N + 1, 3)), dt), cfg.rho) ** 2
             assert den_sq[j] == pytest.approx(expected, rel=1e-10, abs=1e-14)
+
+
+def matmul_block_distances(exp, block_index, count):
+    """Reference for ``_block_distances``: its own Euler-Maruyama loop and
+    ``@`` products, as the tube computed them before it used the shared
+    stepper."""
+    cfg = exp.cfg
+    phi = exp.phi.states
+    N, d = exp.phi.steps, cfg.d
+    dt = exp.phi.dt
+    rho_sq = (cfg.rho**2)[None, :]
+    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
+    dW = np.sqrt(dt) * g.standard_normal((count, N, d))
+    qs = cfg.q.grid(dt * np.arange(N), cfg.n)
+    alpha, V = np.linalg.eigh(cfg.nu * dense_A(d) + cfg.lam * np.eye(d))
+    decay = np.exp(-alpha * dt)[None, :]
+    u = np.tile(phi[0], (count, 1))
+    x = np.zeros((count, d))
+    num_sq = np.zeros(count)
+    den_sq = np.zeros(count)
+    num_sq += 0.5 * dt * np.sum(rho_sq * (u - phi[0]) ** 2, axis=1)
+    for k in range(N):
+        forced = qs[k] * dW[:, k, :]
+        u = u + drift(u, cfg) * dt + forced
+        if exp.denominator == "convolution":
+            x = decay * (x + forced @ V)
+            y = x @ V.T
+        else:
+            x = x + forced
+            y = x
+        w = dt if k < N - 1 else 0.5 * dt
+        num_sq += w * np.sum(rho_sq * (u - phi[k + 1]) ** 2, axis=1)
+        den_sq += w * np.sum(rho_sq * y**2, axis=1)
+    return num_sq, den_sq
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("denominator", ["convolution", "plain"])
+@pytest.mark.parametrize("reference", ["zero", "sine"])
+def test_block_distances_match_matmul_loop(n, denominator, reference):
+    cfg = LatticeConfig(n=n, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(0.1, 3.0), T=1.0)
+    N = 48
+    ts = np.linspace(0.0, 1.0, N + 1)
+    amp = 0.0 if reference == "zero" else 0.4
+    phi = grid_path(amp * np.outer(np.sin(np.pi * ts / 2), np.linspace(0.5, 1.0, cfg.d)), 1.0 / N)
+    exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=700, seed=31, denominator=denominator)
+    for block_index, count in ((0, 700), (3, 257)):
+        got = _block_distances(exp, block_index, count)
+        expected = matmul_block_distances(exp, block_index, count)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
 
 
 class TestTubeRatio:
