@@ -33,7 +33,6 @@ from .lattice import (
 from .noise import (
     NoiseCoefficient,
     NoisePath,
-    ou_convolution,
     sample_noise,
     shift_noise,
     wq_path,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path as FsPath
@@ -90,11 +91,15 @@ def _check_ensemble(count: int) -> None:
 
 
 def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
+    """Steps of the ``--dt`` grid on [0, T]: dt must be positive, finite
+    and divide T."""
     if dt is None:
         return default_steps
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"--dt must be a positive finite step, got {dt}")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"dt={dt} does not divide the horizon T={T}")
+        raise ConfigurationError(f"--dt={dt} does not divide the horizon T={T}")
     return steps
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .paths import Path
-from .utils import format_float as _f
+from .utils import FLOAT_FORMAT, format_float as _f
 
 __all__ = [
     "write_path_csv",
@@ -27,9 +27,11 @@ def write_path_csv(path: Path, dest) -> None:
     """Path as CSV: header ``t,u_-n,...,u_n``, one row per grid point."""
     n = (path.d - 1) // 2
     header = "t," + ",".join(f"u_{i}" for i in range(-n, n + 1))
+    # one %-template per row, FLOAT_FORMAT per value; rows are converted
+    # one at a time to keep the peak memory low
+    row = ",".join([FLOAT_FORMAT] * (path.d + 1))
     lines = [header]
-    for t, row in zip(path.times, path.states):
-        lines.append(",".join([_f(t)] + [_f(v) for v in row]))
+    lines.extend(row % tuple(values.tolist()) for values in np.column_stack([path.times, path.states]))
     FsPath(dest).write_text("\n".join(lines) + "\n")
 
 

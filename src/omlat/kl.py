@@ -291,10 +291,11 @@ def smallball_mc(
 ) -> SmallBallMC:
     """Estimate the small-ball probabilities for weights ``i^(-alpha)``.
 
-    The truncation must satisfy ``sum_{i > i_max} i^(-2 alpha) <
-    1e-3 min(eps)^2``; otherwise a configuration error names the required
-    ``i_max``.  Draws are keyed per sample block (head coordinates) and
-    per sample (tail coordinates), so the estimate is a pure function of
+    The truncation must satisfy ``i_max >= 1`` and ``sum_{i > i_max}
+    i^(-2 alpha) < 1e-3 min(eps)^2``; otherwise a configuration error
+    names ``i_max`` (for the mass condition, its required value).  Draws
+    are keyed per sample block (head coordinates) and per sample (tail
+    coordinates), so the estimate is a pure function of
     (alpha, i_max, eps, samples, seed).  The tail coordinates of a sample
     are only generated when its head sum still lies below the largest
     radius; the tail sum is nonnegative, so skipped samples can never be
@@ -307,6 +308,8 @@ def smallball_mc(
         raise ConfigurationError("radii must be positive")
     if samples < 1:
         raise ConfigurationError("need at least one sample")
+    if i_max < 1:
+        raise ConfigurationError(f"i_max must be at least 1, got {i_max}")
     tail_mass = i_max ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
     if tail_mass >= 1e-3 * np.min(eps) ** 2:
         raise ConfigurationError(

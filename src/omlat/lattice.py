@@ -74,30 +74,47 @@ def weighted_inner(u, v, rho) -> float:
     return float(np.sum(rho * rho * u * v))
 
 
-def apply_A(u):
+def apply_A(u, out=None):
     """Periodic second-difference operator: ``(A u)_i = -u_{i-1} + 2 u_i - u_{i+1}``.
 
     Site -n wraps to site n.  Symmetric positive semidefinite; constants
     are in the kernel.  For d = 1 the wrap degenerates the row 2 - 1 - 1
-    to zero.
+    to zero.  Acts along the last axis; ``out`` (same shape as u, not
+    overlapping it) receives the result when given.
     """
     u = np.asarray(u, dtype=float)
-    return 2.0 * u - np.roll(u, 1, axis=-1) - np.roll(u, -1, axis=-1)
+    out = np.multiply(2.0, u, out=out)
+    # 2 u_i, minus the left neighbour, then minus the right one
+    out[..., 1:] -= u[..., :-1]
+    out[..., :1] -= u[..., -1:]
+    out[..., :-1] -= u[..., 1:]
+    out[..., -1:] -= u[..., :1]
+    return out
 
 
 def apply_B(u):
-    """Forward difference with periodic wrap: ``(B u)_i = u_{i+1} - u_i``."""
+    """Forward difference with periodic wrap: ``(B u)_i = u_{i+1} - u_i``.
+
+    Acts along the last axis.
+    """
     u = np.asarray(u, dtype=float)
-    return np.roll(u, -1, axis=-1) - u
+    out = np.empty_like(u)
+    np.subtract(u[..., 1:], u[..., :-1], out=out[..., :-1])
+    np.subtract(u[..., :1], u[..., -1:], out=out[..., -1:])
+    return out
 
 
 def apply_BT(u):
     """Backward difference with periodic wrap: ``(B^T u)_i = u_{i-1} - u_i``.
 
-    Adjoint of :func:`apply_B` in the unweighted inner product.
+    Adjoint of :func:`apply_B` in the unweighted inner product.  Acts
+    along the last axis.
     """
     u = np.asarray(u, dtype=float)
-    return np.roll(u, 1, axis=-1) - u
+    out = np.empty_like(u)
+    np.subtract(u[..., :-1], u[..., 1:], out=out[..., 1:])
+    np.subtract(u[..., -1:], u[..., :1], out=out[..., :1])
+    return out
 
 
 def dense_A(d: int) -> np.ndarray:
@@ -295,11 +312,18 @@ class LatticeConfig:
         return site_indices(self.d)
 
 
-def drift(u, cfg: LatticeConfig):
+def drift(u, cfg: LatticeConfig, out=None):
     """Deterministic drift ``-nu A u - lam u - f(u) + g`` of the lattice system.
 
     The nonlinearity acts componentwise.  Accepts a single state of shape
-    (d,) or a batch of shape (m, d).
+    (d,) or a batch of shape (m, d); ``out`` (same shape as u, not
+    overlapping it) receives the result when given.  The terms are
+    combined left to right, so the result does not depend on ``out``.
     """
     u = np.asarray(u, dtype=float)
-    return -cfg.nu * apply_A(u) - cfg.lam * u - cfg.f(u) + cfg.g
+    out = apply_A(u, out=out)
+    out *= -cfg.nu
+    out -= cfg.lam * u
+    out -= cfg.f(u)
+    out += cfg.g
+    return out

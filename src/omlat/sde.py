@@ -49,7 +49,11 @@ def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
 
     Returns the states, shape (m, N + 1, d).  With ``observe`` no state is
     kept: ``observe(k, u_{k+1}, q(t_k) * dW_k)`` is called after each step
-    and the final states (m, d) are returned.
+    and the final states (m, d) are returned.  The stepper updates its
+    state in place: the ``u`` and ``forced`` arrays passed to ``observe``
+    are buffers reused from step to step, valid only during the call, so
+    an observer copies what it keeps.  ``u0`` and ``increments`` are not
+    modified.
 
     Raises
     ------
@@ -57,30 +61,39 @@ def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
         If a component exceeds the blow-up threshold, naming the trajectory,
         the step and the site.
     """
-    u = np.array(u0, dtype=float)
     m, steps, d = increments.shape
     qs = cfg.q.grid(t_offset + dt * np.arange(steps), cfg.n)
-    states = None
+    forced = np.empty((m, d))
+    du = np.empty((m, d))  # drift * dt, then |u| for the blow-up check
     if observe is None:
         states = np.empty((m, steps + 1, d))
-        states[:, 0] = u
+        states[:, 0] = u0
+        u = states[:, 0]
+    else:
+        states = None
+        u = np.array(u0, dtype=float)
     for k in range(steps):
-        forced = qs[k] * increments[:, k]
-        u = u + drift(u, cfg) * dt + forced
-        if not np.all(np.abs(u) < BLOWUP_THRESHOLD):
-            j, i = divmod(int(np.argmax(np.abs(u))), d)  # the largest component, or a NaN
+        np.multiply(qs[k], increments[:, k], out=forced)
+        drift(u, cfg, out=du)
+        # rounds as u + drift * dt + forced, left to right
+        du *= dt
+        nxt = u if states is None else states[:, k + 1]
+        np.add(u, du, out=nxt)
+        nxt += forced
+        u = nxt
+        np.abs(u, out=du)
+        if not du.max() < BLOWUP_THRESHOLD:  # a NaN fails this too
+            j, i = divmod(int(np.argmax(du)), d)  # the largest component, or a NaN
             label = trajectories[j]
             raise IntegrationError(
                 f"trajectory {label} blew up at step {k + 1} (t={dt * (k + 1):.6g}), "
-                f"site {i - cfg.n}: |u|={abs(u[j, i]):.3e}",
+                f"site {i - cfg.n}: |u|={du[j, i]:.3e}",
                 step=k + 1,
                 time=dt * (k + 1),
                 trajectory=label,
             )
         if states is None:
             observe(k, u, forced)
-        else:
-            states[:, k + 1] = u
     return u if states is None else states
 
 

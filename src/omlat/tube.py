@@ -66,6 +66,10 @@ class TubeExperiment:
     min_hits: int = 50
 
     def __post_init__(self):
+        if self.cfg.n > 1:
+            raise ConfigurationError(
+                f"tube experiments are desk scale: need n <= 1, config has n={self.cfg.n}"
+            )
         if self.phi.d != self.cfg.d:
             raise ConfigurationError("reference path dimension does not match config")
         eps = tuple(float(e) for e in self.eps)
@@ -124,18 +128,35 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     # ensembles sit exactly on their reference, so that term is zero
     num_sq = np.zeros(count)
     den_sq = np.zeros(count)
+    sq = np.empty((count, d))  # weighted squared distance per site
+
+    def add_site_sum(acc, w):
+        # acc += w * (sum of the columns of sq), overwriting sq.  Summing
+        # the columns one after another gives np.sum(sq, axis=1) bit for
+        # bit for d <= 7 (TubeExperiment allows d <= 3) without its slow
+        # reduction over short rows.
+        s = sq[:, 0]
+        for i in range(1, d):
+            s = s + sq[:, i]
+        s *= w
+        acc += s
 
     def accumulate(k, u, forced):
-        nonlocal x, num_sq, den_sq
         if convolution:
-            x = decay * (x + (forced @ V if rotate else forced))
+            np.add(x, forced @ V if rotate else forced, out=x)
+            np.multiply(x, decay, out=x)
             y = x @ V.T if rotate else x
         else:
-            x = x + forced
+            np.add(x, forced, out=x)
             y = x
         w = dt if k < N - 1 else 0.5 * dt
-        num_sq += w * np.sum(rho_sq * (u - phi[k + 1]) ** 2, axis=1)
-        den_sq += w * np.sum(rho_sq * y**2, axis=1)
+        np.subtract(u, phi[k + 1], out=sq)
+        np.square(sq, out=sq)
+        np.multiply(sq, rho_sq, out=sq)
+        add_site_sum(num_sq, w)
+        np.square(y, out=sq)
+        np.multiply(sq, rho_sq, out=sq)
+        add_site_sum(den_sq, w)
 
     first = block_index * TUBE_BLOCK_SIZE
     trajectories = range(first, first + count)

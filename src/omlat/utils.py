@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["worker_count", "format_float"]
+__all__ = ["worker_count", "format_float", "FLOAT_FORMAT"]
+
+#: Format of every float in omlat's CSV files: 17 significant digits
+#: round-trip any double, so reruns are byte-identical.
+FLOAT_FORMAT = "%.17g"
 
 
 def worker_count() -> int:
@@ -19,5 +23,5 @@ def worker_count() -> int:
 
 
 def format_float(x: float) -> str:
-    """17 significant digits: round-trips any double exactly."""
-    return f"{x:.17g}"
+    """``x`` in :data:`FLOAT_FORMAT`: round-trips any double exactly."""
+    return FLOAT_FORMAT % x

@@ -169,6 +169,17 @@ class TestCliRuns:
         assert "--ensemble" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", ["0", "-0.25", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["mpp"], ["verify", "tube"]], ids=["simulate", "mpp", "tube"]
+    )
+    def test_bad_dt_rejected(self, scalar_file, tmp_path, capsys, command, dt):
+        out = tmp_path / "bad_dt"
+        code = main(command + ["--config", scalar_file, "--out", str(out), f"--dt={dt}"])
+        assert code == 2
+        assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mpp_artifacts_and_slices(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(EXAMPLE5.replace("n = 30", "n = 4"))
@@ -334,6 +345,15 @@ class TestCliRuns:
         monkeypatch.setattr("omlat.cli.smallball_mc", no_sampling)
         code = main(["verify", "smallball", "--eps", "0.5,2", "--out", str(tmp_path / "sb")])
         assert code == 2
+
+    @pytest.mark.parametrize("imax", ["0", "-3"])
+    def test_verify_smallball_imax_below_one_rejected(self, tmp_path, capsys, imax):
+        code = main([
+            "verify", "smallball", "--imax", imax, "--samples", "1000", "--out", str(tmp_path / "sb"),
+        ])
+        assert code == 2
+        assert "i_max" in capsys.readouterr().err
+        assert not (tmp_path / "sb" / "smallball.csv").exists()
 
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):

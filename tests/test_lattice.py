@@ -147,6 +147,29 @@ class TestOperators:
             np.testing.assert_array_equal(out[j], apply_A(batch[j]))
 
 
+ROLL_FORMULAS = {
+    "A": (apply_A, lambda u: 2.0 * u - np.roll(u, 1, axis=-1) - np.roll(u, -1, axis=-1)),
+    "B": (apply_B, lambda u: np.roll(u, -1, axis=-1) - u),
+    "BT": (apply_BT, lambda u: np.roll(u, 1, axis=-1) - u),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ROLL_FORMULAS))
+@pytest.mark.parametrize("d", [1, 3, 61])
+@pytest.mark.parametrize("lead", [(), (4,), (3, 5)], ids=["single", "batch", "stack"])
+def test_operators_match_roll_formulas(op, d, lead):
+    # the slice arithmetic must round exactly like the np.roll formulas,
+    # along the last axis of any stack (and into out= for apply_A)
+    apply, formula = ROLL_FORMULAS[op]
+    u = np.random.default_rng(d).standard_normal(lead + (d,))
+    expected = formula(u)
+    np.testing.assert_array_equal(apply(u), expected)
+    if op == "A":
+        out = np.full_like(u, np.nan)
+        assert apply(u, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
+
 class TestNonlinearity:
     def test_zero_at_zero(self):
         assert CUBIC(0.0) == 0.0
@@ -208,6 +231,17 @@ class TestDrift:
         for _ in range(10):
             u = rand_vec(rng, d)
             np.testing.assert_allclose(drift(u, cfg), M @ u, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(61,), (6, 61)], ids=["single", "batch"])
+    def test_out_matches_expression(self, shape):
+        # -nu A u - lam u - f(u) + g in that order, whether or not out= is given
+        cfg = make_cfg(n=30, g=np.linspace(-0.3, 0.2, 61))
+        u = np.random.default_rng(29).standard_normal(shape)
+        expected = -cfg.nu * ROLL_FORMULAS["A"][1](u) - cfg.lam * u - cfg.f(u) + cfg.g
+        np.testing.assert_array_equal(drift(u, cfg), expected)
+        out = np.full(shape, np.nan)
+        assert drift(u, cfg, out=out) is out
+        np.testing.assert_array_equal(out, expected)
 
     def test_one_sided_dissipativity_unweighted(self):
         cfg = make_cfg(n=3)

@@ -6,12 +6,12 @@ from omlat import (
     ConfigurationError,
     NoiseCoefficient,
     NoisePath,
-    ou_convolution,
     sample_noise,
     shift_noise,
     wq_path,
 )
 from omlat.noise import _philox_key
+from oracles import ou_convolution
 
 
 def trajectory_draws(seed, count, steps, d, dt):

@@ -176,6 +176,22 @@ class TestBatchedStepper:
         assert seen == list(range(steps))
         np.testing.assert_array_equal(final, states[:, -1])
 
+    def test_inputs_untouched_and_observer_copies_rebuild_states(self):
+        # the stepper works in its own buffers: u0 and the increments are
+        # left as they were, and copies taken by an observer are the states
+        cfg = LatticeConfig(n=2, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.01, 31.0), T=1.0)
+        steps, dt, m = 24, 1.0 / 24, 3
+        increments = np.stack([sample_noise(9, steps, 5, dt, trajectory=j).increments for j in range(m)])
+        u0 = np.random.default_rng(9).standard_normal((m, 5))
+        u0_before, increments_before = u0.copy(), increments.copy()
+        states = euler_maruyama(u0, increments, cfg, dt, range(m))
+        kept = [u0.copy()]
+        final = euler_maruyama(u0, increments, cfg, dt, range(m), observe=lambda k, u, forced: kept.append(u.copy()))
+        np.testing.assert_array_equal(u0, u0_before)
+        np.testing.assert_array_equal(increments, increments_before)
+        np.testing.assert_array_equal(np.stack(kept, axis=1), states)
+        np.testing.assert_array_equal(final, states[:, -1])
+
     def test_ensemble_matches_integrate_whatever_the_group_size(self, monkeypatch):
         cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.4), T=1.0)
         u0 = np.array([0.1, 0.5, 1.0, 0.5, 0.1])

@@ -13,10 +13,10 @@ from omlat import (
     dense_A,
     drift,
     integrate,
-    ou_convolution,
 )
 from omlat.noise import _TAG_TUBE_BLOCK, _philox_key
 from omlat.tube import TubeExperiment, _block_distances, l2rho_path_norm, tube_ratio
+from oracles import ou_convolution
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
@@ -222,6 +222,14 @@ class TestTubeRatio:
         cfg = scalar_cfg()
         phi = grid_path(np.zeros((9, 3)), 0.125)
         with pytest.raises(ConfigurationError):
+            TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=100)
+
+    def test_more_than_three_sites_rejected(self):
+        # the observer's in-order site sum equals np.sum(axis=1) only for
+        # d <= 7, so the experiment itself keeps d <= 3
+        cfg = LatticeConfig(n=2, nu=0.1, lam=0.4, f=LINEAR, q=NoiseCoefficient.constant(1.0), T=1.0)
+        phi = grid_path(np.zeros((9, 5)), 0.125)
+        with pytest.raises(ConfigurationError, match="n <= 1"):
             TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=100)
 
 
