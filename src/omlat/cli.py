@@ -5,8 +5,10 @@ path between fixed endpoints), ``om`` (action of a stored path CSV), and
 ``verify <experiment>`` for the desk-scale checks (kl, cocycle,
 truncation, bound, smallball, tube).  One config file defines the
 problem; experiment options are flags.  Every run writes manifest.json
-into the output directory before any data file; reruns with identical
-inputs produce byte-identical CSVs.
+into the output directory before any data file, and rewrites it once at
+the end of the run, finished or failed, with the wall clock, status,
+exit code and error; reruns with identical inputs produce
+byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (blow-up or non-convergence), 4 insufficient statistical power.
@@ -103,35 +105,35 @@ def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
     return steps
 
 
-def _prepare_out(args, subcommand: str, extra: dict) -> FsPath:
+def _prepare_out(args, **derived) -> FsPath:
+    """Open the run: create ``--out`` and write its manifest.  ``main``
+    closes the run from ``args.run``; ``derived`` holds values the
+    handler computed from the flags (the ``--dt`` grid)."""
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {out}: cannot create the output directory ({exc})") from exc
+    config = getattr(args, "config", None)
     payload = {
-        "subcommand": subcommand,
-        "config": getattr(args, "config", None),
-        "config_hash": config_hash(args.config) if getattr(args, "config", None) else None,
-        "seed": getattr(args, "seed", None),
+        "subcommand": f"verify-{args.experiment}" if args.command == "verify" else args.command,
+        "config": config,
+        "config_hash": config_hash(config) if config else None,
+        "seed": args.seed,
         "out": str(out),
         "version": __version__,
-        "wall_clock_s": None,
-        "args": extra,
+        "args": {**{k: v for k, v in vars(args).items() if k not in ("func", "run")}, **derived},
     }
     write_manifest(out, payload)
+    args.run = (out, payload)
     return out
 
 
-def _finish_manifest(out: FsPath, started: float) -> None:
-    payload = json.loads((out / "manifest.json").read_text())
-    payload["wall_clock_s"] = time.perf_counter() - started
-    write_manifest(out, payload)
-
-
 def cmd_simulate(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
     _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 1024)
-    out = _prepare_out(args, "simulate", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble, "u0": args.u0})
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     summary = {"trajectories": [], "steps": steps, "dt": cfg.T / steps}
     for j, (_, path) in enumerate(integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg)):
@@ -142,21 +144,15 @@ def cmd_simulate(args) -> int:
             {"index": j, "file": name, "sup_norm": max(norms), "final_norm": norms[-1]}
         )
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _finish_manifest(out, started)
     print(f"simulate: wrote {args.ensemble} trajectories to {out}")
     return EXIT_OK
 
 
 def cmd_mpp(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
     steps = _steps_from_dt(cfg.T, args.dt, 600)
     sites = _parse_slice(args.slice, cfg.n) if args.slice else []
-    out = _prepare_out(
-        args, "mpp",
-        {"dt": cfg.T / steps, "steps": steps, "phi0": args.phi0, "phiT": args.phiT,
-         "tol": args.tol, "max_iter": args.max_iter, "newton": args.newton, "slice": args.slice},
-    )
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     spec = BVPSpec(
         cfg=cfg,
         phi0=parse_state_spec(args.phi0, cfg.n),
@@ -183,7 +179,6 @@ def cmd_mpp(args) -> int:
             f"t,u_{i}",
             zip(result.path.times, result.path.states[:, i + cfg.n]),
         )
-    _finish_manifest(out, started)
     status = "converged" if result.converged else "NOT converged"
     print(
         f"mpp: {status} after {result.iterations} iterations, "
@@ -209,13 +204,11 @@ def _parse_slice(raw: str, n: int) -> list:
 
 
 def cmd_om(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
-    out = _prepare_out(args, "om", {"path": args.path})
     path = read_path_csv(args.path)
+    out = _prepare_out(args)
     report = om_action(path, cfg)
     write_om_json(report, out / "om_report.json")
-    _finish_manifest(out, started)
     print(
         f"om: drift={_f(report.drift_term)} trace={_f(report.trace_term)} "
         f"total={_f(report.total)}"
@@ -223,21 +216,8 @@ def cmd_om(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    handlers = {
-        "kl": _verify_kl,
-        "cocycle": _verify_cocycle,
-        "truncation": _verify_truncation,
-        "bound": _verify_bound,
-        "smallball": _verify_smallball,
-        "tube": _verify_tube,
-    }
-    return handlers[args.experiment](args)
-
-
 def _verify_kl(args) -> int:
-    started = time.perf_counter()
-    out = _prepare_out(args, "verify-kl", {"lambda": args.lam, "m": args.m})
+    out = _prepare_out(args)
     spec = kl_spectrum(args.lam, args.m)
     res = spec.residuals()
     write_csv(
@@ -245,16 +225,14 @@ def _verify_kl(args) -> int:
         "i,gamma,mu,A,residual",
         [(i + 1, spec.gamma[i], spec.mu[i], spec.A[i], res[i]) for i in range(args.m)],
     )
-    _finish_manifest(out, started)
     print(f"verify kl: m={args.m} max residual {res.max():.3e}")
     return EXIT_OK
 
 
 def _verify_cocycle(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
     steps = _steps_from_dt(cfg.T, args.dt, 512)
-    out = _prepare_out(args, "verify-cocycle", {"dt": cfg.T / steps, "steps": steps})
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps)
     rows = []
@@ -266,24 +244,20 @@ def _verify_cocycle(args) -> int:
         worst = max(worst, dev)
         print(f"verify cocycle: s={s:g} deviation={dev:.3e}")
     write_csv(out / "cocycle.csv", "s,deviation", rows)
-    _finish_manifest(out, started)
     return EXIT_OK if worst <= 1e-12 else EXIT_NUMERICAL
 
 
 def _verify_truncation(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
     _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 256)
-    out = _prepare_out(
-        args, "verify-truncation", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble}
-    )
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     bump = min(2, cfg.n)
 
     def run(n):
-        sub = cfg if n == cfg.n else _with_n(cfg, n)
+        sub = cfg if n == cfg.n else cfg.widened(n)
         u0 = np.zeros(sub.d)
         for i in range(-bump, bump + 1):
             u0[i + n] = 1.0 / (1.0 + i * i)
@@ -307,34 +281,17 @@ def _verify_truncation(args) -> int:
     for a, b in zip(paths, paths_wide):
         msd += np.max(np.sum((a.states - b.states[:, off : off + a.d]) ** 2, axis=1))
     msd /= len(paths)
-    _finish_manifest(out, started)
     tails = [r[1] for r in rows]
     monotone = all(x >= y for x, y in zip(tails, tails[1:]))
     print(f"verify truncation: tails monotone={monotone}, mean-square diff to 2n: {msd:.3e}")
     return EXIT_OK if monotone else EXIT_NUMERICAL
 
 
-def _with_n(cfg, n):
-    """Same problem on a wider truncation: forcing is zero-padded and
-    weights are one-padded outside the original sites."""
-    from .lattice import LatticeConfig
-
-    off = n - cfg.n
-    g = np.zeros(2 * n + 1)
-    g[off : off + cfg.d] = cfg.g
-    rho = np.ones(2 * n + 1)
-    rho[off : off + cfg.d] = cfg.rho
-    return LatticeConfig(n=n, nu=cfg.nu, lam=cfg.lam, f=cfg.f, q=cfg.q, T=cfg.T, g=g, rho=rho)
-
-
 def _verify_bound(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
     _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, args.dt, 256)
-    out = _prepare_out(
-        args, "verify-bound", {"dt": cfg.T / steps, "steps": steps, "ensemble": args.ensemble}
-    )
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     paths, wqs = [], []
     for noise, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg):
@@ -346,26 +303,20 @@ def _verify_bound(args) -> int:
         "trajectory,sup_norm_sq,bound_functional,ratio",
         [(j, report.lhs[j], report.rhs[j], report.ratios[j]) for j in range(args.ensemble)],
     )
-    _finish_manifest(out, started)
     print(f"verify bound: max empirical ratio {report.max_ratio:.4g} over {args.ensemble} paths")
     return EXIT_OK
 
 
 def _verify_smallball(args) -> int:
-    started = time.perf_counter()
     eps = _radii(args.eps)
     bounds = [smallball_bounds(args.alpha, e) for e in eps]  # range checks before sampling
-    out = _prepare_out(
-        args, "verify-smallball",
-        {"alpha": args.alpha, "imax": args.imax, "eps": eps, "samples": args.samples},
-    )
+    out = _prepare_out(args)
     res = smallball_mc(args.alpha, args.imax, eps, args.samples, seed=args.seed)
     rows = [
         (e, res.estimates[j], res.ci_lo[j], res.ci_hi[j], b.rate_up, b.rate_low)
         for j, (e, b) in enumerate(zip(eps, bounds))
     ]
     write_csv(out / "smallball.csv", "eps,estimate,ci_lo,ci_hi,rate_up,rate_low", rows)
-    _finish_manifest(out, started)
     print(
         "verify smallball: "
         + " ".join(f"P({e:g})={res.estimates[j]:.3e}" for j, e in enumerate(eps))
@@ -374,19 +325,9 @@ def _verify_smallball(args) -> int:
 
 
 def _verify_tube(args) -> int:
-    started = time.perf_counter()
     cfg = load_config(args.config)
-    if cfg.n > 1:
-        raise ConfigurationError(
-            f"tube experiments are desk scale: need n <= 1, config has n={cfg.n}"
-        )
     steps = _steps_from_dt(cfg.T, args.dt, 256)
     eps = tuple(_radii(args.eps))
-    out = _prepare_out(
-        args, "verify-tube",
-        {"dt": cfg.T / steps, "steps": steps, "eps": list(eps), "samples": args.samples,
-         "reference": args.reference, "denominator": args.denominator},
-    )
     ts = np.linspace(0.0, cfg.T, steps + 1)
     kind, _, rest = args.reference.partition(":")
     if kind == "zero":
@@ -401,6 +342,7 @@ def _verify_tube(args) -> int:
         cfg=cfg, phi=phi, eps=eps, samples=args.samples, seed=args.seed,
         denominator=args.denominator,
     )
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     table = tube_ratio(exp)
     write_csv(
         out / "tube.csv",
@@ -411,7 +353,6 @@ def _verify_tube(args) -> int:
             for j in range(len(eps))
         ],
     )
-    _finish_manifest(out, started)
     print(
         f"verify tube: predicted={table.predicted:.4f} "
         + " ".join(f"ratio({e:g})={table.ratio[j]:.4f}" for j, e in enumerate(table.eps))
@@ -424,11 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"omlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="problem config file")
+    def common(p, dt=True):
+        p.add_argument("--config", required=True, help="problem config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--dt", type=float, default=None, help="time step (must divide T)")
+        if dt:
+            p.add_argument("--dt", type=float, default=None, help="time step (must divide T)")
 
     p = sub.add_parser("simulate", help="integrate trajectories of the lattice system")
     common(p)
@@ -447,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mpp)
 
     p = sub.add_parser("om", help="action of a stored path CSV")
-    common(p)
+    common(p, dt=False)  # the grid is the path CSV's
     p.add_argument("--path", required=True, help="path CSV (as written by simulate/mpp)")
     p.set_defaults(func=cmd_om)
 
@@ -459,23 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int, default=50)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default="out")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_kl)
 
     v = vsub.add_parser("cocycle", help="flow consistency under the noise shift")
     common(v)
     v.add_argument("--u0", default="gauss:0.6,8")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_cocycle)
 
     v = vsub.add_parser("truncation", help="tail statistics and widening comparison")
     common(v)
     v.add_argument("--ensemble", type=int, default=200)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_truncation)
 
     v = vsub.add_parser("bound", help="a priori sup-norm bound over an ensemble")
     common(v)
     v.add_argument("--ensemble", type=int, default=100)
     v.add_argument("--u0", default="gauss:0.6,8")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_bound)
 
     v = vsub.add_parser("smallball", help="weighted chi-square small-ball probabilities")
     v.add_argument("--alpha", type=float, default=1.0)
@@ -484,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=1_000_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default="out")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_smallball)
 
     v = vsub.add_parser("tube", help="tube-probability ratio against the action prediction")
     common(v)
@@ -492,28 +434,45 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--reference", default="zero", help="zero|sine:<amp>")
     v.add_argument("--denominator", default="convolution", choices=["convolution", "plain"])
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=_verify_tube)
 
     return parser
 
 
+# Exit code and stderr label of each toolkit error, most specific first.
+_FAILURES = (
+    (ConfigurationError, EXIT_CONFIG, "configuration error"),
+    (IntegrationError, EXIT_NUMERICAL, "numerical failure"),
+    (StatisticalPowerError, EXIT_POWER, "statistical power"),
+    (OmlatError, EXIT_NUMERICAL, "error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.run = None  # (out, manifest payload) once the handler opens its run directory
+    started = time.perf_counter()
+    code = error = None
     try:
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except StatisticalPowerError as exc:
-        print(f"statistical power: {exc}", file=sys.stderr)
-        return EXIT_POWER
+        code = args.func(args)
     except OmlatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        error = exc
+        code, label = next((c, lbl) for cls, c, lbl in _FAILURES if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+    except BaseException as exc:
+        error = exc
+        raise
+    finally:
+        if args.run is not None:
+            out, payload = args.run
+            payload.update(
+                wall_clock_s=time.perf_counter() - started,
+                status="ok" if code == EXIT_OK else "failed",
+                exit_code=code,
+                error=None if error is None else {"type": type(error).__name__, "message": str(error)},
+            )
+            write_manifest(out, payload)
+    return code
 
 
 if __name__ == "__main__":

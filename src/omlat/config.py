@@ -68,11 +68,11 @@ def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:
         path = FsPath(rest)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        if not path.exists():
-            raise ConfigurationError(f"q_spec table: no such file {path}")
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
+        except OSError as exc:
+            raise ConfigurationError(f"q_spec table {path}: cannot read ({exc})") from exc
+        except ValueError as exc:  # also a non-UTF-8 file (UnicodeDecodeError)
             raise ConfigurationError(f"q_spec table {path}: not a CSV of numbers") from exc
         if data.shape[1] < 2:
             raise ConfigurationError("q_spec table needs a time column and site columns")
@@ -146,9 +146,11 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
 def load_config(path) -> LatticeConfig:
     """Parse a config file from disk."""
     p = FsPath(path)
-    if not p.exists():
-        raise ConfigurationError(f"no such config file: {p}")
-    return parse_config(p.read_text(), base_dir=p.parent)
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {p}: cannot read ({exc})") from exc
+    return parse_config(text, base_dir=p.parent)
 
 
 def config_hash(path) -> str:

@@ -38,9 +38,10 @@ def write_path_csv(path: Path, dest) -> None:
 def read_path_csv(src) -> Path:
     """Read a path written by :func:`write_path_csv`."""
     p = FsPath(src)
-    if not p.exists():
-        raise ConfigurationError(f"no such path file: {p}")
-    lines = p.read_text().strip().splitlines()
+    try:
+        lines = p.read_text().strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"path file {p}: cannot read ({exc})") from exc
     if not lines:
         raise ConfigurationError(f"{p}: empty path CSV")
     header = lines[0].split(",")
@@ -69,8 +70,8 @@ def write_om_json(report, dest) -> None:
 
 
 def write_manifest(out_dir, payload: dict) -> None:
-    """Manifest written before any computation output; rewritten with the
-    wall-clock once the run finishes."""
+    """Manifest written before any computation output; rewritten once
+    when the run ends, finished or failed."""
     FsPath(out_dir, "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -14,7 +14,7 @@ operators B, B^T satisfy A = B B^T = B^T B and annihilate constants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -264,12 +264,12 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n < 0 or int(self.n) != self.n:
             raise ConfigurationError(f"truncation half-width n must be >= 0, got {self.n}")
-        if not self.nu > 0:
-            raise ConfigurationError(f"nu must be positive, got {self.nu}")
-        if not self.lam > 0:
-            raise ConfigurationError(f"lambda must be positive, got {self.lam}")
-        if not self.T > 0:
-            raise ConfigurationError(f"T must be positive, got {self.T}")
+        if not 0 < self.nu < np.inf:
+            raise ConfigurationError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 < self.lam < np.inf:
+            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError(f"T must be positive and finite, got {self.T}")
         d = self.d
         g = np.zeros(d) if self.g is None else np.asarray(self.g, dtype=float)
         rho = np.ones(d) if self.rho is None else np.asarray(self.rho, dtype=float)
@@ -302,6 +302,16 @@ class LatticeConfig:
             raise ConfigurationError(
                 "noise coefficient changes sign on [0, T]; it must stay nonzero"
             )
+
+    def widened(self, n: int) -> LatticeConfig:
+        """Same problem on the wider truncation -n..n: forcing is
+        zero-padded and weights are one-padded outside the original sites."""
+        off = n - self.n
+        g = np.zeros(2 * n + 1)
+        g[off : off + self.d] = self.g
+        rho = np.ones(2 * n + 1)
+        rho[off : off + self.d] = self.rho
+        return replace(self, n=n, g=g, rho=rho)
 
     @property
     def d(self) -> int:

@@ -194,7 +194,11 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
             band = _hessian_band(path, cfg, row_weight, spec.newton)
             band[0] += damping
             try:
-                cand = solveh_banded(band, -g_flat, overwrite_ab=True, lower=True, check_finite=False)
+                # at most one band row per unknown: scipy's tridiagonal
+                # path fails on a two-row band of one unknown (d = 1, N = 2)
+                cand = solveh_banded(
+                    band[: g_flat.size], -g_flat, overwrite_ab=True, lower=True, check_finite=False
+                )
             except np.linalg.LinAlgError:  # not positive definite: damp harder
                 cand = None
             del band

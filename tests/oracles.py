@@ -2,6 +2,8 @@
 
 :func:`ou_convolution` is the damped noise path, stepped one trajectory
 at a time.  The tube's convolution denominator is checked against it.
+:func:`ou_states` is its update loop, which also steps a stack of
+trajectories together.
 """
 import numpy as np
 
@@ -22,16 +24,21 @@ def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha, t_offset: float
         raise ConfigurationError("damping rates must be nonnegative")
     n = (noise.d - 1) // 2
     times = t_offset + noise.dt * np.arange(noise.steps)
-    qs = q.grid(times, n)
-    decay = np.exp(-alpha * noise.dt)
-    states = np.zeros((noise.steps + 1, noise.d))
-    x = np.zeros(noise.d)
-    for k in range(noise.steps):
-        x = decay * (x + qs[k] * noise.increments[k])
-        states[k + 1] = x
+    states = ou_states(noise.increments, q.grid(times, n), np.exp(-alpha * noise.dt))
     return Path(
         times=noise.dt * np.arange(noise.steps + 1),
         states=states,
         dt=noise.dt,
         meta={"seed": noise.seed, "trajectory": noise.trajectory, "kind": "ou"},
     )
+
+
+def ou_states(increments, qs, decay) -> np.ndarray:
+    """States X(t_0..t_N) of the update in :func:`ou_convolution`, from
+    X(0) = 0, for increments of shape (N, d) or (N, paths, d); ``qs`` is
+    (N, d) and ``decay`` is e^(-alpha dt) per site.  A stack is stepped
+    with the same elementwise operations as each of its trajectories."""
+    states = np.zeros((len(increments) + 1,) + increments.shape[1:])
+    for k in range(len(increments)):
+        states[k + 1] = decay * (states[k] + qs[k] * increments[k])
+    return states

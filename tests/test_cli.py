@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omlat import ConfigurationError, parse_config, parse_q_spec
 from omlat.cli import main, parse_state_spec
@@ -150,9 +155,11 @@ class TestCliRuns:
         assert len(rows) == 1 + 121  # header + N+1 grid points
         assert len(rows[1].split(",")) == 62
         assert (out1 / "path_000.csv").read_bytes() == (out2 / "path_000.csv").read_bytes()
-        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest = _closed_manifest(out1, 0)
         assert manifest["subcommand"] == "simulate"
         assert manifest["config_hash"]
+        assert manifest["args"]["ensemble"] == 1 and manifest["args"]["steps"] == 120
+        assert manifest["args"]["u0"] == "gauss:0.6,8" and "func" not in manifest["args"]
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -286,10 +293,17 @@ class TestCliRuns:
         assert all(float(r.split(",")[6]) == 1.0 for r in rows[1:])
 
     def test_verify_tube_rejects_wide_lattice(self, example5_file, tmp_path):
-        code = main([
-            "verify", "tube", "--config", example5_file, "--out", str(tmp_path / "x"),
-        ])
+        out = tmp_path / "x"
+        code = main(["verify", "tube", "--config", example5_file, "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    def test_verify_tube_without_samples_rejected_before_opening_out(self, scalar_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["verify", "tube", "--config", scalar_file, "--out", str(out), "--samples", "0"])
+        assert code == 2
+        assert "sample" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_smallball_artifacts(self, tmp_path):
         out = tmp_path / "sb"
@@ -310,6 +324,7 @@ class TestCliRuns:
             ])
             == 4
         )
+        _closed_manifest(tmp_path / "y", 4, "StatisticalPowerError")
         # non-convergence exits 3 but still writes artifacts
         out = tmp_path / "nc"
         code = main([
@@ -319,6 +334,7 @@ class TestCliRuns:
         ])
         assert code == 3
         assert (out / "mpp_path.csv").exists()
+        _closed_manifest(out, 3)
 
     def test_manifest_written_before_outputs(self, example5_file, tmp_path, monkeypatch):
         # force a blow-up mid-run: manifest must already exist
@@ -330,7 +346,51 @@ class TestCliRuns:
             "--u0", "gauss:600000,8",
         ])
         assert code == 3
-        assert (out / "manifest.json").exists()
+        _closed_manifest(out, 3, "IntegrationError")
+
+    def test_unexpected_error_closes_manifest_then_propagates(self, scalar_file, tmp_path, monkeypatch):
+        def broken_writer(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("omlat.cli.write_path_csv", broken_writer)
+        out = tmp_path / "sim"
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            main(["simulate", "--config", scalar_file, "--out", str(out), "--dt", "0.25"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["exit_code"] is None
+        assert manifest["error"] == {"type": "RuntimeError", "message": "disk on fire"}
+        assert manifest["wall_clock_s"] > 0
+
+    @pytest.mark.parametrize(
+        "probe", ["config-dir", "config-bytes", "q-table-dir", "path-dir", "path-bytes", "out-file"]
+    )
+    def test_unreadable_input_named(self, scalar_file, tmp_path, capsys, probe):
+        target, out = tmp_path / "target", tmp_path / "out"
+        if probe.endswith("bytes"):
+            target.write_bytes(b"\xff\xfe t = 1\n")
+        elif probe == "out-file":
+            target.write_text("a file\n")
+            out = target
+        else:
+            target.mkdir()
+        config = scalar_file
+        if probe.startswith("config"):
+            config = str(target)
+        elif probe == "q-table-dir":
+            config = tmp_path / "table.cfg"
+            config.write_text(SCALAR.replace("constant:1.0", f"table:{target}"))
+        argv = ["--config", str(config), "--out", str(out)]
+        if probe.startswith("path"):
+            code = main(["om", "--path", str(target)] + argv)
+        else:
+            code = main(["simulate", "--dt", "0.25"] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        if probe == "out-file":
+            assert "--out" in err and target.read_text() == "a file\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["", ","])
     def test_verify_smallball_empty_radius_list_rejected(self, tmp_path, capsys, eps):
@@ -354,6 +414,7 @@ class TestCliRuns:
         assert code == 2
         assert "i_max" in capsys.readouterr().err
         assert not (tmp_path / "sb" / "smallball.csv").exists()
+        _closed_manifest(tmp_path / "sb", 2, "ConfigurationError")
 
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):
@@ -383,6 +444,20 @@ class TestCliRuns:
         assert rows[0] == "K,tail,tail_wide" and len(rows) == 2
 
 
+def _closed_manifest(out, code, error_type=None):
+    """The manifest of a run in ``out`` that ended with exit ``code``
+    (and, when it raised, an error of class ``error_type``)."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == ("ok" if code == 0 else "failed")
+    assert manifest["exit_code"] == code
+    assert manifest["wall_clock_s"] > 0
+    if error_type is None:
+        assert manifest["error"] is None
+    else:
+        assert manifest["error"]["type"] == error_type and manifest["error"]["message"]
+    return manifest
+
+
 def _write_csv_state(tmp_path, values):
     f = tmp_path / "state.csv"
     f.write_text(",".join(str(v) for v in values) + "\n")
@@ -400,3 +475,146 @@ class TestShippedConfigs:
         assert ex5.d == 61 and ex5.T == 30.0
         scalar = load_config(root / "scalar.cfg")
         assert scalar.d == 1 and scalar.f.coeffs == ()
+
+
+# --- fuzzing the CLI -----------------------------------------------------
+
+# Valid config values, and bad ones (None drops the key).
+_CONFIG_GOOD = {
+    "n": ["0", "1"], "nu": ["0.1"], "lambda": ["0.4"], "f_coeffs": ["", "0, 0.1"], "p": ["1"],
+    "C_f": ["0.1"], "g": ["zero"], "q_spec": ["constant:1.0", "example5:0.01,1.5", "table:q.csv"],
+    "rho": ["uniform"], "T": ["1", "0.5"],
+}
+_CONFIG_BAD = {
+    "n": ["2", "-1", "0.5", "x"], "nu": ["0", "nan"], "lambda": ["-1"], "f_coeffs": ["0, 1e300", "-1", "a"],
+    "p": ["0"], "C_f": ["-1"], "g": ["0.25, 1", "nan"], "q_spec": ["constant:0", "example5:1", "banana:1"],
+    "rho": ["-1", "2, 2, 2, 2"], "T": ["0", "inf"],
+}
+_TEXT_FILES = {
+    "q.csv": ["0,1,1,1\n2,1,1,1\n", "0,1\n2,1\n", "", "0\n", "t,q\n", "0,1,1,1\n"],
+    "path.csv": ["t,u_0\n0,0\n0.5,0.1\n1,0\n", "t,u_-1,u_0,u_1\n0,0,0,0\n0.5,1,2,3\n1,0,0,0\n",
+                 "t,u_0\n0,0\n", "t,u_0\n0,0\n0.5,x\n", "", "u,v\n1,2\n"],
+    "state.csv": ["0\n", "0,0,0\n", "1e300\n", "x\n"],
+}
+_STATE = st.sampled_from(["zero", "gauss:0.6,8", "gauss:1", "gauss:1e300,1", "csv:state.csv", "tri:1"])
+_DT = st.sampled_from(["0.25", "0.125", "0", "-1", "nan", "0.3", "x"])
+_SEED = st.integers(min_value=-1, max_value=2**64)
+_EPS = st.sampled_from(["0.3,0.2", "0.5", "", ",", "-1", "2", "x", "nan", "inf"])
+
+
+def _maybe(values):
+    """A flag value, or None: the flag is left out."""
+    return st.one_of(st.none(), values)
+
+
+def _flags(**strategies):
+    return st.fixed_dictionaries({f"--{k.replace('_', '-')}": s for k, s in strategies.items()})
+
+
+# Per subcommand: whether it reads a config, and its flag values (None: flag left out).
+# Sizes are capped so that every run takes milliseconds.
+_COMMANDS = {
+    ("simulate",): (True, _flags(dt=_maybe(_DT), seed=_maybe(_SEED), ensemble=st.integers(-1, 3), u0=_maybe(_STATE))),
+    ("mpp",): (True, _flags(
+        dt=_maybe(_DT), phi0=_maybe(_STATE), phiT=_maybe(_STATE), max_iter=st.integers(-1, 3),
+        tol=_maybe(st.sampled_from(["1e-3", "0", "-1", "nan"])), newton=_maybe(st.just(True)),
+        slice=_maybe(st.sampled_from(["i=0", "i=9", "i=x", ""])),
+    )),
+    ("om",): (True, _flags(seed=_maybe(_SEED))),
+    ("verify", "kl"): (False, _flags(**{"lambda": st.sampled_from(["0.4", "0", "nan"]), "m": st.integers(-1, 6)})),
+    ("verify", "cocycle"): (True, _flags(dt=_maybe(_DT), seed=_maybe(_SEED), u0=_maybe(_STATE))),
+    ("verify", "truncation"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3))),
+    ("verify", "bound"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3), u0=_maybe(_STATE))),
+    ("verify", "smallball"): (False, _flags(
+        alpha=st.sampled_from(["3", "2", "1", "0.5", "nan"]), imax=st.integers(-1, 50), eps=_EPS,
+        samples=st.integers(-1, 2000), seed=_maybe(_SEED),
+    )),
+    ("verify", "tube"): (True, _flags(
+        dt=_maybe(_DT), eps=_EPS, samples=st.integers(-1, 2000), seed=_maybe(_SEED),
+        reference=st.sampled_from(["zero", "sine:0.5", "sine:x", "line"]),
+        denominator=st.sampled_from(["convolution", "plain", "other"]),
+    )),
+}
+
+
+@st.composite
+def _config_text(draw):
+    broken = draw(st.sets(st.sampled_from(sorted(_CONFIG_GOOD)), max_size=1))
+    lines = []
+    for key, good in _CONFIG_GOOD.items():
+        value = draw(st.sampled_from(_CONFIG_BAD[key] + [None])) if key in broken else draw(st.sampled_from(good))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    lines.append(draw(st.sampled_from(["", "# note", "", "", "junk"])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _file(draw, texts, text_share=3):
+    """A file's content: text (``text_share`` times as likely as each
+    other kind), non-UTF-8 bytes, a directory in its place, or no file."""
+    kind = draw(st.sampled_from(["text"] * text_share + ["bytes", "dir", "missing"]))
+    if kind == "text":
+        return kind, draw(texts)
+    if kind == "bytes":
+        return kind, b"\xff" + draw(st.binary(max_size=16))
+    return kind, None
+
+
+_FILES = st.fixed_dictionaries({
+    "run.cfg": _file(_config_text(), text_share=9),
+    **{
+        name: _file(st.one_of(st.sampled_from(texts), st.sampled_from(texts), st.text(max_size=40)))
+        for name, texts in _TEXT_FILES.items()
+    },
+})
+
+
+def _materialize(root, files):
+    for name, (kind, content) in files.items():
+        if kind == "text":
+            (root / name).write_text(content)
+        elif kind == "bytes":
+            (root / name).write_bytes(content)
+        elif kind == "dir":
+            (root / name).mkdir()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    files=_FILES,
+    data=st.data(),
+)
+def test_cli_fuzz_exits_with_a_documented_code_and_closes_its_manifest(command, files, data):
+    from pathlib import Path as FsPath
+
+    needs_config, flag_strategy = _COMMANDS[command]
+    flags = data.draw(flag_strategy)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = FsPath(tmp)
+        _materialize(root, files)
+        out = root / "out"
+        argv = list(command)
+        if needs_config:
+            argv += ["--config", str(root / "run.cfg")]
+        if command == ("om",):
+            argv += ["--path", str(root / "path.csv")]
+        for flag, value in flags.items():
+            if value is True:
+                argv.append(flag)
+            elif value is not None:
+                argv.append(f"{flag}={value}".replace("csv:state.csv", f"csv:{root / 'state.csv'}"))
+        argv += ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == ("ok" if code == 0 else "failed")
+            assert manifest["exit_code"] == code and manifest["wall_clock_s"] is not None

@@ -268,6 +268,9 @@ class TestLatticeConfig:
             {"rho": np.array([1.0, 0.0, 1.0])},
             {"rho": np.array([1.0, -2.0, 1.0])},
             {"g": np.array([1.0, 2.0])},
+            {"T": np.inf},
+            {"nu": np.inf},
+            {"lam": np.inf},
         ],
     )
     def test_invalid_parameters(self, kwargs):

@@ -59,6 +59,13 @@ class TestSolveMpp:
         exact = (1.0 * np.sinh(lam * (1.0 - ts)) + 0.3 * np.sinh(lam * ts)) / np.sinh(lam)
         assert np.max(np.abs(res.path.states[:, 0] - exact)) <= 1e-3
 
+    def test_single_interior_unknown(self):
+        # d = 1, N = 2: a one-unknown band, which scipy's tridiagonal solve rejects
+        spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=2)
+        res = solve_mpp(spec)
+        assert res.converged and res.iterations <= 3
+        assert res.gradient_norm <= spec.tol
+
     def test_linear_scalar_error_is_second_order(self):
         lam = 1.3
         errs = []

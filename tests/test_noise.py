@@ -11,7 +11,7 @@ from omlat import (
     wq_path,
 )
 from omlat.noise import _philox_key
-from oracles import ou_convolution
+from oracles import ou_convolution, ou_states
 
 
 def trajectory_draws(seed, count, steps, d, dt):
@@ -170,9 +170,9 @@ class TestOuConvolution:
         # Var X(T) -> q^2 (1 - e^(-2 a T)) / (2 a) for constant q, a
         alpha, qval, steps, dt = 1.0, 0.8, 256, 2.0 / 256
         q = NoiseCoefficient.constant(qval)
-        finals = np.empty(10_000)
-        for j, noise in enumerate(trajectory_draws(4242, 10_000, steps, 1, dt)):
-            finals[j] = ou_convolution(noise, q, alpha=alpha).states[-1, 0]
+        # the 10 000 trajectories stepped as one (N, paths, d) stack
+        draws = np.stack([noise.increments for noise in trajectory_draws(4242, 10_000, steps, 1, dt)], axis=1)
+        finals = ou_states(draws, q.grid(dt * np.arange(steps), 0), np.exp(-alpha * dt))[-1, :, 0]
         target = qval**2 * (1.0 - np.exp(-2 * alpha * 2.0)) / (2 * alpha)
         assert abs(finals.var() / target - 1.0) < 0.05
 
