@@ -19,11 +19,12 @@ exp(-total / 2) themselves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateNoiseError
+from .errors import ConfigurationError, DegenerateNoiseError, IntegrationError
 from .lattice import LatticeConfig, apply_A
 from .paths import Path
 
@@ -119,16 +120,29 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
     DegenerateNoiseError
         If |q_i(t)| drops below ``Q_DEGENERACY_FLOOR`` at any interval
         midpoint.
+    IntegrationError
+        If the action overflows, naming the first interval at which its
+        running sum is not finite.
     """
     _check_path(path, cfg)
     mids, t_mid = _midpoints(path)
     qs = _q_mid(path, cfg, t_mid)
-    res = residuals(path, cfg)
     dt = path.dt
-    drift_k = dt * np.sum((cfg.rho * res / qs) ** 2, axis=1)
-    trace_k = dt * trace_term(mids, cfg)
-    drift_total = float(np.sum(drift_k))
-    trace_total = float(np.sum(trace_k))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        res = residuals(path, cfg)
+        drift_k = dt * np.sum((cfg.rho * res / qs) ** 2, axis=1)
+        trace_k = dt * trace_term(mids, cfg)
+        drift_total = float(np.sum(drift_k))
+        trace_total = float(np.sum(trace_k))
+        if not math.isfinite(drift_total + trace_total):
+            bad = np.flatnonzero(~np.isfinite(np.cumsum(drift_k) + np.cumsum(trace_k)))
+            k = int(bad[0]) if bad.size else path.steps - 1
+            raise IntegrationError(
+                f"the action is not finite: it overflows on interval {k} "
+                f"(t in [{path.times[k]:.6g}, {path.times[k + 1]:.6g}])",
+                step=k,
+                time=float(path.times[k]),
+            )
     return OMReport(
         drift_term=drift_total,
         trace_term=trace_total,

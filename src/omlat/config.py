@@ -23,6 +23,7 @@ values for sites -m..m (m >= n).  Unknown keys are an error.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -69,11 +70,15 @@ def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without rows, rejected below
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ConfigurationError(f"q_spec table {path}: cannot read ({exc})") from exc
         except ValueError as exc:  # also a non-UTF-8 file (UnicodeDecodeError)
             raise ConfigurationError(f"q_spec table {path}: not a CSV of numbers") from exc
+        if data.size == 0:
+            raise ConfigurationError(f"q_spec table {path}: the file holds no rows")
         if data.shape[1] < 2:
             raise ConfigurationError("q_spec table needs a time column and site columns")
         return NoiseCoefficient.table(data[:, 0], data[:, 1:])

@@ -21,7 +21,8 @@ class DegenerateNoiseError(ConfigurationError):
 
 
 class IntegrationError(OmlatError):
-    """Trajectory blow-up or other failure inside a time stepper."""
+    """Trajectory blow-up or other failure inside a time stepper, or a path
+    action that overflows."""
 
     def __init__(self, message, step=None, time=None, trajectory=None):
         super().__init__(message)

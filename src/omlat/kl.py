@@ -256,21 +256,38 @@ class SmallBallMC:
     ci_hi: np.ndarray
 
 
-#: Rows of a small-ball head block drawn at a time.  Each draw continues
+#: Coordinate bounds of the small-ball head's stages: stage s draws
+#: coordinates ``[_HEAD_STAGES[s], _HEAD_STAGES[s + 1])``, and the last
+#: stage runs up to the head size.
+_HEAD_STAGES = (0, 1, 8, 32)
+
+#: Rows of a small-ball head stage drawn at a time.  Each draw continues
 #: the block's stream, so the sums do not depend on it; it caps the
 #: memory of a block at this many rows.
 _HEAD_CHUNK_ROWS = 8192
 
 
-def _head_sums(g: Generator, count: int, w_head: np.ndarray) -> np.ndarray:
+def _head_sums(g: Generator, count: int, w_head: np.ndarray, cutoff: float) -> np.ndarray:
     """``sum_j w_head[j] x_ij^2`` for ``count`` rows of single-precision
-    normals drawn from ``g``, row after row, in chunks of
-    :data:`_HEAD_CHUNK_ROWS` rows."""
-    sums = np.empty(count)
-    for lo in range(0, count, _HEAD_CHUNK_ROWS):
-        rows = min(_HEAD_CHUNK_ROWS, count - lo)
-        x = g.standard_normal((rows, w_head.size), dtype=np.float32).astype(np.float64)
-        sums[lo : lo + rows] = np.einsum("ij,ij,j->i", x, x, w_head)
+    normals drawn from ``g``, one stage of coordinates after another.
+
+    The first stage covers every row; a later stage covers only the rows
+    whose partial sum is still at most ``cutoff``, in ascending row order,
+    as one row-major (rows, width) draw taken in chunks of
+    :data:`_HEAD_CHUNK_ROWS` rows.  A pruned row keeps its partial sum,
+    which already exceeds ``cutoff``.
+    """
+    bounds = [b for b in _HEAD_STAGES if b < w_head.size] + [w_head.size]
+    sums = np.zeros(count)
+    alive = np.arange(count)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo:
+            alive = alive[sums[alive] <= cutoff]
+        w = w_head[lo:hi]
+        for start in range(0, alive.size, _HEAD_CHUNK_ROWS):
+            rows = alive[start : start + _HEAD_CHUNK_ROWS]
+            x = g.standard_normal((rows.size, w.size), dtype=np.float32).astype(np.float64)
+            sums[rows] += np.einsum("ij,ij,j->i", x, x, w)
     return sums
 
 
@@ -296,10 +313,14 @@ def smallball_mc(
     names ``i_max`` (for the mass condition, its required value).  Draws
     are keyed per sample block (head coordinates) and per sample (tail
     coordinates), so the estimate is a pure function of
-    (alpha, i_max, eps, samples, seed).  The tail coordinates of a sample
-    are only generated when its head sum still lies below the largest
-    radius; the tail sum is nonnegative, so skipped samples can never be
-    hits.  Draws use single-precision normals accumulated in double.
+    (alpha, i_max, eps, samples, seed).  The head is drawn in stages of
+    coordinates (:data:`_HEAD_STAGES`), and a stage after the first, like
+    the tail, is drawn only for the samples whose partial sum is still at
+    most ``max(eps)^2``.  Partial sums only grow, so a pruned sample can
+    never be a hit, and hit counts stay exactly monotone in eps within a
+    run.  Which samples survive depends on ``max(eps)``, so the draws
+    after the first stage, and with them the estimates, do too.  Draws
+    use single-precision normals accumulated in double.
     """
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
@@ -327,7 +348,7 @@ def smallball_mc(
         count = min(block_size, samples - block_start)
         block_index = block_start // block_size
         g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
-        sums = _head_sums(g, count, w_head)
+        sums = _head_sums(g, count, w_head, cutoff)
         if w_tail.size:
             for j in np.nonzero(sums <= cutoff)[0]:
                 gj = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, block_start + int(j))))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .action import OMReport, om_action, om_gradient, residuals
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig
 from .paths import Path
 
@@ -146,6 +146,15 @@ def _as_path(states: np.ndarray, dt: float, meta=None) -> Path:
     return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt, meta=meta or {})
 
 
+def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
+    """The action of a line-search trial, or None when it overflows: the
+    search then rejects the trial as it rejects one that does not descend."""
+    try:
+        return om_action(path, cfg)
+    except IntegrationError:
+        return None
+
+
 def solve_mpp(spec: BVPSpec) -> MPPResult:
     """Find a stationary point of the discrete action with the endpoints of
     ``spec`` held fixed.
@@ -155,7 +164,8 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     search on the total action; when a step cannot decrease the action the
     iteration falls back to steepest descent.  Convergence means
     ``max |gradient| <= spec.tol``; a non-converged result is returned
-    with ``converged=False`` rather than raised.
+    with ``converged=False`` rather than raised, but an initial path whose
+    action overflows raises :class:`IntegrationError`.
     """
     cfg = spec.cfg
     d = cfg.d
@@ -217,8 +227,8 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
             trial = path.states.copy()
             trial[1:-1] += t * direction
             trial_path = _as_path(trial, dt)
-            trial_report = om_action(trial_path, cfg)
-            if trial_report.total <= action_val + 1e-4 * t * slope:
+            trial_report = _trial_action(trial_path, cfg)
+            if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -231,8 +241,8 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
                 trial = path.states.copy()
                 trial[1:-1] += t * direction
                 trial_path = _as_path(trial, dt)
-                trial_report = om_action(trial_path, cfg)
-                if trial_report.total <= action_val + 1e-4 * t * slope:
+                trial_report = _trial_action(trial_path, cfg)
+                if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
                     accepted = True
                     break
                 t *= 0.5

@@ -29,7 +29,7 @@ __all__ = [
 # spaces of different consumers disjoint.  Tag 2 (whole-trajectory draws)
 # is retired: it must not be reused.
 _TAG_NOISE_ROW = 1  # a = trajectory, b = step
-_TAG_SMALLBALL_BLOCK = 3  # b = sample block
+_TAG_SMALLBALL_BLOCK = 3  # b = sample block; the head is drawn stage after stage
 _TAG_SMALLBALL_TAIL = 4  # b = sample
 _TAG_TUBE_BLOCK = 5  # b = trajectory block
 

@@ -34,6 +34,7 @@ from omlat.cli import main
 from omlat.config import example5_boundary, example5_config
 from omlat.mpp import BVPSpec, el_residual_example5, solve_mpp
 from omlat.tube import TubeExperiment, tube_ratio
+from oracles import strong_errors
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -83,18 +84,10 @@ def test_criterion_01_operator_identities():
 
 
 def test_criterion_02_integrator_order():
-    # pathwise self-convergence on one fixed Brownian path
+    # strong self-convergence: root-mean-square error over 16 Brownian paths
     cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.5), T=1.0)
-    fine_steps = 2**14
-    fine = sample_noise(9, fine_steps, 5, 1.0 / fine_steps)
     u0 = np.array([0.1, 0.5, 1.0, 0.5, 0.1])
-    ref = integrate(u0, fine, cfg)
-    errs = []
-    for factor in (32, 64, 128):
-        inc = fine.increments.reshape(fine_steps // factor, factor, 5).sum(axis=1)
-        path = integrate(u0, NoisePath(seed=9, dt=factor / fine_steps, increments=inc), cfg)
-        dev = path.states - ref.states[::factor]
-        errs.append(float(np.sqrt(np.trapezoid(np.sum(dev**2, axis=1), dx=path.dt))))
+    errs = strong_errors(cfg, u0, seed=9, paths=16, fine_steps=2**14, factors=(32, 64, 128))
     r1, r2 = errs[1] / errs[0], errs[2] / errs[1]
     assert 1.7 <= r1 <= 2.3 and 1.7 <= r2 <= 2.3
 

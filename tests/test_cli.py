@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omlat
 from omlat import ConfigurationError, parse_config, parse_q_spec
 from omlat.cli import main, parse_state_spec
 from omlat.config import example5_boundary, example5_config
@@ -443,6 +447,26 @@ class TestCliRuns:
         rows = (out / "truncation.csv").read_text().splitlines()
         assert rows[0] == "K,tail,tail_wide" and len(rows) == 2
 
+    def test_overflowing_action_is_a_numerical_failure(self, scalar_file, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("t,u_0\n0,0\n0.5,1e200\n1,0\n")
+        out = tmp_path / "om"
+        code, err = _run_cli(["om", "--config", scalar_file, "--path", str(path), "--out", str(out)])
+        assert code == 3
+        assert err == "numerical failure: the action is not finite: it overflows on interval 0 (t in [0, 0.5])\n"
+        _closed_manifest(out, 3, "IntegrationError")
+        assert not (out / "om_report.json").exists()
+        assert all("Infinity" not in f.read_text() for f in out.iterdir())
+
+    def test_empty_q_table_rejected(self, tmp_path):
+        table = tmp_path / "q.csv"
+        table.write_text("")
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(SCALAR.replace("constant:1.0", f"table:{table}"))
+        code, err = _run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert err == f"configuration error: q_spec table {table}: the file holds no rows\n"
+
 
 def _closed_manifest(out, code, error_type=None):
     """The manifest of a run in ``out`` that ended with exit ``code``
@@ -456,6 +480,15 @@ def _closed_manifest(out, code, error_type=None):
     else:
         assert manifest["error"]["type"] == error_type and manifest["error"]["message"]
     return manifest
+
+
+def _run_cli(argv):
+    """Exit code and stderr of ``python -m omlat`` in a fresh interpreter,
+    where warnings print to stderr as they do for a user."""
+    src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "omlat", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 def _write_csv_state(tmp_path, values):

@@ -1,19 +1,22 @@
 """Golden digests: the sha256 of every CSV that small ``simulate``,
-``verify truncation``, ``verify bound`` and ``verify tube`` runs write.
+``verify truncation``, ``verify bound``, ``verify tube`` and
+``verify smallball`` runs write.
 
 The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
-trajectory per group, and the tube runs with one and with two worker
-threads.  A change to the noise stream changes every digest: such a
-change re-pins them and says so.
+trajectory per group, the tube runs with one and with two worker
+threads, and the small-ball run with two head chunk sizes.  The
+small-ball digest pins the staged head stream.  A change to a random
+stream changes the digests of the runs that draw from it: such a change
+re-pins them and says so.
 """
 import hashlib
 from pathlib import Path as FsPath
 
 import pytest
 
-from omlat import sde
+from omlat import kl, sde
 from omlat.cli import main
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
@@ -33,6 +36,7 @@ RUNS = {
         "verify", "tube", "--config", "{three_sites}", "--samples", "20000", "--eps", "1.0,0.6",
         "--reference", "sine:0.3", "--denominator", "plain", "--dt", "0.015625",
     ],
+    "smallball": ["verify", "smallball", "--samples", "70000", "--eps", "0.5,0.4"],
 }
 
 DIGESTS = {
@@ -45,15 +49,15 @@ DIGESTS = {
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
     "tube": {"tube.csv": "8db4a8c37b3568132d81fbef3837f82c301f807afc52ba0b1598e9f735853229"},
     "tube3": {"tube.csv": "5b328736e8af5cf7fde422807e6c3722be250b959c52bf9d05342f8b9142cdfc"},
+    "smallball": {"smallball.csv": "05de5edabc72c0a89131193b7534bc568784ba0b18ddacce74172b79d5fb9694"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
-# per group; tubes on one and two threads.
-CASES = [
-    (run, variant)
-    for run in RUNS
-    for variant in (("threads1", "threads2") if run.startswith("tube") else ("grouped", "single"))
-]
+# per group; tubes on one and two threads; the small-ball head in chunks
+# of the default and of 777 rows.
+THREADS = ("threads1", "threads2")
+VARIANTS = {"tube": THREADS, "tube3": THREADS, "smallball": ("chunk8192", "chunk777")}
+CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
 
 
 @pytest.mark.parametrize("run, variant", CASES, ids=[f"{r}-{v}" for r, v in CASES])
@@ -64,6 +68,8 @@ def test_csv_digests(tmp_path, monkeypatch, run, variant):
         monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", 1)
     elif variant.startswith("threads"):
         monkeypatch.setenv("OMLAT_THREADS", variant[-1])
+    elif variant.startswith("chunk"):
+        monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", int(variant[len("chunk"):]))
     out = tmp_path / run
     argv = [arg.replace("{three_sites}", str(three_sites)) for arg in RUNS[run]]
     assert main(argv + ["--seed", "11", "--out", str(out)]) == 0

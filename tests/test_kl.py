@@ -151,6 +151,23 @@ class TestWilson:
         assert hi > 0.0
 
 
+def _staged_replay(key, count, w_head, cutoff):
+    """Replay the staged head stream with one draw per stage over a mask of
+    the rows still alive; return the sums and each row's partial sum when it
+    is dropped (nan for rows never dropped)."""
+    g = Generator(Philox(key=key))
+    replay, dropped = np.zeros(count), np.full(count, np.nan)
+    alive = np.ones(count, dtype=bool)
+    bounds = [b for b in (0, 1, 8, 32) if b < w_head.size] + [w_head.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        leaving = alive & (replay > cutoff)
+        dropped[leaving] = replay[leaving]
+        alive &= ~leaving
+        x = g.standard_normal((int(alive.sum()), hi - lo), dtype=np.float32).astype(np.float64)
+        replay[alive] += np.einsum("ij,ij,j->i", x, x, w_head[lo:hi])
+    return replay, dropped
+
+
 class TestSmallBallMC:
     def test_huge_radius_captures_everything(self):
         res = smallball_mc(1.0, 2000, [100.0], 2000, seed=5)
@@ -176,13 +193,27 @@ class TestSmallBallMC:
     @pytest.mark.parametrize("chunk", [8192, 777])
     def test_chunked_head_sums_equal_one_shot_sums(self, monkeypatch, count, chunk):
         # each chunk continues the block's stream, so the sums equal those
-        # of one (count, head) draw
+        # of one draw per stage
         monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", chunk)
         w_head = np.arange(1, 257, dtype=float) ** -2.0
         key = np.array([11, 3 << 56], dtype=np.uint64)
-        x = Generator(Philox(key=key)).standard_normal((count, 256), dtype=np.float32).astype(np.float64)
-        one_shot = np.einsum("ij,ij,j->i", x, x, w_head)
-        np.testing.assert_array_equal(kl._head_sums(Generator(Philox(key=key)), count, w_head), one_shot)
+        one_shot, _ = _staged_replay(key, count, w_head, 0.25)
+        sums = kl._head_sums(Generator(Philox(key=key)), count, w_head, 0.25)
+        np.testing.assert_array_equal(sums, one_shot)
+
+    @pytest.mark.parametrize("head", [256, 20, 1])
+    def test_pruned_rows_exceed_the_largest_radius(self, head):
+        # a dropped row must already lie beyond the cutoff, so pruning
+        # never loses a hit
+        count, cutoff = 20_000, 0.25
+        w_head = np.arange(1, head + 1, dtype=float) ** -2.0
+        key = np.array([5, 3 << 56], dtype=np.uint64)
+        replay, dropped = _staged_replay(key, count, w_head, cutoff)
+        sums = kl._head_sums(Generator(Philox(key=key)), count, w_head, cutoff)
+        np.testing.assert_array_equal(sums, replay)
+        pruned = ~np.isnan(dropped)
+        assert pruned.any() == (head > 1)
+        assert np.all(dropped[pruned] > cutoff)
 
     def test_truncation_precondition_names_required_size(self):
         with pytest.raises(ConfigurationError) as err:

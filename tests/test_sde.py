@@ -19,6 +19,7 @@ from omlat import (
 )
 from omlat import sde
 from omlat.sde import euler_maruyama, integrate_ensemble
+from oracles import strong_errors
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -63,20 +64,11 @@ class TestIntegrate:
         assert np.max(np.abs(em.states[-1] - ref[-1])) <= 5 * dt
 
     def test_strong_self_convergence_order_one(self):
-        # error against the same Brownian path resolved 128x finer,
-        # measured in the time-integrated norm
+        # root-mean-square error over 16 paths against the same Brownian
+        # paths resolved 128x finer, in the time-integrated norm
         cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.5), T=1.0)
-        fine_steps = 2**14
-        fine = sample_noise(9, fine_steps, 5, 1.0 / fine_steps)
         u0 = np.array([0.1, 0.5, 1.0, 0.5, 0.1])
-        ref = integrate(u0, fine, cfg)
-
-        errs = []
-        for factor in (32, 64, 128):
-            inc = fine.increments.reshape(fine_steps // factor, factor, 5).sum(axis=1)
-            path = integrate(u0, NoisePath(seed=9, dt=factor / fine_steps, increments=inc), cfg)
-            dev = path.states - ref.states[::factor]
-            errs.append(np.sqrt(np.trapezoid(np.sum(dev**2, axis=1), dx=path.dt)))
+        errs = strong_errors(cfg, u0, seed=9, paths=16, fine_steps=2**14, factors=(32, 64, 128))
         # halving dt should halve the strong error
         assert 1.7 <= errs[1] / errs[0] <= 2.3
         assert 1.7 <= errs[2] / errs[1] <= 2.3
