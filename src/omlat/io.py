@@ -6,6 +6,7 @@ binary doubles and reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -69,10 +70,24 @@ def write_om_json(report, dest) -> None:
     FsPath(dest).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float written as its name (``"nan"``,
+    ``"inf"`` or ``"-inf"``): strict JSON has no token for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def write_manifest(out_dir, payload: dict) -> None:
     """Manifest written before any computation output; rewritten once
-    when the run ends, finished or failed."""
-    FsPath(out_dir, "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    when the run ends, finished or failed.  A non-finite flag value, such
+    as ``--lambda nan``, is written as a string."""
+    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    FsPath(out_dir, "manifest.json").write_text(text + "\n")
 
 
 def write_csv(dest, header: str, rows) -> None:

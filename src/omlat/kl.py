@@ -297,6 +297,20 @@ def _required_i_max(alpha: float, eps_min: float) -> int:
     return int(math.ceil(target ** (-1.0 / (2.0 * alpha - 1.0)))) + 1
 
 
+def _tail_sums(seed: int, samples, w_tail) -> np.ndarray:
+    """Tail sums ``sum_i w_tail[i] x_i^2`` of the given sample indices,
+    each from the sample's own keyed generator.  Each sum is numpy's
+    pairwise reduction, not a BLAS dot product, so its bits do not
+    depend on the BLAS thread count."""
+    sums = np.empty(len(samples))
+    for n, j in enumerate(samples):
+        g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, int(j))))
+        xt = g.standard_normal(w_tail.size, dtype=np.float32).astype(np.float64)
+        xt *= xt * w_tail
+        sums[n] = np.sum(xt)
+    return sums
+
+
 def smallball_mc(
     alpha: float,
     i_max: int,
@@ -350,10 +364,8 @@ def smallball_mc(
         g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
         sums = _head_sums(g, count, w_head, cutoff)
         if w_tail.size:
-            for j in np.nonzero(sums <= cutoff)[0]:
-                gj = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, block_start + int(j))))
-                xt = gj.standard_normal(w_tail.size, dtype=np.float32).astype(np.float64)
-                sums[j] += xt @ (xt * w_tail)
+            alive = np.nonzero(sums <= cutoff)[0]
+            sums[alive] += _tail_sums(seed, block_start + alive, w_tail)
         hits_sorted += np.searchsorted(np.sort(sums), thresholds, side="right")
 
     order = np.argsort(eps)

@@ -35,34 +35,43 @@ ENSEMBLE_STATE_BYTES = 32 * 2**20
 
 
 def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
-                   t_offset: float = 0.0, observe=None):
+                   k0: int = 0, observe=None):
     """Advance the states ``u0`` (m, d) by one Euler-Maruyama update per
     increment, all m trajectories together:
 
-        ``u_{k+1} = u_k + drift(u_k) dt + q(t_k) * dW_k``,  ``t_k = t_offset + k dt``,
+        ``u_{k+1} = u_k + drift(u_k) dt + q(t_k) * dW_k``,  ``t_k = k dt``,
 
-    where ``dW_k = increments[:, k]`` and ``increments`` has shape
+    for the global steps ``k = k0 .. k0 + N - 1``, where
+    ``dW_k = increments[:, k - k0]`` and ``increments`` has shape
     (m, N, d); ``trajectories[j]`` is the index that row j reports in an
     error.  Every row takes the same floating-point operations in the
     same order whatever m is, so a trajectory does not depend on the batch
-    it is stepped in.
+    it is stepped in.  The integer offset ``k0`` lets a run be stepped a
+    few steps at a time, each call continuing from the last one's final
+    states: q is evaluated at exactly ``k dt``, so the chunks together
+    give the one-call result bit for bit.
+
+    The fast layout is the transposed view of a time-major (N, m, d)
+    array, ``increments = dW.transpose(1, 0, 2)``: each step then reads
+    one contiguous (m, d) block, where a sample-major (m, N, d) array is
+    read with a stride of N d doubles.
 
     Returns the states, shape (m, N + 1, d).  With ``observe`` no state is
-    kept: ``observe(k, u_{k+1}, q(t_k) * dW_k)`` is called after each step
-    and the final states (m, d) are returned.  The stepper updates its
-    state in place: the ``u`` and ``forced`` arrays passed to ``observe``
-    are buffers reused from step to step, valid only during the call, so
-    an observer copies what it keeps.  ``u0`` and ``increments`` are not
-    modified.
+    kept: ``observe(k, u_{k+1}, q(t_k) * dW_k)`` is called after each step,
+    with the global step k, and the final states (m, d) are returned.  The
+    stepper updates its state in place: the ``u`` and ``forced`` arrays
+    passed to ``observe`` are buffers reused from step to step, valid only
+    during the call, so an observer copies what it keeps.  ``u0`` and
+    ``increments`` are not modified.
 
     Raises
     ------
     IntegrationError
         If a component exceeds the blow-up threshold, naming the trajectory,
-        the step and the site.
+        the global step and the site.
     """
     m, steps, d = increments.shape
-    qs = cfg.q.grid(t_offset + dt * np.arange(steps), cfg.n)
+    qs = cfg.q.grid(dt * (k0 + np.arange(steps)), cfg.n)
     forced = np.empty((m, d))
     du = np.empty((m, d))  # drift * dt, then |u| for the blow-up check
     if observe is None:
@@ -72,22 +81,23 @@ def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
     else:
         states = None
         u = np.array(u0, dtype=float)
-    for k in range(steps):
-        np.multiply(qs[k], increments[:, k], out=forced)
+    for j in range(steps):
+        np.multiply(qs[j], increments[:, j], out=forced)
         drift(u, cfg, out=du)
         # rounds as u + drift * dt + forced, left to right
         du *= dt
-        nxt = u if states is None else states[:, k + 1]
+        nxt = u if states is None else states[:, j + 1]
         np.add(u, du, out=nxt)
         nxt += forced
         u = nxt
         np.abs(u, out=du)
+        k = k0 + j
         if not du.max() < BLOWUP_THRESHOLD:  # a NaN fails this too
-            j, i = divmod(int(np.argmax(du)), d)  # the largest component, or a NaN
-            label = trajectories[j]
+            row, i = divmod(int(np.argmax(du)), d)  # the largest component, or a NaN
+            label = trajectories[row]
             raise IntegrationError(
                 f"trajectory {label} blew up at step {k + 1} (t={dt * (k + 1):.6g}), "
-                f"site {i - cfg.n}: |u|={du[j, i]:.3e}",
+                f"site {i - cfg.n}: |u|={du[row, i]:.3e}",
                 step=k + 1,
                 time=dt * (k + 1),
                 trajectory=label,
@@ -104,13 +114,17 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -
         ``u_{k+1} = u_k + drift(u_k) dt + q(t_k) * dW_k``
 
     ``t_offset`` shifts the time at which q is evaluated; it is used when
-    restarting from an intermediate state with shifted noise.
+    restarting from an intermediate state with shifted noise.  It must be
+    a grid time ``k0 dt``, and q is then evaluated at ``dt (k0 + k)``.
 
     Raises
     ------
+    ConfigurationError
+        If ``t_offset`` is not a multiple of the step.
     IntegrationError
         If any component exceeds the blow-up threshold, naming the noise
-        path's trajectory index, the step and the site.
+        path's trajectory index, the step counted from ``t = 0`` and the
+        site.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.d,):
@@ -118,7 +132,10 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -
     if noise.d != cfg.d:
         raise ConfigurationError(f"noise has {noise.d} sites, config has {cfg.d}")
     dt = noise.dt
-    states = euler_maruyama(u0[None], noise.increments[None], cfg, dt, [noise.trajectory], t_offset)
+    k0 = int(round(t_offset / dt))
+    if abs(t_offset / dt - k0) > 1e-9:
+        raise ConfigurationError(f"t_offset={t_offset} is not a grid time (dt={dt})")
+    states = euler_maruyama(u0[None], noise.increments[None], cfg, dt, [noise.trajectory], k0)
     return Path(
         times=dt * np.arange(noise.steps + 1),
         states=states[0],

@@ -35,6 +35,12 @@ __all__ = ["TubeExperiment", "TubeTable", "l2rho_path_norm", "tube_ratio"]
 #: thread count.
 TUBE_BLOCK_SIZE = 16384
 
+#: Steps a block draws and steps at a time.  Its generator's stream
+#: continues from chunk to chunk, so results are the same for every chunk
+#: size; the size bounds a block's increments at
+#: ``_TUBE_CHUNK_STEPS * count * d`` doubles whatever the number of steps.
+_TUBE_CHUNK_STEPS = 32
+
 
 def l2rho_path_norm(path_a: Path, path_b: Path, rho) -> float:
     """Trapezoid-rule distance ``(int_0^T |a(t) - b(t)|_rho^2 dt)^(1/2)``
@@ -104,15 +110,18 @@ class TubeTable:
 
 def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     """Squared tube distances of one keyed block of trajectories, for the
-    solution ensemble and the reference-noise ensemble (common increments)."""
+    solution ensemble and the reference-noise ensemble (common increments).
+
+    The block's increments are drawn time-major from its one generator, a
+    (steps, count, d) array of standard normals scaled by sqrt(dt), in
+    chunks of :data:`_TUBE_CHUNK_STEPS` steps; each chunk is stepped as soon
+    as it is drawn."""
     cfg = exp.cfg
     phi = exp.phi.states
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
     rho_sq = (cfg.rho**2)[None, :]
     g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
-    dW = g.standard_normal((count, N, d))
-    dW *= np.sqrt(dt)
 
     base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
     alpha, V = np.linalg.eigh(base)
@@ -160,7 +169,15 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
 
     first = block_index * TUBE_BLOCK_SIZE
     trajectories = range(first, first + count)
-    euler_maruyama(np.tile(phi[0], (count, 1)), dW, cfg, dt, trajectories, observe=accumulate)
+    u = np.tile(phi[0], (count, 1))
+    chunk = np.empty((min(_TUBE_CHUNK_STEPS, N), count, d))
+    for k0 in range(0, N, chunk.shape[0]):
+        dW = chunk[: N - k0]
+        g.standard_normal(out=dW)
+        dW *= np.sqrt(dt)
+        # the transpose is the stepper's (count, steps, d) layout, and each
+        # step reads one contiguous (count, d) block of it
+        u = euler_maruyama(u, dW.transpose(1, 0, 2), cfg, dt, trajectories, k0, accumulate)
     return num_sq, den_sq
 
 

@@ -613,6 +613,10 @@ def _materialize(root, files):
             (root / name).mkdir()
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     command=st.sampled_from(sorted(_COMMANDS)),
@@ -648,6 +652,8 @@ def test_cli_fuzz_exits_with_a_documented_code_and_closes_its_manifest(command, 
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if out.exists():
-            manifest = json.loads((out / "manifest.json").read_text())
+            # every JSON file of the run is strict JSON: no NaN or Infinity tokens
+            docs = {f.name: json.loads(f.read_text(), parse_constant=_reject_constant) for f in out.glob("*.json")}
+            manifest = docs["manifest.json"]
             assert manifest["status"] == ("ok" if code == 0 else "failed")
             assert manifest["exit_code"] == code and manifest["wall_clock_s"] is not None

@@ -6,8 +6,9 @@ The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
-threads, and the small-ball run with two head chunk sizes.  The
-small-ball digest pins the staged head stream.  A change to a random
+threads and with two step chunk sizes, and the small-ball run with two
+head chunk sizes.  The tube digests pin the time-major block stream, the
+small-ball digest the staged head stream.  A change to a random
 stream changes the digests of the runs that draw from it: such a change
 re-pins them and says so.
 """
@@ -16,7 +17,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from omlat import kl, sde
+from omlat import kl, sde, tube
 from omlat.cli import main
 
 CONFIGS = FsPath(__file__).resolve().parent.parent / "configs"
@@ -47,16 +48,17 @@ DIGESTS = {
     },
     "truncation": {"truncation.csv": "6748ca34089773c6fc2160d5f5bdd097a099c13d8bc78ede54a5a37e62c39422"},
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
-    "tube": {"tube.csv": "8db4a8c37b3568132d81fbef3837f82c301f807afc52ba0b1598e9f735853229"},
-    "tube3": {"tube.csv": "5b328736e8af5cf7fde422807e6c3722be250b959c52bf9d05342f8b9142cdfc"},
+    "tube": {"tube.csv": "02492016743c4c5f8ad47074ad064568c248cc2a1258a2e95747d7b816a18541"},
+    "tube3": {"tube.csv": "54cbec69b1cc4898cf89170b9e6a5db9deee7661a939cc9bc93db6a1a9507efd"},
     "smallball": {"smallball.csv": "05de5edabc72c0a89131193b7534bc568784ba0b18ddacce74172b79d5fb9694"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
-# per group; tubes on one and two threads; the small-ball head in chunks
+# per group; tubes on one and two threads, and with their increments
+# drawn and stepped 1 and 7 steps at a time; the small-ball head in chunks
 # of the default and of 777 rows.
-THREADS = ("threads1", "threads2")
-VARIANTS = {"tube": THREADS, "tube3": THREADS, "smallball": ("chunk8192", "chunk777")}
+TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
+VARIANTS = {"tube": TUBE_VARIANTS, "tube3": TUBE_VARIANTS, "smallball": ("chunk8192", "chunk777")}
 CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
 
 
@@ -70,6 +72,8 @@ def test_csv_digests(tmp_path, monkeypatch, run, variant):
         monkeypatch.setenv("OMLAT_THREADS", variant[-1])
     elif variant.startswith("chunk"):
         monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", int(variant[len("chunk"):]))
+    elif variant.startswith("steps"):
+        monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", int(variant[len("steps"):]))
     out = tmp_path / run
     argv = [arg.replace("{three_sites}", str(three_sites)) for arg in RUNS[run]]
     assert main(argv + ["--seed", "11", "--out", str(out)]) == 0

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +217,24 @@ class TestSmallBallMC:
         pruned = ~np.isnan(dropped)
         assert pruned.any() == (head > 1)
         assert np.all(dropped[pruned] > cutoff)
+
+    def test_tail_sums_do_not_depend_on_blas_threads(self):
+        # the 11 744-term tail sums of a default run, each taken once with
+        # one BLAS thread and once with two, must agree bit for bit
+        code = (
+            "import hashlib, numpy as np\n"
+            "from omlat.kl import _tail_sums\n"
+            "w = np.arange(257, 12001, dtype=float) ** -2.0\n"
+            "print(hashlib.sha256(_tail_sums(5, np.arange(300), w).tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.realpath(kl.__file__)))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1, digests
 
     def test_truncation_precondition_names_required_size(self):
         with pytest.raises(ConfigurationError) as err:

@@ -13,6 +13,7 @@ from omlat import (
     drift,
     integrate,
     sample_noise,
+    shift_noise,
     truncation_tail,
     weighted_norm,
     wq_path,
@@ -197,6 +198,54 @@ class TestBatchedStepper:
                 np.testing.assert_array_equal(path.states, ref.states)
                 np.testing.assert_array_equal(path.times, ref.times)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 40])
+    def test_chunks_through_k0_equal_one_call(self, chunk):
+        # q varies in time, so a chunk that evaluated it at the wrong times
+        # would change the states
+        cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.05, 3.0), T=3.0)
+        steps, m = 40, 3
+        dt = cfg.T / steps
+        increments = np.stack([sample_noise(5, steps, cfg.d, dt, trajectory=j).increments for j in range(m)])
+        u0 = np.random.default_rng(5).standard_normal((m, cfg.d))
+        states = euler_maruyama(u0, increments, cfg, dt, range(m))
+        seen = []
+        final = euler_maruyama(u0, increments, cfg, dt, range(m),
+                               observe=lambda k, u, forced: seen.append((k, u.copy(), forced.copy())))
+        pieces, chunked_seen, u = [u0[:, None]], [], u0
+        for k0 in range(0, steps, chunk):
+            part = increments[:, k0 : k0 + chunk]
+            pieces.append(euler_maruyama(u, part, cfg, dt, range(m), k0)[:, 1:])
+            u = euler_maruyama(u, part, cfg, dt, range(m), k0,
+                               observe=lambda k, u, forced: chunked_seen.append((k, u.copy(), forced.copy())))
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), states)
+        np.testing.assert_array_equal(u, final)
+        assert [k for k, _, _ in chunked_seen] == [k for k, _, _ in seen] == list(range(steps))
+        for (_, u_a, f_a), (_, u_b, f_b) in zip(chunked_seen, seen):
+            np.testing.assert_array_equal(u_a, u_b)
+            np.testing.assert_array_equal(f_a, f_b)
+
+    def test_blowup_in_a_later_chunk_names_the_global_step(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
+        cfg = LatticeConfig(n=0, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=4.0)
+        steps, dt = 64, 4.0 / 64
+        u0 = np.array([[0.1], [0.8]])
+        zeros = np.zeros((2, steps, 1))
+        with pytest.raises(IntegrationError) as whole:
+            euler_maruyama(u0, zeros, cfg, dt, range(2))
+        step = whole.value.step
+        assert step > 5
+        u = u0
+        with pytest.raises(IntegrationError) as chunked:
+            for k0 in range(0, steps, 5):
+                u = euler_maruyama(u, zeros[:, k0 : k0 + 5], cfg, dt, range(2), k0, observe=lambda *a: None)
+        assert (chunked.value.trajectory, chunked.value.step) == (1, step)
+        assert chunked.value.time == whole.value.time == dt * step
+        assert str(chunked.value) == str(whole.value)
+
     def test_blowup_names_trajectory_step_and_site(self):
         import warnings
 
@@ -298,6 +347,26 @@ class TestCocycle:
         u0 = self.gaussian_bump(3)
         for m in (32, 64, 192):
             assert cocycle_check(u0, noise, m * cfg.T / steps, cfg) <= 1e-12
+
+    def test_restart_on_the_grid_repeats_the_full_run_bit_for_bit(self):
+        # q is evaluated at dt (m + k) on both legs, so the restarted leg
+        # takes the same floating-point steps as the full run; dt = 0.1 is
+        # not a binary fraction, so s + k dt would round differently
+        cfg = self.example_cfg(n=2)
+        steps = 300
+        noise = sample_noise(13, steps, cfg.d, cfg.T / steps)
+        full = integrate(self.gaussian_bump(2), noise, cfg)
+        for m in (1, 77, 150):
+            s = m * noise.dt
+            restarted = integrate(full.states[m], shift_noise(noise, s), cfg, t_offset=s)
+            np.testing.assert_array_equal(restarted.states, full.states[m:])
+            assert cocycle_check(self.gaussian_bump(2), noise, s, cfg) == 0.0
+
+    def test_off_grid_time_offset_rejected(self):
+        cfg = self.example_cfg(n=1)
+        noise = sample_noise(8, 64, 3, 30.0 / 64)
+        with pytest.raises(ConfigurationError, match="not a grid time"):
+            integrate(np.zeros(3), noise, cfg, t_offset=0.33)
 
     def test_off_grid_split_rejected(self):
         cfg = self.example_cfg(n=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -80,8 +82,7 @@ class TestBlockArithmetic:
         assert table.num_hits[0] == count  # huge radius: sanity
 
         num_sq, den_sq = _block_distances(exp, 0, count)
-        g = Generator(Philox(key=_philox_key(99, _TAG_TUBE_BLOCK, 0, 0)))
-        dW = np.sqrt(dt) * g.standard_normal((count, N, 3))
+        dW = block_increments(exp, 0, count)
         alpha = np.linalg.eigvalsh(cfg.nu * np.array([[2., -1, -1], [-1, 2, -1], [-1, -1, 2]]) + cfg.lam * np.eye(3))
         for j in range(count):
             noise = NoisePath(seed=99, dt=dt, increments=dW[j])
@@ -99,6 +100,14 @@ class TestBlockArithmetic:
             assert den_sq[j] == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
+def block_increments(exp, block_index, count):
+    """The increments of one keyed tube block, sample-major (count, N, d):
+    one time-major (N, count, d) draw of the block's generator, transposed."""
+    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
+    dW = np.sqrt(exp.phi.dt) * g.standard_normal((exp.phi.steps, count, exp.cfg.d))
+    return dW.transpose(1, 0, 2)
+
+
 def matmul_block_distances(exp, block_index, count):
     """Reference for ``_block_distances``: its own Euler-Maruyama loop and
     ``@`` products, as the tube computed them before it used the shared
@@ -108,8 +117,7 @@ def matmul_block_distances(exp, block_index, count):
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
     rho_sq = (cfg.rho**2)[None, :]
-    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
-    dW = np.sqrt(dt) * g.standard_normal((count, N, d))
+    dW = block_increments(exp, block_index, count)
     qs = cfg.q.grid(dt * np.arange(N), cfg.n)
     alpha, V = np.linalg.eigh(cfg.nu * dense_A(d) + cfg.lam * np.eye(d))
     decay = np.exp(-alpha * dt)[None, :]
@@ -148,6 +156,23 @@ def test_block_distances_match_matmul_loop(n, denominator, reference):
         expected = matmul_block_distances(exp, block_index, count)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+def test_block_memory_does_not_grow_with_the_number_of_steps():
+    # a block holds its increments a fixed number of steps at a time, so
+    # its peak memory is set by the block size, not by N
+    def traced_peak(N, count=2048):
+        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=count, seed=4)
+        tracemalloc.start()
+        try:
+            _block_distances(exp, 0, count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = traced_peak(256), traced_peak(4096)
+    assert long <= short + 2**16, (short, long)
 
 
 class TestTubeRatio:
