@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .noise import _TAG_SMALLBALL_BLOCK, _TAG_SMALLBALL_TAIL, _philox_key
+from .noise import _TAG_SMALLBALL_BLOCK, _philox_key
 
 __all__ = [
     "KLSpectrum",
@@ -256,38 +256,41 @@ class SmallBallMC:
     ci_hi: np.ndarray
 
 
-#: Coordinate bounds of the small-ball head's stages: stage s draws
-#: coordinates ``[_HEAD_STAGES[s], _HEAD_STAGES[s + 1])``, and the last
-#: stage runs up to the head size.
-_HEAD_STAGES = (0, 1, 8, 32)
+#: Coordinate bounds of the small-ball stages: stage s draws coordinates
+#: ``[_STAGES[s], _STAGES[s + 1])``, and the last stage runs up to i_max.
+_STAGES = (0, 1, 8, 32, 256)
 
-#: Rows of a small-ball head stage drawn at a time.  Each draw continues
-#: the block's stream, so the sums do not depend on it; it caps the
-#: memory of a block at this many rows.
-_HEAD_CHUNK_ROWS = 8192
+#: Normals in one small-ball draw: a stage of width w is drawn
+#: ``max(1, _DRAW_NORMALS // w)`` rows at a time.  Each draw continues the
+#: block's stream, so the sums do not depend on it; it caps the memory of
+#: a block.
+_DRAW_NORMALS = 65536
 
 
-def _head_sums(g: Generator, count: int, w_head: np.ndarray, cutoff: float) -> np.ndarray:
-    """``sum_j w_head[j] x_ij^2`` for ``count`` rows of single-precision
-    normals drawn from ``g``, one stage of coordinates after another.
+def _staged_sums(g: Generator, count: int, w: np.ndarray, cutoff: float) -> np.ndarray:
+    """``sum_j w[j] x_ij^2`` for ``count`` rows of single-precision normals
+    drawn from ``g``, one stage of coordinates after another.
 
     The first stage covers every row; a later stage covers only the rows
     whose partial sum is still at most ``cutoff``, in ascending row order,
-    as one row-major (rows, width) draw taken in chunks of
-    :data:`_HEAD_CHUNK_ROWS` rows.  A pruned row keeps its partial sum,
-    which already exceeds ``cutoff``.
+    as one row-major (rows, width) draw taken in pieces of at most
+    :data:`_DRAW_NORMALS` normals (at least one row).  A pruned row keeps
+    its partial sum, which already exceeds ``cutoff``.  Each sum is
+    einsum's own loop, not a BLAS call, so its bits do not depend on the
+    BLAS thread count.
     """
-    bounds = [b for b in _HEAD_STAGES if b < w_head.size] + [w_head.size]
+    bounds = [b for b in _STAGES if b < w.size] + [w.size]
     sums = np.zeros(count)
     alive = np.arange(count)
     for lo, hi in zip(bounds, bounds[1:]):
         if lo:
             alive = alive[sums[alive] <= cutoff]
-        w = w_head[lo:hi]
-        for start in range(0, alive.size, _HEAD_CHUNK_ROWS):
-            rows = alive[start : start + _HEAD_CHUNK_ROWS]
-            x = g.standard_normal((rows.size, w.size), dtype=np.float32).astype(np.float64)
-            sums[rows] += np.einsum("ij,ij,j->i", x, x, w)
+        w_stage = w[lo:hi]
+        step = max(1, _DRAW_NORMALS // w_stage.size)
+        for start in range(0, alive.size, step):
+            rows = alive[start : start + step]
+            x = g.standard_normal((rows.size, w_stage.size), dtype=np.float32).astype(np.float64)
+            sums[rows] += np.einsum("ij,ij,j->i", x, x, w_stage)
     return sums
 
 
@@ -297,20 +300,6 @@ def _required_i_max(alpha: float, eps_min: float) -> int:
     return int(math.ceil(target ** (-1.0 / (2.0 * alpha - 1.0)))) + 1
 
 
-def _tail_sums(seed: int, samples, w_tail) -> np.ndarray:
-    """Tail sums ``sum_i w_tail[i] x_i^2`` of the given sample indices,
-    each from the sample's own keyed generator.  Each sum is numpy's
-    pairwise reduction, not a BLAS dot product, so its bits do not
-    depend on the BLAS thread count."""
-    sums = np.empty(len(samples))
-    for n, j in enumerate(samples):
-        g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_TAIL, 0, int(j))))
-        xt = g.standard_normal(w_tail.size, dtype=np.float32).astype(np.float64)
-        xt *= xt * w_tail
-        sums[n] = np.sum(xt)
-    return sums
-
-
 def smallball_mc(
     alpha: float,
     i_max: int,
@@ -318,23 +307,22 @@ def smallball_mc(
     samples: int,
     seed: int = 0,
     block_size: int = 65536,
-    head_size: int = 256,
 ) -> SmallBallMC:
     """Estimate the small-ball probabilities for weights ``i^(-alpha)``.
 
     The truncation must satisfy ``i_max >= 1`` and ``sum_{i > i_max}
     i^(-2 alpha) < 1e-3 min(eps)^2``; otherwise a configuration error
-    names ``i_max`` (for the mass condition, its required value).  Draws
-    are keyed per sample block (head coordinates) and per sample (tail
-    coordinates), so the estimate is a pure function of
-    (alpha, i_max, eps, samples, seed).  The head is drawn in stages of
-    coordinates (:data:`_HEAD_STAGES`), and a stage after the first, like
-    the tail, is drawn only for the samples whose partial sum is still at
-    most ``max(eps)^2``.  Partial sums only grow, so a pruned sample can
-    never be a hit, and hit counts stay exactly monotone in eps within a
-    run.  Which samples survive depends on ``max(eps)``, so the draws
-    after the first stage, and with them the estimates, do too.  Draws
-    use single-precision normals accumulated in double.
+    names ``i_max`` (for the mass condition, its required value).  Each
+    block of ``block_size`` samples draws from its one keyed generator, so
+    the estimate is a pure function of (alpha, i_max, eps, samples, seed,
+    block_size).  A block draws its coordinates in stages
+    (:data:`_STAGES`, the last running up to ``i_max``), and a stage after
+    the first only for the samples whose partial sum is still at most
+    ``max(eps)^2``.  Partial sums only grow, so a pruned sample can never
+    be a hit, and hit counts stay exactly monotone in eps within a run.
+    Which samples survive depends on ``max(eps)``, so the draws after the
+    first stage, and with them the estimates, do too.  Draws use
+    single-precision normals accumulated in double.
     """
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
@@ -351,21 +339,15 @@ def smallball_mc(
             f"i_max={i_max} leaves truncated mass {tail_mass:.3e} >= "
             f"{1e-3 * np.min(eps)**2:.3e}; need i_max >= {_required_i_max(alpha, float(np.min(eps)))}"
         )
-    head = min(head_size, i_max)
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)
-    w_head, w_tail = w[:head], w[head:]
     thresholds = np.sort(eps) ** 2
     cutoff = float(np.max(thresholds))
     hits_sorted = np.zeros(thresholds.size, dtype=np.int64)
 
-    for block_start in range(0, samples, block_size):
+    for block_index, block_start in enumerate(range(0, samples, block_size)):
         count = min(block_size, samples - block_start)
-        block_index = block_start // block_size
         g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
-        sums = _head_sums(g, count, w_head, cutoff)
-        if w_tail.size:
-            alive = np.nonzero(sums <= cutoff)[0]
-            sums[alive] += _tail_sums(seed, block_start + alive, w_tail)
+        sums = _staged_sums(g, count, w, cutoff)
         hits_sorted += np.searchsorted(np.sort(sums), thresholds, side="right")
 
     order = np.argsort(eps)

@@ -32,7 +32,6 @@ __all__ = [
     "drift",
     "dense_A",
     "dense_B",
-    "site_indices",
 ]
 
 #: Any component beyond this magnitude is treated as a blown-up trajectory.
@@ -40,12 +39,6 @@ BLOWUP_THRESHOLD = 1.0e8
 
 #: Grid used for the numerical nonlinearity checks (f1)/(f2).
 _F_CHECK_GRID = np.linspace(-10.0, 10.0, 1001)
-
-
-def site_indices(d: int) -> np.ndarray:
-    """Return the site indices -n..n for a truncation of dimension d = 2n+1."""
-    n = (d - 1) // 2
-    return np.arange(-n, n + 1)
 
 
 def _check_lengths(*arrays):
@@ -316,10 +309,6 @@ class LatticeConfig:
     @property
     def d(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def sites(self) -> np.ndarray:
-        return site_indices(self.d)
 
 
 def drift(u, cfg: LatticeConfig, out=None):

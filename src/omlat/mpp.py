@@ -142,8 +142,8 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
     return band3.reshape(-1, 2 * d).T
 
 
-def _as_path(states: np.ndarray, dt: float, meta=None) -> Path:
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt, meta=meta or {})
+def _as_path(states: np.ndarray, dt: float) -> Path:
+    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
 
 
 def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
@@ -153,6 +153,21 @@ def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
         return om_action(path, cfg)
     except IntegrationError:
         return None
+
+
+def _backtrack(path: Path, cfg: LatticeConfig, direction, t, slope: float, action_val: float, halvings: int):
+    """Armijo backtracking from ``path`` along ``direction``: the first of
+    the steps ``t, t/2, ...`` (at most ``halvings`` of them) whose action
+    decreases by at least ``1e-4 t slope``, as (path, report), or None."""
+    for _ in range(halvings):
+        trial = path.states.copy()
+        trial[1:-1] += t * direction
+        trial_path = _as_path(trial, path.dt)
+        trial_report = _trial_action(trial_path, cfg)
+        if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
+            return trial_path, trial_report
+        t *= 0.5
+    return None
 
 
 def solve_mpp(spec: BVPSpec) -> MPPResult:
@@ -219,38 +234,17 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         if step is None:
             step = -g_flat  # steepest descent as a last resort
 
-        direction = step.reshape(N - 1, d)
         slope = float(g_flat @ step)
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            trial = path.states.copy()
-            trial[1:-1] += t * direction
-            trial_path = _as_path(trial, dt)
-            trial_report = _trial_action(trial_path, cfg)
-            if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted and slope < 0.0:
+        accepted = _backtrack(path, cfg, step.reshape(N - 1, d), 1.0, slope, action_val, 30)
+        if accepted is None and slope < 0.0:
             # Gauss-Newton direction failed: plain gradient descent
-            direction = -grad
             slope = -float(np.sum(grad * grad))
             t = 1.0 / (1.0 + np.max(np.abs(grad)))
-            for _ in range(40):
-                trial = path.states.copy()
-                trial[1:-1] += t * direction
-                trial_path = _as_path(trial, dt)
-                trial_report = _trial_action(trial_path, cfg)
-                if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
+            accepted = _backtrack(path, cfg, -grad, t, slope, action_val, 40)
+        if accepted is None:
             break  # no descent possible at working precision
 
-        path = trial_path
-        report = trial_report
+        path, report = accepted
         action_val = report.total
         actions.append(action_val)
         damping *= 0.25

@@ -26,11 +26,10 @@ __all__ = [
 
 # Every Philox key in the package is built here.  Key word 0 is the seed;
 # key word 1 packs (tag << 56) | (a << 32) | b.  The tag keeps the key
-# spaces of different consumers disjoint.  Tag 2 (whole-trajectory draws)
-# is retired: it must not be reused.
+# spaces of different consumers disjoint.  Tags 2 (whole-trajectory draws)
+# and 4 (per-sample small-ball tails) are retired: they must not be reused.
 _TAG_NOISE_ROW = 1  # a = trajectory, b = step
-_TAG_SMALLBALL_BLOCK = 3  # b = sample block; the head is drawn stage after stage
-_TAG_SMALLBALL_TAIL = 4  # b = sample
+_TAG_SMALLBALL_BLOCK = 3  # b = sample block; every coordinate, stage after stage
 _TAG_TUBE_BLOCK = 5  # b = trajectory block
 
 

@@ -90,15 +90,12 @@ class TubeExperiment:
 
 @dataclass(frozen=True)
 class TubeTable:
-    """Per-radius hit counts, probabilities, ratio with a propagated 95%
-    interval, and the action-based prediction (one prediction, radius
-    independent)."""
+    """Per-radius hit counts, their ratio with a propagated 95% interval,
+    and the action-based prediction (one prediction, radius independent)."""
 
     eps: np.ndarray
     num_hits: np.ndarray
     den_hits: np.ndarray
-    num_prob: np.ndarray
-    den_prob: np.ndarray
     ratio: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
@@ -238,8 +235,6 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
         eps=np.asarray(exp.eps),
         num_hits=num_hits,
         den_hits=den_hits,
-        num_prob=num_p,
-        den_prob=den_p,
         ratio=ratio,
         ci_lo=ci_lo,
         ci_hi=ci_hi,

@@ -7,8 +7,9 @@ the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
 threads and with two step chunk sizes, and the small-ball run with two
-head chunk sizes.  The tube digests pin the time-major block stream, the
-small-ball digest the staged head stream.  A change to a random
+caps on the normals of one draw.  The tube digests pin the time-major
+block stream, the small-ball digest the staged stream of each block's
+one generator, tail included.  A change to a random
 stream changes the digests of the runs that draw from it: such a change
 re-pins them and says so.
 """
@@ -50,15 +51,15 @@ DIGESTS = {
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
     "tube": {"tube.csv": "02492016743c4c5f8ad47074ad064568c248cc2a1258a2e95747d7b816a18541"},
     "tube3": {"tube.csv": "54cbec69b1cc4898cf89170b9e6a5db9deee7661a939cc9bc93db6a1a9507efd"},
-    "smallball": {"smallball.csv": "05de5edabc72c0a89131193b7534bc568784ba0b18ddacce74172b79d5fb9694"},
+    "smallball": {"smallball.csv": "777654ad688ca9f665598f4dfd06f5861e72b8e5b06a7fc6db547f219a3e79c3"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
 # per group; tubes on one and two threads, and with their increments
-# drawn and stepped 1 and 7 steps at a time; the small-ball head in chunks
-# of the default and of 777 rows.
+# drawn and stepped 1 and 7 steps at a time; the small-ball stages drawn
+# in chunks of at most the default 65 536 and 777 normals.
 TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
-VARIANTS = {"tube": TUBE_VARIANTS, "tube3": TUBE_VARIANTS, "smallball": ("chunk8192", "chunk777")}
+VARIANTS = {"tube": TUBE_VARIANTS, "tube3": TUBE_VARIANTS, "smallball": ("chunk65536", "chunk777")}
 CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
 
 
@@ -71,7 +72,7 @@ def test_csv_digests(tmp_path, monkeypatch, run, variant):
     elif variant.startswith("threads"):
         monkeypatch.setenv("OMLAT_THREADS", variant[-1])
     elif variant.startswith("chunk"):
-        monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", int(variant[len("chunk"):]))
+        monkeypatch.setattr(kl, "_DRAW_NORMALS", int(variant[len("chunk"):]))
     elif variant.startswith("steps"):
         monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", int(variant[len("steps"):]))
     out = tmp_path / run

@@ -154,20 +154,20 @@ class TestWilson:
         assert hi > 0.0
 
 
-def _staged_replay(key, count, w_head, cutoff):
-    """Replay the staged head stream with one draw per stage over a mask of
-    the rows still alive; return the sums and each row's partial sum when it
+def _staged_replay(key, count, w, cutoff):
+    """Replay the staged stream with one draw per stage over a mask of the
+    rows still alive; return the sums and each row's partial sum when it
     is dropped (nan for rows never dropped)."""
     g = Generator(Philox(key=key))
     replay, dropped = np.zeros(count), np.full(count, np.nan)
     alive = np.ones(count, dtype=bool)
-    bounds = [b for b in (0, 1, 8, 32) if b < w_head.size] + [w_head.size]
+    bounds = [b for b in (0, 1, 8, 32, 256) if b < w.size] + [w.size]
     for lo, hi in zip(bounds, bounds[1:]):
         leaving = alive & (replay > cutoff)
         dropped[leaving] = replay[leaving]
         alive &= ~leaving
         x = g.standard_normal((int(alive.sum()), hi - lo), dtype=np.float32).astype(np.float64)
-        replay[alive] += np.einsum("ij,ij,j->i", x, x, w_head[lo:hi])
+        replay[alive] += np.einsum("ij,ij,j->i", x, x, w[lo:hi])
     return replay, dropped
 
 
@@ -185,47 +185,57 @@ class TestSmallBallMC:
         b = smallball_mc(1.0, 2000, [0.8], 20000, seed=11)
         assert np.array_equal(a.hits, b.hits)
 
-    def test_block_size_does_not_change_head_only_runs(self):
-        # with i_max <= head_size every draw is keyed per block; a block
-        # boundary change regroups draws, so hits are keyed per seed only
-        a = smallball_mc(1.0, 256, [2.0], 4096, seed=3, block_size=4096)
-        b = smallball_mc(1.0, 256, [2.0], 4096, seed=3, block_size=4096, head_size=256)
-        assert np.array_equal(a.hits, b.hits)
+    def test_one_generator_per_block(self, monkeypatch):
+        # every coordinate of a block, tail included, comes from the
+        # block's one generator: 70 000 samples are two blocks
+        built = []
+
+        def counting(bits):
+            built.append(bits)
+            return Generator(bits)
+
+        monkeypatch.setattr(kl, "Generator", counting)
+        res = smallball_mc(1.0, 3000, [0.6], 70_000, seed=0)
+        assert res.hits[0] > 0
+        assert len(built) == 2
 
     @pytest.mark.parametrize("count", [65536, 34464, 1001])
     @pytest.mark.parametrize("chunk", [8192, 777])
     def test_chunked_head_sums_equal_one_shot_sums(self, monkeypatch, count, chunk):
-        # each chunk continues the block's stream, so the sums equal those
-        # of one draw per stage
-        monkeypatch.setattr(kl, "_HEAD_CHUNK_ROWS", chunk)
+        # each draw of at most ``chunk`` normals continues the block's
+        # stream, so the sums equal those of one draw per stage
+        monkeypatch.setattr(kl, "_DRAW_NORMALS", chunk)
         w_head = np.arange(1, 257, dtype=float) ** -2.0
         key = np.array([11, 3 << 56], dtype=np.uint64)
         one_shot, _ = _staged_replay(key, count, w_head, 0.25)
-        sums = kl._head_sums(Generator(Philox(key=key)), count, w_head, 0.25)
+        sums = kl._staged_sums(Generator(Philox(key=key)), count, w_head, 0.25)
         np.testing.assert_array_equal(sums, one_shot)
 
-    @pytest.mark.parametrize("head", [256, 20, 1])
-    def test_pruned_rows_exceed_the_largest_radius(self, head):
+    @pytest.mark.parametrize("width", [2000, 257, 256, 20, 1])
+    def test_pruned_rows_exceed_the_largest_radius(self, width):
         # a dropped row must already lie beyond the cutoff, so pruning
         # never loses a hit
         count, cutoff = 20_000, 0.25
-        w_head = np.arange(1, head + 1, dtype=float) ** -2.0
+        w = np.arange(1, width + 1, dtype=float) ** -2.0
         key = np.array([5, 3 << 56], dtype=np.uint64)
-        replay, dropped = _staged_replay(key, count, w_head, cutoff)
-        sums = kl._head_sums(Generator(Philox(key=key)), count, w_head, cutoff)
+        replay, dropped = _staged_replay(key, count, w, cutoff)
+        sums = kl._staged_sums(Generator(Philox(key=key)), count, w, cutoff)
         np.testing.assert_array_equal(sums, replay)
         pruned = ~np.isnan(dropped)
-        assert pruned.any() == (head > 1)
+        assert pruned.any() == (width > 1)
         assert np.all(dropped[pruned] > cutoff)
 
     def test_tail_sums_do_not_depend_on_blas_threads(self):
-        # the 11 744-term tail sums of a default run, each taken once with
-        # one BLAS thread and once with two, must agree bit for bit
+        # the staged sums of a default run, whose last stage is the
+        # 11 744-wide tail, each taken once with one BLAS thread and once
+        # with two, must agree bit for bit
         code = (
             "import hashlib, numpy as np\n"
-            "from omlat.kl import _tail_sums\n"
-            "w = np.arange(257, 12001, dtype=float) ** -2.0\n"
-            "print(hashlib.sha256(_tail_sums(5, np.arange(300), w).tobytes()).hexdigest())\n"
+            "from numpy.random import Generator, Philox\n"
+            "from omlat.kl import _staged_sums\n"
+            "w = np.arange(1, 12001, dtype=float) ** -2.0\n"
+            "g = Generator(Philox(key=np.array([5, 3 << 56], dtype=np.uint64)))\n"
+            "print(hashlib.sha256(_staged_sums(g, 65536, w, 0.25).tobytes()).hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.realpath(kl.__file__)))
         digests = set()

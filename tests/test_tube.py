@@ -278,7 +278,11 @@ class TestPlainDenominator:
 
 def test_log_ratio_flattens_toward_prediction():
     # the radius-dependent normalization cancels in the ratio, so the
-    # log-ratio approaches the action prediction as the tube shrinks
+    # log-ratio approaches the action prediction as the tube shrinks.  At
+    # eps 0.3 and 0.2 the gap is as small as its Monte Carlo error, so the
+    # two are not ordered against each other: both lie below the gap at
+    # 0.4, and the smallest tube's gap is small in absolute terms (the
+    # plain denominator leaves about 0.2 there)
     cfg = scalar_cfg()
     N = 512
     ts = np.linspace(0.0, 1.0, N + 1)
@@ -287,4 +291,5 @@ def test_log_ratio_flattens_toward_prediction():
     table = tube_ratio(exp)
     target = -0.5 * table.action_total
     gaps = [abs(np.log(table.ratio[j]) - target) for j in range(3)]
-    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[0] > gaps[1] and gaps[0] > gaps[2]
+    assert gaps[2] < 0.1
