@@ -53,7 +53,7 @@ from .kl import (
 from .mpp import BVPSpec, MPPResult, el_residual_example5, solve_mpp
 from .paths import Path
 from .sde import BoundReport, apriori_bound_check, cocycle_check, integrate, truncation_tail
-from .tube import TubeExperiment, TubeTable, l2rho_path_norm, tube_ratio
+from .tube import TubeExperiment, TubeTable, tube_ratio
 
 # Submodules bind themselves here on import; they are not part of the API.
 __all__ = sorted(

@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 import time
 from pathlib import Path as FsPath
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .action import om_action
@@ -41,7 +43,7 @@ from .noise import sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
-from .utils import format_float as _f
+from .utils import format_float as _f, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,7 +108,8 @@ def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
 
 
 def _prepare_out(args, **derived) -> FsPath:
-    """Open the run: create ``--out`` and write its manifest.  ``main``
+    """Open the run: create ``--out`` and write its manifest, with the
+    worker thread count and the Python, numpy and scipy versions.  ``main``
     closes the run from ``args.run``; ``derived`` holds values the
     handler computed from the flags (the ``--dt`` grid)."""
     out = FsPath(args.out)
@@ -122,6 +125,8 @@ def _prepare_out(args, **derived) -> FsPath:
         "seed": args.seed,
         "out": str(out),
         "version": __version__,
+        "threads": worker_count(),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
         "args": {**{k: v for k, v in vars(args).items() if k not in ("func", "run")}, **derived},
     }
     write_manifest(out, payload)

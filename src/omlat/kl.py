@@ -29,6 +29,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
 from .noise import _TAG_SMALLBALL_BLOCK, _philox_key
+from .utils import map_blocks
 
 __all__ = [
     "KLSpectrum",
@@ -313,14 +314,16 @@ def smallball_mc(
     The truncation must satisfy ``i_max >= 1`` and ``sum_{i > i_max}
     i^(-2 alpha) < 1e-3 min(eps)^2``; otherwise a configuration error
     names ``i_max`` (for the mass condition, its required value).  Each
-    block of ``block_size`` samples draws from its one keyed generator, so
-    the estimate is a pure function of (alpha, i_max, eps, samples, seed,
-    block_size).  A block draws its coordinates in stages
-    (:data:`_STAGES`, the last running up to ``i_max``), and a stage after
-    the first only for the samples whose partial sum is still at most
-    ``max(eps)^2``.  Partial sums only grow, so a pruned sample can never
-    be a hit, and hit counts stay exactly monotone in eps within a run.
-    Which samples survive depends on ``max(eps)``, so the draws after the
+    block of ``block_size`` samples draws from its one keyed generator,
+    the blocks run on the worker pool of :func:`~omlat.utils.map_blocks`,
+    and their integer hit counts are summed in block order, so the
+    estimate is a pure function of (alpha, i_max, eps, samples, seed,
+    block_size), whatever the thread count.  A block draws its
+    coordinates in stages (:data:`_STAGES`, the last running up to
+    ``i_max``), and a stage after the first only for the samples whose
+    partial sum is still at most ``max(eps)^2``.  Partial sums only grow,
+    so a pruned sample can never be a hit, and hit counts stay exactly
+    monotone in eps within a run.  Which samples survive depends on ``max(eps)``, so the draws after the
     first stage, and with them the estimates, do too.  Draws use
     single-precision normals accumulated in double.
     """
@@ -342,13 +345,13 @@ def smallball_mc(
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)
     thresholds = np.sort(eps) ** 2
     cutoff = float(np.max(thresholds))
-    hits_sorted = np.zeros(thresholds.size, dtype=np.int64)
 
-    for block_index, block_start in enumerate(range(0, samples, block_size)):
-        count = min(block_size, samples - block_start)
+    def block_hits(block_index, count):
         g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
         sums = _staged_sums(g, count, w, cutoff)
-        hits_sorted += np.searchsorted(np.sort(sums), thresholds, side="right")
+        return np.searchsorted(np.sort(sums), thresholds, side="right")
+
+    hits_sorted = sum(map_blocks(block_hits, samples, block_size))
 
     order = np.argsort(eps)
     hits = np.empty_like(hits_sorted)

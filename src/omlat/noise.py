@@ -5,13 +5,18 @@ Increments are produced by a counter-based generator: the draw for
 or trajectories are generated around it.  Within a step the sites are
 filled center-out (0, +1, -1, +2, -2, ...), so enlarging the truncation
 from n to 2n reproduces the same numbers on the common sites.
+
+Every random stream in the package is keyed here.  The noise rows and the
+small-ball blocks draw from Philox keyed by :func:`_philox_key`; a tube
+block draws from the faster SFC64, seeded from the same key words by
+:func:`_block_bits`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox, SeedSequence
 
 from .errors import ConfigurationError
 from .paths import Path
@@ -24,13 +29,13 @@ __all__ = [
     "shift_noise",
 ]
 
-# Every Philox key in the package is built here.  Key word 0 is the seed;
-# key word 1 packs (tag << 56) | (a << 32) | b.  The tag keeps the key
-# spaces of different consumers disjoint.  Tags 2 (whole-trajectory draws)
-# and 4 (per-sample small-ball tails) are retired: they must not be reused.
-_TAG_NOISE_ROW = 1  # a = trajectory, b = step
-_TAG_SMALLBALL_BLOCK = 3  # b = sample block; every coordinate, stage after stage
-_TAG_TUBE_BLOCK = 5  # b = trajectory block
+# Every key in the package is built here.  Key word 0 is the seed; key
+# word 1 packs (tag << 56) | (a << 32) | b.  The tag keeps the key spaces
+# of different consumers disjoint.  Tags 2 (whole-trajectory draws) and 4
+# (per-sample small-ball tails) are retired: they must not be reused.
+_TAG_NOISE_ROW = 1  # Philox; a = trajectory, b = step
+_TAG_SMALLBALL_BLOCK = 3  # Philox; b = sample block; every coordinate, stage after stage
+_TAG_TUBE_BLOCK = 5  # SFC64 via _block_bits; b = trajectory block
 
 
 def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
@@ -38,6 +43,18 @@ def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
         raise ConfigurationError(f"counter components out of range: {(a, b)}")
     word = (int(tag) << 56) | (int(a) << 32) | int(b)
     return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+
+
+def _block_bits(seed: int, tag: int, index: int) -> SFC64:
+    """SFC64 bit generator of one keyed block, seeded with the four 32-bit
+    words of ``_philox_key(seed, tag, 0, index)``.
+
+    The words have a fixed width, so distinct (seed, tag, index) give
+    distinct entropy; a list of Python ints would not, because
+    ``SeedSequence`` splits each int into as many words as it needs.
+    """
+    key = _philox_key(seed, tag, 0, index)
+    return SFC64(SeedSequence(key.astype("<u8").view("<u4")))
 
 
 def _center_out_order(d: int) -> np.ndarray:

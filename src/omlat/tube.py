@@ -15,21 +15,20 @@ the hit counts exactly monotone in eps.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .action import om_action
 from .errors import ConfigurationError, StatisticalPowerError
 from .lattice import LatticeConfig, dense_A
-from .noise import _TAG_TUBE_BLOCK, _philox_key
+from .noise import _TAG_TUBE_BLOCK, _block_bits
 from .paths import Path
 from .sde import euler_maruyama
-from .utils import worker_count
+from .utils import map_blocks
 
-__all__ = ["TubeExperiment", "TubeTable", "l2rho_path_norm", "tube_ratio"]
+__all__ = ["TubeExperiment", "TubeTable", "tube_ratio"]
 
 #: Trajectories per generator key; fixed so results do not depend on the
 #: thread count.
@@ -40,16 +39,6 @@ TUBE_BLOCK_SIZE = 16384
 #: size; the size bounds a block's increments at
 #: ``_TUBE_CHUNK_STEPS * count * d`` doubles whatever the number of steps.
 _TUBE_CHUNK_STEPS = 32
-
-
-def l2rho_path_norm(path_a: Path, path_b: Path, rho) -> float:
-    """Trapezoid-rule distance ``(int_0^T |a(t) - b(t)|_rho^2 dt)^(1/2)``
-    between two paths on one grid."""
-    if not path_a.same_grid(path_b):
-        raise ConfigurationError("paths are on different grids")
-    rho = np.asarray(rho, dtype=float)
-    sq = np.sum((rho * (path_a.states - path_b.states)) ** 2, axis=1)
-    return float(np.sqrt(np.trapezoid(sq, dx=path_a.dt)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
     rho_sq = (cfg.rho**2)[None, :]
-    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
+    g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
 
     base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
     alpha, V = np.linalg.eigh(base)
@@ -194,17 +183,12 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     predicted = float(np.exp(-0.5 * report.total))
 
     eps_sq = np.array(sorted(exp.eps)) ** 2
-    blocks = [
-        (i, min(TUBE_BLOCK_SIZE, exp.samples - start))
-        for i, start in enumerate(range(0, exp.samples, TUBE_BLOCK_SIZE))
-    ]
-    num_sorted = np.zeros(eps_sq.size, dtype=np.int64)
-    den_sorted = np.zeros(eps_sq.size, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(lambda b: _block_distances(exp, b[0], b[1]), blocks))
-    for num_sq, den_sq in results:  # fixed block order
-        num_sorted += np.searchsorted(np.sort(num_sq), eps_sq, side="right")
-        den_sorted += np.searchsorted(np.sort(den_sq), eps_sq, side="right")
+
+    def block_hits(block_index, count):
+        num_sq, den_sq = _block_distances(exp, block_index, count)
+        return np.stack([np.searchsorted(np.sort(sq), eps_sq, side="right") for sq in (num_sq, den_sq)])
+
+    num_sorted, den_sorted = sum(map_blocks(block_hits, exp.samples, TUBE_BLOCK_SIZE))
 
     order = np.argsort(np.asarray(exp.eps))
     num_hits = np.empty_like(num_sorted)

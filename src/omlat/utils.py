@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["worker_count", "format_float", "FLOAT_FORMAT"]
+__all__ = ["worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
 
 #: Format of every float in omlat's CSV files: 17 significant digits
 #: round-trip any double, so reruns are byte-identical.
@@ -11,8 +12,9 @@ FLOAT_FORMAT = "%.17g"
 
 
 def worker_count() -> int:
-    """Worker cap for the tube's block pool: the OMLAT_THREADS environment
-    variable when set, else the CPU count."""
+    """Worker cap for the block pool of :func:`map_blocks`, which runs the
+    tube and small-ball blocks: the OMLAT_THREADS environment variable
+    when set, else the CPU count."""
     raw = os.environ.get("OMLAT_THREADS", "")
     if raw.strip():
         try:
@@ -20,6 +22,15 @@ def worker_count() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def map_blocks(fn, samples: int, block_size: int) -> list:
+    """``fn(block_index, count)`` for each block of ``samples`` cut into
+    ``block_size`` pieces (the last may be shorter), run on a pool of
+    :func:`worker_count` threads; the results come back in block order."""
+    blocks = [(i, min(block_size, samples - start)) for i, start in enumerate(range(0, samples, block_size))]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        return list(pool.map(lambda block: fn(*block), blocks))
 
 
 def format_float(x: float) -> str:

@@ -5,13 +5,25 @@ at a time.  The tube's convolution denominator is checked against it.
 :func:`ou_states` is its update loop, which also steps a stack of
 trajectories together.  :func:`strong_errors` measures the strong error
 of the Euler-Maruyama stepper against a finer resolution of the same
-Brownian paths.
+Brownian paths.  :func:`l2rho_path_norm` is the weighted L2 distance of
+two paths by the trapezoid rule, against which the tube's block
+distances are checked.
 """
 import numpy as np
 from numpy.random import Generator, Philox
 
 from omlat import ConfigurationError, LatticeConfig, NoiseCoefficient, NoisePath, Path
 from omlat.sde import euler_maruyama
+
+
+def l2rho_path_norm(path_a: Path, path_b: Path, rho) -> float:
+    """Trapezoid-rule distance ``(int_0^T |a(t) - b(t)|_rho^2 dt)^(1/2)``
+    between two paths on one grid."""
+    if not path_a.same_grid(path_b):
+        raise ConfigurationError("paths are on different grids")
+    rho = np.asarray(rho, dtype=float)
+    sq = np.sum((rho * (path_a.states - path_b.states)) ** 2, axis=1)
+    return float(np.sqrt(np.trapezoid(sq, dx=path_a.dt)))
 
 
 def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha, t_offset: float = 0.0) -> Path:

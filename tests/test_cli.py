@@ -2,17 +2,19 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omlat
-from omlat import ConfigurationError, parse_config, parse_q_spec
+from omlat import ConfigurationError, parse_config, parse_q_spec, smallball_mc
 from omlat.cli import main, parse_state_spec
 from omlat.config import example5_boundary, example5_config
 from omlat.io import read_path_csv, write_path_csv
@@ -164,6 +166,24 @@ class TestCliRuns:
         assert manifest["config_hash"]
         assert manifest["args"]["ensemble"] == 1 and manifest["args"]["steps"] == 120
         assert manifest["args"]["u0"] == "gauss:0.6,8" and "func" not in manifest["args"]
+
+    def test_manifest_records_threads_and_versions_when_the_run_opens(self, tmp_path, monkeypatch):
+        out = tmp_path / "sb"
+        opened = []
+
+        def reading_manifest(*args, **kwargs):
+            opened.append(json.loads((out / "manifest.json").read_text()))
+            return smallball_mc(*args, **kwargs)
+
+        monkeypatch.setenv("OMLAT_THREADS", "3")
+        monkeypatch.setattr("omlat.cli.smallball_mc", reading_manifest)
+        code = main(["verify", "smallball", "--alpha", "1", "--imax", "3000", "--eps", "0.6",
+                     "--samples", "2000", "--out", str(out)])
+        versions = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+        for manifest in (opened[0], _closed_manifest(out, 0)):
+            assert manifest["threads"] == 3
+            assert manifest["versions"] == versions
+        assert code == 0
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize(

@@ -6,10 +6,11 @@ The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
-threads and with two step chunk sizes, and the small-ball run with two
-caps on the normals of one draw.  The tube digests pin the time-major
-block stream, the small-ball digest the staged stream of each block's
-one generator, tail included.  A change to a random
+threads and with two step chunk sizes, and the small-ball run with one
+and with two worker threads and with two caps on the normals of one
+draw.  The tube digests pin the time-major SFC64 stream of each block,
+the small-ball digest the staged Philox stream of each block's one
+generator, tail included.  A change to a random
 stream changes the digests of the runs that draw from it: such a change
 re-pins them and says so.
 """
@@ -49,17 +50,22 @@ DIGESTS = {
     },
     "truncation": {"truncation.csv": "6748ca34089773c6fc2160d5f5bdd097a099c13d8bc78ede54a5a37e62c39422"},
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
-    "tube": {"tube.csv": "02492016743c4c5f8ad47074ad064568c248cc2a1258a2e95747d7b816a18541"},
-    "tube3": {"tube.csv": "54cbec69b1cc4898cf89170b9e6a5db9deee7661a939cc9bc93db6a1a9507efd"},
+    "tube": {"tube.csv": "7609af2f1b393332b07ac5b243b9aa97f0eea85767c16d059c78df251fd20a4c"},
+    "tube3": {"tube.csv": "699f10bf219eba45d3b4207f4c79a3d0d615bfa35b4773138b140a3bf145207c"},
     "smallball": {"smallball.csv": "777654ad688ca9f665598f4dfd06f5861e72b8e5b06a7fc6db547f219a3e79c3"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
 # per group; tubes on one and two threads, and with their increments
-# drawn and stepped 1 and 7 steps at a time; the small-ball stages drawn
-# in chunks of at most the default 65 536 and 777 normals.
+# drawn and stepped 1 and 7 steps at a time; the small-ball blocks on one
+# and two threads, and its stages drawn in chunks of at most the default
+# 65 536 and 777 normals.
 TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
-VARIANTS = {"tube": TUBE_VARIANTS, "tube3": TUBE_VARIANTS, "smallball": ("chunk65536", "chunk777")}
+VARIANTS = {
+    "tube": TUBE_VARIANTS,
+    "tube3": TUBE_VARIANTS,
+    "smallball": ("threads1", "threads2", "chunk65536", "chunk777"),
+}
 CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
 
 

@@ -10,7 +10,7 @@ from omlat import (
     shift_noise,
     wq_path,
 )
-from omlat.noise import _philox_key
+from omlat.noise import _block_bits, _philox_key
 from oracles import ou_convolution, ou_states
 
 
@@ -93,6 +93,34 @@ class TestRekeyedGenerator:
     def test_key_words_match_numpy_scalar_construction(self, seed):
         for tag, a, b in [(1, 0, 0), (1, 2**24 - 1, 2**32 - 1), (3, 0, 77), (4, 0, 2**31), (5, 0, 12)]:
             np.testing.assert_array_equal(_philox_key(seed, tag, a, b), numpy_scalar_key(seed, tag, a, b))
+
+
+def first_draws(seed, tag, index, size=4):
+    return Generator(_block_bits(seed, tag, index)).standard_normal(size)
+
+
+class TestBlockBits:
+    def test_distinct_triples_give_distinct_first_draws(self):
+        triples = [
+            (seed, tag, index)
+            for seed in (0, 1, 2**32, 2**63 + 5)
+            for tag in (3, 5)
+            for index in (0, 1, 2**16, 2**32 - 1)
+        ]
+        draws = {tuple(first_draws(*t)) for t in triples}
+        assert len(draws) == len(triples)
+
+    def test_seed_minus_one_is_seed_two_to_the_64_minus_one(self):
+        # _philox_key reduces a seed to 64 bits, so both seeds give one stream
+        np.testing.assert_array_equal(first_draws(-1, 5, 7, 64), first_draws(2**64 - 1, 5, 7, 64))
+
+    def test_seed_above_two_to_the_32_does_not_collide_with_a_smaller_seed(self):
+        # the high 32-bit word of the seed is entropy of its own: seed
+        # 2^32 + s is not seed s, nor s with another block index
+        for s in (0, 1, 12345):
+            big = first_draws(2**32 + s, 5, 0)
+            for index in (0, 1):
+                assert not np.array_equal(big, first_draws(s, 5, index))
 
 
 class TestCoefficient:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from omlat import (
     ConfigurationError,
@@ -16,9 +16,9 @@ from omlat import (
     drift,
     integrate,
 )
-from omlat.noise import _TAG_TUBE_BLOCK, _philox_key
-from omlat.tube import TubeExperiment, _block_distances, l2rho_path_norm, tube_ratio
-from oracles import ou_convolution
+from omlat.noise import _TAG_TUBE_BLOCK, _block_bits
+from omlat.tube import TubeExperiment, _block_distances, tube_ratio
+from oracles import l2rho_path_norm, ou_convolution
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
@@ -103,7 +103,7 @@ class TestBlockArithmetic:
 def block_increments(exp, block_index, count):
     """The increments of one keyed tube block, sample-major (count, N, d):
     one time-major (N, count, d) draw of the block's generator, transposed."""
-    g = Generator(Philox(key=_philox_key(exp.seed, _TAG_TUBE_BLOCK, 0, block_index)))
+    g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
     dW = np.sqrt(exp.phi.dt) * g.standard_normal((exp.phi.steps, count, exp.cfg.d))
     return dW.transpose(1, 0, 2)
 
