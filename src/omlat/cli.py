@@ -170,12 +170,19 @@ def cmd_mpp(args) -> int:
     result = solve_mpp(spec)
     write_path_csv(result.path, out / "mpp_path.csv")
     write_om_json(result.action, out / "om_report.json")
+    # row k > 0 also records the step that reached it; row 0 took no step
+    steps_taken = zip(
+        np.concatenate([[0.0], result.damping_history]),
+        np.concatenate([[0.0], result.step_history]),
+        np.concatenate([[0], result.backtrack_history]),
+        np.concatenate([[0], result.fallback_history.astype(int)]),
+    )
     write_csv(
         out / "convergence.csv",
-        "iteration,action,gradient_norm",
+        "iteration,action,gradient_norm,damping,step_length,backtracks,fallback",
         [
-            (k, a, g)
-            for k, (a, g) in enumerate(zip(result.action_history, result.gradient_history))
+            (k, a, g, *step)
+            for k, (a, g, step) in enumerate(zip(result.action_history, result.gradient_history, steps_taken))
         ],
     )
     for i in sites:

@@ -9,7 +9,7 @@ noted):
     lambda   decay coefficient (> 0)
     f_coeffs comma-separated odd-polynomial coefficients (x, x^3, ...)
     p        growth exponent of the nonlinearity bound
-    C_f      growth constant of the nonlinearity bound
+    C_f      growth constant of the nonlinearity bound, checked on a grid
     g        comma-separated forcing vector of length 2n+1, or "zero"
     q_spec   noise coefficient: constant:<v> | example5:<c0>,<a> | table:<path>
     rho      comma-separated positive weights of length 2n+1, or "uniform"
@@ -130,6 +130,11 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
         p=integer("p"),
         growth_constant=number("C_f"),
     )
+    if not f.condition_f2():
+        raise ConfigurationError(
+            f"field 'C_f': f breaks the growth bound |f(x)| <= C_f |x| (1 + x^(2p)) "
+            f"for C_f = {f.growth_constant:g}, p = {f.p}"
+        )
     g = None if fields["g"] == "zero" else np.array(_parse_float_list(fields["g"], "g"))
     rho = None if fields["rho"] == "uniform" else np.array(_parse_float_list(fields["rho"], "rho"))
     if g is not None and g.size != d:

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNoiseError
-from .noise import NoiseCoefficient
+
+if TYPE_CHECKING:  # noise numbers its sites with _center_out_order from here
+    from .noise import NoiseCoefficient
 
 __all__ = [
     "PolynomialNonlinearity",
@@ -45,6 +48,22 @@ def _check_lengths(*arrays):
     lengths = {len(a) for a in arrays}
     if len(lengths) != 1:
         raise ConfigurationError(f"length mismatch: {sorted(lengths)}")
+
+
+def _center_out_order(d: int) -> np.ndarray:
+    """Array positions of sites 0, +1, -1, +2, -2, ... for dimension d.
+
+    Noise rows are filled in this order, so truncations nest.  The solver
+    numbers a time block's sites in it, which puts every ring neighbour
+    within two sites, the wrap included, at most 4 positions away.
+    """
+    n = (d - 1) // 2
+    order = np.empty(d, dtype=np.intp)
+    order[0] = n
+    for i in range(1, n + 1):
+        order[2 * i - 1] = n + i
+        order[2 * i] = n - i
+    return order
 
 
 def weighted_norm(u, rho) -> float:

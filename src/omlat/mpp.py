@@ -4,11 +4,15 @@ The solver minimizes the discretized action directly over the interior
 states: Gauss-Newton on the quadratic (drift) part with the exact trace
 gradient added, safeguarded by a backtracking line search on the total
 action and a plain gradient-descent fallback.  The Gauss-Newton matrix is
-block-tridiagonal in time with periodic-banded site blocks, so each step
-is one banded Cholesky solve, damped Levenberg-style when the
-factorization fails.  Shooting on the second-order stationarity system
-was rejected: that system is stiff and boundary-sensitive, while the
-discrete action is bounded below.
+block-tridiagonal in time with periodic-banded site blocks.  Each time
+block's sites are numbered centre-out (0, +1, -1, +2, -2, ...), which
+brings every ring neighbour, the wrap included, within 4 positions, so
+the matrix is banded with half-bandwidth min(2d - 1, d + 4) rather than
+the 2d - 1 of natural site order.  Each step is one banded Cholesky solve
+in that order, damped Levenberg-style when the factorization fails.
+Shooting on the second-order stationarity system was rejected: that
+system is stiff and boundary-sensitive, while the discrete action is
+bounded below.
 
 A hard-coded evaluator for the stationarity system of the worked
 disease-spread configuration (nu=0.1, lam=0.4, cubic 0.1 u^3, noise
@@ -24,7 +28,7 @@ from scipy.linalg import solveh_banded
 
 from .action import OMReport, om_action, om_gradient, residuals
 from .errors import ConfigurationError, IntegrationError
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
 
 __all__ = [
@@ -70,7 +74,14 @@ class BVPSpec:
 
 @dataclass(frozen=True)
 class MPPResult:
-    """Solver output: the path, its action report, and the iteration record."""
+    """Solver output: the path, its action report, and the iteration record.
+
+    ``action_history[k]`` is the action after k accepted steps.  The step
+    records hold one entry per accepted step: the damping on the diagonal
+    of the last factorization tried, the accepted step length t, the
+    Armijo halvings taken to reach it, and whether the step fell back to
+    gradient descent.
+    """
 
     path: Path
     action: OMReport
@@ -79,6 +90,10 @@ class MPPResult:
     converged: bool
     action_history: np.ndarray = field(repr=False, default=None)
     gradient_history: np.ndarray = field(repr=False, default=None)
+    damping_history: np.ndarray = field(repr=False, default=None)
+    step_history: np.ndarray = field(repr=False, default=None)
+    backtrack_history: np.ndarray = field(repr=False, default=None)
+    fallback_history: np.ndarray = field(repr=False, default=None)
 
 
 def _shift_diagonals(c, u, c2, h):
@@ -100,15 +115,20 @@ def _shift_diagonals(c, u, c2, h):
 
 def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool = False) -> np.ndarray:
     """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
-    states (time-major), plus the exact curvature terms when ``newton``.
+    states (time-major, each time block's sites centre-out), plus the exact
+    curvature terms when ``newton``.
 
     J is the Jacobian of the scaled residuals ``row_weight * r_k``.  Interval
     k contributes the blocks ``diag(w_k) M_k^+`` in phi_{k+1} and
     ``diag(w_k) M_k^-`` in phi_k, with
     ``M_k^+- = (nu A + lam I + diag f'(m_k)) / 2 +- I / dt``, so each block of
     H is a product of periodic tridiagonals with five cyclic diagonals.
-    Storage is LAPACK lower banded, ``band[o, j] = H[j + o, j]``, with
-    half-bandwidth 2d - 1 (the off-diagonal time block reaches it).
+    Unknown ``j d + p`` is the site at array position ``order[p]`` of
+    interior state j, with ``order = _center_out_order(d)``.  Storage is
+    LAPACK lower banded, ``band[o, m] = H[m + o, m]``, with min(2d, d + 5)
+    rows: ring sites up to two apart sit at most 4 positions apart, and
+    the off-diagonal time block adds d, so the half-bandwidth is
+    min(2d - 1, d + 4).
     """
     d = cfg.d
     N = path.steps
@@ -131,15 +151,17 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
         plus[0] += curv[:-1]
         minus[0] += curv[1:]
         cross[0] += curv[1:-1]
-    # band3[j, b, o] = H[j d + b + o, j d + b]
-    band3 = np.zeros((N - 1, d, 2 * d))
-    a = np.arange(d)
+    # band3[j, q, o] = H[j d + q + o, j d + q], q and q + o folded positions;
+    # the entry of sites (a, b) lands at folded positions (fa, fb)
+    rows = min(2 * d, d + 5)
+    band3 = np.zeros((N - 1, d, rows))
+    fa = np.argsort(_center_out_order(d))
     for s in plus:
-        b = (a + s) % d
-        low = a >= b
-        band3[:, b[low], (a - b)[low]] += (plus[s] + minus[s])[:, low]
-        band3[:-1, b, d + a - b] += cross[s]
-    return band3.reshape(-1, 2 * d).T
+        fb = np.roll(fa, -s)  # folded position of site a + s
+        low = fa >= fb
+        band3[:, fb[low], (fa - fb)[low]] += (plus[s] + minus[s])[:, low]
+        band3[:-1, fb, d + fa - fb] += cross[s]
+    return band3.reshape(-1, rows).T
 
 
 def _as_path(states: np.ndarray, dt: float) -> Path:
@@ -158,14 +180,15 @@ def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
 def _backtrack(path: Path, cfg: LatticeConfig, direction, t, slope: float, action_val: float, halvings: int):
     """Armijo backtracking from ``path`` along ``direction``: the first of
     the steps ``t, t/2, ...`` (at most ``halvings`` of them) whose action
-    decreases by at least ``1e-4 t slope``, as (path, report), or None."""
-    for _ in range(halvings):
+    decreases by at least ``1e-4 t slope``, as (path, report, t, halvings
+    taken), or None."""
+    for taken in range(halvings):
         trial = path.states.copy()
         trial[1:-1] += t * direction
         trial_path = _as_path(trial, path.dt)
         trial_report = _trial_action(trial_path, cfg)
         if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
-            return trial_path, trial_report
+            return trial_path, trial_report, t, taken
         t *= 0.5
     return None
 
@@ -198,9 +221,13 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
 
     actions = [action_val]
     grad_norms = []
+    dampings, lengths, halvings, fallbacks = [], [], [], []
     converged = False
     iterations = 0
     damping = 0.0
+    # the band numbers each time block's sites centre-out
+    order = _center_out_order(d)
+    fold = np.argsort(order)
 
     for iterations in range(1, spec.max_iterations + 1):
         grad = om_gradient(path, cfg)
@@ -210,7 +237,7 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
             converged = True
             break
 
-        g_flat = grad.ravel()
+        g_fold = grad[:, order].ravel()
 
         step = None
         for _ in range(8):
@@ -218,35 +245,42 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
             # one; dropping it after the solve keeps a single band alive
             band = _hessian_band(path, cfg, row_weight, spec.newton)
             band[0] += damping
+            tried = damping
             try:
                 # at most one band row per unknown: scipy's tridiagonal
                 # path fails on a two-row band of one unknown (d = 1, N = 2)
                 cand = solveh_banded(
-                    band[: g_flat.size], -g_flat, overwrite_ab=True, lower=True, check_finite=False
+                    band[: g_fold.size], -g_fold, overwrite_ab=True, lower=True, check_finite=False
                 )
             except np.linalg.LinAlgError:  # not positive definite: damp harder
                 cand = None
             del band
-            if cand is not None and np.all(np.isfinite(cand)) and float(g_flat @ cand) < 0.0:
+            if cand is not None and np.all(np.isfinite(cand)) and float(g_fold @ cand) < 0.0:
                 step = cand
                 break
             damping = max(4.0 * damping, 1e-8 * (1.0 + abs(action_val)))
-        if step is None:
-            step = -g_flat  # steepest descent as a last resort
+        fallback = step is None
+        if fallback:
+            step = -g_fold  # steepest descent as a last resort
 
-        slope = float(g_flat @ step)
-        accepted = _backtrack(path, cfg, step.reshape(N - 1, d), 1.0, slope, action_val, 30)
+        slope = float(g_fold @ step)
+        accepted = _backtrack(path, cfg, step.reshape(N - 1, d)[:, fold], 1.0, slope, action_val, 30)
         if accepted is None and slope < 0.0:
             # Gauss-Newton direction failed: plain gradient descent
+            fallback = True
             slope = -float(np.sum(grad * grad))
             t = 1.0 / (1.0 + np.max(np.abs(grad)))
             accepted = _backtrack(path, cfg, -grad, t, slope, action_val, 40)
         if accepted is None:
             break  # no descent possible at working precision
 
-        path, report = accepted
+        path, report, t, taken = accepted
         action_val = report.total
         actions.append(action_val)
+        dampings.append(tried)
+        lengths.append(t)
+        halvings.append(taken)
+        fallbacks.append(fallback)
         damping *= 0.25
         if damping < 1e-14 * (1.0 + abs(action_val)):
             damping = 0.0
@@ -270,6 +304,10 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         converged=converged,
         action_history=np.array(actions),
         gradient_history=np.array(grad_norms),
+        damping_history=np.array(dampings, dtype=float),
+        step_history=np.array(lengths, dtype=float),
+        backtrack_history=np.array(halvings, dtype=int),
+        fallback_history=np.array(fallbacks, dtype=bool),
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence
 
 from .errors import ConfigurationError
+from .lattice import _center_out_order
 from .paths import Path
 
 __all__ = [
@@ -55,17 +56,6 @@ def _block_bits(seed: int, tag: int, index: int) -> SFC64:
     """
     key = _philox_key(seed, tag, 0, index)
     return SFC64(SeedSequence(key.astype("<u8").view("<u4")))
-
-
-def _center_out_order(d: int) -> np.ndarray:
-    """Array positions of sites 0, +1, -1, +2, -2, ... for dimension d."""
-    n = (d - 1) // 2
-    order = np.empty(d, dtype=np.intp)
-    order[0] = n
-    for i in range(1, n + 1):
-        order[2 * i - 1] = n + i
-        order[2 * i] = n - i
-    return order
 
 
 @dataclass(frozen=True)

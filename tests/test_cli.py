@@ -253,6 +253,35 @@ class TestCliRuns:
         assert report["drift_term"] == 0.0
         conv = (out / "convergence.csv").read_text().splitlines()
         assert len(conv) == 2  # header + single stationary iteration
+        assert conv[0] == "iteration,action,gradient_norm,damping,step_length,backtracks,fallback"
+        assert conv[1].endswith(",0,0,0,0")  # no step taken
+
+    def test_mpp_convergence_log_records_fallback_steps(self, scalar_file, tmp_path, monkeypatch):
+        import omlat.mpp as mpp_mod
+
+        def broken_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("factorization disabled")
+
+        monkeypatch.setattr(mpp_mod, "solveh_banded", broken_solve)
+        out = tmp_path / "mpp_fallback"
+        main(["mpp", "--config", scalar_file, "--out", str(out), "--dt", "0.125", "--max-iter", "3"])
+        header, *rows = (out / "convergence.csv").read_text().splitlines()
+        assert header.split(",")[3:] == ["damping", "step_length", "backtracks", "fallback"]
+        cells = [row.split(",") for row in rows]
+        assert len(cells) == 4 and cells[0][3:] == ["0", "0", "0", "0"]
+        for row in cells[1:]:
+            # every factorization failed, so the damping grew and each step is gradient descent
+            assert row[6] == "1" and float(row[3]) > 0.0
+            assert 0.0 < float(row[4]) <= 1.0 and int(row[5]) >= 0
+
+    def test_growth_bound_violation_names_c_f(self, tmp_path, capsys):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(EXAMPLE5.replace("C_f = 0.1", "C_f = 0.01"))
+        out = tmp_path / "steep"
+        code = main(["mpp", "--config", str(cfg), "--out", str(out), "--dt", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "C_f" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "row, fault",

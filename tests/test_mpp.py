@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from omlat import (
     ConfigurationError,
@@ -251,6 +253,14 @@ def dense_from_lower_band(band):
     return H
 
 
+def folded_unknowns(n, blocks):
+    """Natural (time-major) index of each unknown of the solver's band:
+    every time block lists its sites 0, +1, -1, +2, -2, ..."""
+    sites = [0] + [s for i in range(1, n + 1) for s in (i, -i)]
+    d = 2 * n + 1
+    return (d * np.arange(blocks)[:, None] + np.array(sites)[None, :] + n).ravel()
+
+
 def central_jacobian(fun, x, h=1e-5):
     """Central-difference Jacobian of ``fun`` (array -> array) at ``x``."""
     cols = []
@@ -285,7 +295,7 @@ class TestHessianBand:
 
         return cfg, path, row_weight, with_interior
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_gauss_newton_band_is_2_jt_j(self, n):
         cfg, path, row_weight, with_interior = self.setup_problem(n)
 
@@ -296,27 +306,70 @@ class TestHessianBand:
         # the scaling is the one whose squares sum to the drift part
         assert np.sum(scaled(x0) ** 2) == pytest.approx(om_action(path, cfg).drift_term, rel=1e-13)
         J = central_jacobian(scaled, x0)
-        oracle = 2.0 * J.T @ J
+        fold = folded_unknowns(n, self.STEPS - 1)
+        oracle = (2.0 * J.T @ J)[np.ix_(fold, fold)]
         H = dense_from_lower_band(_hessian_band(path, cfg, row_weight))
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_newton_band_is_exact_hessian(self, n):
         cfg, path, row_weight, with_interior = self.setup_problem(n)
 
         def gradient(x):
             return om_gradient(with_interior(x), cfg).ravel()
 
-        oracle = central_jacobian(gradient, path.states[1:-1].ravel())
+        fold = folded_unknowns(n, self.STEPS - 1)
+        oracle = central_jacobian(gradient, path.states[1:-1].ravel())[np.ix_(fold, fold)]
         H = dense_from_lower_band(_hessian_band(path, cfg, row_weight, newton=True))
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
     def test_half_bandwidth(self, n):
+        # the fold first narrows the band at n = 3: d + 4 < 2d - 1 from d = 7
         cfg, path, row_weight, _ = self.setup_problem(n)
         d = cfg.d
         band = _hessian_band(path, cfg, row_weight, newton=True)
-        assert band.shape == (2 * d, (self.STEPS - 1) * d)
+        assert band.shape == (min(2 * d, d + 5), (self.STEPS - 1) * d)
         H = dense_from_lower_band(band)
         rows, cols = np.nonzero(H)
-        assert np.max(np.abs(rows - cols)) == 2 * d - 1
+        assert np.max(np.abs(rows - cols)) == min(2 * d - 1, d + 4)
+
+
+def natural_gauss_newton(path, cfg, row_weight):
+    """Sparse ``2 J^T J`` in natural site order, J the Jacobian of the
+    scaled residuals in the interior states, assembled block by block."""
+    d, N, dt = cfg.d, path.steps, path.dt
+    eye = np.eye(d)
+    A = 2.0 * eye - np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
+    mids = 0.5 * (path.states[:-1] + path.states[1:])
+    blocks = [[None] * (N + 1) for _ in range(N)]
+    for k in range(N):
+        half = 0.5 * (cfg.nu * A + cfg.lam * eye + np.diag(cfg.f.deriv(mids[k])))
+        w = row_weight[k][:, None]
+        blocks[k][k] = sparse.csr_matrix(w * (half - eye / dt))
+        blocks[k][k + 1] = sparse.csr_matrix(w * (half + eye / dt))
+    J = sparse.bmat(blocks, format="csc")[:, d : N * d]
+    return (2.0 * J.T @ J).tocsc()
+
+
+class TestFoldedStep:
+    def test_first_step_matches_natural_order_spsolve(self):
+        # d = 61 with an off-centre bump: a fold that mirrored the sites
+        # would still pass on data symmetric about site 0
+        base = example5_spec(n=30, steps=16)
+        i = np.arange(-30, 31)
+        spec = BVPSpec(
+            cfg=base.cfg, phi0=0.6 * np.exp(-((i - 7) ** 2) / 50.0), phiT=0.1 * np.sin(i / 5.0),
+            steps=16, max_iterations=1, gradient_tol=1e-300,
+        )
+        res = solve_mpp(spec)
+        assert res.damping_history[0] == 0.0 and not res.fallback_history[0]
+
+        lam = np.linspace(0.0, 1.0, 17)[:, None]
+        start = path_from_grid((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
+        t_mid = start.dt * (np.arange(16) + 0.5)
+        row_weight = np.sqrt(start.dt) * spec.cfg.rho / spec.cfg.q.grid(t_mid, 30)
+        H = natural_gauss_newton(start, spec.cfg, row_weight)
+        oracle = spsolve(H, -om_gradient(start, spec.cfg).ravel()).reshape(15, 61)
+        taken = (res.path.states - start.states)[1:-1] / res.step_history[0]
+        assert np.max(np.abs(taken - oracle)) <= 1e-12 * np.max(np.abs(oracle))
