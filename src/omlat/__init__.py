@@ -22,12 +22,8 @@ from .lattice import (
     LatticeConfig,
     PolynomialNonlinearity,
     apply_A,
-    apply_B,
-    apply_BT,
     dense_A,
-    dense_B,
     drift,
-    weighted_inner,
     weighted_norm,
 )
 from .noise import (
@@ -37,15 +33,12 @@ from .noise import (
     shift_noise,
     wq_path,
 )
-from .config import example5_boundary, example5_config, load_config, parse_config, parse_q_spec
+from .config import load_config, parse_config, parse_q_spec
 from .kl import (
     KLSpectrum,
     SmallBallBounds,
     SmallBallMC,
-    eigenfunction_orthogonality,
-    kernel_eigen_check,
     kl_spectrum,
-    ou_kernel,
     smallball_bounds,
     smallball_mc,
     wilson_interval,

@@ -10,8 +10,9 @@ the end of the run, finished or failed, with the wall clock, status,
 exit code and error; reruns with identical inputs produce
 byte-identical CSVs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blow-up or non-convergence), 4 insufficient statistical power.
+Exit codes: 0 success, 2 configuration error (a size too large for
+memory included), 3 numerical failure (blow-up or non-convergence),
+4 insufficient statistical power.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_POWER = 4
+
+#: Most steps a ``--dt`` grid may have: the step counter range of the
+#: noise keys (``noise._philox_key``).
+_MAX_STEPS = 2**32
 
 
 def parse_state_spec(raw: str, n: int) -> np.ndarray:
@@ -96,11 +101,13 @@ def _check_ensemble(count: int) -> None:
 
 def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
     """Steps of the ``--dt`` grid on [0, T]: dt must be positive, finite
-    and divide T."""
+    and divide T into at most :data:`_MAX_STEPS` steps."""
     if dt is None:
         return default_steps
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigurationError(f"--dt must be a positive finite step, got {dt}")
+    if not T / dt < _MAX_STEPS + 0.5:  # an overflow to inf fails this too
+        raise ConfigurationError(f"--dt={dt} gives more than 2^32 steps on the horizon T={T}")
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigurationError(f"--dt={dt} does not divide the horizon T={T}")
@@ -157,7 +164,6 @@ def cmd_mpp(args) -> int:
     cfg = load_config(args.config)
     steps = _steps_from_dt(cfg.T, args.dt, 600)
     sites = _parse_slice(args.slice, cfg.n) if args.slice else []
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     spec = BVPSpec(
         cfg=cfg,
         phi0=parse_state_spec(args.phi0, cfg.n),
@@ -167,6 +173,7 @@ def cmd_mpp(args) -> int:
         gradient_tol=args.tol,
         newton=args.newton,
     )
+    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     result = solve_mpp(spec)
     write_path_csv(result.path, out / "mpp_path.csv")
     write_om_json(result.action, out / "om_report.json")
@@ -345,7 +352,10 @@ def _verify_tube(args) -> int:
     if kind == "zero":
         states = np.zeros((steps + 1, cfg.d))
     elif kind == "sine":
-        amp = (_parse_float_list(rest, "--reference sine") or [0.5])[0]
+        amps = _parse_float_list(rest, "--reference sine")
+        if len(amps) > 1:
+            raise ConfigurationError(f"--reference sine takes at most one amplitude, got {rest!r}")
+        amp = (amps or [0.5])[0]
         states = amp * np.sin(np.pi * ts / (2.0 * cfg.T))[:, None] * np.ones(cfg.d)[None, :]
     else:
         raise ConfigurationError(f"unknown tube reference {args.reference!r}")
@@ -451,12 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code and stderr label of each toolkit error, most specific first.
+# Exit code and stderr label of each handled error, most specific first.
 _FAILURES = (
     (ConfigurationError, EXIT_CONFIG, "configuration error"),
     (IntegrationError, EXIT_NUMERICAL, "numerical failure"),
     (StatisticalPowerError, EXIT_POWER, "statistical power"),
     (OmlatError, EXIT_NUMERICAL, "error"),
+    (MemoryError, EXIT_CONFIG, "out of memory; use smaller sizes"),
 )
 
 
@@ -467,7 +478,7 @@ def main(argv=None) -> int:
     code = error = None
     try:
         code = args.func(args)
-    except OmlatError as exc:
+    except (OmlatError, MemoryError) as exc:
         error = exc
         code, label = next((c, lbl) for cls, c, lbl in _FAILURES if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)

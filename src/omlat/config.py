@@ -32,7 +32,7 @@ from .errors import ConfigurationError
 from .lattice import LatticeConfig, PolynomialNonlinearity
 from .noise import NoiseCoefficient
 
-__all__ = ["parse_config", "load_config", "parse_q_spec", "example5_config", "config_hash"]
+__all__ = ["parse_config", "load_config", "parse_q_spec", "config_hash"]
 
 _REQUIRED = {"n", "nu", "lambda", "f_coeffs", "p", "C_f", "g", "q_spec", "rho", "T"}
 
@@ -166,24 +166,3 @@ def load_config(path) -> LatticeConfig:
 def config_hash(path) -> str:
     """Hash of the raw config file bytes (first 16 hex digits of sha256)."""
     return hashlib.sha256(FsPath(path).read_bytes()).hexdigest()[:16]
-
-
-def example5_config(n: int = 30, T: float = 30.0) -> LatticeConfig:
-    """The worked disease-spread configuration: nu=0.1, lam=0.4, cubic
-    0.1 u^3, no forcing, uniform weights, noise 0.01 (31 - t + 1/(|i|+1))."""
-    return LatticeConfig(
-        n=n,
-        nu=0.1,
-        lam=0.4,
-        f=PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1),
-        q=NoiseCoefficient.affine(0.01, 31.0),
-        T=T,
-    )
-
-
-def example5_boundary(n: int = 30, sigma: float = 8.0):
-    """Boundary data of the worked example: a Gaussian bump of height 0.6
-    and width sigma at t=0, zero at t=T."""
-    i = np.arange(-n, n + 1)
-    phi0 = 0.6 * np.exp(-(i**2) / (2.0 * sigma**2))
-    return phi0, np.zeros(2 * n + 1)

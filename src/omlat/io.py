@@ -63,7 +63,7 @@ def read_path_csv(src) -> Path:
     if data.shape[0] < 2:
         raise ConfigurationError(f"{p}: need at least two grid rows")
     dt = data[1, 0] - data[0, 0]
-    return Path(times=data[:, 0], states=data[:, 1:], dt=dt, meta={"source": str(p)})
+    return Path(times=data[:, 0], states=data[:, 1:], dt=dt)
 
 
 def write_om_json(report, dest) -> None:

@@ -34,9 +34,6 @@ from .utils import map_blocks
 __all__ = [
     "KLSpectrum",
     "kl_spectrum",
-    "ou_kernel",
-    "kernel_eigen_check",
-    "eigenfunction_orthogonality",
     "smallball_bounds",
     "SmallBallBounds",
     "smallball_mc",
@@ -65,10 +62,6 @@ class KLSpectrum:
     @property
     def count(self) -> int:
         return self.gamma.size
-
-    def eigenfunction(self, i: int, s):
-        """g_i(s) = A_i sin(gamma_i s), 1-based index."""
-        return self.A[i - 1] * np.sin(self.gamma[i - 1] * np.asarray(s, dtype=float))
 
     def residuals(self) -> np.ndarray:
         """|tan(gamma_i) + gamma_i / lam| evaluated through the pole-offset
@@ -120,64 +113,6 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     sin_sq_integral = 0.5 - np.sin(2.0 * gamma) / (4.0 * gamma)
     A = 1.0 / np.sqrt(sin_sq_integral)
     return KLSpectrum(lambda_decay=lam, gamma=gamma, mu=mu, A=A, pole_offset=offsets)
-
-
-def ou_kernel(lam: float, t, s):
-    """Covariance kernel ``(1 / 2 lam)(e^{-lam |t-s|} - e^{-lam (t+s)})``."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return (np.exp(-lam * np.abs(t - s)) - np.exp(-lam * (t + s))) / (2.0 * lam)
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    # values on an odd-length uniform grid
-    return h / 3.0 * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum())
-
-
-def _odd_count(m: int) -> int:
-    m = max(3, m)
-    return m if m % 2 == 1 else m + 1
-
-
-def kernel_eigen_check(spec: KLSpectrum, i: int, quad_points: int = 2001, eval_points: int = 101) -> float:
-    """Max over t of ``| int_0^1 K(t, s) g_i(s) ds - mu_i g_i(t) |`` by
-    composite Simpson quadrature.
-
-    The integral is split at s = t so each piece is smooth (the kernel has
-    a kink along the diagonal); ``quad_points`` is the total budget across
-    both pieces.
-    """
-    if not 1 <= i <= spec.count:
-        raise ConfigurationError(f"eigenpair index {i} outside 1..{spec.count}")
-    lam = spec.lambda_decay
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, eval_points):
-        total = 0.0
-        if t > 0.0:
-            m = _odd_count(int(round(quad_points * t)))
-            s = np.linspace(0.0, t, m)
-            total += _simpson(ou_kernel(lam, t, s) * spec.eigenfunction(i, s), t / (m - 1))
-        if t < 1.0:
-            m = _odd_count(int(round(quad_points * (1.0 - t))))
-            s = np.linspace(t, 1.0, m)
-            total += _simpson(ou_kernel(lam, t, s) * spec.eigenfunction(i, s), (1.0 - t) / (m - 1))
-        worst = max(worst, abs(total - spec.mu[i - 1] * spec.eigenfunction(i, t)))
-    return worst
-
-
-def eigenfunction_orthogonality(spec: KLSpectrum, upto: int, quad_points: int = 2001) -> float:
-    """Max deviation of ``int_0^1 g_i g_j`` from the identity matrix over
-    i, j <= upto (Simpson on the full interval; the integrand is smooth)."""
-    m = _odd_count(quad_points)
-    s = np.linspace(0.0, 1.0, m)
-    h = 1.0 / (m - 1)
-    G = np.stack([spec.eigenfunction(i, s) for i in range(1, upto + 1)])
-    worst = 0.0
-    for a in range(upto):
-        for b in range(a, upto):
-            val = _simpson(G[a] * G[b], h)
-            worst = max(worst, abs(val - (1.0 if a == b else 0.0)))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -246,10 +181,6 @@ class SmallBallMC:
     with shared samples across radii (hit counts are exactly monotone in
     eps)."""
 
-    alpha: float
-    i_max: int
-    samples: int
-    seed: int
     eps: np.ndarray
     hits: np.ndarray
     estimates: np.ndarray
@@ -343,7 +274,7 @@ def smallball_mc(
             f"{1e-3 * np.min(eps)**2:.3e}; need i_max >= {_required_i_max(alpha, float(np.min(eps)))}"
         )
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)
-    thresholds = np.sort(eps) ** 2
+    thresholds = eps**2
     cutoff = float(np.max(thresholds))
 
     def block_hits(block_index, count):
@@ -351,18 +282,10 @@ def smallball_mc(
         sums = _staged_sums(g, count, w, cutoff)
         return np.searchsorted(np.sort(sums), thresholds, side="right")
 
-    hits_sorted = sum(map_blocks(block_hits, samples, block_size))
-
-    order = np.argsort(eps)
-    hits = np.empty_like(hits_sorted)
-    hits[order] = hits_sorted
+    hits = sum(map_blocks(block_hits, samples, block_size))
     est = hits / samples
     ci = np.array([wilson_interval(int(h), samples) for h in hits])
     return SmallBallMC(
-        alpha=alpha,
-        i_max=i_max,
-        samples=samples,
-        seed=seed,
         eps=eps,
         hits=hits,
         estimates=est,

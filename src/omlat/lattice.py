@@ -3,18 +3,17 @@
 Everything downstream works on a periodic truncation of the integer
 lattice: sites i = -n..n, dimension d = 2n + 1, with site -n coupled to
 site n.  States are plain 1-d numpy arrays of length d; site i lives at
-array position i + n.  Norms and inner products carry per-site weights
-rho_i > 0:
+array position i + n.  Norms carry per-site weights rho_i > 0:
+``norm(u)^2 = sum_i (rho_i u_i)^2``.
 
-    ``norm(u)^2 = sum_i (rho_i u_i)^2``,   ``<u, v> = sum_i rho_i^2 u_i v_i``.
-
-The second-difference operator A and the forward/backward difference
-operators B, B^T satisfy A = B B^T = B^T B and annihilate constants.
+The periodic second-difference operator A annihilates constants.  It
+factors as A = B B^T = B^T B through the forward/backward difference
+operators B, B^T; those are checked in the tests and not shipped here.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,13 +27,9 @@ __all__ = [
     "PolynomialNonlinearity",
     "LatticeConfig",
     "weighted_norm",
-    "weighted_inner",
     "apply_A",
-    "apply_B",
-    "apply_BT",
     "drift",
     "dense_A",
-    "dense_B",
 ]
 
 #: Any component beyond this magnitude is treated as a blown-up trajectory.
@@ -42,6 +37,9 @@ BLOWUP_THRESHOLD = 1.0e8
 
 #: Grid used for the numerical nonlinearity checks (f1)/(f2).
 _F_CHECK_GRID = np.linspace(-10.0, 10.0, 1001)
+
+#: Points of [0, T] at which the noise coefficient is checked nonzero.
+_Q_CHECK_POINTS = 513
 
 
 def _check_lengths(*arrays):
@@ -77,15 +75,6 @@ def weighted_norm(u, rho) -> float:
     return float(np.linalg.norm(rho * u))
 
 
-def weighted_inner(u, v, rho) -> float:
-    """Weighted inner product ``sum_i rho_i^2 u_i v_i``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    _check_lengths(u, v, rho)
-    return float(np.sum(rho * rho * u * v))
-
-
 def apply_A(u, out=None):
     """Periodic second-difference operator: ``(A u)_i = -u_{i-1} + 2 u_i - u_{i+1}``.
 
@@ -104,31 +93,6 @@ def apply_A(u, out=None):
     return out
 
 
-def apply_B(u):
-    """Forward difference with periodic wrap: ``(B u)_i = u_{i+1} - u_i``.
-
-    Acts along the last axis.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    np.subtract(u[..., 1:], u[..., :-1], out=out[..., :-1])
-    np.subtract(u[..., :1], u[..., -1:], out=out[..., -1:])
-    return out
-
-
-def apply_BT(u):
-    """Backward difference with periodic wrap: ``(B^T u)_i = u_{i-1} - u_i``.
-
-    Adjoint of :func:`apply_B` in the unweighted inner product.  Acts
-    along the last axis.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    np.subtract(u[..., :-1], u[..., 1:], out=out[..., 1:])
-    np.subtract(u[..., -1:], u[..., :1], out=out[..., :1])
-    return out
-
-
 def dense_A(d: int) -> np.ndarray:
     """Dense matrix of :func:`apply_A` (2 on the diagonal, -1 on the first
     off-diagonals and in the periodic corners)."""
@@ -136,16 +100,6 @@ def dense_A(d: int) -> np.ndarray:
     eye = np.eye(d)
     for j in range(d):
         out[:, j] = apply_A(eye[:, j])
-    return out
-
-
-def dense_B(d: int) -> np.ndarray:
-    """Dense matrix of :func:`apply_B` (-1 on the diagonal, 1 on the first
-    super-diagonal and in the lower-left corner)."""
-    out = np.empty((d, d))
-    eye = np.eye(d)
-    for j in range(d):
-        out[:, j] = apply_B(eye[:, j])
     return out
 
 
@@ -271,7 +225,6 @@ class LatticeConfig:
     T: float
     g: np.ndarray | None = None
     rho: np.ndarray | None = None
-    q_check_points: int = field(default=513, repr=False)
 
     def __post_init__(self):
         if self.n < 0 or int(self.n) != self.n:
@@ -300,7 +253,7 @@ class LatticeConfig:
     def _check_noise_nondegenerate(self):
         # q_i(t) != 0 on a sampling grid, with no sign change per site:
         # a continuous nonzero coefficient keeps one sign.
-        ts = np.linspace(0.0, self.T, self.q_check_points)
+        ts = np.linspace(0.0, self.T, _Q_CHECK_POINTS)
         qs = self.q.grid(ts, self.n)
         if not np.all(np.isfinite(qs)):
             raise ConfigurationError("noise coefficient is not finite on [0, T]")

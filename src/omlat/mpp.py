@@ -62,6 +62,14 @@ class BVPSpec:
             raise ConfigurationError("endpoints must be finite")
         if self.steps < 2:
             raise ConfigurationError("need at least 2 time steps")
+        if self.gradient_tol is not None and not 0 < self.gradient_tol < np.inf:
+            raise ConfigurationError(
+                f"gradient tolerance (--tol) must be positive and finite, got {self.gradient_tol}"
+            )
+        if self.max_iterations < 0:
+            raise ConfigurationError(
+                f"iteration limit (--max-iter) must be nonnegative, got {self.max_iterations}"
+            )
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "phiT", phiT)
 

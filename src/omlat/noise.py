@@ -60,14 +60,16 @@ def _block_bits(seed: int, tag: int, index: int) -> SFC64:
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Seeded Wiener increments on a uniform grid.
+    """Wiener increments on a uniform grid.
 
-    ``increments[k, i+n]`` is the increment of site i over
-    [k dt, (k+1) dt], distributed Normal(0, dt).  ``origin_step`` records
-    how far this path has been shifted relative to the generating seed.
+    ``increments[k, i+n]`` is the increment of site i over the step
+    ``origin_step + k`` of the grid the path was drawn on, that is over
+    [(origin_step + k) dt, (origin_step + k + 1) dt], distributed
+    Normal(0, dt).  :func:`shift_noise` advances ``origin_step``;
+    :func:`~omlat.sde.integrate` and :func:`wq_path` evaluate the noise
+    coefficient at those absolute grid times.
     """
 
-    seed: int
     dt: float
     increments: np.ndarray
     trajectory: int = 0
@@ -112,7 +114,7 @@ def sample_noise(seed: int, steps: int, d: int, dt: float, trajectory: int = 0) 
         bits.state = fresh
         inc[k, order] = g.standard_normal(d)
     inc *= sqdt
-    return NoisePath(seed=seed, dt=dt, increments=inc, trajectory=trajectory)
+    return NoisePath(dt=dt, increments=inc, trajectory=trajectory)
 
 
 @dataclass(frozen=True)
@@ -183,29 +185,23 @@ class NoiseCoefficient:
         raise ConfigurationError(f"unknown noise coefficient kind {self.kind!r}")
 
 
-def wq_path(noise: NoisePath, q: NoiseCoefficient, t_offset: float = 0.0) -> Path:
+def wq_path(noise: NoisePath, q: NoiseCoefficient) -> Path:
     """Cumulative noise path ``W_i(t_k) = sum_{j<k} q_i(t_j) dW_i(t_j)``.
 
-    The coefficient is evaluated at the left endpoint of each step, at
-    absolute time ``t_j + t_offset`` (the offset matters when the path has
-    been produced by :func:`shift_noise`).
+    The coefficient is evaluated at the left endpoint of each step, at the
+    absolute grid time ``t_j = dt (origin_step + j)``, as the stepper
+    evaluates it; the path's own times still start at 0.
     """
     n = (noise.d - 1) // 2
-    times = t_offset + noise.dt * np.arange(noise.steps)
-    qs = q.grid(times, n)
+    qs = q.grid(noise.dt * (noise.origin_step + np.arange(noise.steps)), n)
     states = np.zeros((noise.steps + 1, noise.d))
     np.cumsum(qs * noise.increments, axis=0, out=states[1:])
-    return Path(
-        times=noise.dt * np.arange(noise.steps + 1),
-        states=states,
-        dt=noise.dt,
-        meta={"seed": noise.seed, "trajectory": noise.trajectory, "kind": "wq"},
-    )
+    return Path(times=noise.dt * np.arange(noise.steps + 1), states=states, dt=noise.dt)
 
 
 def shift_noise(noise: NoisePath, s: float) -> NoisePath:
     """Drop the first ``m = s / dt`` steps: step k of the result is step
-    k + m of the input.
+    k + m of the input, and its ``origin_step`` is the input's plus m.
 
     ``s`` must lie on the grid.  Shifts compose: shifting by s1 then s2
     equals shifting once by s1 + s2.
@@ -215,7 +211,6 @@ def shift_noise(noise: NoisePath, s: float) -> NoisePath:
     if abs(m - m_int) > 1e-9 or m_int < 0 or m_int > noise.steps:
         raise ConfigurationError(f"shift s={s} is not a grid time (dt={noise.dt})")
     return NoisePath(
-        seed=noise.seed,
         dt=noise.dt,
         increments=noise.increments[m_int:],
         trajectory=noise.trajectory,

@@ -1,7 +1,7 @@
 """Time-gridded trajectories of lattice states."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,14 +15,12 @@ class Path:
     """A trajectory on a uniform time grid.
 
     ``states[k]`` is the lattice state at ``times[k] = k dt``; the array
-    has shape (N + 1, d) for N steps.  ``meta`` carries provenance
-    (seed, config hash, ...) and never affects numerics.
+    has shape (N + 1, d) for N steps.
     """
 
     times: np.ndarray
     states: np.ndarray
     dt: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)

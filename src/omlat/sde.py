@@ -107,20 +107,21 @@ def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
     return u if states is None else states
 
 
-def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -> Path:
+def integrate(u0, noise: NoisePath, cfg: LatticeConfig) -> Path:
     """Integrate ``u' = -nu A u - lam u - f(u) + g + q(t) dW/dt`` by
     Euler-Maruyama from u0, one update per noise increment:
 
         ``u_{k+1} = u_k + drift(u_k) dt + q(t_k) * dW_k``
 
-    ``t_offset`` shifts the time at which q is evaluated; it is used when
-    restarting from an intermediate state with shifted noise.  It must be
-    a grid time ``k0 dt``, and q is then evaluated at ``dt (k0 + k)``.
+    q is evaluated at ``dt (noise.origin_step + k)``, so a run restarted
+    from an intermediate state with :func:`~omlat.noise.shift_noise`'s
+    shifted noise takes the same steps as the run it continues.  The
+    returned path's times start at 0.
 
     Raises
     ------
     ConfigurationError
-        If ``t_offset`` is not a multiple of the step.
+        If u0 or the noise does not match the config's dimension.
     IntegrationError
         If any component exceeds the blow-up threshold, naming the noise
         path's trajectory index, the step counted from ``t = 0`` and the
@@ -132,16 +133,10 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig, t_offset: float = 0.0) -
     if noise.d != cfg.d:
         raise ConfigurationError(f"noise has {noise.d} sites, config has {cfg.d}")
     dt = noise.dt
-    k0 = int(round(t_offset / dt))
-    if abs(t_offset / dt - k0) > 1e-9:
-        raise ConfigurationError(f"t_offset={t_offset} is not a grid time (dt={dt})")
-    states = euler_maruyama(u0[None], noise.increments[None], cfg, dt, [noise.trajectory], k0)
-    return Path(
-        times=dt * np.arange(noise.steps + 1),
-        states=states[0],
-        dt=dt,
-        meta={"seed": noise.seed, "trajectory": noise.trajectory, "t_offset": t_offset},
+    states = euler_maruyama(
+        u0[None], noise.increments[None], cfg, dt, [noise.trajectory], noise.origin_step
     )
+    return Path(times=dt * np.arange(noise.steps + 1), states=states[0], dt=dt)
 
 
 def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig):
@@ -166,8 +161,7 @@ def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig
         increments = np.stack([noise.increments for noise in noises])
         states = euler_maruyama(np.tile(u0, (len(group), 1)), increments, cfg, dt, group)
         for noise, path_states in zip(noises, states):
-            meta = {"seed": seed, "trajectory": noise.trajectory, "t_offset": 0.0}
-            yield noise, Path(times=times, states=path_states, dt=dt, meta=meta)
+            yield noise, Path(times=times, states=path_states, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -184,7 +178,6 @@ class BoundReport:
     rhs: np.ndarray
     ratios: np.ndarray
     max_ratio: float
-    g_term: float
 
 
 def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
@@ -203,7 +196,6 @@ def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
         raise ConfigurationError("need one noise path per solution path")
     rho = cfg.rho
     g_norm_sq = weighted_norm(cfg.g, rho) ** 2
-    g_term = paths[0].T * g_norm_sq
     lhs = np.empty(len(paths))
     rhs = np.empty(len(paths))
     for j, (u, w) in enumerate(zip(paths, wq_paths)):
@@ -220,13 +212,7 @@ def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
         )
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratios=ratios,
-        max_ratio=float(np.max(ratios)),
-        g_term=g_term,
-    )
+    return BoundReport(lhs=lhs, rhs=rhs, ratios=ratios, max_ratio=float(np.max(ratios)))
 
 
 def cocycle_check(u0, noise: NoisePath, s: float, cfg: LatticeConfig) -> float:
@@ -236,13 +222,12 @@ def cocycle_check(u0, noise: NoisePath, s: float, cfg: LatticeConfig) -> float:
     time s using the shifted increments and time-shifted coefficients, and
     returns the largest weighted-norm deviation between the two legs.  For
     Euler-Maruyama both legs perform identical arithmetic, so the
-    deviation must vanish to rounding.
+    deviation must vanish to rounding.  ``s`` must be a grid time.
     """
     full = integrate(u0, noise, cfg)
-    m = int(round(s / noise.dt))
-    if abs(s - m * noise.dt) > 1e-9:
-        raise ConfigurationError(f"s={s} is not on the grid")
-    restarted = integrate(full.states[m], shift_noise(noise, s), cfg, t_offset=s)
+    shifted = shift_noise(noise, s)
+    m = shifted.origin_step - noise.origin_step
+    restarted = integrate(full.states[m], shifted, cfg)
     dev = 0.0
     for k in range(restarted.steps + 1):
         dev = max(dev, weighted_norm(full.states[m + k] - restarted.states[k], cfg.rho))

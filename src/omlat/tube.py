@@ -89,8 +89,6 @@ class TubeTable:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     predicted: float
-    samples: int
-    seed: int
     action_total: float = field(repr=False, default=0.0)
 
 
@@ -182,19 +180,13 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     report = om_action(exp.phi, exp.cfg)
     predicted = float(np.exp(-0.5 * report.total))
 
-    eps_sq = np.array(sorted(exp.eps)) ** 2
+    eps_sq = np.asarray(exp.eps) ** 2
 
     def block_hits(block_index, count):
         num_sq, den_sq = _block_distances(exp, block_index, count)
         return np.stack([np.searchsorted(np.sort(sq), eps_sq, side="right") for sq in (num_sq, den_sq)])
 
-    num_sorted, den_sorted = sum(map_blocks(block_hits, exp.samples, TUBE_BLOCK_SIZE))
-
-    order = np.argsort(np.asarray(exp.eps))
-    num_hits = np.empty_like(num_sorted)
-    den_hits = np.empty_like(den_sorted)
-    num_hits[order] = num_sorted
-    den_hits[order] = den_sorted
+    num_hits, den_hits = sum(map_blocks(block_hits, exp.samples, TUBE_BLOCK_SIZE))
 
     largest = int(np.argmax(exp.eps))
     if num_hits[largest] < exp.min_hits or den_hits[largest] < exp.min_hits:
@@ -223,7 +215,5 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
         ci_lo=ci_lo,
         ci_hi=ci_hi,
         predicted=predicted,
-        samples=n,
-        seed=exp.seed,
         action_total=report.total,
     )

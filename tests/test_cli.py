@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import omlat
 from omlat import ConfigurationError, parse_config, parse_q_spec, smallball_mc
 from omlat.cli import main, parse_state_spec
-from omlat.config import example5_boundary, example5_config
 from omlat.io import read_path_csv, write_path_csv
+from oracles import example5_boundary, example5_config
 
 EXAMPLE5 = """
 n = 30
@@ -200,7 +200,7 @@ class TestCliRuns:
         assert "--ensemble" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dt", ["0", "-0.25", "nan", "inf"])
+    @pytest.mark.parametrize("dt", ["0", "-0.25", "nan", "inf", "1e-300"])
     @pytest.mark.parametrize(
         "command", [["simulate"], ["mpp"], ["verify", "tube"]], ids=["simulate", "mpp", "tube"]
     )
@@ -210,6 +210,40 @@ class TestCliRuns:
         assert code == 2
         assert "--dt" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--max-iter", "-3")]
+    )
+    def test_mpp_bad_solver_limits_rejected(self, scalar_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "mpp"
+        code = main(["mpp", "--config", scalar_file, "--out", str(out), "--dt", "0.125", f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_verify_tube_sine_takes_one_amplitude(self, scalar_file, tmp_path, capsys):
+        out = tmp_path / "tube"
+        code = main([
+            "verify", "tube", "--config", scalar_file, "--out", str(out), "--reference", "sine:1,2,3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--reference" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_error_exits_2_and_closes_manifest(self, tmp_path, capsys, monkeypatch):
+        # a size the host cannot hold; the allocation is simulated, since a
+        # real one may end in the OOM killer rather than an exception
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr("omlat.cli.kl_spectrum", too_large)
+        out = tmp_path / "kl"
+        assert main(["verify", "kl", "--m", "100000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "745. GiB" in err and "Traceback" not in err
+        _closed_manifest(out, 2, "MemoryError")
 
     def test_mpp_artifacts_and_slices(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from omlat import ConfigurationError, kl
-from omlat.kl import (
+from omlat.kl import kl_spectrum, smallball_bounds, smallball_mc, wilson_interval
+from oracles import (
+    eigenfunction,
     eigenfunction_orthogonality,
     kernel_eigen_check,
-    kl_spectrum,
     ou_kernel,
-    smallball_bounds,
-    smallball_mc,
-    wilson_interval,
+    smallball_reference,
 )
 
 
@@ -68,7 +67,7 @@ class TestSpectrum:
         # A_i normalizes the eigenfunction to unit norm
         s = np.linspace(0, 1, 4001)
         for i in (1, 7, 20):
-            vals = spec.eigenfunction(i, s) ** 2
+            vals = eigenfunction(spec, i, s) ** 2
             assert np.trapezoid(vals, s) == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_arguments(self):
@@ -101,7 +100,7 @@ class TestKernelChecks:
         for t in (0.3, 0.7):
             target = float(ou_kernel(0.4, t, t))
             partial = [
-                float(np.sum(spec.mu[:m] * spec.eigenfunction(np.arange(1, m + 1), t) ** 2))
+                float(np.sum(spec.mu[:m] * eigenfunction(spec, np.arange(1, m + 1), t) ** 2))
                 for m in (10, 50, 200, 400)
             ]
             assert all(a < b for a, b in zip(partial, partial[1:]))
@@ -250,6 +249,15 @@ class TestSmallBallMC:
         with pytest.raises(ConfigurationError) as err:
             smallball_mc(1.0, 100, [0.3], 100, seed=0)
         assert "11113" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "eps, expected",
+        [(0.5, 0.011129314895026306), (0.4, 0.0007023706429760871), (0.3, 1.7770367158614255e-06)],
+    )
+    def test_cramer_von_mises_reference(self, eps, expected):
+        # the benchmark's small-ball reference values, computed separately
+        # from the same series
+        assert smallball_reference(eps, 12000) == pytest.approx(expected, rel=1e-11)
 
     def test_rate_window_smoke(self):
         # moderate-scale version of the rate check; the full-scale run

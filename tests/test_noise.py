@@ -22,7 +22,7 @@ def trajectory_draws(seed, count, steps, d, dt):
     """
     for j in range(count):
         g = Generator(Philox(key=_philox_key(seed, 2, 0, j)))
-        yield NoisePath(seed=seed, dt=dt, increments=np.sqrt(dt) * g.standard_normal((steps, d)), trajectory=j)
+        yield NoisePath(dt=dt, increments=np.sqrt(dt) * g.standard_normal((steps, d)), trajectory=j)
 
 
 class TestSampling:
@@ -236,7 +236,7 @@ class TestShift:
         m = 128
         s = m * dt
         full = wq_path(noise, q)
-        shifted = wq_path(shift_noise(noise, s), q, t_offset=s)
+        shifted = wq_path(shift_noise(noise, s), q)
         recombined = full.states[m] + shifted.states
         assert np.max(np.abs(full.states[m:] - recombined)) <= 1e-12
 

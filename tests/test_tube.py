@@ -85,7 +85,7 @@ class TestBlockArithmetic:
         dW = block_increments(exp, 0, count)
         alpha = np.linalg.eigvalsh(cfg.nu * np.array([[2., -1, -1], [-1, 2, -1], [-1, -1, 2]]) + cfg.lam * np.eye(3))
         for j in range(count):
-            noise = NoisePath(seed=99, dt=dt, increments=dW[j])
+            noise = NoisePath(dt=dt, increments=dW[j])
             u = integrate(phi.states[0], noise, cfg)
             expected = l2rho_path_norm(u, phi, cfg.rho) ** 2
             assert num_sq[j] == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -93,7 +93,7 @@ class TestBlockArithmetic:
         # eigenvector, so compare through ou_convolution per eigenmode
         V = np.linalg.eigh(cfg.nu * np.array([[2., -1, -1], [-1, 2, -1], [-1, -1, 2]]) + cfg.lam * np.eye(3))[1]
         for j in range(count):
-            modes = NoisePath(seed=99, dt=dt, increments=(cfg.q.at(0, 1) * dW[j]) @ V / cfg.q.at(0, 1)[0])
+            modes = NoisePath(dt=dt, increments=(cfg.q.at(0, 1) * dW[j]) @ V / cfg.q.at(0, 1)[0])
             conv = ou_convolution(modes, cfg.q, alpha)
             y = conv.states @ V.T
             expected = l2rho_path_norm(grid_path(y, dt), grid_path(np.zeros((N + 1, 3)), dt), cfg.rho) ** 2
