@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -99,9 +100,10 @@ def _check_ensemble(count: int) -> None:
         raise ConfigurationError(f"--ensemble: need at least one trajectory, got {count}")
 
 
-def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
+def _steps_from_dt(T: float, d: int, dt: float | None, default_steps: int) -> int:
     """Steps of the ``--dt`` grid on [0, T]: dt must be positive, finite
-    and divide T into at most :data:`_MAX_STEPS` steps."""
+    and divide T into at most :data:`_MAX_STEPS` steps, and one trajectory
+    of ``d`` states on the grid must fit in the host's physical memory."""
     if dt is None:
         return default_steps
     if not (math.isfinite(dt) and dt > 0):
@@ -111,6 +113,13 @@ def _steps_from_dt(T: float, dt: float | None, default_steps: int) -> int:
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigurationError(f"--dt={dt} does not divide the horizon T={T}")
+    states = 8 * (steps + 1) * d
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if states > memory:
+        raise ConfigurationError(
+            f"--dt={dt} gives {steps} steps: one trajectory of {d} sites needs "
+            f"{states} bytes, more than the {memory} bytes of physical memory"
+        )
     return steps
 
 
@@ -144,7 +153,7 @@ def _prepare_out(args, **derived) -> FsPath:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, args.dt, 1024)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 1024)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     summary = {"trajectories": [], "steps": steps, "dt": cfg.T / steps}
@@ -162,7 +171,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_mpp(args) -> int:
     cfg = load_config(args.config)
-    steps = _steps_from_dt(cfg.T, args.dt, 600)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 600)
     sites = _parse_slice(args.slice, cfg.n) if args.slice else []
     spec = BVPSpec(
         cfg=cfg,
@@ -250,7 +259,7 @@ def _verify_kl(args) -> int:
 
 def _verify_cocycle(args) -> int:
     cfg = load_config(args.config)
-    steps = _steps_from_dt(cfg.T, args.dt, 512)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 512)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps)
@@ -271,7 +280,7 @@ def _verify_truncation(args) -> int:
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
     _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, args.dt, 256)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     bump = min(2, cfg.n)
 
@@ -309,7 +318,7 @@ def _verify_truncation(args) -> int:
 def _verify_bound(args) -> int:
     cfg = load_config(args.config)
     _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, args.dt, 256)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     u0 = parse_state_spec(args.u0, cfg.n)
     paths, wqs = [], []
@@ -345,7 +354,7 @@ def _verify_smallball(args) -> int:
 
 def _verify_tube(args) -> int:
     cfg = load_config(args.config)
-    steps = _steps_from_dt(cfg.T, args.dt, 256)
+    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     eps = tuple(_radii(args.eps))
     ts = np.linspace(0.0, cfg.T, steps + 1)
     kind, _, rest = args.reference.partition(":")

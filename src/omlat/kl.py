@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .errors import ConfigurationError
-from .noise import _TAG_SMALLBALL_BLOCK, _philox_key
+from .noise import _TAG_SMALLBALL_BLOCK, _block_bits
 from .utils import map_blocks
 
 __all__ = [
@@ -162,10 +162,11 @@ def smallball_bounds(alpha: float, eps: float) -> SmallBallBounds:
     )
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(hits: int, trials: int) -> tuple:
     """Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         raise ConfigurationError("need at least one trial")
+    z = 1.959963984540054
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -187,6 +188,9 @@ class SmallBallMC:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
 
+
+#: Samples per generator key, fixed as :data:`omlat.tube.TUBE_BLOCK_SIZE` is.
+SMALLBALL_BLOCK_SIZE = 65536
 
 #: Coordinate bounds of the small-ball stages: stage s draws coordinates
 #: ``[_STAGES[s], _STAGES[s + 1])``, and the last stage runs up to i_max.
@@ -238,23 +242,22 @@ def smallball_mc(
     eps,
     samples: int,
     seed: int = 0,
-    block_size: int = 65536,
 ) -> SmallBallMC:
     """Estimate the small-ball probabilities for weights ``i^(-alpha)``.
 
     The truncation must satisfy ``i_max >= 1`` and ``sum_{i > i_max}
     i^(-2 alpha) < 1e-3 min(eps)^2``; otherwise a configuration error
     names ``i_max`` (for the mass condition, its required value).  Each
-    block of ``block_size`` samples draws from its one keyed generator,
-    the blocks run on the worker pool of :func:`~omlat.utils.map_blocks`,
-    and their integer hit counts are summed in block order, so the
-    estimate is a pure function of (alpha, i_max, eps, samples, seed,
-    block_size), whatever the thread count.  A block draws its
-    coordinates in stages (:data:`_STAGES`, the last running up to
-    ``i_max``), and a stage after the first only for the samples whose
-    partial sum is still at most ``max(eps)^2``.  Partial sums only grow,
-    so a pruned sample can never be a hit, and hit counts stay exactly
-    monotone in eps within a run.  Which samples survive depends on ``max(eps)``, so the draws after the
+    block of :data:`SMALLBALL_BLOCK_SIZE` samples draws from its one SFC64
+    generator, keyed by :func:`~omlat.noise._block_bits` as a tube block
+    is; the blocks run on the pool of :func:`~omlat.utils.map_blocks`, and
+    their hit counts are summed in block order, so the estimate does not
+    depend on the thread count.  A block draws its coordinates in stages
+    (:data:`_STAGES`, the last running up to ``i_max``), and a stage after
+    the first only for the samples whose partial sum is still at most
+    ``max(eps)^2``.  Partial sums only grow, so a pruned sample can never
+    be a hit, and hit counts stay exactly monotone in eps within a run.
+    Which samples survive depends on ``max(eps)``, so the draws after the
     first stage, and with them the estimates, do too.  Draws use
     single-precision normals accumulated in double.
     """
@@ -278,11 +281,11 @@ def smallball_mc(
     cutoff = float(np.max(thresholds))
 
     def block_hits(block_index, count):
-        g = Generator(Philox(key=_philox_key(seed, _TAG_SMALLBALL_BLOCK, 0, block_index)))
+        g = Generator(_block_bits(seed, _TAG_SMALLBALL_BLOCK, block_index))
         sums = _staged_sums(g, count, w, cutoff)
         return np.searchsorted(np.sort(sums), thresholds, side="right")
 
-    hits = sum(map_blocks(block_hits, samples, block_size))
+    hits = sum(map_blocks(block_hits, samples, SMALLBALL_BLOCK_SIZE))
     est = hits / samples
     ci = np.array([wilson_interval(int(h), samples) for h in hits])
     return SmallBallMC(

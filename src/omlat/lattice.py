@@ -175,7 +175,7 @@ class PolynomialNonlinearity:
             out += (2 * k + 1) * (2 * k) * (2 * k - 1) * self.coeffs[k] * x ** (2 * k - 2)
         return out
 
-    def condition_f1(self, grid=None) -> bool:
+    def condition_f1(self) -> bool:
         """Monotone non-decreasing check on a symmetric grid.
 
         Exact for the polynomial family when all coefficients are
@@ -183,12 +183,11 @@ class PolynomialNonlinearity:
         """
         if all(c >= 0 for c in self.coeffs):
             return True
-        g = _F_CHECK_GRID if grid is None else np.asarray(grid, dtype=float)
-        return bool(np.all(np.diff(self(g)) >= -1e-12))
+        return bool(np.all(np.diff(self(_F_CHECK_GRID)) >= -1e-12))
 
-    def condition_f2(self, grid=None) -> bool:
+    def condition_f2(self) -> bool:
         """Growth bound ``|f(x)| <= C |x| (1 + x^(2p))`` on the check grid."""
-        g = _F_CHECK_GRID if grid is None else np.asarray(grid, dtype=float)
+        g = _F_CHECK_GRID
         bound = self.growth_constant * np.abs(g) * (1.0 + g ** (2 * self.p))
         return bool(np.all(np.abs(self(g)) <= bound + 1e-12))
 

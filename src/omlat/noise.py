@@ -6,10 +6,10 @@ or trajectories are generated around it.  Within a step the sites are
 filled center-out (0, +1, -1, +2, -2, ...), so enlarging the truncation
 from n to 2n reproduces the same numbers on the common sites.
 
-Every random stream in the package is keyed here.  The noise rows and the
-small-ball blocks draw from Philox keyed by :func:`_philox_key`; a tube
-block draws from the faster SFC64, seeded from the same key words by
-:func:`_block_bits`.
+Every random stream in the package is keyed here.  The noise rows draw
+from Philox keyed by :func:`_philox_key`, re-keyed row by row; every
+Monte Carlo block, tube and small-ball alike, draws from the faster
+SFC64, seeded from the same key words by :func:`_block_bits`.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ __all__ = [
 # of different consumers disjoint.  Tags 2 (whole-trajectory draws) and 4
 # (per-sample small-ball tails) are retired: they must not be reused.
 _TAG_NOISE_ROW = 1  # Philox; a = trajectory, b = step
-_TAG_SMALLBALL_BLOCK = 3  # Philox; b = sample block; every coordinate, stage after stage
+_TAG_SMALLBALL_BLOCK = 3  # SFC64 via _block_bits; b = sample block; every coordinate, stage after stage
 _TAG_TUBE_BLOCK = 5  # SFC64 via _block_bits; b = trajectory block
 
 
@@ -156,10 +156,6 @@ class NoiseCoefficient:
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("table times must be strictly increasing")
         return NoiseCoefficient(kind="table", table_times=times, table_values=values)
-
-    def at(self, t: float, n: int) -> np.ndarray:
-        """Values q_i(t) for sites i = -n..n."""
-        return self.grid(np.array([t]), n)[0]
 
     def grid(self, times, n: int) -> np.ndarray:
         """Values on a time grid: shape (len(times), 2n + 1)."""

@@ -34,6 +34,9 @@ __all__ = ["TubeExperiment", "TubeTable", "tube_ratio"]
 #: thread count.
 TUBE_BLOCK_SIZE = 16384
 
+#: Fewest hits each ensemble needs at the largest radius.
+MIN_HITS = 50
+
 #: Steps a block draws and steps at a time.  Its generator's stream
 #: continues from chunk to chunk, so results are the same for every chunk
 #: size; the size bounds a block's increments at
@@ -58,7 +61,6 @@ class TubeExperiment:
     samples: int
     seed: int = 0
     denominator: str = "convolution"
-    min_hits: int = 50
 
     def __post_init__(self):
         if self.cfg.n > 1:
@@ -172,8 +174,8 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     Raises
     ------
     StatisticalPowerError
-        If either event has fewer than ``min_hits`` hits at the largest
-        radius; the message suggests larger samples or radii.
+        If either event has fewer than :data:`MIN_HITS` hits at the
+        largest radius; the message suggests larger samples or radii.
     IntegrationError
         If a trajectory of the solution ensemble blows up.
     """
@@ -189,7 +191,7 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     num_hits, den_hits = sum(map_blocks(block_hits, exp.samples, TUBE_BLOCK_SIZE))
 
     largest = int(np.argmax(exp.eps))
-    if num_hits[largest] < exp.min_hits or den_hits[largest] < exp.min_hits:
+    if num_hits[largest] < MIN_HITS or den_hits[largest] < MIN_HITS:
         raise StatisticalPowerError(
             f"only {num_hits[largest]} / {den_hits[largest]} hits at the largest "
             f"radius {max(exp.eps)}; increase samples (now {exp.samples}) or use "

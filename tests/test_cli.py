@@ -68,7 +68,7 @@ class TestConfigParsing:
         assert cfg.f.coeffs == (0.0, 0.1)
         np.testing.assert_array_equal(cfg.rho, np.ones(61))
         np.testing.assert_array_equal(cfg.g, np.zeros(61))
-        np.testing.assert_allclose(cfg.q.at(0.0, 1), 0.01 * (31.0 + 1.0 / np.array([2.0, 1.0, 2.0])))
+        np.testing.assert_allclose(cfg.q.grid([0.0], 1)[0], 0.01 * (31.0 + 1.0 / np.array([2.0, 1.0, 2.0])))
 
     def test_matches_programmatic_builder(self):
         cfg = parse_config(EXAMPLE5)
@@ -105,13 +105,13 @@ class TestConfigParsing:
             parse_config(EXAMPLE5.replace("nu = 0.1", "nu = fast"))
 
     def test_q_spec_grammar(self, tmp_path):
-        assert parse_q_spec("constant:2.0").at(0.0, 0)[0] == 2.0
+        assert parse_q_spec("constant:2.0").grid([0.0], 0)[0][0] == 2.0
         q = parse_q_spec("example5:0.01,31")
-        assert q.at(1.0, 0)[0] == pytest.approx(0.01 * 31.0)
+        assert q.grid([1.0], 0)[0][0] == pytest.approx(0.01 * 31.0)
         table = tmp_path / "q.csv"
         table.write_text("0.0,1.0,2.0,3.0\n1.0,1.5,2.5,3.5\n")
         qt = parse_q_spec(f"table:{table}")
-        np.testing.assert_allclose(qt.at(0.5, 1), [1.25, 2.25, 3.25])
+        np.testing.assert_allclose(qt.grid([0.5], 1)[0], [1.25, 2.25, 3.25])
         with pytest.raises(ConfigurationError):
             parse_q_spec("banana:1")
         with pytest.raises(ConfigurationError):
@@ -209,6 +209,17 @@ class TestCliRuns:
         code = main(command + ["--config", scalar_file, "--out", str(out), f"--dt={dt}"])
         assert code == 2
         assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dt_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys):
+        # exactly 2^32 steps of 61 sites: 2.1 TB of states, rejected before
+        # the output directory is created or anything is allocated
+        out = tmp_path / "cocycle"
+        code = main(["verify", "cocycle", "--config", example5_file, "--out", str(out),
+                     "--dt", "6.984919309616089e-09"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--dt" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

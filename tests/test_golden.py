@@ -9,10 +9,10 @@ trajectory per group, the tube runs with one and with two worker
 threads and with two step chunk sizes, and the small-ball run with one
 and with two worker threads and with two caps on the normals of one
 draw.  The tube digests pin the time-major SFC64 stream of each block,
-the small-ball digest the staged Philox stream of each block's one
-generator, tail included.  A change to a random
-stream changes the digests of the runs that draw from it: such a change
-re-pins them and says so.
+the small-ball digest the staged SFC64 stream of each block's one
+generator, tail included; both are seeded by ``noise._block_bits``.  A
+change to a random stream changes the digests of the runs that draw from
+it: such a change re-pins them and says so.
 """
 import hashlib
 from pathlib import Path as FsPath
@@ -52,7 +52,7 @@ DIGESTS = {
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
     "tube": {"tube.csv": "7609af2f1b393332b07ac5b243b9aa97f0eea85767c16d059c78df251fd20a4c"},
     "tube3": {"tube.csv": "699f10bf219eba45d3b4207f4c79a3d0d615bfa35b4773138b140a3bf145207c"},
-    "smallball": {"smallball.csv": "777654ad688ca9f665598f4dfd06f5861e72b8e5b06a7fc6db547f219a3e79c3"},
+    "smallball": {"smallball.csv": "0a527096989e48efdfd12833b139b8a710b2ddc87f8878a0afe95d09912aa6b8"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from omlat import ConfigurationError, kl
 from omlat.kl import kl_spectrum, smallball_bounds, smallball_mc, wilson_interval
+from omlat.noise import _TAG_SMALLBALL_BLOCK, _block_bits
 from oracles import (
     eigenfunction,
     eigenfunction_orthogonality,
@@ -153,11 +154,17 @@ class TestWilson:
         assert hi > 0.0
 
 
-def _staged_replay(key, count, w, cutoff):
-    """Replay the staged stream with one draw per stage over a mask of the
-    rows still alive; return the sums and each row's partial sum when it
-    is dropped (nan for rows never dropped)."""
-    g = Generator(Philox(key=key))
+def _block_generator(seed, index):
+    """The generator of small-ball block ``index``, built as the package
+    builds it."""
+    return Generator(_block_bits(seed, _TAG_SMALLBALL_BLOCK, index))
+
+
+def _staged_replay(seed, index, count, w, cutoff):
+    """Replay the staged stream of block ``index`` with one draw per stage
+    over a mask of the rows still alive; return the sums and each row's
+    partial sum when it is dropped (nan for rows never dropped)."""
+    g = _block_generator(seed, index)
     replay, dropped = np.zeros(count), np.full(count, np.nan)
     alive = np.ones(count, dtype=bool)
     bounds = [b for b in (0, 1, 8, 32, 256) if b < w.size] + [w.size]
@@ -198,6 +205,16 @@ class TestSmallBallMC:
         assert res.hits[0] > 0
         assert len(built) == 2
 
+    def test_hits_equal_the_replayed_blocks(self):
+        # a two-block run counts exactly the hits of its blocks' replayed
+        # streams: 65 536 samples from block 0, 4 464 from block 1
+        eps = np.array([0.7, 0.6])
+        w = np.arange(1, 3001, dtype=float) ** -2.0
+        res = smallball_mc(1.0, 3000, eps, 70_000, seed=3)
+        replays = [_staged_replay(3, 0, 65536, w, 0.49)[0], _staged_replay(3, 1, 4464, w, 0.49)[0]]
+        expected = [sum(int(np.count_nonzero(r <= e * e)) for r in replays) for e in eps]
+        assert res.hits.tolist() == expected
+
     @pytest.mark.parametrize("count", [65536, 34464, 1001])
     @pytest.mark.parametrize("chunk", [8192, 777])
     def test_chunked_head_sums_equal_one_shot_sums(self, monkeypatch, count, chunk):
@@ -205,9 +222,8 @@ class TestSmallBallMC:
         # stream, so the sums equal those of one draw per stage
         monkeypatch.setattr(kl, "_DRAW_NORMALS", chunk)
         w_head = np.arange(1, 257, dtype=float) ** -2.0
-        key = np.array([11, 3 << 56], dtype=np.uint64)
-        one_shot, _ = _staged_replay(key, count, w_head, 0.25)
-        sums = kl._staged_sums(Generator(Philox(key=key)), count, w_head, 0.25)
+        one_shot, _ = _staged_replay(11, 0, count, w_head, 0.25)
+        sums = kl._staged_sums(_block_generator(11, 0), count, w_head, 0.25)
         np.testing.assert_array_equal(sums, one_shot)
 
     @pytest.mark.parametrize("width", [2000, 257, 256, 20, 1])
@@ -216,9 +232,8 @@ class TestSmallBallMC:
         # never loses a hit
         count, cutoff = 20_000, 0.25
         w = np.arange(1, width + 1, dtype=float) ** -2.0
-        key = np.array([5, 3 << 56], dtype=np.uint64)
-        replay, dropped = _staged_replay(key, count, w, cutoff)
-        sums = kl._staged_sums(Generator(Philox(key=key)), count, w, cutoff)
+        replay, dropped = _staged_replay(5, 0, count, w, cutoff)
+        sums = kl._staged_sums(_block_generator(5, 0), count, w, cutoff)
         np.testing.assert_array_equal(sums, replay)
         pruned = ~np.isnan(dropped)
         assert pruned.any() == (width > 1)
@@ -230,10 +245,11 @@ class TestSmallBallMC:
         # with two, must agree bit for bit
         code = (
             "import hashlib, numpy as np\n"
-            "from numpy.random import Generator, Philox\n"
+            "from numpy.random import Generator\n"
             "from omlat.kl import _staged_sums\n"
+            "from omlat.noise import _TAG_SMALLBALL_BLOCK, _block_bits\n"
             "w = np.arange(1, 12001, dtype=float) ** -2.0\n"
-            "g = Generator(Philox(key=np.array([5, 3 << 56], dtype=np.uint64)))\n"
+            "g = Generator(_block_bits(5, _TAG_SMALLBALL_BLOCK, 0))\n"
             "print(hashlib.sha256(_staged_sums(g, 65536, w, 0.25).tobytes()).hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.realpath(kl.__file__)))

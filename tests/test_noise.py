@@ -126,11 +126,11 @@ class TestBlockBits:
 class TestCoefficient:
     def test_constant(self):
         q = NoiseCoefficient.constant(2.5)
-        np.testing.assert_array_equal(q.at(0.3, 2), np.full(5, 2.5))
+        np.testing.assert_array_equal(q.grid([0.3], 2)[0], np.full(5, 2.5))
 
     def test_affine_profile(self):
         q = NoiseCoefficient.affine(0.01, 31.0)
-        vals = q.at(1.0, 2)
+        vals = q.grid([1.0], 2)[0]
         sites = np.array([-2, -1, 0, 1, 2])
         expected = 0.01 * (31.0 - 1.0 + 1.0 / (np.abs(sites) + 1.0))
         np.testing.assert_allclose(vals, expected)
@@ -139,15 +139,15 @@ class TestCoefficient:
         times = np.array([0.0, 1.0, 2.0])
         values = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
         q = NoiseCoefficient.table(times, values)
-        np.testing.assert_allclose(q.at(0.5, 1), [1.5, 2.5, 3.5])
+        np.testing.assert_allclose(q.grid([0.5], 1)[0], [1.5, 2.5, 3.5])
         # beyond the table it holds the boundary row
-        np.testing.assert_allclose(q.at(5.0, 1), [3.0, 4.0, 5.0])
+        np.testing.assert_allclose(q.grid([5.0], 1)[0], [3.0, 4.0, 5.0])
 
     def test_table_narrower_selection(self):
         times = np.array([0.0, 1.0])
         values = np.tile(np.arange(1.0, 6.0), (2, 1))
         q = NoiseCoefficient.table(times, values)
-        np.testing.assert_allclose(q.at(0.0, 1), [2.0, 3.0, 4.0])
+        np.testing.assert_allclose(q.grid([0.0], 1)[0], [2.0, 3.0, 4.0])
 
     def test_table_validation(self):
         with pytest.raises(ConfigurationError):

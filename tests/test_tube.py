@@ -15,6 +15,7 @@ from omlat import (
     dense_A,
     drift,
     integrate,
+    tube,
 )
 from omlat.noise import _TAG_TUBE_BLOCK, _block_bits
 from omlat.tube import TubeExperiment, _block_distances, tube_ratio
@@ -69,7 +70,7 @@ class TestPathNorm:
 
 
 class TestBlockArithmetic:
-    def test_batch_matches_single_trajectory_integration(self):
+    def test_batch_matches_single_trajectory_integration(self, monkeypatch):
         # the vectorized ensemble must reproduce integrate() and the
         # damped-noise update on the same increments
         cfg = LatticeConfig(n=1, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.8), T=1.0)
@@ -77,7 +78,8 @@ class TestBlockArithmetic:
         dt = 1.0 / N
         ts = np.linspace(0.0, 1.0, N + 1)
         phi = grid_path(np.outer(np.sin(np.pi * ts), np.array([0.1, 0.3, 0.1])), dt)
-        exp = TubeExperiment(cfg=cfg, phi=phi, eps=(10.0,), samples=count, seed=99, min_hits=1)
+        monkeypatch.setattr(tube, "MIN_HITS", 1)
+        exp = TubeExperiment(cfg=cfg, phi=phi, eps=(10.0,), samples=count, seed=99)
         table = tube_ratio(exp)
         assert table.num_hits[0] == count  # huge radius: sanity
 
@@ -92,8 +94,9 @@ class TestBlockArithmetic:
         # scalar shortcut for the damped reference: nu A has the constant
         # eigenvector, so compare through ou_convolution per eigenmode
         V = np.linalg.eigh(cfg.nu * np.array([[2., -1, -1], [-1, 2, -1], [-1, -1, 2]]) + cfg.lam * np.eye(3))[1]
+        q0 = cfg.q.grid([0.0], 1)[0]
         for j in range(count):
-            modes = NoisePath(dt=dt, increments=(cfg.q.at(0, 1) * dW[j]) @ V / cfg.q.at(0, 1)[0])
+            modes = NoisePath(dt=dt, increments=(q0 * dW[j]) @ V / q0[0])
             conv = ou_convolution(modes, cfg.q, alpha)
             y = conv.states @ V.T
             expected = l2rho_path_norm(grid_path(y, dt), grid_path(np.zeros((N + 1, 3)), dt), cfg.rho) ** 2
