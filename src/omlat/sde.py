@@ -94,7 +94,7 @@ def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
         k = k0 + j
         if not du.max() < BLOWUP_THRESHOLD:  # a NaN fails this too
             row, i = divmod(int(np.argmax(du)), d)  # the largest component, or a NaN
-            label = trajectories[row]
+            label = int(trajectories[row])
             raise IntegrationError(
                 f"trajectory {label} blew up at step {k + 1} (t={dt * (k + 1):.6g}), "
                 f"site {i - cfg.n}: |u|={du[row, i]:.3e}",

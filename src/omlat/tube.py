@@ -43,6 +43,12 @@ MIN_HITS = 50
 #: ``_TUBE_CHUNK_STEPS * count * d`` doubles whatever the number of steps.
 _TUBE_CHUNK_STEPS = 32
 
+#: Steps between a block's prune points: at global steps 32, 64, ... a
+#: block drops the trajectories whose two partial distances both exceed
+#: ``max(eps)^2``.  The prune points do not depend on the chunk size, so
+#: neither do the results; they do depend on ``max(eps)``.
+_TUBE_STAGE_STEPS = 32
+
 
 @dataclass(frozen=True)
 class TubeExperiment:
@@ -98,14 +104,23 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     """Squared tube distances of one keyed block of trajectories, for the
     solution ensemble and the reference-noise ensemble (common increments).
 
-    The block's increments are drawn time-major from its one generator, a
-    (steps, count, d) array of standard normals scaled by sqrt(dt), in
-    chunks of :data:`_TUBE_CHUNK_STEPS` steps; each chunk is stepped as soon
-    as it is drawn."""
+    Both distances are running sums of non-negative terms, so a trajectory
+    whose two partial sums both exceed ``max(eps)^2`` can never be a hit at
+    any radius.  The steps are taken in stages of :data:`_TUBE_STAGE_STEPS`,
+    and each stage after the first covers only the trajectories where
+    either partial sum is still at most ``max(eps)^2``: their increments
+    are drawn time-major from the block's one generator, a (steps, alive, d)
+    array of standard normals scaled by sqrt(dt) for the surviving
+    trajectories in ascending order, in chunks of at most
+    :data:`_TUBE_CHUNK_STEPS` steps, each stepped as soon as it is drawn.
+    A pruned trajectory keeps its partial sums, which already exceed every
+    radius squared, so the hit counts are exact for the trajectories' own
+    increments; a block whose trajectories are all pruned stops drawing."""
     cfg = exp.cfg
     phi = exp.phi.states
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
+    cutoff = max(exp.eps) ** 2
     rho_sq = (cfg.rho**2)[None, :]
     g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
 
@@ -118,12 +133,13 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     # loop, and np.dot hands it to BLAS, whose threads contend with the pool.
     rotate = d > 1
 
-    x = np.zeros((count, d))  # reference-noise state, eigenbasis coordinates
     # trapezoid accumulation: half weight at k = 0 and k = N; at k = 0 both
     # ensembles sit exactly on their reference, so that term is zero
     num_sq = np.zeros(count)
     den_sq = np.zeros(count)
+    x = np.zeros((count, d))  # reference-noise state, eigenbasis coordinates
     sq = np.empty((count, d))  # weighted squared distance per site
+    u = np.tile(phi[0], (count, 1))
 
     def add_site_sum(acc, w):
         # acc += w * (sum of the columns of sq), overwriting sq.  Summing
@@ -154,22 +170,48 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
         add_site_sum(den_sq, w)
 
     first = block_index * TUBE_BLOCK_SIZE
-    trajectories = range(first, first + count)
-    u = np.tile(phi[0], (count, 1))
-    chunk = np.empty((min(_TUBE_CHUNK_STEPS, N), count, d))
-    for k0 in range(0, N, chunk.shape[0]):
-        dW = chunk[: N - k0]
-        g.standard_normal(out=dW)
-        dW *= np.sqrt(dt)
-        # the transpose is the stepper's (count, steps, d) layout, and each
-        # step reads one contiguous (count, d) block of it
-        u = euler_maruyama(u, dW.transpose(1, 0, 2), cfg, dt, trajectories, k0, accumulate)
-    return num_sq, den_sq
+    trajectories = np.arange(first, first + count)
+    num_all, den_all = num_sq, den_sq
+    # Every trajectory keeps its row in the block's arrays: a prune point
+    # moves the survivors, in ascending order, to the front, and the state
+    # becomes the views of that prefix.  So a prune point allocates nothing
+    # that outlives it, and a smaller alive set draws into a prefix of the
+    # block's one buffer.
+    alive = count
+    buffer = np.empty(min(_TUBE_CHUNK_STEPS, _TUBE_STAGE_STEPS, N) * count * d)
+    for s0 in range(0, N, _TUBE_STAGE_STEPS):
+        if s0:
+            keep = (num_sq <= cutoff) | (den_sq <= cutoff)
+            survivors_first = np.argsort(~keep, kind="stable")
+            for a in (trajectories, num_all, den_all, x, u):
+                a[:alive] = a[:alive][survivors_first]
+            alive = int(keep.sum())
+            if not alive:
+                break
+            num_sq, den_sq, x, u, sq = num_all[:alive], den_all[:alive], x[:alive], u[:alive], sq[:alive]
+        s1 = min(s0 + _TUBE_STAGE_STEPS, N)
+        for k0 in range(s0, s1, _TUBE_CHUNK_STEPS):
+            dW = buffer[: (min(k0 + _TUBE_CHUNK_STEPS, s1) - k0) * alive * d].reshape(-1, alive, d)
+            g.standard_normal(out=dW)
+            dW *= np.sqrt(dt)
+            # the transpose is the stepper's (alive, steps, d) layout, and
+            # each step reads one contiguous (alive, d) block of it
+            u = euler_maruyama(u, dW.transpose(1, 0, 2), cfg, dt, trajectories[:alive], k0, accumulate)
+    num_out = np.empty(count)
+    den_out = np.empty(count)
+    num_out[trajectories - first] = num_all
+    den_out[trajectories - first] = den_all
+    return num_out, den_out
 
 
 def tube_ratio(exp: TubeExperiment) -> TubeTable:
     """Estimate ``P(|u - phi| <= eps) / P(|W| <= eps)`` for each radius and
     compare with ``exp(-action(phi)/2)`` evaluated on the same grid.
+
+    A block stops drawing and stepping a trajectory at the first prune
+    point (every :data:`_TUBE_STAGE_STEPS` steps) where it has left both
+    tubes of radius ``max(eps)``; the hit counts are exact, but the draws
+    after the first stage, and with them the counts, depend on ``max(eps)``.
 
     Raises
     ------
@@ -177,7 +219,8 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
         If either event has fewer than :data:`MIN_HITS` hits at the
         largest radius; the message suggests larger samples or radii.
     IntegrationError
-        If a trajectory of the solution ensemble blows up.
+        If a trajectory of the solution ensemble blows up while it is
+        still stepped; a pruned trajectory is not stepped on.
     """
     report = om_action(exp.phi, exp.cfg)
     predicted = float(np.exp(-0.5 * report.total))

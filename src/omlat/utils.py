@@ -14,14 +14,19 @@ FLOAT_FORMAT = "%.17g"
 def worker_count() -> int:
     """Worker cap for the block pool of :func:`map_blocks`, which runs the
     tube and small-ball blocks: the OMLAT_THREADS environment variable
-    when set, else the CPU count."""
+    when set, else the usable CPU count, and never more than the usable
+    CPUs, since each running block holds its buffers."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
     raw = os.environ.get("OMLAT_THREADS", "")
     if raw.strip():
         try:
-            return max(1, int(raw))
+            return min(max(1, int(raw)), usable)
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return usable
 
 
 def map_blocks(fn, samples: int, block_size: int) -> list:

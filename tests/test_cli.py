@@ -181,7 +181,7 @@ class TestCliRuns:
                      "--samples", "2000", "--out", str(out)])
         versions = {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
         for manifest in (opened[0], _closed_manifest(out, 0)):
-            assert manifest["threads"] == 3
+            assert manifest["threads"] == min(3, len(os.sched_getaffinity(0)))
             assert manifest["versions"] == versions
         assert code == 0
 

@@ -8,9 +8,12 @@ leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
 threads and with two step chunk sizes, and the small-ball run with one
 and with two worker threads and with two caps on the normals of one
-draw.  The tube digests pin the time-major SFC64 stream of each block,
-the small-ball digest the staged SFC64 stream of each block's one
-generator, tail included; both are seeded by ``noise._block_bits``.  A
+draw.  The tube digests pin the staged time-major SFC64 stream of each
+block, whose stages after the first draw only for the trajectories still
+inside the largest tube; the step chunk size does not move those prune
+points.  The small-ball digest pins the staged SFC64 stream of each
+block's one generator, tail included; both are seeded by
+``noise._block_bits``.  A
 change to a random stream changes the digests of the runs that draw from
 it: such a change re-pins them and says so.
 """
@@ -50,8 +53,8 @@ DIGESTS = {
     },
     "truncation": {"truncation.csv": "6748ca34089773c6fc2160d5f5bdd097a099c13d8bc78ede54a5a37e62c39422"},
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
-    "tube": {"tube.csv": "7609af2f1b393332b07ac5b243b9aa97f0eea85767c16d059c78df251fd20a4c"},
-    "tube3": {"tube.csv": "699f10bf219eba45d3b4207f4c79a3d0d615bfa35b4773138b140a3bf145207c"},
+    "tube": {"tube.csv": "517ce71c4d803bfef0903f1d0bd4e6f1057d49830fac30e58751589f964cfb1f"},
+    "tube3": {"tube.csv": "8fc6c482194a834cc13aa33e6d683028ea31df3bd2b687ec848f0a9672c77d97"},
     "smallball": {"smallball.csv": "0a527096989e48efdfd12833b139b8a710b2ddc87f8878a0afe95d09912aa6b8"},
 }
 

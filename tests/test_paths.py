@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -41,14 +43,21 @@ class TestUtils:
             assert float(format_float(x)) == x
 
     def test_worker_count_env(self, monkeypatch):
+        usable = len(os.sched_getaffinity(0))
         monkeypatch.setenv("OMLAT_THREADS", "3")
-        assert worker_count() == 3
+        assert worker_count() == min(3, usable)
         monkeypatch.setenv("OMLAT_THREADS", "0")
         assert worker_count() == 1
         monkeypatch.setenv("OMLAT_THREADS", "not-a-number")
         assert worker_count() >= 1
         monkeypatch.delenv("OMLAT_THREADS")
         assert worker_count() >= 1
+
+    def test_worker_count_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # each running block holds its buffers, so the cap bounds memory;
+        # only the count is asked for, no thread is started
+        monkeypatch.setenv("OMLAT_THREADS", "1000000")
+        assert worker_count() == len(os.sched_getaffinity(0))
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         import numpy as np

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.random import Generator
 
 from omlat import (
     ConfigurationError,
+    IntegrationError,
     LatticeConfig,
     NoiseCoefficient,
     NoisePath,
@@ -18,7 +20,8 @@ from omlat import (
     tube,
 )
 from omlat.noise import _TAG_TUBE_BLOCK, _block_bits
-from omlat.tube import TubeExperiment, _block_distances, tube_ratio
+from omlat.sde import euler_maruyama
+from omlat.tube import _TUBE_STAGE_STEPS, TubeExperiment, _block_distances, tube_ratio
 from oracles import l2rho_path_norm, ou_convolution
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -111,16 +114,22 @@ def block_increments(exp, block_index, count):
     return dW.transpose(1, 0, 2)
 
 
-def matmul_block_distances(exp, block_index, count):
+def matmul_block_distances(exp, block_index, count, filler=None):
     """Reference for ``_block_distances``: its own Euler-Maruyama loop and
     ``@`` products, as the tube computed them before it used the shared
-    stepper."""
+    stepper, replaying its staged draw.  Each stage of ``_TUBE_STAGE_STEPS``
+    steps draws one time-major (steps, alive, d) array for the rows still
+    alive, and a row stays alive while either partial sum is at most
+    ``max(eps)^2``.  With a ``filler`` generator the pruned rows are stepped
+    on to N as well, on its draws.  Returns the two sums and the alive mask
+    of each stage."""
     cfg = exp.cfg
     phi = exp.phi.states
     N, d = exp.phi.steps, cfg.d
     dt = exp.phi.dt
+    cutoff = max(exp.eps) ** 2
     rho_sq = (cfg.rho**2)[None, :]
-    dW = block_increments(exp, block_index, count)
+    g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
     qs = cfg.q.grid(dt * np.arange(N), cfg.n)
     alpha, V = np.linalg.eigh(cfg.nu * dense_A(d) + cfg.lam * np.eye(d))
     decay = np.exp(-alpha * dt)[None, :]
@@ -129,19 +138,34 @@ def matmul_block_distances(exp, block_index, count):
     num_sq = np.zeros(count)
     den_sq = np.zeros(count)
     num_sq += 0.5 * dt * np.sum(rho_sq * (u - phi[0]) ** 2, axis=1)
-    for k in range(N):
-        forced = qs[k] * dW[:, k, :]
-        u = u + drift(u, cfg) * dt + forced
-        if exp.denominator == "convolution":
-            x = decay * (x + forced @ V)
-            y = x @ V.T
-        else:
-            x = x + forced
-            y = x
-        w = dt if k < N - 1 else 0.5 * dt
-        num_sq += w * np.sum(rho_sq * (u - phi[k + 1]) ** 2, axis=1)
-        den_sq += w * np.sum(rho_sq * y**2, axis=1)
-    return num_sq, den_sq
+    alive = np.ones(count, dtype=bool)
+    stages = []
+    for s0 in range(0, N, _TUBE_STAGE_STEPS):
+        if s0:
+            alive = alive & ((num_sq <= cutoff) | (den_sq <= cutoff))
+        stages.append(alive)
+        s1 = min(s0 + _TUBE_STAGE_STEPS, N)
+        dW = np.zeros((s1 - s0, count, d))
+        dW[:, alive] = np.sqrt(dt) * g.standard_normal((s1 - s0, alive.sum(), d))
+        rows = alive
+        if filler is not None:
+            dW[:, ~alive] = np.sqrt(dt) * filler.standard_normal((s1 - s0, (~alive).sum(), d))
+            rows = np.ones(count, dtype=bool)
+        ur, xr, nr, dr = u[rows], x[rows], num_sq[rows], den_sq[rows]
+        for k in range(s0, s1):
+            forced = qs[k] * dW[k - s0][rows]
+            ur = ur + drift(ur, cfg) * dt + forced
+            if exp.denominator == "convolution":
+                xr = decay * (xr + forced @ V)
+                y = xr @ V.T
+            else:
+                xr = xr + forced
+                y = xr
+            w = dt if k < N - 1 else 0.5 * dt
+            nr += w * np.sum(rho_sq * (ur - phi[k + 1]) ** 2, axis=1)
+            dr += w * np.sum(rho_sq * y**2, axis=1)
+        u[rows], x[rows], num_sq[rows], den_sq[rows] = ur, xr, nr, dr
+    return num_sq, den_sq, stages
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -159,6 +183,112 @@ def test_block_distances_match_matmul_loop(n, denominator, reference):
         expected = matmul_block_distances(exp, block_index, count)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("denominator", ["convolution", "plain"])
+def test_pruning_is_exact(n, denominator):
+    # stepping every pruned row on to N, on filler draws, changes no hit
+    # count: its full-length sums still exceed the largest radius squared
+    cfg = LatticeConfig(n=n, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(1.0, 1.0), T=1.0)
+    N = 100
+    phi = grid_path(np.zeros((N + 1, cfg.d)), 1.0 / N)
+    eps = tuple((1 + n) * e for e in (0.4, 0.3, 0.2))
+    exp = TubeExperiment(cfg=cfg, phi=phi, eps=eps, samples=600, seed=17, denominator=denominator)
+    got = _block_distances(exp, 1, 600)
+    num_sq, den_sq, stages = matmul_block_distances(exp, 1, 600, filler=Generator(np.random.SFC64(5)))
+    kept = stages[-1]
+    assert 0 < kept.sum() < 600 // 2
+    np.testing.assert_array_equal(got[0][kept], num_sq[kept])
+    np.testing.assert_array_equal(got[1][kept], den_sq[kept])
+    cutoff = max(eps) ** 2
+    assert np.all(num_sq[~kept] > cutoff) and np.all(den_sq[~kept] > cutoff)
+    eps_sq = np.asarray(eps) ** 2
+    for full, staged in zip((num_sq, den_sq), got):
+        np.testing.assert_array_equal(
+            np.searchsorted(np.sort(staged), eps_sq, side="right"),
+            np.searchsorted(np.sort(full), eps_sq, side="right"),
+        )
+
+
+def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
+    # a blow-up names the trajectory's index in the run, first + alive[row]
+    calls = []
+
+    def recording(u0, increments, cfg, dt, trajectories, k0, observe):
+        calls.append((k0, list(trajectories)))
+        return euler_maruyama(u0, increments, cfg, dt, trajectories, k0, observe)
+
+    monkeypatch.setattr(tube, "euler_maruyama", recording)
+    N = 100
+    phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+    exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=300, seed=2)
+    _block_distances(exp, 2, 300)
+    stages = matmul_block_distances(exp, 2, 300)[2]
+    assert [k0 for k0, _ in calls] == [0, 32, 64, 96]
+    for k0, labels in calls:
+        alive = np.flatnonzero(stages[k0 // _TUBE_STAGE_STEPS])
+        assert labels == (2 * tube.TUBE_BLOCK_SIZE + alive).tolist()
+    assert len(calls[-1][1]) < 300
+
+
+def test_only_a_trajectory_still_stepped_can_blow_up():
+    # u' = u^3 - ...: with nothing pruned, trajectory 17456 (row 1072 of
+    # block 1) blows up first, at step 47.  At eps 0.3 it has left the tube
+    # by the prune point at step 32, and the first blow-up is trajectory
+    # 16516's, at step 61, a trajectory the block still steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
+    cfg = LatticeConfig(n=0, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=2.0)
+    N = 256
+    phi = grid_path(np.zeros((N + 1, 1)), 2.0 / N)
+    first = tube.TUBE_BLOCK_SIZE
+    blown = {}
+    for eps in (100.0, 0.3):
+        exp = TubeExperiment(cfg=cfg, phi=phi, eps=(eps,), samples=2000, seed=1)
+        with pytest.raises(IntegrationError) as err, np.errstate(over="ignore", invalid="ignore"):
+            _block_distances(exp, 1, 2000)
+        blown[eps] = (err.value.trajectory, err.value.step)
+    assert blown == {100.0: (first + 1072, 47), 0.3: (first + 132, 61)}
+    assert type(blown[0.3][0]) is int
+    with np.errstate(over="ignore", invalid="ignore"):
+        second_stage = matmul_block_distances(exp, 1, 2000)[2][1]
+    assert second_stage[132] and not second_stage[1072]
+
+
+def test_a_block_whose_trajectories_all_leave_stops_drawing(monkeypatch):
+    calls = []
+
+    def recording(u0, increments, *args):
+        calls.append(increments.shape)
+        return euler_maruyama(u0, increments, *args)
+
+    monkeypatch.setattr(tube, "euler_maruyama", recording)
+    N = 128
+    phi = grid_path(np.ones((N + 1, 1)), 1.0 / N)
+    exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.01,), samples=200, seed=3)
+    num_sq, den_sq = _block_distances(exp, 0, 200)
+    assert calls == [(200, _TUBE_STAGE_STEPS, 1)]
+    assert np.all(num_sq > 1e-4) and np.all(den_sq > 1e-4)
+
+
+def test_pruning_block_holds_no_more_memory_than_one_that_prunes_nothing():
+    # every stage draws into a prefix of the block's one buffer
+    def traced_peak(eps, N=256, count=2048):
+        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(eps,), samples=count, seed=4)
+        tracemalloc.start()
+        try:
+            num_sq, den_sq = _block_distances(exp, 0, count)
+            return tracemalloc.get_traced_memory()[1], np.mean((num_sq <= eps**2) | (den_sq <= eps**2))
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(10.0)  # leaves out what only a first call allocates
+    (pruning, kept), (whole, all_kept) = traced_peak(0.3), traced_peak(10.0)
+    assert kept < 0.5 and all_kept == 1.0
+    assert pruning <= whole, (pruning, whole)
 
 
 def test_block_memory_does_not_grow_with_the_number_of_steps():
@@ -275,8 +405,16 @@ class TestPlainDenominator:
         # same increments drive both; the undamped reference wanders
         # further, so its tube hits can only decrease
         assert plain.den_hits[0] < conv.den_hits[0]
-        assert plain.num_hits[0] == conv.num_hits[0]
         assert np.isfinite(plain.ratio[0])
+        # which trajectories are pruned depends on the denominator; over one
+        # stage nothing is pruned, and the solution ensembles are the same
+        short = grid_path(np.zeros((_TUBE_STAGE_STEPS + 1, 1)), 1.0 / _TUBE_STAGE_STEPS)
+        nums = [
+            _block_distances(TubeExperiment(cfg=cfg, phi=short, eps=(0.5,), samples=3000, seed=6,
+                                            denominator=kind), 0, 3000)[0]
+            for kind in ("convolution", "plain")
+        ]
+        np.testing.assert_array_equal(nums[0], nums[1])
 
 
 def test_log_ratio_flattens_toward_prediction():
