@@ -294,6 +294,7 @@ def drift(u, cfg: LatticeConfig, out=None):
     out = apply_A(u, out=out)
     out *= -cfg.nu
     out -= cfg.lam * u
-    out -= cfg.f(u)
+    if cfg.f.coeffs:  # f = 0 returns zeros, and x - 0.0 is x bit for bit
+        out -= cfg.f(u)
     out += cfg.g
     return out

@@ -101,19 +101,24 @@ def sample_noise(seed: int, steps: int, d: int, dt: float, trajectory: int = 0) 
         raise ConfigurationError(f"need steps >= 1, d >= 1, dt > 0, got {(steps, d, dt)}")
     if d % 2 != 1:
         raise ConfigurationError(f"dimension must be odd (d = 2n + 1), got {d}")
-    order = _center_out_order(d)
-    sqdt = np.sqrt(dt)
-    bits = Philox(key=_philox_key(seed, _TAG_NOISE_ROW, trajectory, 0))
+    # Row k's key is row 0's with k added to the low word of key word 1;
+    # the last row's key is built once to range-check them all.
+    _philox_key(seed, _TAG_NOISE_ROW, trajectory, steps - 1)
+    keys = np.tile(_philox_key(seed, _TAG_NOISE_ROW, trajectory, 0), (steps, 1))
+    keys[:, 1] += np.arange(steps, dtype=np.uint64)
+    bits = Philox(key=keys[0])
     g = Generator(bits)
     # Re-keying with the counter at zero and the buffer empty leaves the
     # generator as Philox(key=...) builds it, without building one per row.
     fresh = bits.state
-    inc = np.empty((steps, d))
-    for k in range(steps):
-        fresh["state"]["key"] = _philox_key(seed, _TAG_NOISE_ROW, trajectory, k)
+    draws = np.empty((steps, d))
+    for key, row in zip(keys, draws):
+        fresh["state"]["key"] = key
         bits.state = fresh
-        inc[k, order] = g.standard_normal(d)
-    inc *= sqdt
+        g.standard_normal(out=row)
+    inc = np.empty((steps, d))
+    inc[:, _center_out_order(d)] = draws
+    inc *= np.sqrt(dt)
     return NoisePath(dt=dt, increments=inc, trajectory=trajectory)
 
 

@@ -6,16 +6,16 @@ The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
-threads and with two step chunk sizes, and the small-ball run with one
-and with two worker threads and with two caps on the normals of one
-draw.  The tube digests pin the staged time-major SFC64 stream of each
-block, whose stages after the first draw only for the trajectories still
-inside the largest tube; the step chunk size does not move those prune
-points.  The small-ball digest pins the staged SFC64 stream of each
-block's one generator, tail included; both are seeded by
-``noise._block_bits``.  A
-change to a random stream changes the digests of the runs that draw from
-it: such a change re-pins them and says so.
+threads, with two step chunk sizes and with one keyed block per worker
+batch instead of two, and the small-ball run with one and with two
+worker threads and with two caps on the normals of one draw.  The tube
+digests pin the staged time-major SFC64 stream of each block, whose
+stages after the first draw only for the trajectories still inside the
+largest tube; neither the step chunk size nor the grouping of blocks
+moves those prune points.  The small-ball digest pins the staged SFC64
+stream of each block's one generator, tail included; both are seeded by
+``noise._block_bits``.  A change to a random stream changes the digests
+of the runs that draw from it: such a change re-pins them and says so.
 """
 import hashlib
 from pathlib import Path as FsPath
@@ -59,11 +59,12 @@ DIGESTS = {
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
-# per group; tubes on one and two threads, and with their increments
-# drawn and stepped 1 and 7 steps at a time; the small-ball blocks on one
+# per group; tubes on one and two threads, with their increments drawn
+# and stepped 1 and 7 steps at a time, and with each worker stepping one
+# keyed block at a time instead of two; the small-ball blocks on one
 # and two threads, and its stages drawn in chunks of at most the default
 # 65 536 and 777 normals.
-TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
+TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7", "group1")
 VARIANTS = {
     "tube": TUBE_VARIANTS,
     "tube3": TUBE_VARIANTS,
@@ -84,6 +85,8 @@ def test_csv_digests(tmp_path, monkeypatch, run, variant):
         monkeypatch.setattr(kl, "_DRAW_NORMALS", int(variant[len("chunk"):]))
     elif variant.startswith("steps"):
         monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", int(variant[len("steps"):]))
+    elif variant == "group1":
+        monkeypatch.setattr(tube, "_TUBE_GROUP_BLOCKS", 1)
     out = tmp_path / run
     argv = [arg.replace("{three_sites}", str(three_sites)) for arg in RUNS[run]]
     assert main(argv + ["--seed", "11", "--out", str(out)]) == 0

@@ -220,6 +220,18 @@ class TestDrift:
         assert drift(u, cfg, out=out) is out
         np.testing.assert_array_equal(out, expected)
 
+    def test_linear_drift_matches_the_expression_bit_for_bit(self):
+        # with no coefficients drift leaves out "- f(u)": f(u) is zeros, and
+        # x - 0.0 is x bit for bit, signed zeros, infinities and NaN included
+        f0 = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
+        cfg = make_cfg(n=2, f=f0, g=np.full(5, -0.0))
+        u = np.array([[0.0] * 5, [-0.0] * 5, [0.3, -0.0, np.inf, -np.inf, np.nan], [-1.5, 2.0, -0.0, 0.0, 7.0]])
+        expected = -cfg.nu * ROLL_FORMULAS["A"][1](u) - cfg.lam * u - cfg.f(u) + cfg.g
+        with np.errstate(invalid="ignore"):
+            got = drift(u, cfg)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.signbit(got[0]).all()  # the zero state's drift is -0.0: signed zeros are checked
+
     def test_one_sided_dissipativity_unweighted(self):
         cfg = make_cfg(n=3)
         rng = np.random.default_rng(23)

@@ -211,6 +211,53 @@ def test_pruning_is_exact(n, denominator):
         )
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("denominator", ["convolution", "plain"])
+def test_a_group_equals_its_blocks_one_at_a_time(monkeypatch, n, denominator):
+    # blocks of 400 trajectories: a group of block 4 and a short block 5
+    # of 157, stepped as one batch, gives each block's own distances bit
+    # for bit, with trajectories pruned in both blocks
+    monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 400)
+    rho = np.array([1.0, 2.0, 0.5])[: 2 * n + 1]
+    cfg = LatticeConfig(n=n, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(1.0, 1.0), T=1.0, rho=rho)
+    N = 100
+    phi = grid_path(0.3 * np.outer(np.sin(np.pi * np.linspace(0.0, 1.0, N + 1)), np.ones(cfg.d)), 1.0 / N)
+    exp = TubeExperiment(cfg=cfg, phi=phi, eps=((1 + n) * 0.4,), samples=557, seed=23, denominator=denominator)
+    group = _block_distances(exp, 4, 557)
+    alone = [_block_distances(exp, 4, 400), _block_distances(exp, 5, 157)]
+    for j in range(2):
+        np.testing.assert_array_equal(group[j], np.concatenate([block[j] for block in alone]))
+    cutoff = max(exp.eps) ** 2
+    for num_sq, den_sq in alone:
+        pruned = (num_sq > cutoff) & (den_sq > cutoff)
+        assert 0 < pruned.sum() < pruned.size
+
+
+def test_a_group_reports_its_first_blow_up_whichever_block_it_is_in(monkeypatch):
+    # u' = u^3 - ..., blocks of 500 trajectories.  Alone, block 0 first
+    # blows up at step 56 (trajectory 84), block 1 at step 46 (trajectory
+    # 658).  The group of both steps them together, so it stops at step 46
+    # and names trajectory 658, on one thread and on two
+    monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
+    cfg = LatticeConfig(n=0, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=2.0)
+    N = 256
+    phi = grid_path(np.zeros((N + 1, 1)), 2.0 / N)
+    exp = TubeExperiment(cfg=cfg, phi=phi, eps=(100.0,), samples=2000, seed=3)
+
+    def first_blow_up(run):
+        with pytest.raises(IntegrationError) as err, np.errstate(over="ignore", invalid="ignore"):
+            run()
+        return err.value.trajectory, err.value.step
+
+    assert [first_blow_up(lambda: _block_distances(exp, b, 500)) for b in (0, 1)] == [(84, 56), (658, 46)]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OMLAT_THREADS", threads)
+        assert first_blow_up(lambda: tube_ratio(exp)) == (658, 46)
+
+
 def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
     # a blow-up names the trajectory's index in the run, first + alive[row]
     calls = []
@@ -225,7 +272,7 @@ def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=300, seed=2)
     _block_distances(exp, 2, 300)
     stages = matmul_block_distances(exp, 2, 300)[2]
-    assert [k0 for k0, _ in calls] == [0, 32, 64, 96]
+    assert [k0 for k0, _ in calls] == [0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96]
     for k0, labels in calls:
         alive = np.flatnonzero(stages[k0 // _TUBE_STAGE_STEPS])
         assert labels == (2 * tube.TUBE_BLOCK_SIZE + alive).tolist()
@@ -269,7 +316,7 @@ def test_a_block_whose_trajectories_all_leave_stops_drawing(monkeypatch):
     phi = grid_path(np.ones((N + 1, 1)), 1.0 / N)
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.01,), samples=200, seed=3)
     num_sq, den_sq = _block_distances(exp, 0, 200)
-    assert calls == [(200, _TUBE_STAGE_STEPS, 1)]
+    assert calls == [(200, 8, 1)] * 4  # the first stage's four chunks
     assert np.all(num_sq > 1e-4) and np.all(den_sq > 1e-4)
 
 
@@ -291,9 +338,10 @@ def test_pruning_block_holds_no_more_memory_than_one_that_prunes_nothing():
     assert pruning <= whole, (pruning, whole)
 
 
-def test_block_memory_does_not_grow_with_the_number_of_steps():
-    # a block holds its increments a fixed number of steps at a time, so
-    # its peak memory is set by the block size, not by N
+def test_block_memory_does_not_grow_with_the_number_of_steps(monkeypatch):
+    # a group holds its increments a fixed number of steps at a time, so
+    # its peak memory is set by its size, not by N; checked for a group of
+    # one block and of two
     def traced_peak(N, count=2048):
         phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=count, seed=4)
@@ -304,8 +352,35 @@ def test_block_memory_does_not_grow_with_the_number_of_steps():
         finally:
             tracemalloc.stop()
 
-    short, long = traced_peak(256), traced_peak(4096)
-    assert long <= short + 2**16, (short, long)
+    for blocks in (1, 2):
+        monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 2048 // blocks)
+        short, long = traced_peak(256), traced_peak(4096)
+        assert long <= short + 2**16, (blocks, short, long)
+
+
+def test_a_two_block_group_holds_no_more_memory_than_one_block_did(monkeypatch):
+    # a group pays for its second block's rows with a shorter chunk: at the
+    # default chunk, its traced peak stays within that of one block drawn
+    # 32 steps at a time, the chunk of one-block workers.  A 16-step chunk
+    # would not
+    def traced_peak(count, N=64):
+        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(10.0,), samples=count, seed=4)
+        tracemalloc.start()
+        try:
+            _block_distances(exp, 0, count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    size = tube.TUBE_BLOCK_SIZE
+    traced_peak(size)  # leaves out what only a first call allocates
+    group = traced_peak(2 * size)
+    monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", 16)
+    longer_chunk = traced_peak(2 * size)
+    monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", 32)
+    one_block = traced_peak(size)
+    assert group <= one_block < longer_chunk, (group, one_block, longer_chunk)
 
 
 class TestTubeRatio:
