@@ -36,11 +36,10 @@ from .noise import (
 from .config import load_config, parse_config, parse_q_spec
 from .kl import (
     KLSpectrum,
-    SmallBallBounds,
     SmallBallMC,
     kl_spectrum,
-    smallball_bounds,
     smallball_mc,
+    smallball_rates,
     wilson_interval,
 )
 from .mpp import BVPSpec, MPPResult, el_residual_example5, solve_mpp

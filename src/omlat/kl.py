@@ -34,8 +34,7 @@ from .utils import map_blocks
 __all__ = [
     "KLSpectrum",
     "kl_spectrum",
-    "smallball_bounds",
-    "SmallBallBounds",
+    "smallball_rates",
     "smallball_mc",
     "SmallBallMC",
     "wilson_interval",
@@ -76,15 +75,15 @@ class KLSpectrum:
 
 
 def kl_spectrum(lam: float, count: int) -> KLSpectrum:
-    """First ``count`` eigenpairs for decay rate ``lam > 0``.
+    """First ``count`` eigenpairs for a finite decay rate ``lam > 0``.
 
     Bisection runs on the pole offset u = gamma - (2i-1) pi/2 in (0, pi),
     where ``g(u) = lam cot(u) - gamma`` is strictly decreasing from +inf
     to -inf, so each bracket contains exactly one root; the iteration
     stops when the bracket cannot be split further in double precision.
     """
-    if not lam > 0:
-        raise ConfigurationError(f"decay rate must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ConfigurationError(f"decay rate must be positive and finite, got {lam}")
     if count < 1:
         raise ConfigurationError(f"need at least one eigenpair, got {count}")
     gamma = np.empty(count)
@@ -115,51 +114,21 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     return KLSpectrum(lambda_decay=lam, gamma=gamma, mu=mu, A=A, pole_offset=offsets)
 
 
-@dataclass(frozen=True)
-class SmallBallBounds:
-    """Shapes of the two-sided small-ball estimate for weights i^(-alpha).
+def smallball_rates(alpha: float) -> tuple:
+    """Exponential rates ``(rate_up, rate_low)`` of the two-sided
+    small-ball estimate for weights i^(-alpha).
 
-    ``upper = eps^(rho (1-alpha)) exp(-rate_up eps^(-2 rho))`` and
-    ``lower = eps^(rho (3-alpha)) exp(-rate_low eps^(-2 rho))`` with
-    ``rho = 1 / (2 alpha - 1)``; the multiplicative constants are unknown
-    and reported as 1.
-    """
-
-    alpha: float
-    rho: float
-    rate_up: float
-    rate_low: float
-    prefactor_exp_up: float
-    prefactor_exp_low: float
-    upper: float
-    lower: float
-
-
-def smallball_bounds(alpha: float, eps: float) -> SmallBallBounds:
-    """Evaluate the bound shapes at one radius.
-
-    Requires alpha > 1/2 (at alpha = 1/2 the exponent rho diverges) and
-    0 < eps <= 1.
+    With ``rho = 1 / (2 alpha - 1)``, the probability of the ball of radius
+    eps lies between constant multiples of
+    ``eps^(rho (3-alpha)) exp(-rate_low eps^(-2 rho))`` and
+    ``eps^(rho (1-alpha)) exp(-rate_up eps^(-2 rho))``; the constants are
+    unknown.  Requires alpha > 1/2 (at alpha = 1/2 the exponent rho
+    diverges).
     """
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
-    if not 0.0 < eps <= 1.0:
-        raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
     rho = 1.0 / (2.0 * alpha - 1.0)
-    rate_up = alpha - 0.5
-    rate_low = alpha * (1.0 + rho) ** rho
-    pre_up = rho * (1.0 - alpha)
-    pre_low = rho * (3.0 - alpha)
-    return SmallBallBounds(
-        alpha=alpha,
-        rho=rho,
-        rate_up=rate_up,
-        rate_low=rate_low,
-        prefactor_exp_up=pre_up,
-        prefactor_exp_low=pre_low,
-        upper=eps**pre_up * math.exp(-rate_up * eps ** (-2.0 * rho)),
-        lower=eps**pre_low * math.exp(-rate_low * eps ** (-2.0 * rho)),
-    )
+    return alpha - 0.5, alpha * (1.0 + rho) ** rho
 
 
 def wilson_interval(hits: int, trials: int) -> tuple:
@@ -182,8 +151,6 @@ class SmallBallMC:
     with shared samples across radii (hit counts are exactly monotone in
     eps)."""
 
-    eps: np.ndarray
-    hits: np.ndarray
     estimates: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
@@ -264,8 +231,8 @@ def smallball_mc(
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if np.any(eps <= 0):
-        raise ConfigurationError("radii must be positive")
+    if not np.all(np.isfinite(eps) & (eps > 0)):
+        raise ConfigurationError(f"radii must be positive and finite, got {eps.tolist()}")
     if samples < 1:
         raise ConfigurationError("need at least one sample")
     if i_max < 1:
@@ -288,11 +255,5 @@ def smallball_mc(
     hits = sum(map_blocks(block_hits, samples, SMALLBALL_BLOCK_SIZE))
     est = hits / samples
     ci = np.array([wilson_interval(int(h), samples) for h in hits])
-    return SmallBallMC(
-        eps=eps,
-        hits=hits,
-        estimates=est,
-        ci_lo=ci[:, 0],
-        ci_hi=ci[:, 1],
-    )
+    return SmallBallMC(estimates=est, ci_lo=ci[:, 0], ci_hi=ci[:, 1])
 

@@ -96,12 +96,12 @@ class MPPResult:
     gradient_norm: float
     iterations: int
     converged: bool
-    action_history: np.ndarray = field(repr=False, default=None)
-    gradient_history: np.ndarray = field(repr=False, default=None)
-    damping_history: np.ndarray = field(repr=False, default=None)
-    step_history: np.ndarray = field(repr=False, default=None)
-    backtrack_history: np.ndarray = field(repr=False, default=None)
-    fallback_history: np.ndarray = field(repr=False, default=None)
+    action_history: np.ndarray = field(repr=False)
+    gradient_history: np.ndarray = field(repr=False)
+    damping_history: np.ndarray = field(repr=False)
+    step_history: np.ndarray = field(repr=False)
+    backtrack_history: np.ndarray = field(repr=False)
+    fallback_history: np.ndarray = field(repr=False)
 
 
 def _shift_diagonals(c, u, c2, h):

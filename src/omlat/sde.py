@@ -188,10 +188,6 @@ def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
     the right-hand side vanishes); it should stay bounded under grid
     refinement.
     """
-    if isinstance(paths, Path):
-        paths = [paths]
-    if isinstance(wq_paths, Path):
-        wq_paths = [wq_paths]
     if len(paths) != len(wq_paths):
         raise ConfigurationError("need one noise path per solution path")
     rho = cfg.rho
@@ -240,8 +236,6 @@ def truncation_tail(paths, K: int, rho) -> float:
     ``K`` must be below the truncation half-width; K = n gives the empty
     sum, 0.
     """
-    if isinstance(paths, Path):
-        paths = [paths]
     d = paths[0].d
     n = (d - 1) // 2
     if K > n:

@@ -15,7 +15,7 @@ the hit counts exactly monotone in eps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
@@ -82,8 +82,8 @@ class TubeExperiment:
         if self.phi.d != self.cfg.d:
             raise ConfigurationError("reference path dimension does not match config")
         eps = tuple(float(e) for e in self.eps)
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigurationError("need positive radii")
+        if not eps or not all(0 < e < np.inf for e in eps):
+            raise ConfigurationError(f"need positive finite radii, got {eps}")
         if self.denominator not in ("convolution", "plain"):
             raise ConfigurationError(f"unknown denominator kind {self.denominator!r}")
         if self.samples < 1:
@@ -103,7 +103,6 @@ class TubeTable:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     predicted: float
-    action_total: float = field(repr=False, default=0.0)
 
 
 def _block_distances(exp: TubeExperiment, first_block: int, count: int):
@@ -246,8 +245,7 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
         is the first group's, in sample order, that has one, and names the
         group's first blow-up step and its largest component there.
     """
-    report = om_action(exp.phi, exp.cfg)
-    predicted = float(np.exp(-0.5 * report.total))
+    predicted = float(np.exp(-0.5 * om_action(exp.phi, exp.cfg).total))
 
     eps_sq = np.asarray(exp.eps) ** 2
 
@@ -284,5 +282,4 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
         ci_lo=ci_lo,
         ci_hi=ci_hi,
         predicted=predicted,
-        action_total=report.total,
     )

@@ -271,16 +271,18 @@ def test_criterion_09_smallball_rates():
     # radius; 1e6 samples expect only 1.8 hits at eps = 0.3, so the rate
     # window applies where at least 50 hits are expected (0.5 and 0.4)
     samples = 1_000_000
-    res = smallball_mc(1.0, 12000, [0.5, 0.4, 0.3], samples, seed=0)
-    assert res.hits[0] >= res.hits[1] >= res.hits[2]
-    refs = [smallball_reference(e, 12000) for e in res.eps]
-    tails = [min(binomial_tails(int(h), samples, p)) for h, p in zip(res.hits, refs)]
+    eps = [0.5, 0.4, 0.3]
+    res = smallball_mc(1.0, 12000, eps, samples, seed=0)
+    hits = [int(h) for h in np.rint(res.estimates * samples)]
+    assert hits[0] >= hits[1] >= hits[2]
+    refs = [smallball_reference(e, 12000) for e in eps]
+    tails = [min(binomial_tails(h, samples, p)) for h, p in zip(hits, refs)]
     assert all(t >= 1e-6 for t in tails)
-    window = [float(np.log(res.estimates[j]) * res.eps[j] ** 2) for j in range(2)]
+    window = [float(np.log(res.estimates[j]) * eps[j] ** 2) for j in range(2)]
     assert all(-2.0 <= w <= -0.5 for w in window)
     print(
         f"\nACCEPTANCE 09 smallball-rates: PASS "
-        f"(hits {[int(h) for h in res.hits]} vs expected {[round(p * samples, 2) for p in refs]}, "
+        f"(hits {hits} vs expected {[round(p * samples, 2) for p in refs]}, "
         f"smaller binomial tail >= {min(tails):.2e}; log P * eps^2 = "
         f"{', '.join(f'{w:.3f}' for w in window)} at eps=0.5, 0.4 in [-2, -0.5])"
     )
@@ -300,7 +302,7 @@ def test_criterion_10_tube_consistency():
     t = tube_ratio(TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=1_000_000, seed=2))
     smallest = int(np.argmin(t.eps))
     assert t.num_hits[smallest] >= 50
-    target = -0.5 * t.action_total
+    target = -0.5 * om_action(phi, cfg).total
     log_ratio = float(np.log(t.ratio[smallest]))
     rel = abs(log_ratio - target) / abs(target)
     assert rel <= 0.25

@@ -496,13 +496,16 @@ class TestCliRuns:
         assert code == 2
         assert "--eps" in capsys.readouterr().err
 
-    def test_verify_smallball_radius_range_checked_before_sampling(self, tmp_path, monkeypatch):
+    def test_verify_smallball_radius_range_checked_before_sampling(self, tmp_path, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):
             raise AssertionError("smallball_mc ran before the radii were checked")
 
         monkeypatch.setattr("omlat.cli.smallball_mc", no_sampling)
-        code = main(["verify", "smallball", "--eps", "0.5,2", "--out", str(tmp_path / "sb")])
-        assert code == 2
+        for eps in ("0.5,2", "0"):
+            code = main(["verify", "smallball", "--eps", eps, "--out", str(tmp_path / "sb")])
+            assert code == 2
+            assert "--eps" in capsys.readouterr().err
+            assert not (tmp_path / "sb").exists()
 
     @pytest.mark.parametrize("imax", ["0", "-3"])
     def test_verify_smallball_imax_below_one_rejected(self, tmp_path, capsys, imax):
@@ -516,12 +519,13 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):
-        code = main([
-            "simulate", "--config", example5_file, "--out", str(tmp_path / "sim"),
-            "--dt", "0.25", "--u0", spec,
-        ])
-        assert code == 2
-        assert "gauss state spec" in capsys.readouterr().err
+        # the state is parsed before the run opens its output directory
+        out = tmp_path / "run"
+        for command in (["simulate"], ["verify", "cocycle"], ["verify", "bound"]):
+            code = main([*command, "--config", example5_file, "--out", str(out), "--dt", "0.25", "--u0", spec])
+            assert code == 2, command
+            assert "gauss state spec" in capsys.readouterr().err
+            assert not out.exists(), command
 
     def test_verify_truncation_small_lattices(self, tmp_path, capsys):
         from pathlib import Path as FsPath
@@ -648,7 +652,7 @@ _COMMANDS = {
         slice=_maybe(st.sampled_from(["i=0", "i=9", "i=x", ""])),
     )),
     ("om",): (True, _flags(seed=_maybe(_SEED))),
-    ("verify", "kl"): (False, _flags(**{"lambda": st.sampled_from(["0.4", "0", "nan"]), "m": st.integers(-1, 6)})),
+    ("verify", "kl"): (False, _flags(**{"lambda": st.sampled_from(["0.4", "0", "nan", "inf"]), "m": st.integers(-1, 6)})),
     ("verify", "cocycle"): (True, _flags(dt=_maybe(_DT), seed=_maybe(_SEED), u0=_maybe(_STATE))),
     ("verify", "truncation"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3))),
     ("verify", "bound"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3), u0=_maybe(_STATE))),

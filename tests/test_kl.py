@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator
 
 from omlat import ConfigurationError, kl
-from omlat.kl import kl_spectrum, smallball_bounds, smallball_mc, wilson_interval
+from omlat.kl import kl_spectrum, smallball_mc, smallball_rates, wilson_interval
 from omlat.noise import _TAG_SMALLBALL_BLOCK, _block_bits
 from oracles import (
     eigenfunction,
@@ -72,8 +72,9 @@ class TestSpectrum:
             assert np.trapezoid(vals, s) == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ConfigurationError):
-            kl_spectrum(0.0, 5)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="decay rate"):
+                kl_spectrum(lam, 5)
         with pytest.raises(ConfigurationError):
             kl_spectrum(0.4, 0)
 
@@ -116,31 +117,22 @@ class TestKernelChecks:
 
 class TestSmallBallBounds:
     def test_alpha_one(self):
-        b = smallball_bounds(1.0, 0.3)
-        assert b.rho == 1.0
-        assert b.rate_up == 0.5
-        assert b.rate_low == 2.0
-        assert b.prefactor_exp_up == 0.0
-        assert b.prefactor_exp_low == 2.0
+        assert smallball_rates(1.0) == (0.5, 2.0)
 
     def test_alpha_three_halves(self):
-        b = smallball_bounds(1.5, 0.3)
-        assert b.rho == pytest.approx(0.5)
-        assert b.rate_up == pytest.approx(1.0)
-        assert b.rate_low == pytest.approx(1.5 * math.sqrt(1.5))
+        rate_up, rate_low = smallball_rates(1.5)
+        assert rate_up == pytest.approx(1.0)
+        assert rate_low == pytest.approx(1.5 * math.sqrt(1.5))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.51, 5.0))
     def test_upper_rate_below_lower_rate(self, alpha):
-        b = smallball_bounds(alpha, 0.5)
-        assert b.rate_up < b.rate_low
-        assert b.upper >= b.lower
+        rate_up, rate_low = smallball_rates(alpha)
+        assert rate_up < rate_low
 
     def test_boundary_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
-            smallball_bounds(0.5, 0.3)
-        with pytest.raises(ConfigurationError):
-            smallball_bounds(1.0, 0.0)
+            smallball_rates(0.5)
 
 
 class TestWilson:
@@ -184,12 +176,17 @@ class TestSmallBallMC:
 
     def test_monotone_in_radius(self):
         res = smallball_mc(1.0, 3000, [1.2, 0.9, 0.6], 20000, seed=7)
-        assert res.hits[0] >= res.hits[1] >= res.hits[2]
+        assert res.estimates[0] >= res.estimates[1] >= res.estimates[2]
 
     def test_deterministic(self):
         a = smallball_mc(1.0, 2000, [0.8], 20000, seed=11)
         b = smallball_mc(1.0, 2000, [0.8], 20000, seed=11)
-        assert np.array_equal(a.hits, b.hits)
+        assert np.array_equal(a.estimates, b.estimates)
+
+    @pytest.mark.parametrize("eps", [[0.0], [0.5, -0.1], [np.nan], [0.5, np.inf]])
+    def test_bad_radius_rejected(self, eps):
+        with pytest.raises(ConfigurationError, match="radii"):
+            smallball_mc(1.0, 12000, eps, 1000)
 
     def test_one_generator_per_block(self, monkeypatch):
         # every coordinate of a block, tail included, comes from the
@@ -202,7 +199,7 @@ class TestSmallBallMC:
 
         monkeypatch.setattr(kl, "Generator", counting)
         res = smallball_mc(1.0, 3000, [0.6], 70_000, seed=0)
-        assert res.hits[0] > 0
+        assert res.estimates[0] > 0
         assert len(built) == 2
 
     def test_hits_equal_the_replayed_blocks(self):
@@ -213,7 +210,7 @@ class TestSmallBallMC:
         res = smallball_mc(1.0, 3000, eps, 70_000, seed=3)
         replays = [_staged_replay(3, 0, 65536, w, 0.49)[0], _staged_replay(3, 1, 4464, w, 0.49)[0]]
         expected = [sum(int(np.count_nonzero(r <= e * e)) for r in replays) for e in eps]
-        assert res.hits.tolist() == expected
+        assert np.rint(res.estimates * 70_000).tolist() == expected
 
     @pytest.mark.parametrize("count", [65536, 34464, 1001])
     @pytest.mark.parametrize("chunk", [8192, 777])

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import types
 
@@ -7,6 +10,9 @@ import omlat
 # The solver's independent oracle: public so a user can check a solution,
 # and never called by the solver itself.
 UNCALLED_IN_PACKAGE = {"el_residual_example5"}
+
+# Dataclass fields that no package code reads, each with its reason.
+UNREAD_FIELDS = {}
 
 # Key tags of noise._philox_key that are retired: their key spaces served
 # streams that no longer exist, and reusing one would revive old draws.
@@ -35,6 +41,37 @@ def test_every_public_name_has_a_caller_in_the_package():
                 loaded.add(node.attr)
     uncalled = sorted(set(omlat.__all__) - loaded - UNCALLED_IN_PACKAGE)
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
+
+
+def _package_dataclasses():
+    for source in SOURCES:
+        if source.stem.startswith("__"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"omlat.{source.stem}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                yield cls
+
+
+def test_every_dataclass_field_has_a_reader_in_the_package():
+    # a field counts as read when package code loads an attribute of its
+    # name.  The check is by name only, so it cannot see a field whose
+    # only readers are namesakes on other objects: a small-ball result's
+    # ``eps`` would pass through the tube table's ``table.eps``, and a
+    # bounds record's ``alpha`` and ``rho`` through ``args.alpha`` and
+    # ``cfg.rho``.  Such fields have to be found by reading the code.
+    read = set()
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in _package_dataclasses()
+        for f in dataclasses.fields(cls)
+        if f.name not in read and f"{cls.__name__}.{f.name}" not in UNREAD_FIELDS
+    )
+    assert not unread, f"dataclass fields with no reader in the package: {unread}"
 
 
 def test_philox_only_in_noise():

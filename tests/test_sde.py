@@ -281,7 +281,7 @@ class TestAprioriBound:
         zero_noise = NoisePath(dt=1.0 / 8, increments=np.zeros((8, 3)))
         u = integrate(np.zeros(3), zero_noise, cfg)
         w = wq_path(zero_noise, NoiseCoefficient.constant(0.0))
-        rep = apriori_bound_check(u, w, cfg)
+        rep = apriori_bound_check([u], [w], cfg)
         assert rep.max_ratio == 0.0
         assert np.all(rep.lhs == 0.0)
 
@@ -310,8 +310,8 @@ class TestAprioriBound:
         u1 = integrate(np.zeros(5), noise, cfg1)
         u2 = integrate(np.zeros(5), noise, cfg2)
         w = wq_path(noise, base.q)
-        r1 = apriori_bound_check(u1, w, cfg1)
-        r2 = apriori_bound_check(u2, w, cfg2)
+        r1 = apriori_bound_check([u1], [w], cfg1)
+        r2 = apriori_bound_check([u2], [w], cfg2)
         # u0 = 0 and the same noise path: only int |g|^2 dt = T |g|^2 moves
         g_sq = weighted_norm(g, cfg1.rho) ** 2
         assert r2.rhs[0] - r1.rhs[0] == pytest.approx(3.0 * cfg1.T * g_sq, rel=1e-12)

@@ -17,6 +17,7 @@ from omlat import (
     dense_A,
     drift,
     integrate,
+    om_action,
     tube,
 )
 from omlat.noise import _TAG_TUBE_BLOCK, _block_bits
@@ -391,7 +392,7 @@ class TestTubeRatio:
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=60_000, seed=1)
         table = tube_ratio(exp)
         assert table.predicted == 1.0
-        assert table.action_total == 0.0
+        assert om_action(phi, cfg).total == 0.0
         for j in range(2):
             assert table.ci_lo[j] <= 1.0 <= table.ci_hi[j]
 
@@ -411,7 +412,7 @@ class TestTubeRatio:
         phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=150_000, seed=2)
         table = tube_ratio(exp)
-        target = -0.5 * table.action_total
+        target = -0.5 * om_action(phi, cfg).total
         smallest = int(np.argmin(table.eps))
         assert table.num_hits[smallest] >= 50
         log_ratio = np.log(table.ratio[smallest])
@@ -421,13 +422,13 @@ class TestTubeRatio:
         N = 256
         ts = np.linspace(0.0, 1.0, N + 1)
         phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
-        tables = {}
+        tables, actions = {}, {}
         for qval in (1.0, 2.0):
             cfg = scalar_cfg(q=qval)
             exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.6,), samples=60_000, seed=5)
             tables[qval] = tube_ratio(exp)
-        a1 = tables[1.0].action_total
-        a2 = tables[2.0].action_total
+            actions[qval] = om_action(exp.phi, exp.cfg).total
+        a1, a2 = actions[1.0], actions[2.0]
         assert a2 == pytest.approx(a1 / 4.0, rel=1e-12)
         # weaker relative penalty -> ratio moves toward 1, matching the sign
         assert tables[2.0].ratio[0] > tables[1.0].ratio[0]
@@ -456,6 +457,14 @@ class TestTubeRatio:
         phi = grid_path(np.zeros((9, 3)), 0.125)
         with pytest.raises(ConfigurationError):
             TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=100)
+
+    @pytest.mark.parametrize("eps", [(), (0.0,), (0.3, -0.1), (np.nan, 0.3), (0.3, np.nan), (np.inf,)])
+    def test_bad_radius_rejected(self, eps):
+        # a nan radius would set the prune cutoff to nan and drop every
+        # trajectory at the first prune point
+        phi = grid_path(np.zeros((9, 1)), 0.125)
+        with pytest.raises(ConfigurationError, match="radii"):
+            TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=eps, samples=100)
 
     def test_more_than_three_sites_rejected(self):
         # the observer's in-order site sum equals np.sum(axis=1) only for
@@ -505,7 +514,7 @@ def test_log_ratio_flattens_toward_prediction():
     phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
     exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.4, 0.3, 0.2), samples=400_000, seed=2)
     table = tube_ratio(exp)
-    target = -0.5 * table.action_total
+    target = -0.5 * om_action(phi, cfg).total
     gaps = [abs(np.log(table.ratio[j]) - target) for j in range(3)]
     assert gaps[0] > gaps[1] and gaps[0] > gaps[2]
     assert gaps[2] < 0.1
