@@ -38,14 +38,14 @@ from .errors import (
     StatisticalPowerError,
 )
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
-from .kl import kl_spectrum, smallball_mc, smallball_rates
+from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .lattice import weighted_norm
 from .mpp import BVPSpec, solve_mpp
 from .noise import sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
-from .utils import format_float as _f, worker_count
+from .utils import check_count, format_float as _f, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,12 +92,6 @@ def _radii(raw: str) -> list:
     if not eps:
         raise ConfigurationError(f"--eps: need at least one radius, got {raw!r}")
     return eps
-
-
-def _check_ensemble(count: int) -> None:
-    """The ``--ensemble`` count: at least one trajectory."""
-    if count < 1:
-        raise ConfigurationError(f"--ensemble: need at least one trajectory, got {count}")
 
 
 def _steps_from_dt(T: float, d: int, dt: float | None, default_steps: int) -> int:
@@ -152,7 +146,7 @@ def _prepare_out(args, **derived) -> FsPath:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _check_ensemble(args.ensemble)
+    check_count(args.ensemble, "--ensemble")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 1024)
     u0 = parse_state_spec(args.u0, cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
@@ -245,6 +239,8 @@ def cmd_om(args) -> int:
 
 
 def _verify_kl(args) -> int:
+    _check_decay_rate(args.lam, "--lambda")
+    check_count(args.m, "--m")
     out = _prepare_out(args)
     spec = kl_spectrum(args.lam, args.m)
     res = spec.residuals()
@@ -279,7 +275,7 @@ def _verify_truncation(args) -> int:
     cfg = load_config(args.config)
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
-    _check_ensemble(args.ensemble)
+    check_count(args.ensemble, "--ensemble")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     bump = min(2, cfg.n)
@@ -317,7 +313,7 @@ def _verify_truncation(args) -> int:
 
 def _verify_bound(args) -> int:
     cfg = load_config(args.config)
-    _check_ensemble(args.ensemble)
+    check_count(args.ensemble, "--ensemble")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     u0 = parse_state_spec(args.u0, cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
@@ -340,6 +336,8 @@ def _verify_smallball(args) -> int:
     if not all(0.0 < e <= 1.0 for e in eps):
         raise ConfigurationError(f"--eps: radii must lie in (0, 1], got {args.eps!r}")
     rate_up, rate_low = smallball_rates(args.alpha)
+    check_count(args.samples, "--samples")
+    _check_truncation(args.alpha, args.imax, min(eps), "--imax")
     out = _prepare_out(args)
     res = smallball_mc(args.alpha, args.imax, eps, args.samples, seed=args.seed)
     rows = [
@@ -356,6 +354,7 @@ def _verify_smallball(args) -> int:
 
 def _verify_tube(args) -> int:
     cfg = load_config(args.config)
+    check_count(args.samples, "--samples")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     eps = tuple(_radii(args.eps))
     ts = np.linspace(0.0, cfg.T, steps + 1)

@@ -29,7 +29,7 @@ from numpy.random import Generator
 
 from .errors import ConfigurationError
 from .noise import _TAG_SMALLBALL_BLOCK, _block_bits
-from .utils import map_blocks
+from .utils import check_count, map_blocks
 
 __all__ = [
     "KLSpectrum",
@@ -74,6 +74,13 @@ class KLSpectrum:
         return out
 
 
+def _check_decay_rate(lam: float, name: str) -> None:
+    """Reject a decay rate that is not positive and finite; ``name`` names
+    it in the message."""
+    if not 0 < lam < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite, got {lam}")
+
+
 def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     """First ``count`` eigenpairs for a finite decay rate ``lam > 0``.
 
@@ -82,10 +89,8 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     to -inf, so each bracket contains exactly one root; the iteration
     stops when the bracket cannot be split further in double precision.
     """
-    if not 0 < lam < math.inf:
-        raise ConfigurationError(f"decay rate must be positive and finite, got {lam}")
-    if count < 1:
-        raise ConfigurationError(f"need at least one eigenpair, got {count}")
+    _check_decay_rate(lam, "decay rate")
+    check_count(count, "count")
     gamma = np.empty(count)
     offsets = np.empty(count)
     for i in range(1, count + 1):
@@ -133,8 +138,7 @@ def smallball_rates(alpha: float) -> tuple:
 
 def wilson_interval(hits: int, trials: int) -> tuple:
     """Wilson 95% score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ConfigurationError("need at least one trial")
+    check_count(trials, "trials")
     z = 1.959963984540054
     p = hits / trials
     denom = 1.0 + z * z / trials
@@ -156,7 +160,8 @@ class SmallBallMC:
     ci_hi: np.ndarray
 
 
-#: Samples per generator key, fixed as :data:`omlat.tube.TUBE_BLOCK_SIZE` is.
+#: Samples per generator key, and per task of the block pool, fixed as
+#: :data:`omlat.tube.TUBE_BLOCK_SIZE` is.
 SMALLBALL_BLOCK_SIZE = 65536
 
 #: Coordinate bounds of the small-ball stages: stage s draws coordinates
@@ -203,6 +208,18 @@ def _required_i_max(alpha: float, eps_min: float) -> int:
     return int(math.ceil(target ** (-1.0 / (2.0 * alpha - 1.0)))) + 1
 
 
+def _check_truncation(alpha: float, i_max: int, eps_min: float, name: str) -> None:
+    """Reject a truncation ``i_max`` below 1, or one whose tail mass is not
+    below ``1e-3 eps_min^2`` (alpha > 1/2); ``name`` names it in the message."""
+    check_count(i_max, name)
+    tail_mass = i_max ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
+    if tail_mass >= 1e-3 * eps_min**2:
+        raise ConfigurationError(
+            f"{name}={i_max} leaves truncated mass {tail_mass:.3e} >= "
+            f"{1e-3 * eps_min**2:.3e}; need {name} >= {_required_i_max(alpha, eps_min)}"
+        )
+
+
 def smallball_mc(
     alpha: float,
     i_max: int,
@@ -233,16 +250,8 @@ def smallball_mc(
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
     if not np.all(np.isfinite(eps) & (eps > 0)):
         raise ConfigurationError(f"radii must be positive and finite, got {eps.tolist()}")
-    if samples < 1:
-        raise ConfigurationError("need at least one sample")
-    if i_max < 1:
-        raise ConfigurationError(f"i_max must be at least 1, got {i_max}")
-    tail_mass = i_max ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
-    if tail_mass >= 1e-3 * np.min(eps) ** 2:
-        raise ConfigurationError(
-            f"i_max={i_max} leaves truncated mass {tail_mass:.3e} >= "
-            f"{1e-3 * np.min(eps)**2:.3e}; need i_max >= {_required_i_max(alpha, float(np.min(eps)))}"
-        )
+    check_count(samples, "samples")
+    _check_truncation(alpha, i_max, float(np.min(eps)), "i_max")
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)
     thresholds = eps**2
     cutoff = float(np.max(thresholds))

@@ -267,15 +267,13 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
                 step = cand
                 break
             damping = max(4.0 * damping, 1e-8 * (1.0 + abs(action_val)))
-        fallback = step is None
+        accepted = None
+        if step is not None:
+            slope = float(g_fold @ step)
+            accepted = _backtrack(path, cfg, step.reshape(N - 1, d)[:, fold], 1.0, slope, action_val, 30)
+        fallback = accepted is None
         if fallback:
-            step = -g_fold  # steepest descent as a last resort
-
-        slope = float(g_fold @ step)
-        accepted = _backtrack(path, cfg, step.reshape(N - 1, d)[:, fold], 1.0, slope, action_val, 30)
-        if accepted is None and slope < 0.0:
-            # Gauss-Newton direction failed: plain gradient descent
-            fallback = True
+            # no Gauss-Newton step descends: plain gradient descent
             slope = -float(np.sum(grad * grad))
             t = 1.0 / (1.0 + np.max(np.abs(grad)))
             accepted = _backtrack(path, cfg, -grad, t, slope, action_val, 40)
@@ -323,7 +321,6 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
 _EX5_NU = 0.1
 _EX5_LAM = 0.4
 _EX5_CUBIC = 0.1
-_EX5_Q0 = 0.01
 _EX5_A = 31.0
 
 

@@ -26,31 +26,25 @@ from .lattice import LatticeConfig, dense_A
 from .noise import _TAG_TUBE_BLOCK, _block_bits
 from .paths import Path
 from .sde import euler_maruyama
-from .utils import map_blocks
+from .utils import check_count, map_blocks
 
 __all__ = ["TubeExperiment", "TubeTable", "tube_ratio"]
 
-#: Trajectories per generator key; fixed so results do not depend on the
-#: thread count.
-TUBE_BLOCK_SIZE = 16384
+#: Trajectories per generator key, and per task of the block pool; fixed
+#: so results do not depend on the thread count.
+TUBE_BLOCK_SIZE = 32768
 
 #: Fewest hits each ensemble needs at the largest radius.
 MIN_HITS = 50
 
-#: Consecutive keyed blocks one worker steps as one batch.  Every block
-#: keeps its own stream, so the results do not depend on it; fewer,
-#: larger batches mean fewer numpy calls per trajectory step, and so less
-#: time that the pool's workers spend handing the GIL to one another.
-_TUBE_GROUP_BLOCKS = 2
-
-#: Steps a group draws and steps at a time.  Each generator's stream
+#: Steps a block draws and steps at a time.  The generator's stream
 #: continues from chunk to chunk, so results are the same for every chunk
-#: size; the size bounds a group's increments at
+#: size; the size bounds a block's increments at
 #: ``_TUBE_CHUNK_STEPS * count * d`` doubles whatever the number of steps.
 _TUBE_CHUNK_STEPS = 8
 
-#: Steps between a group's prune points: at global steps 32, 64, ... a
-#: group drops the trajectories whose two partial distances both exceed
+#: Steps between a block's prune points: at global steps 32, 64, ... a
+#: block drops the trajectories whose two partial distances both exceed
 #: ``max(eps)^2``.  The prune points do not depend on the chunk size, so
 #: neither do the results; they do depend on ``max(eps)``.
 _TUBE_STAGE_STEPS = 32
@@ -86,8 +80,7 @@ class TubeExperiment:
             raise ConfigurationError(f"need positive finite radii, got {eps}")
         if self.denominator not in ("convolution", "plain"):
             raise ConfigurationError(f"unknown denominator kind {self.denominator!r}")
-        if self.samples < 1:
-            raise ConfigurationError("need at least one sample")
+        check_count(self.samples, "samples")
         object.__setattr__(self, "eps", eps)
 
 
@@ -105,23 +98,20 @@ class TubeTable:
     predicted: float
 
 
-def _block_distances(exp: TubeExperiment, first_block: int, count: int):
-    """Squared tube distances of ``count`` trajectories, the rows of the
-    ``ceil(count / TUBE_BLOCK_SIZE)`` consecutive keyed blocks from
-    ``first_block`` on (the last may be short), for the solution ensemble
-    and the reference-noise ensemble (common increments), in trajectory
-    order.  The blocks are stepped as one batch, and each keeps its own
-    stream, so every distance is the one its block gives alone.
+def _block_distances(exp: TubeExperiment, block_index: int, count: int):
+    """Squared tube distances of the ``count`` trajectories of keyed block
+    ``block_index`` (at most :data:`TUBE_BLOCK_SIZE`), for the solution
+    ensemble and the reference-noise ensemble (common increments), in
+    trajectory order.
 
     Both distances are running sums of non-negative terms, so a trajectory
     whose two partial sums both exceed ``max(eps)^2`` can never be a hit at
     any radius.  The steps are taken in stages of :data:`_TUBE_STAGE_STEPS`,
     and each stage after the first covers only the trajectories where
-    either partial sum is still at most ``max(eps)^2``.  Each block's
-    increments are drawn time-major from its one generator: step after
-    step, standard normals scaled by sqrt(dt) for its surviving
-    trajectories in ascending order, into that block's rows of the
-    batch's (steps, alive, d) array, in chunks of at most
+    either partial sum is still at most ``max(eps)^2``.  The increments
+    are drawn time-major from the block's one generator: step after step,
+    standard normals scaled by sqrt(dt) for the surviving trajectories in
+    ascending order, one (steps, alive, d) draw per chunk of at most
     :data:`_TUBE_CHUNK_STEPS` steps, each stepped as soon as it is drawn.
     A pruned trajectory keeps its partial sums, which already exceed every
     radius squared, so the hit counts are exact for the trajectories' own
@@ -132,8 +122,7 @@ def _block_distances(exp: TubeExperiment, first_block: int, count: int):
     dt = exp.phi.dt
     cutoff = max(exp.eps) ** 2
     rho_sq = (cfg.rho**2)[None, :]
-    blocks = -(-count // TUBE_BLOCK_SIZE)
-    gens = [Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, first_block + b)) for b in range(blocks)]
+    g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
 
     base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
     alpha, V = np.linalg.eigh(base)
@@ -180,14 +169,14 @@ def _block_distances(exp: TubeExperiment, first_block: int, count: int):
         np.multiply(sq, rho_sq, out=sq)
         add_site_sum(den_sq, w)
 
-    first = first_block * TUBE_BLOCK_SIZE
+    first = block_index * TUBE_BLOCK_SIZE
     trajectories = np.arange(first, first + count)
     num_all, den_all = num_sq, den_sq
-    # Every trajectory keeps its row in the batch's arrays: a prune point
+    # Every trajectory keeps its row in the block's arrays: a prune point
     # moves the survivors, in ascending order, to the front, and the state
     # becomes the views of that prefix.  So a prune point allocates nothing
-    # that outlives it, the blocks' rows stay in block order, and a smaller
-    # alive set draws into a prefix of the batch's one buffer.
+    # that outlives it, and a smaller alive set draws into a prefix of the
+    # block's one buffer.
     alive = count
     buffer = np.empty(min(_TUBE_CHUNK_STEPS, _TUBE_STAGE_STEPS, N) * count * d)
     for s0 in range(0, N, _TUBE_STAGE_STEPS):
@@ -200,15 +189,10 @@ def _block_distances(exp: TubeExperiment, first_block: int, count: int):
             if not alive:
                 break
             num_sq, den_sq, x, u, sq = num_all[:alive], den_all[:alive], x[:alive], u[:alive], sq[:alive]
-        per_block = np.bincount((trajectories[:alive] - first) // TUBE_BLOCK_SIZE, minlength=blocks)
-        bounds = [0, *np.cumsum(per_block).tolist()]
-        draws = [(g, lo, hi) for g, lo, hi in zip(gens, bounds, bounds[1:]) if hi > lo]
         s1 = min(s0 + _TUBE_STAGE_STEPS, N)
         for k0 in range(s0, s1, _TUBE_CHUNK_STEPS):
             dW = buffer[: (min(k0 + _TUBE_CHUNK_STEPS, s1) - k0) * alive * d].reshape(-1, alive, d)
-            for step in dW:
-                for g, lo, hi in draws:
-                    g.standard_normal(out=step[lo:hi])
+            g.standard_normal(out=dW)
             dW *= np.sqrt(dt)
             # the transpose is the stepper's (alive, steps, d) layout, and
             # each step reads one contiguous (alive, d) block of it
@@ -225,14 +209,13 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     compare with ``exp(-action(phi)/2)`` evaluated on the same grid.
 
     The samples are cut into keyed blocks of :data:`TUBE_BLOCK_SIZE`
-    trajectories, and the pool's workers step them in groups of
-    :data:`_TUBE_GROUP_BLOCKS` consecutive blocks; the groups depend only
-    on ``samples``, and every block draws from its own generator, so the
-    counts depend on neither the thread count nor the grouping.  A group
-    stops drawing and stepping a trajectory at the first prune point
-    (every :data:`_TUBE_STAGE_STEPS` steps) where it has left both tubes
-    of radius ``max(eps)``; the hit counts are exact, but the draws after
-    the first stage, and with them the counts, depend on ``max(eps)``.
+    trajectories, one task each for the pool's workers; the blocks depend
+    only on ``samples``, and every block draws from its own generator, so
+    the counts do not depend on the thread count.  A block stops drawing
+    and stepping a trajectory at the first prune point (every
+    :data:`_TUBE_STAGE_STEPS` steps) where it has left both tubes of
+    radius ``max(eps)``; the hit counts are exact, but the draws after the
+    first stage, and with them the counts, depend on ``max(eps)``.
 
     Raises
     ------
@@ -242,18 +225,18 @@ def tube_ratio(exp: TubeExperiment) -> TubeTable:
     IntegrationError
         If a trajectory of the solution ensemble blows up while it is
         still stepped; a pruned trajectory is not stepped on.  The error
-        is the first group's, in sample order, that has one, and names the
-        group's first blow-up step and its largest component there.
+        is the first block's, in sample order, that has one, and names the
+        block's first blow-up step and its largest component there.
     """
     predicted = float(np.exp(-0.5 * om_action(exp.phi, exp.cfg).total))
 
     eps_sq = np.asarray(exp.eps) ** 2
 
-    def group_hits(group_index, count):
-        num_sq, den_sq = _block_distances(exp, group_index * _TUBE_GROUP_BLOCKS, count)
+    def block_hits(block_index, count):
+        num_sq, den_sq = _block_distances(exp, block_index, count)
         return np.stack([np.searchsorted(np.sort(sq), eps_sq, side="right") for sq in (num_sq, den_sq)])
 
-    num_hits, den_hits = sum(map_blocks(group_hits, exp.samples, _TUBE_GROUP_BLOCKS * TUBE_BLOCK_SIZE))
+    num_hits, den_hits = sum(map_blocks(block_hits, exp.samples, TUBE_BLOCK_SIZE))
 
     largest = int(np.argmax(exp.eps))
     if num_hits[largest] < MIN_HITS or den_hits[largest] < MIN_HITS:

@@ -4,11 +4,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
+from .errors import ConfigurationError
+
+__all__ = ["check_count", "worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
 
 #: Format of every float in omlat's CSV files: 17 significant digits
 #: round-trip any double, so reruns are byte-identical.
 FLOAT_FORMAT = "%.17g"
+
+
+def check_count(count: int, name: str) -> None:
+    """Reject a count below one; ``name`` names it in the message."""
+    if count < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {count}")
 
 
 def worker_count() -> int:

@@ -400,7 +400,7 @@ class TestCliRuns:
         out = tmp_path / "x"
         code = main(["verify", "tube", "--config", scalar_file, "--out", str(out), "--samples", "0"])
         assert code == 2
-        assert "sample" in capsys.readouterr().err
+        assert "--samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_smallball_artifacts(self, tmp_path):
@@ -513,9 +513,25 @@ class TestCliRuns:
             "verify", "smallball", "--imax", imax, "--samples", "1000", "--out", str(tmp_path / "sb"),
         ])
         assert code == 2
-        assert "i_max" in capsys.readouterr().err
-        assert not (tmp_path / "sb" / "smallball.csv").exists()
-        _closed_manifest(tmp_path / "sb", 2, "ConfigurationError")
+        assert "--imax" in capsys.readouterr().err
+        assert not (tmp_path / "sb").exists()
+
+    # --imax 10 leaves too much tail mass for the radius 0.5
+    @pytest.mark.parametrize("flags", ["--imax 10", "--samples 0", "--samples -2"])
+    def test_verify_smallball_bad_truncation_or_samples_rejected_before_opening_out(self, tmp_path, capsys, flags):
+        code = main(["verify", "smallball", "--eps", "0.5", "--out", str(tmp_path / "sb"), *flags.split()])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flags.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "sb").exists()
+
+    @pytest.mark.parametrize("flags", ["--lambda nan --m 3", "--lambda 0", "--lambda inf", "--m 0", "--m -1"])
+    def test_verify_kl_bad_flags_rejected_before_opening_out(self, tmp_path, capsys, flags):
+        code = main(["verify", "kl", "--out", str(tmp_path / "kl"), *flags.split()])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flags.split()[0] in err and "Traceback" not in err
+        assert not (tmp_path / "kl").exists()
 
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):

@@ -6,13 +6,12 @@ The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
 leaves each file byte-identical.  The ensemble runs are repeated with one
 trajectory per group, the tube runs with one and with two worker
-threads, with two step chunk sizes and with one keyed block per worker
-batch instead of two, and the small-ball run with one and with two
-worker threads and with two caps on the normals of one draw.  The tube
+threads and with two step chunk sizes, and the small-ball run with one
+and with two worker threads and with two caps on the normals of one
+draw.  The tube runs span two keyed blocks of 32 768 paths, and their
 digests pin the staged time-major SFC64 stream of each block, whose
 stages after the first draw only for the trajectories still inside the
-largest tube; neither the step chunk size nor the grouping of blocks
-moves those prune points.  The small-ball digest pins the staged SFC64
+largest tube; the step chunk size does not move those prune points.  The small-ball digest pins the staged SFC64
 stream of each block's one generator, tail included; both are seeded by
 ``noise._block_bits``.  A change to a random stream changes the digests
 of the runs that draw from it: such a change re-pins them and says so.
@@ -37,9 +36,9 @@ RUNS = {
     "simulate": ["simulate", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
     "truncation": ["verify", "truncation", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
     "bound": ["verify", "bound", "--config", EX5, "--dt", "0.5", "--ensemble", "3"],
-    "tube": ["verify", "tube", "--config", SCALAR, "--samples", "20000", "--eps", "0.5,0.3"],
+    "tube": ["verify", "tube", "--config", SCALAR, "--samples", "40000", "--eps", "0.5,0.3"],
     "tube3": [
-        "verify", "tube", "--config", "{three_sites}", "--samples", "20000", "--eps", "1.0,0.6",
+        "verify", "tube", "--config", "{three_sites}", "--samples", "40000", "--eps", "1.0,0.6",
         "--reference", "sine:0.3", "--denominator", "plain", "--dt", "0.015625",
     ],
     "smallball": ["verify", "smallball", "--samples", "70000", "--eps", "0.5,0.4"],
@@ -53,18 +52,17 @@ DIGESTS = {
     },
     "truncation": {"truncation.csv": "6748ca34089773c6fc2160d5f5bdd097a099c13d8bc78ede54a5a37e62c39422"},
     "bound": {"bound.csv": "fe9d7c6a15c77160a484b4b408c59d06ec2b6243e824a86ccbab9fd183a976da"},
-    "tube": {"tube.csv": "517ce71c4d803bfef0903f1d0bd4e6f1057d49830fac30e58751589f964cfb1f"},
-    "tube3": {"tube.csv": "8fc6c482194a834cc13aa33e6d683028ea31df3bd2b687ec848f0a9672c77d97"},
+    "tube": {"tube.csv": "f8e4a00d625abe3a30273ab75c950a66c5fc5b3b0b63d1bee17d0834f8fc5cd3"},
+    "tube3": {"tube.csv": "89139c59de46c052e2e1255e9a41471b4cf64ace7283ee47c29cde627b0d815a"},
     "smallball": {"smallball.csv": "0a527096989e48efdfd12833b139b8a710b2ddc87f8878a0afe95d09912aa6b8"},
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
-# per group; tubes on one and two threads, with their increments drawn
-# and stepped 1 and 7 steps at a time, and with each worker stepping one
-# keyed block at a time instead of two; the small-ball blocks on one
+# per group; tubes on one and two threads, and with their increments
+# drawn and stepped 1 and 7 steps at a time; the small-ball blocks on one
 # and two threads, and its stages drawn in chunks of at most the default
 # 65 536 and 777 normals.
-TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7", "group1")
+TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
 VARIANTS = {
     "tube": TUBE_VARIANTS,
     "tube3": TUBE_VARIANTS,
@@ -85,8 +83,6 @@ def test_csv_digests(tmp_path, monkeypatch, run, variant):
         monkeypatch.setattr(kl, "_DRAW_NORMALS", int(variant[len("chunk"):]))
     elif variant.startswith("steps"):
         monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", int(variant[len("steps"):]))
-    elif variant == "group1":
-        monkeypatch.setattr(tube, "_TUBE_GROUP_BLOCKS", 1)
     out = tmp_path / run
     argv = [arg.replace("{three_sites}", str(three_sites)) for arg in RUNS[run]]
     assert main(argv + ["--seed", "11", "--out", str(out)]) == 0

@@ -238,6 +238,7 @@ class TestSolverFallback:
             steps=16, max_iterations=50, gradient_tol=1e-10,
         )
         res = solve_mpp(spec)
+        assert res.fallback_history.all()
         assert np.all(np.diff(res.action_history) <= 1e-12)
         assert res.action_history[-1] < res.action_history[0]
         np.testing.assert_array_equal(res.path.states[0], spec.phi0)

@@ -43,6 +43,35 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
 
 
+def test_every_module_level_name_is_used_in_the_package():
+    # a module-level assignment, function or class (dunders aside) counts
+    # as used when package code loads it, reads an attribute of its name
+    # or imports it; any other is dead code
+    defined, used = {}, set()
+    for source in SOURCES:
+        tree = ast.parse(source.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined[name] = source.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = sorted(f"{defined[name]}: {name}" for name in defined.keys() - used)
+    assert not dead, f"module-level names that no package code uses: {dead}"
+
+
 def _package_dataclasses():
     for source in SOURCES:
         if source.stem.startswith("__"):  # __main__ runs the CLI on import

@@ -212,33 +212,11 @@ def test_pruning_is_exact(n, denominator):
         )
 
 
-@pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("denominator", ["convolution", "plain"])
-def test_a_group_equals_its_blocks_one_at_a_time(monkeypatch, n, denominator):
-    # blocks of 400 trajectories: a group of block 4 and a short block 5
-    # of 157, stepped as one batch, gives each block's own distances bit
-    # for bit, with trajectories pruned in both blocks
-    monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 400)
-    rho = np.array([1.0, 2.0, 0.5])[: 2 * n + 1]
-    cfg = LatticeConfig(n=n, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(1.0, 1.0), T=1.0, rho=rho)
-    N = 100
-    phi = grid_path(0.3 * np.outer(np.sin(np.pi * np.linspace(0.0, 1.0, N + 1)), np.ones(cfg.d)), 1.0 / N)
-    exp = TubeExperiment(cfg=cfg, phi=phi, eps=((1 + n) * 0.4,), samples=557, seed=23, denominator=denominator)
-    group = _block_distances(exp, 4, 557)
-    alone = [_block_distances(exp, 4, 400), _block_distances(exp, 5, 157)]
-    for j in range(2):
-        np.testing.assert_array_equal(group[j], np.concatenate([block[j] for block in alone]))
-    cutoff = max(exp.eps) ** 2
-    for num_sq, den_sq in alone:
-        pruned = (num_sq > cutoff) & (den_sq > cutoff)
-        assert 0 < pruned.sum() < pruned.size
-
-
-def test_a_group_reports_its_first_blow_up_whichever_block_it_is_in(monkeypatch):
-    # u' = u^3 - ..., blocks of 500 trajectories.  Alone, block 0 first
-    # blows up at step 56 (trajectory 84), block 1 at step 46 (trajectory
-    # 658).  The group of both steps them together, so it stops at step 46
-    # and names trajectory 658, on one thread and on two
+def test_tube_ratio_reports_the_first_blow_up_in_sample_order(monkeypatch):
+    # u' = u^3 - ..., blocks of 500 trajectories.  Block 0 first blows up
+    # at step 56 (trajectory 84), block 1 at step 46 (trajectory 658).
+    # Each block is its own task, so the run reports block 0's, the first
+    # in sample order, on one thread and on two
     monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 500)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -256,7 +234,34 @@ def test_a_group_reports_its_first_blow_up_whichever_block_it_is_in(monkeypatch)
     assert [first_blow_up(lambda: _block_distances(exp, b, 500)) for b in (0, 1)] == [(84, 56), (658, 46)]
     for threads in ("1", "2"):
         monkeypatch.setenv("OMLAT_THREADS", threads)
-        assert first_blow_up(lambda: tube_ratio(exp)) == (658, 46)
+        assert first_blow_up(lambda: tube_ratio(exp)) == (84, 56)
+
+
+def test_a_block_draws_each_chunk_in_one_call_from_its_one_generator(monkeypatch):
+    generators, draws = [], []
+
+    class Counting:
+        def __init__(self, bits):
+            generators.append(bits)
+            self.g = Generator(bits)
+
+        def standard_normal(self, *args, **kwargs):
+            draws.append(kwargs["out"].shape)
+            return self.g.standard_normal(*args, **kwargs)
+
+    N = 100
+    phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+    exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=5000, seed=6)
+    expected = _block_distances(exp, 1, 5000)
+    monkeypatch.setattr(tube, "Generator", Counting)
+    got = _block_distances(exp, 1, 5000)
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+    assert len(generators) == 1
+    # four stages: three of four 8-step chunks, then one of 4 steps
+    assert [steps for steps, _, _ in draws] == [8] * 12 + [4]
+    stages = matmul_block_distances(exp, 1, 5000)[2]
+    assert [alive for _, alive, _ in draws] == [int(stages[k // 4].sum()) for k in range(13)]
 
 
 def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
@@ -339,10 +344,9 @@ def test_pruning_block_holds_no_more_memory_than_one_that_prunes_nothing():
     assert pruning <= whole, (pruning, whole)
 
 
-def test_block_memory_does_not_grow_with_the_number_of_steps(monkeypatch):
-    # a group holds its increments a fixed number of steps at a time, so
-    # its peak memory is set by its size, not by N; checked for a group of
-    # one block and of two
+def test_block_memory_does_not_grow_with_the_number_of_steps():
+    # a block holds its increments a fixed number of steps at a time, so
+    # its peak memory is set by its size, not by N
     def traced_peak(N, count=2048):
         phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=count, seed=4)
@@ -353,17 +357,14 @@ def test_block_memory_does_not_grow_with_the_number_of_steps(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    for blocks in (1, 2):
-        monkeypatch.setattr(tube, "TUBE_BLOCK_SIZE", 2048 // blocks)
-        short, long = traced_peak(256), traced_peak(4096)
-        assert long <= short + 2**16, (blocks, short, long)
+    short, long = traced_peak(256), traced_peak(4096)
+    assert long <= short + 2**16, (short, long)
 
 
-def test_a_two_block_group_holds_no_more_memory_than_one_block_did(monkeypatch):
-    # a group pays for its second block's rows with a shorter chunk: at the
-    # default chunk, its traced peak stays within that of one block drawn
-    # 32 steps at a time, the chunk of one-block workers.  A 16-step chunk
-    # would not
+def test_a_block_holds_no_more_memory_than_a_half_size_block_at_a_32_step_chunk(monkeypatch):
+    # a full block pays for its rows with a short chunk: at the default
+    # chunk, its traced peak stays within that of a half-size block drawn
+    # 32 steps at a time.  A 16-step chunk would not
     def traced_peak(count, N=64):
         phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(10.0,), samples=count, seed=4)
@@ -375,13 +376,13 @@ def test_a_two_block_group_holds_no_more_memory_than_one_block_did(monkeypatch):
             tracemalloc.stop()
 
     size = tube.TUBE_BLOCK_SIZE
-    traced_peak(size)  # leaves out what only a first call allocates
-    group = traced_peak(2 * size)
+    traced_peak(size // 2)  # leaves out what only a first call allocates
+    block = traced_peak(size)
     monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", 16)
-    longer_chunk = traced_peak(2 * size)
+    longer_chunk = traced_peak(size)
     monkeypatch.setattr(tube, "_TUBE_CHUNK_STEPS", 32)
-    one_block = traced_peak(size)
-    assert group <= one_block < longer_chunk, (group, one_block, longer_chunk)
+    half_block = traced_peak(size // 2)
+    assert block <= half_block < longer_chunk, (block, half_block, longer_chunk)
 
 
 class TestTubeRatio:
