@@ -179,7 +179,7 @@ def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
     lw = cfg.nu * apply_A(w) + cfg.lam * w + fp * w
     plus = w / dt + 0.5 * lw  # d drift_k / d phi_{k+1}
     minus = -w / dt + 0.5 * lw  # d drift_k / d phi_k
-    tgrad = -0.5 * dt * rho_sq * cfg.f.deriv2(mids)  # d trace_k / d phi_k (= / d phi_{k+1})
+    tgrad = -0.5 * dt * rho_sq * cfg.f.deriv(mids, 2)  # d trace_k / d phi_k (= / d phi_{k+1})
     grad = np.zeros((path.steps - 1, path.d))
     grad += plus[:-1] + tgrad[:-1]  # interval k = m-1 contributes at phi_m
     grad += minus[1:] + tgrad[1:]  # interval k = m contributes at phi_m

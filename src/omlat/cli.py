@@ -40,7 +40,7 @@ from .errors import (
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
 from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .lattice import weighted_norm
-from .mpp import BVPSpec, solve_mpp
+from .mpp import BVPSpec, RecordRow, solve_mpp
 from .noise import sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
@@ -59,7 +59,7 @@ _MAX_STEPS = 2**32
 
 def parse_state_spec(raw: str, n: int) -> np.ndarray:
     """Boundary/initial state grammar: ``zero`` | ``gauss:<amp>,<sigma>``
-    | ``csv:<path>`` (single-row CSV of 2n+1 values)."""
+    | ``csv:<path>`` (single-row CSV of 2n+1 finite values)."""
     d = 2 * n + 1
     kind, _, rest = raw.strip().partition(":")
     if kind == "zero":
@@ -82,6 +82,8 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
             raise ConfigurationError(f"state file {rest}: not a CSV of numbers") from exc
         if data.size != d:
             raise ConfigurationError(f"state file {rest}: expected {d} values, got {data.size}")
+        if not np.all(np.isfinite(data)):
+            raise ConfigurationError(f"state file {rest}: values must be finite")
         return data.astype(float)
     raise ConfigurationError(f"unknown state spec {raw!r}")
 
@@ -180,20 +182,10 @@ def cmd_mpp(args) -> int:
     result = solve_mpp(spec)
     write_path_csv(result.path, out / "mpp_path.csv")
     write_om_json(result.action, out / "om_report.json")
-    # row k > 0 also records the step that reached it; row 0 took no step
-    steps_taken = zip(
-        np.concatenate([[0.0], result.damping_history]),
-        np.concatenate([[0.0], result.step_history]),
-        np.concatenate([[0], result.backtrack_history]),
-        np.concatenate([[0], result.fallback_history.astype(int)]),
-    )
     write_csv(
         out / "convergence.csv",
-        "iteration,action,gradient_norm,damping,step_length,backtracks,fallback",
-        [
-            (k, a, g, *step)
-            for k, (a, g, step) in enumerate(zip(result.action_history, result.gradient_history, steps_taken))
-        ],
+        ",".join(("iteration", *RecordRow._fields)),
+        [(k, *row) for k, row in enumerate(result.record)],
     )
     for i in sites:
         write_csv(
@@ -204,7 +196,7 @@ def cmd_mpp(args) -> int:
     status = "converged" if result.converged else "NOT converged"
     print(
         f"mpp: {status} after {result.iterations} iterations, "
-        f"action={_f(result.action.total)}, grad={result.gradient_norm:.3e}"
+        f"action={_f(result.action.total)}, grad={result.record[-1].gradient_norm:.3e}"
     )
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 

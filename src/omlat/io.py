@@ -63,7 +63,10 @@ def read_path_csv(src) -> Path:
     if data.shape[0] < 2:
         raise ConfigurationError(f"{p}: need at least two grid rows")
     dt = data[1, 0] - data[0, 0]
-    return Path(times=data[:, 0], states=data[:, 1:], dt=dt)
+    try:
+        return Path(times=data[:, 0], states=data[:, 1:], dt=dt)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{p}: {exc}") from None
 
 
 def write_om_json(report, dest) -> None:

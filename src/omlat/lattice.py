@@ -12,8 +12,9 @@ operators B, B^T; those are checked in the tests and not shipped here.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,9 +124,16 @@ class PolynomialNonlinearity:
     coeffs: tuple = ()
     p: int = 1
     growth_constant: float = 1.0
+    # _horner[order]: the Horner coefficients of :meth:`deriv`, built once
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_horner", tuple(
+            tuple(math.perm(2 * k + 1, order) * c for k, c in enumerate(coeffs) if 2 * k + 1 >= order)
+            for order in range(4)
+        ))
         if self.p < 1 or int(self.p) != self.p:
             raise ConfigurationError(f"growth exponent p must be a positive integer, got {self.p}")
         if self.growth_constant < 0:
@@ -138,42 +146,21 @@ class PolynomialNonlinearity:
             )
 
     def __call__(self, x):
+        return self.deriv(x, 0)
+
+    def deriv(self, x, order=1):
+        """The ``order``-th derivative of f, for ``order`` 0 to 3: Horner in
+        x^2 over the coefficients ``perm(2k+1, order) coeffs[k]`` of the
+        terms with ``2k+1 >= order``, times x when ``order`` is even."""
         x = np.asarray(x, dtype=float)
-        if not self.coeffs:
+        terms = self._horner[order]
+        if not terms:
             return np.zeros_like(x)
-        # Horner in x^2, times x.
         x2 = x * x
-        acc = np.full_like(x, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
+        acc = np.full_like(x, terms[-1])
+        for c in reversed(terms[:-1]):
             acc = acc * x2 + c
-        return x * acc
-
-    def deriv(self, x):
-        """f'(x) = sum_k (2k+1) coeffs[k] x^(2k)."""
-        x = np.asarray(x, dtype=float)
-        if not self.coeffs:
-            return np.zeros_like(x)
-        x2 = x * x
-        acc = np.full_like(x, (2 * len(self.coeffs) - 1) * self.coeffs[-1])
-        for k in reversed(range(len(self.coeffs) - 1)):
-            acc = acc * x2 + (2 * k + 1) * self.coeffs[k]
-        return acc
-
-    def deriv2(self, x):
-        """f''(x) = sum_k (2k+1) 2k coeffs[k] x^(2k-1)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k in range(1, len(self.coeffs)):
-            out += (2 * k + 1) * (2 * k) * self.coeffs[k] * x ** (2 * k - 1)
-        return out
-
-    def deriv3(self, x):
-        """f'''(x), used by the optional full-Newton path solver."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k in range(1, len(self.coeffs)):
-            out += (2 * k + 1) * (2 * k) * (2 * k - 1) * self.coeffs[k] * x ** (2 * k - 2)
-        return out
+        return x * acc if order % 2 == 0 else acc
 
     def condition_f1(self) -> bool:
         """Monotone non-decreasing check on a symmetric grid.

@@ -21,6 +21,7 @@ solver's output.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,28 +81,27 @@ class BVPSpec:
         return 1e-8 * self.cfg.d * self.steps
 
 
+#: One row of :attr:`MPPResult.record`; its fields are the columns of convergence.csv.
+RecordRow = namedtuple("RecordRow", "action gradient_norm damping step_length backtracks fallback")
+
+
 @dataclass(frozen=True)
 class MPPResult:
     """Solver output: the path, its action report, and the iteration record.
 
-    ``action_history[k]`` is the action after k accepted steps.  The step
-    records hold one entry per accepted step: the damping on the diagonal
-    of the last factorization tried, the accepted step length t, the
-    Armijo halvings taken to reach it, and whether the step fell back to
-    gradient descent.
+    ``record[k]`` is the :class:`RecordRow` of the path after k accepted
+    steps: its action, the max-norm of its gradient, and the step that
+    reached it: the damping on the diagonal of the last factorization
+    tried, the step length t, the Armijo halvings taken to reach it, and 1
+    when the step fell back to gradient descent.  Row 0 took no step and
+    holds zeros there.
     """
 
     path: Path
     action: OMReport
-    gradient_norm: float
     iterations: int
     converged: bool
-    action_history: np.ndarray = field(repr=False)
-    gradient_history: np.ndarray = field(repr=False)
-    damping_history: np.ndarray = field(repr=False)
-    step_history: np.ndarray = field(repr=False)
-    backtrack_history: np.ndarray = field(repr=False)
-    fallback_history: np.ndarray = field(repr=False)
+    record: tuple = field(repr=False)
 
 
 def _shift_diagonals(c, u, c2, h):
@@ -153,8 +153,8 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
         # second-order terms of the residuals and the trace part: site-
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
         curv = (
-            0.25 * u * residuals(path, cfg) * cfg.f.deriv2(mids)
-            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv3(mids)
+            0.25 * u * residuals(path, cfg) * cfg.f.deriv(mids, 2)
+            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids, 3)
         )
         plus[0] += curv[:-1]
         minus[0] += curv[1:]
@@ -227,24 +227,14 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     report = om_action(path, cfg)
     action_val = report.total
 
-    actions = [action_val]
-    grad_norms = []
-    dampings, lengths, halvings, fallbacks = [], [], [], []
-    converged = False
-    iterations = 0
+    grad = om_gradient(path, cfg)
+    record = [RecordRow(action_val, float(np.max(np.abs(grad))), 0.0, 0.0, 0, 0)]
     damping = 0.0
     # the band numbers each time block's sites centre-out
     order = _center_out_order(d)
     fold = np.argsort(order)
 
-    for iterations in range(1, spec.max_iterations + 1):
-        grad = om_gradient(path, cfg)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        grad_norms.append(gnorm)
-        if gnorm <= spec.tol:
-            converged = True
-            break
-
+    while record[-1].gradient_norm > spec.tol and len(record) <= spec.max_iterations:
         g_fold = grad[:, order].ravel()
 
         step = None
@@ -282,38 +272,18 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
 
         path, report, t, taken = accepted
         action_val = report.total
-        actions.append(action_val)
-        dampings.append(tried)
-        lengths.append(t)
-        halvings.append(taken)
-        fallbacks.append(fallback)
+        grad = om_gradient(path, cfg)
+        record.append(RecordRow(action_val, float(np.max(np.abs(grad))), tried, t, taken, int(fallback)))
         damping *= 0.25
         if damping < 1e-14 * (1.0 + abs(action_val)):
             damping = 0.0
-    else:
-        iterations = spec.max_iterations
-
-    if not converged:
-        grad = om_gradient(path, cfg)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gnorm <= spec.tol:
-            converged = True
-        grad_norms.append(gnorm)
-    else:
-        gnorm = grad_norms[-1]
 
     return MPPResult(
         path=path,
         action=report,
-        gradient_norm=gnorm,
-        iterations=iterations,
-        converged=converged,
-        action_history=np.array(actions),
-        gradient_history=np.array(grad_norms),
-        damping_history=np.array(dampings, dtype=float),
-        step_history=np.array(lengths, dtype=float),
-        backtrack_history=np.array(halvings, dtype=int),
-        fallback_history=np.array(fallbacks, dtype=bool),
+        iterations=min(len(record), spec.max_iterations),
+        converged=record[-1].gradient_norm <= spec.tol,
+        record=tuple(record),
     )
 
 

@@ -29,6 +29,8 @@ class Path:
             raise ConfigurationError("states must be (N+1, d) matching times (N+1,)")
         if times.size < 2:
             raise ConfigurationError("a path needs at least two grid points")
+        if times[0] != 0.0:
+            raise ConfigurationError(f"time grid must start at 0, got {times[0]:g}")
         steps = np.diff(times)
         if not np.allclose(steps, self.dt, rtol=1e-9, atol=1e-12):
             raise ConfigurationError("time grid is not uniform with the declared dt")

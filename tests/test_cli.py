@@ -345,6 +345,19 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "bad.csv, line 3" in err and "Traceback" not in err
 
+    def test_om_path_csv_must_start_at_time_zero(self, scalar_file, tmp_path, capsys):
+        # rows from t = 0.25 to the horizon 1 would give the action over [0.25, 1]
+        csv = tmp_path / "late.csv"
+        csv.write_text("t,u_0\n" + "".join(f"{t},0.5\n" for t in (0.25, 0.5, 0.75, 1)))
+        with pytest.raises(ConfigurationError, match="late.csv: time grid must start at 0, got 0.25"):
+            read_path_csv(csv)
+        out = tmp_path / "om"
+        code = main(["om", "--config", scalar_file, "--path", str(csv), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "late.csv: time grid must start at 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_om_round_trip(self, example5_file, tmp_path):
         sim = tmp_path / "sim"
         main(["simulate", "--config", example5_file, "--seed", "3", "--out", str(sim), "--dt", "0.25"])
@@ -541,6 +554,18 @@ class TestCliRuns:
             code = main([*command, "--config", example5_file, "--out", str(out), "--dt", "0.25", "--u0", spec])
             assert code == 2, command
             assert "gauss state spec" in capsys.readouterr().err
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_state_rejected(self, example5_file, tmp_path, capsys, bad):
+        state = tmp_path / "state.csv"
+        state.write_text(",".join([bad] + ["0"] * 60) + "\n")
+        out = tmp_path / "run"
+        for command in (["simulate", "--u0"], ["verify", "cocycle", "--u0"], ["verify", "bound", "--u0"], ["mpp", "--phi0"]):
+            code = main([*command, f"csv:{state}", "--config", example5_file, "--out", str(out), "--dt", "0.5"])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert f"state file {state}: values must be finite" in err and "Traceback" not in err, command
             assert not out.exists(), command
 
     def test_verify_truncation_small_lattices(self, tmp_path, capsys):

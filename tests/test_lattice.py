@@ -156,8 +156,8 @@ class TestNonlinearity:
         x = np.array([-2.0, 0.5, 3.0])
         np.testing.assert_allclose(CUBIC(x), 0.1 * x**3)
         np.testing.assert_allclose(CUBIC.deriv(x), 0.3 * x**2)
-        np.testing.assert_allclose(CUBIC.deriv2(x), 0.6 * x)
-        np.testing.assert_allclose(CUBIC.deriv3(x), 0.6)
+        np.testing.assert_allclose(CUBIC.deriv(x, 2), 0.6 * x)
+        np.testing.assert_allclose(CUBIC.deriv(x, 3), 0.6)
 
     def test_conditions_pass_for_reference_cubic(self):
         assert CUBIC.condition_f1()
@@ -179,10 +179,13 @@ class TestNonlinearity:
         f = PolynomialNonlinearity(coeffs=(0.2, 0.1, 0.03), p=2, growth_constant=1.0)
         x = np.linspace(-2, 2, 9)
         h = 1e-6
+        np.testing.assert_array_equal(f.deriv(x, 0), f(x))
+        np.testing.assert_allclose(f(x), 0.2 * x + 0.1 * x**3 + 0.03 * x**5, rtol=1e-14, atol=1e-15)
         fd = (f(x + h) - f(x - h)) / (2 * h)
         np.testing.assert_allclose(f.deriv(x), fd, rtol=1e-8, atol=1e-8)
-        fd2 = (f.deriv(x + h) - f.deriv(x - h)) / (2 * h)
-        np.testing.assert_allclose(f.deriv2(x), fd2, rtol=1e-7, atol=1e-6)
+        for order in (2, 3):
+            fd = (f.deriv(x + h, order - 1) - f.deriv(x - h, order - 1)) / (2 * h)
+            np.testing.assert_allclose(f.deriv(x, order), fd, rtol=1e-7, atol=1e-6)
 
 
 class TestDrift:

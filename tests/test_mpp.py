@@ -66,7 +66,7 @@ class TestSolveMpp:
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=2)
         res = solve_mpp(spec)
         assert res.converged and res.iterations <= 3
-        assert res.gradient_norm <= spec.tol
+        assert res.record[-1].gradient_norm <= spec.tol
 
     def test_linear_scalar_error_is_second_order(self):
         lam = 1.3
@@ -87,7 +87,7 @@ class TestSolveMpp:
         res = solve_mpp(spec)
         assert res.converged
         assert res.iterations == 1
-        assert res.gradient_norm == 0.0
+        assert res.record[-1].gradient_norm == 0.0
         assert res.action.drift_term == 0.0
         assert np.all(res.path.states == 0.0)
 
@@ -100,7 +100,7 @@ class TestSolveMpp:
     def test_action_history_monotone(self):
         spec = example5_spec(n=6, steps=120)
         res = solve_mpp(spec)
-        assert np.all(np.diff(res.action_history) <= 1e-12)
+        assert np.all(np.diff([r.action for r in res.record]) <= 1e-12)
 
     def test_gradient_vanishes_at_solution(self):
         spec = example5_spec(n=4, steps=80, tol=1e-10)
@@ -238,11 +238,31 @@ class TestSolverFallback:
             steps=16, max_iterations=50, gradient_tol=1e-10,
         )
         res = solve_mpp(spec)
-        assert res.fallback_history.all()
-        assert np.all(np.diff(res.action_history) <= 1e-12)
-        assert res.action_history[-1] < res.action_history[0]
+        assert all(r.fallback == 1 for r in res.record[1:])
+        actions = [r.action for r in res.record]
+        assert np.all(np.diff(actions) <= 1e-12)
+        assert actions[-1] < actions[0]
         np.testing.assert_array_equal(res.path.states[0], spec.phi0)
         np.testing.assert_array_equal(res.path.states[-1], spec.phiT)
+
+    def test_stalled_search_takes_one_gradient_per_row(self, monkeypatch):
+        # no step descends: the solver stops on the starting path, whose
+        # one gradient is the one its record row reports
+        import omlat.mpp as mpp_mod
+
+        calls = []
+
+        def counted_gradient(path, cfg):
+            calls.append(path)
+            return om_gradient(path, cfg)
+
+        monkeypatch.setattr(mpp_mod, "_backtrack", lambda *args: None)
+        monkeypatch.setattr(mpp_mod, "om_gradient", counted_gradient)
+        spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=16)
+        res = solve_mpp(spec)
+        assert not res.converged and res.iterations == 1
+        assert len(calls) == 1
+        assert len(res.record) == 1
 
 
 def dense_from_lower_band(band):
@@ -364,7 +384,7 @@ class TestFoldedStep:
             steps=16, max_iterations=1, gradient_tol=1e-300,
         )
         res = solve_mpp(spec)
-        assert res.damping_history[0] == 0.0 and not res.fallback_history[0]
+        assert res.record[1].damping == 0.0 and res.record[1].fallback == 0
 
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = path_from_grid((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
@@ -372,5 +392,5 @@ class TestFoldedStep:
         row_weight = np.sqrt(start.dt) * spec.cfg.rho / spec.cfg.q.grid(t_mid, 30)
         H = natural_gauss_newton(start, spec.cfg, row_weight)
         oracle = spsolve(H, -om_gradient(start, spec.cfg).ravel()).reshape(15, 61)
-        taken = (res.path.states - start.states)[1:-1] / res.step_history[0]
+        taken = (res.path.states - start.states)[1:-1] / res.record[1].step_length
         assert np.max(np.abs(taken - oracle)) <= 1e-12 * np.max(np.abs(oracle))

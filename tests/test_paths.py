@@ -19,6 +19,11 @@ class TestPath:
         with pytest.raises(ConfigurationError):
             Path(times=times, states=np.zeros((5, 1)), dt=0.25)
 
+    def test_grid_not_starting_at_zero_rejected(self):
+        # a grid from 0.25 to 1 would let om_action report the action over [0.25, 1]
+        with pytest.raises(ConfigurationError, match="time grid must start at 0, got 0.25"):
+            Path(times=0.25 * np.arange(1, 5), states=np.zeros((4, 1)), dt=0.25)
+
     def test_non_finite_rejected(self):
         states = np.zeros((3, 2))
         states[1, 0] = np.nan
