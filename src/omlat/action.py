@@ -67,22 +67,18 @@ class OMReport:
         }
 
 
-def _check_path(path: Path, cfg: LatticeConfig):
+def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
+    """The action's one entry check: the path's sites and horizon are the
+    config's, and every |q_i| at the interval midpoints is at least
+    :data:`Q_DEGENERACY_FLOOR`.  Returns q there, shape (N, d)."""
     if path.d != cfg.d:
         raise ConfigurationError(f"path has {path.d} sites, config has {cfg.d}")
     if abs(path.T - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ConfigurationError(
             f"path covers [0, {path.T:g}] but the configured horizon is {cfg.T:g}"
         )
-
-
-def _midpoints(path: Path):
-    mids = 0.5 * (path.states[:-1] + path.states[1:])
-    t_mid = 0.5 * (path.times[:-1] + path.times[1:])
-    return mids, t_mid
-
-
-def _q_mid(path: Path, cfg: LatticeConfig, t_mid) -> np.ndarray:
+    times = path.times
+    t_mid = 0.5 * (times[:-1] + times[1:])
     qs = cfg.q.grid(t_mid, cfg.n)
     if np.min(np.abs(qs)) < Q_DEGENERACY_FLOOR:
         k, i = np.unravel_index(int(np.argmin(np.abs(qs))), qs.shape)
@@ -93,10 +89,17 @@ def _q_mid(path: Path, cfg: LatticeConfig, t_mid) -> np.ndarray:
     return qs
 
 
+def _midpoints(path: Path) -> np.ndarray:
+    return 0.5 * (path.states[:-1] + path.states[1:])
+
+
 def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
     """All interval residuals, shape (N, d)."""
     _check_path(path, cfg)
-    mids, _ = _midpoints(path)
+    return _residuals(path, cfg, _midpoints(path))
+
+
+def _residuals(path: Path, cfg: LatticeConfig, mids: np.ndarray) -> np.ndarray:
     vel = (path.states[1:] - path.states[:-1]) / path.dt
     return vel + cfg.nu * apply_A(mids) + cfg.lam * mids + cfg.f(mids) - cfg.g
 
@@ -117,19 +120,19 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
 
     Raises
     ------
-    DegenerateNoiseError
-        If |q_i(t)| drops below ``Q_DEGENERACY_FLOOR`` at any interval
-        midpoint.
+    ConfigurationError
+        If the path's sites or horizon are not the config's, or, as
+        :class:`DegenerateNoiseError`, if |q_i(t)| drops below
+        ``Q_DEGENERACY_FLOOR`` at any interval midpoint.
     IntegrationError
         If the action overflows, naming the first interval at which its
         running sum is not finite.
     """
-    _check_path(path, cfg)
-    mids, t_mid = _midpoints(path)
-    qs = _q_mid(path, cfg, t_mid)
+    qs = _check_path(path, cfg)
+    mids = _midpoints(path)
     dt = path.dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        res = residuals(path, cfg)
+        res = _residuals(path, cfg, mids)
         drift_k = dt * np.sum((cfg.rho * res / qs) ** 2, axis=1)
         trace_k = dt * trace_term(mids, cfg)
         drift_total = float(np.sum(drift_k))
@@ -139,9 +142,9 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
             k = int(bad[0]) if bad.size else path.steps - 1
             raise IntegrationError(
                 f"the action is not finite: it overflows on interval {k} "
-                f"(t in [{path.times[k]:.6g}, {path.times[k + 1]:.6g}])",
+                f"(t in [{k * dt:.6g}, {(k + 1) * dt:.6g}])",
                 step=k,
-                time=float(path.times[k]),
+                time=float(k * dt),
             )
     return OMReport(
         drift_term=drift_total,
@@ -167,10 +170,9 @@ def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
     with ``L_k = nu A + lam I + diag f'(m_k)`` (self-adjoint in the
     unweighted product), plus ``-dt/2 rho^2 f''(m_k)`` from the trace.
     """
-    _check_path(path, cfg)
-    mids, t_mid = _midpoints(path)
-    qs = _q_mid(path, cfg, t_mid)
-    res = residuals(path, cfg)
+    qs = _check_path(path, cfg)
+    mids = _midpoints(path)
+    res = _residuals(path, cfg, mids)
     dt = path.dt
     rho_sq = cfg.rho**2
     w = 2.0 * dt * rho_sq * res / qs**2  # (N, d)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .action import om_action
+from .action import _check_path, om_action
 from .config import _parse_float_list, config_hash, load_config
 from .errors import (
     ConfigurationError,
@@ -220,6 +220,7 @@ def _parse_slice(raw: str, n: int) -> list:
 def cmd_om(args) -> int:
     cfg = load_config(args.config)
     path = read_path_csv(args.path)
+    _check_path(path, cfg)
     out = _prepare_out(args)
     report = om_action(path, cfg)
     write_om_json(report, out / "om_report.json")
@@ -253,8 +254,8 @@ def _verify_cocycle(args) -> int:
     noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps)
     rows = []
     worst = 0.0
-    for frac in (0.25, 0.5):
-        s = frac * cfg.T
+    for m in (steps // 4, steps // 2):  # restart at grid steps, so every --dt grid has them
+        s = m * noise.dt
         dev = cocycle_check(u0, noise, s, cfg)
         rows.append((s, dev))
         worst = max(worst, dev)
@@ -269,31 +270,30 @@ def _verify_truncation(args) -> int:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
     check_count(args.ensemble, "--ensemble")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
+    wide = cfg.widened(2 * cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     bump = min(2, cfg.n)
 
-    def run(n):
-        sub = cfg if n == cfg.n else cfg.widened(n)
+    def run(sub):
         u0 = np.zeros(sub.d)
         for i in range(-bump, bump + 1):
-            u0[i + n] = 1.0 / (1.0 + i * i)
-        return sub, [path for _, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, sub)]
+            u0[i + sub.n] = 1.0 / (1.0 + i * i)
+        return [path for _, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, sub)]
 
-    base, paths = run(cfg.n)
-    wide, paths_wide = run(2 * cfg.n)
+    paths, paths_wide = run(cfg), run(wide)
     cutoffs = list(range(1, cfg.n + 1))
     rows = []
     for K in cutoffs:
         rows.append(
             (
                 K,
-                truncation_tail(paths, K, base.rho),
+                truncation_tail(paths, K, cfg.rho),
                 truncation_tail(paths_wide, K, wide.rho),
             )
         )
     write_csv(out / "truncation.csv", "K,tail,tail_wide", rows)
     msd = 0.0
-    off = wide.n - base.n
+    off = wide.n - cfg.n
     for a, b in zip(paths, paths_wide):
         msd += np.max(np.sum((a.states - b.states[:, off : off + a.d]) ** 2, axis=1))
     msd /= len(paths)
@@ -349,7 +349,6 @@ def _verify_tube(args) -> int:
     check_count(args.samples, "--samples")
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     eps = tuple(_radii(args.eps))
-    ts = np.linspace(0.0, cfg.T, steps + 1)
     kind, _, rest = args.reference.partition(":")
     if kind == "zero":
         states = np.zeros((steps + 1, cfg.d))
@@ -358,12 +357,12 @@ def _verify_tube(args) -> int:
         if len(amps) > 1:
             raise ConfigurationError(f"--reference sine takes at most one amplitude, got {rest!r}")
         amp = (amps or [0.5])[0]
+        ts = np.linspace(0.0, cfg.T, steps + 1)
         states = amp * np.sin(np.pi * ts / (2.0 * cfg.T))[:, None] * np.ones(cfg.d)[None, :]
     else:
         raise ConfigurationError(f"unknown tube reference {args.reference!r}")
-    phi = Path(times=ts, states=states, dt=cfg.T / steps)
     exp = TubeExperiment(
-        cfg=cfg, phi=phi, eps=eps, samples=args.samples, seed=args.seed,
+        cfg=cfg, phi=Path(states, cfg.T / steps), eps=eps, samples=args.samples, seed=args.seed,
         denominator=args.denominator,
     )
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)

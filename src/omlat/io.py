@@ -37,7 +37,8 @@ def write_path_csv(path: Path, dest) -> None:
 
 
 def read_path_csv(src) -> Path:
-    """Read a path written by :func:`write_path_csv`."""
+    """Read a path written by :func:`write_path_csv`: its time column must
+    run 0, dt, 2dt, ... (uniform within a relative 1e-9)."""
     p = FsPath(src)
     try:
         lines = p.read_text().strip().splitlines()
@@ -62,9 +63,14 @@ def read_path_csv(src) -> Path:
     data = np.array(rows)
     if data.shape[0] < 2:
         raise ConfigurationError(f"{p}: need at least two grid rows")
-    dt = data[1, 0] - data[0, 0]
+    times = data[:, 0]
+    if times[0] != 0.0:
+        raise ConfigurationError(f"{p}: time grid must start at 0, got {times[0]:g}")
+    dt = times[1]
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
+        raise ConfigurationError(f"{p}: time grid is not uniform with the step {dt:g} of its first rows")
     try:
-        return Path(times=data[:, 0], states=data[:, 1:], dt=dt)
+        return Path(data[:, 1:], dt)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .action import OMReport, om_action, om_gradient, residuals
+from .action import OMReport, _check_path, om_action, om_gradient, residuals
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
@@ -73,6 +73,8 @@ class BVPSpec:
             )
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "phiT", phiT)
+        # the action must be defined on the solver's grid before a run opens
+        _check_path(Path(np.zeros((self.steps + 1, d)), self.cfg.T / self.steps), self.cfg)
 
     @property
     def tol(self) -> float:
@@ -172,10 +174,6 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
     return band3.reshape(-1, rows).T
 
 
-def _as_path(states: np.ndarray, dt: float) -> Path:
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
-
-
 def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
     """The action of a line-search trial, or None when it overflows: the
     search then rejects the trial as it rejects one that does not descend."""
@@ -193,7 +191,7 @@ def _backtrack(path: Path, cfg: LatticeConfig, direction, t, slope: float, actio
     for taken in range(halvings):
         trial = path.states.copy()
         trial[1:-1] += t * direction
-        trial_path = _as_path(trial, path.dt)
+        trial_path = Path(trial, path.dt)
         trial_report = _trial_action(trial_path, cfg)
         if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
             return trial_path, trial_report, t, taken
@@ -223,7 +221,7 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
 
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
     states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
-    path = _as_path(states, dt)
+    path = Path(states, dt)
     report = om_action(path, cfg)
     action_val = report.total
 

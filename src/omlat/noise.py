@@ -191,13 +191,13 @@ def wq_path(noise: NoisePath, q: NoiseCoefficient) -> Path:
 
     The coefficient is evaluated at the left endpoint of each step, at the
     absolute grid time ``t_j = dt (origin_step + j)``, as the stepper
-    evaluates it; the path's own times still start at 0.
+    evaluates it; the path's own grid still starts at 0.
     """
     n = (noise.d - 1) // 2
     qs = q.grid(noise.dt * (noise.origin_step + np.arange(noise.steps)), n)
     states = np.zeros((noise.steps + 1, noise.d))
     np.cumsum(qs * noise.increments, axis=0, out=states[1:])
-    return Path(times=noise.dt * np.arange(noise.steps + 1), states=states, dt=noise.dt)
+    return Path(states, noise.dt)
 
 
 def shift_noise(noise: NoisePath, s: float) -> NoisePath:

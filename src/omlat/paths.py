@@ -1,4 +1,4 @@
-"""Time-gridded trajectories of lattice states."""
+"""Trajectories of lattice states on a uniform time grid."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,31 +12,24 @@ __all__ = ["Path"]
 
 @dataclass(frozen=True)
 class Path:
-    """A trajectory on a uniform time grid.
+    """A trajectory on the uniform time grid ``t_k = k dt``.
 
     ``states[k]`` is the lattice state at ``times[k] = k dt``; the array
-    has shape (N + 1, d) for N steps.
+    has shape (N + 1, d) for N steps.  The grid is not stored: ``times``
+    and ``T = N dt`` are derived from ``dt``.
     """
 
-    times: np.ndarray
     states: np.ndarray
     dt: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or times.ndim != 1 or states.shape[0] != times.size:
-            raise ConfigurationError("states must be (N+1, d) matching times (N+1,)")
-        if times.size < 2:
-            raise ConfigurationError("a path needs at least two grid points")
-        if times[0] != 0.0:
-            raise ConfigurationError(f"time grid must start at 0, got {times[0]:g}")
-        steps = np.diff(times)
-        if not np.allclose(steps, self.dt, rtol=1e-9, atol=1e-12):
-            raise ConfigurationError("time grid is not uniform with the declared dt")
+        if states.ndim != 2 or states.shape[0] < 2:
+            raise ConfigurationError(f"states must be (N+1, d) with N >= 1, got shape {states.shape}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError(f"time step dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(states)):
             raise ConfigurationError("path contains non-finite states")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
     @property
@@ -48,12 +41,12 @@ class Path:
         return self.states.shape[1]
 
     @property
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.steps + 1)
+
+    @property
     def T(self) -> float:
-        return float(self.times[-1])
+        return float(self.dt * self.steps)
 
     def same_grid(self, other: "Path") -> bool:
-        return (
-            self.states.shape == other.states.shape
-            and self.times.shape == other.times.shape
-            and bool(np.all(self.times == other.times))
-        )
+        return self.states.shape == other.states.shape and self.dt == other.dt

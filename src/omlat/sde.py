@@ -116,7 +116,7 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig) -> Path:
     q is evaluated at ``dt (noise.origin_step + k)``, so a run restarted
     from an intermediate state with :func:`~omlat.noise.shift_noise`'s
     shifted noise takes the same steps as the run it continues.  The
-    returned path's times start at 0.
+    returned path's grid starts at 0.
 
     Raises
     ------
@@ -136,7 +136,7 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig) -> Path:
     states = euler_maruyama(
         u0[None], noise.increments[None], cfg, dt, [noise.trajectory], noise.origin_step
     )
-    return Path(times=dt * np.arange(noise.steps + 1), states=states[0], dt=dt)
+    return Path(states[0], dt)
 
 
 def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig):
@@ -153,7 +153,6 @@ def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig
     if u0.shape != (cfg.d,):
         raise ConfigurationError(f"u0 must have shape ({cfg.d},), got {u0.shape}")
     dt = cfg.T / steps
-    times = dt * np.arange(steps + 1)
     size = max(1, ENSEMBLE_STATE_BYTES // (8 * (steps + 1) * cfg.d))
     for start in range(0, count, size):
         group = range(start, min(start + size, count))
@@ -161,7 +160,7 @@ def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig
         increments = np.stack([noise.increments for noise in noises])
         states = euler_maruyama(np.tile(u0, (len(group), 1)), increments, cfg, dt, group)
         for noise, path_states in zip(noises, states):
-            yield noise, Path(times=times, states=path_states, dt=dt)
+            yield noise, Path(path_states, dt)
 
 
 @dataclass(frozen=True)

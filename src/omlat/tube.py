@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .action import om_action
+from .action import _check_path, om_action
 from .errors import ConfigurationError, StatisticalPowerError
 from .lattice import LatticeConfig, dense_A
 from .noise import _TAG_TUBE_BLOCK, _block_bits
@@ -55,7 +55,8 @@ class TubeExperiment:
     """Specification of one ratio experiment.
 
     ``phi`` must start at the initial condition the solution ensemble is
-    launched from (phi(0) is taken as u0).  ``denominator`` selects the
+    launched from (phi(0) is taken as u0), and it must pass the action's
+    entry check (sites, horizon, noise floor).  ``denominator`` selects the
     reference-noise ensemble: "convolution" damps the noise by the
     linear-part rates in its eigenbasis; "plain" uses the undamped
     cumulative noise path.
@@ -73,8 +74,7 @@ class TubeExperiment:
             raise ConfigurationError(
                 f"tube experiments are desk scale: need n <= 1, config has n={self.cfg.n}"
             )
-        if self.phi.d != self.cfg.d:
-            raise ConfigurationError("reference path dimension does not match config")
+        _check_path(self.phi, self.cfg)
         eps = tuple(float(e) for e in self.eps)
         if not eps or not all(0 < e < np.inf for e in eps):
             raise ConfigurationError(f"need positive finite radii, got {eps}")

@@ -63,7 +63,7 @@ def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha) -> Path:
     n = (noise.d - 1) // 2
     times = noise.dt * (noise.origin_step + np.arange(noise.steps))
     states = ou_states(noise.increments, q.grid(times, n), np.exp(-alpha * noise.dt))
-    return Path(times=noise.dt * np.arange(noise.steps + 1), states=states, dt=noise.dt)
+    return Path(states, noise.dt)
 
 
 def ou_states(increments, qs, decay) -> np.ndarray:

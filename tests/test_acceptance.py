@@ -45,11 +45,6 @@ CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 
 
-def path_from_grid(states, dt):
-    states = np.asarray(states, dtype=float)
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
-
-
 def rk4_states(u0, cfg, steps, dt):
     u = np.asarray(u0, dtype=float).copy()
     out = [u.copy()]
@@ -165,7 +160,7 @@ def test_criterion_05_action_gradient():
     rng = np.random.default_rng(2718)
     worst = 0.0
     for _ in range(20):
-        p = path_from_grid(rng.standard_normal((7, 3)), 2.0 / 6)
+        p = Path(rng.standard_normal((7, 3)), 2.0 / 6)
         g = om_gradient(p, cfg)
         fd = np.zeros_like(g)
         h = 1e-6
@@ -175,15 +170,15 @@ def test_criterion_05_action_gradient():
                 plus[k, i] += h
                 minus[k, i] -= h
                 fd[k - 1, i] = (
-                    om_action(path_from_grid(plus, p.dt), cfg).total
-                    - om_action(path_from_grid(minus, p.dt), cfg).total
+                    om_action(Path(plus, p.dt), cfg).total
+                    - om_action(Path(minus, p.dt), cfg).total
                 ) / (2 * h)
         worst = max(worst, np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))))
     assert worst <= 1e-6
 
     cfg1 = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(0.7), T=1.0)
     cfg2 = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(1.4), T=1.0)
-    p = path_from_grid(rng.standard_normal((17, 3)), 1.0 / 16)
+    p = Path(rng.standard_normal((17, 3)), 1.0 / 16)
     r1, r2 = om_action(p, cfg1), om_action(p, cfg2)
     homog = abs(r2.drift_term - r1.drift_term / 4.0)
     assert homog <= 1e-12 * max(1.0, r1.drift_term)
@@ -197,7 +192,7 @@ def test_criterion_05_action_gradient():
     totals = []
     for steps in (32, 64, 128):
         ts = np.linspace(0.0, 1.0, steps + 1)
-        totals.append(om_action(path_from_grid(np.array([phi(t) for t in ts]), 1.0 / steps), smooth_cfg).total)
+        totals.append(om_action(Path(np.array([phi(t) for t in ts]), 1.0 / steps), smooth_cfg).total)
     richardson = (totals[0] - totals[1]) / (totals[1] - totals[2])
     assert 3.0 <= richardson <= 5.0
     print(
@@ -293,12 +288,12 @@ def test_criterion_10_tube_consistency():
     N = 512
     ts = np.linspace(0.0, 1.0, N + 1)
 
-    zero_phi = path_from_grid(np.zeros((N + 1, 1)), 1.0 / N)
+    zero_phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
     z = tube_ratio(TubeExperiment(cfg=cfg, phi=zero_phi, eps=(0.3, 0.2), samples=1_000_000, seed=1))
     assert z.predicted == 1.0
     assert all(z.ci_lo[j] <= 1.0 <= z.ci_hi[j] for j in range(2))
 
-    phi = path_from_grid(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
+    phi = Path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
     t = tube_ratio(TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=1_000_000, seed=2))
     smallest = int(np.argmin(t.eps))
     assert t.num_hits[smallest] >= 50

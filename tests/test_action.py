@@ -20,14 +20,9 @@ CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 
 
-def path_from_grid(states, dt):
-    states = np.asarray(states, dtype=float)
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
-
-
 def sampled_path(fn, steps, T, d):
     ts = np.linspace(0.0, T, steps + 1)
-    return Path(times=ts, states=np.array([fn(t) for t in ts]).reshape(-1, d), dt=T / steps)
+    return Path(np.array([fn(t) for t in ts]).reshape(-1, d), T / steps)
 
 
 def example_cfg(n=1, T=30.0):
@@ -50,7 +45,7 @@ def rk4_states(u0, cfg, steps, dt):
 class TestResidual:
     def test_zero_path_zero_forcing(self):
         cfg = example_cfg(T=1.0)
-        p = path_from_grid(np.zeros((9, 3)), 0.125)
+        p = Path(np.zeros((9, 3)), 0.125)
         assert np.all(residuals(p, cfg) == 0.0)
 
     def test_affine_path_linear_system_closed_form(self):
@@ -59,7 +54,7 @@ class TestResidual:
         a = np.array([1.0, -0.5, 2.0])
         v = np.array([0.2, 0.1, -0.3])
         dt = 0.125
-        p = path_from_grid(a[None, :] + v[None, :] * (dt * np.arange(9))[:, None], dt)
+        p = Path(a[None, :] + v[None, :] * (dt * np.arange(9))[:, None], dt)
         M = cfg.nu * dense_A(3) + cfg.lam * np.eye(3)
         for k in range(8):
             t_mid = (k + 0.5) * dt
@@ -72,14 +67,14 @@ class TestResidual:
         norms = []
         for steps in (64, 128):
             states = rk4_states(u0, cfg, steps, 1.0 / steps)
-            p = path_from_grid(states, 1.0 / steps)
+            p = Path(states, 1.0 / steps)
             norms.append(np.max(np.abs(residuals(p, cfg))))
         assert 3.0 <= norms[0] / norms[1] <= 5.0
 
     def test_interval_index_range(self):
         # one residual per interval k = 0..N-1
         cfg = example_cfg(T=1.0)
-        p = path_from_grid(np.zeros((5, 3)), 0.25)
+        p = Path(np.zeros((5, 3)), 0.25)
         assert residuals(p, cfg).shape == (4, 3)
 
 
@@ -126,7 +121,7 @@ class TestOmAction:
         drifts = []
         for steps in (128, 256):
             states = rk4_states(np.array([0.2, 0.5, 0.2]), cfg, steps, 1.0 / steps)
-            rep = om_action(path_from_grid(states, 1.0 / steps), cfg)
+            rep = om_action(Path(states, 1.0 / steps), cfg)
             drifts.append(rep.drift_term)
             assert rep.total == rep.drift_term + rep.trace_term
         assert drifts[1] <= drifts[0] / 3.0
@@ -135,7 +130,7 @@ class TestOmAction:
         cfg1 = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(0.7), T=1.0)
         cfg2 = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(1.4), T=1.0)
         rng = np.random.default_rng(12)
-        p = path_from_grid(rng.standard_normal((17, 3)), 1.0 / 16)
+        p = Path(rng.standard_normal((17, 3)), 1.0 / 16)
         r1, r2 = om_action(p, cfg1), om_action(p, cfg2)
         assert r2.drift_term == pytest.approx(r1.drift_term / 4.0, rel=1e-12)
         assert r2.trace_term == r1.trace_term
@@ -144,7 +139,7 @@ class TestOmAction:
         cfg = example_cfg(n=2, T=2.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            p = path_from_grid(rng.standard_normal((33, 5)), 2.0 / 32)
+            p = Path(rng.standard_normal((33, 5)), 2.0 / 32)
             rep = om_action(p, cfg)
             assert rep.drift_term >= 0.0
             assert np.all(rep.per_interval_drift >= 0.0)
@@ -152,8 +147,8 @@ class TestOmAction:
     def test_time_reversal_changes_drift_term(self):
         cfg = example_cfg(n=1, T=1.0)
         states = rk4_states(np.array([0.2, 0.6, 0.2]), cfg, 64, 1.0 / 64)
-        fwd = om_action(path_from_grid(states, 1.0 / 64), cfg)
-        bwd = om_action(path_from_grid(states[::-1], 1.0 / 64), cfg)
+        fwd = om_action(Path(states, 1.0 / 64), cfg)
+        bwd = om_action(Path(states[::-1], 1.0 / 64), cfg)
         assert abs(fwd.drift_term - bwd.drift_term) > 1e-3
 
     def test_richardson_ratio_on_smooth_path(self):
@@ -168,7 +163,7 @@ class TestOmAction:
 
     def test_degenerate_coefficient_rejected(self):
         cfg = LatticeConfig(n=0, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(5e-13), T=1.0)
-        p = path_from_grid(np.zeros((5, 1)), 0.25)
+        p = Path(np.zeros((5, 1)), 0.25)
         with pytest.raises(DegenerateNoiseError):
             om_action(p, cfg)
 
@@ -186,7 +181,7 @@ class TestOmAction:
         hand = np.sum(
             ((vel - 0.1 * lap + 0.4 * phi + 0.1 * phi**3) / (0.01 * s)) ** 2
         ) - 0.3 * np.sum(phi**2)
-        p = path_from_grid([phi - t * vel, phi + t * vel], 2 * t)
+        p = Path([phi - t * vel, phi + t * vel], 2 * t)
         assert om_action(p, cfg).total == pytest.approx(2 * t * hand, rel=1e-12)
 
 
@@ -200,8 +195,8 @@ class TestOmGradient:
                 plus[k, i] += h
                 minus = base.copy()
                 minus[k, i] -= h
-                fp = om_action(path_from_grid(plus, path.dt), cfg).total
-                fm = om_action(path_from_grid(minus, path.dt), cfg).total
+                fp = om_action(Path(plus, path.dt), cfg).total
+                fm = om_action(Path(minus, path.dt), cfg).total
                 out[k - 1, i] = (fp - fm) / (2 * h)
         return out
 
@@ -209,7 +204,7 @@ class TestOmGradient:
         cfg = example_cfg(n=1, T=2.0)
         rng = np.random.default_rng(2718)
         for _ in range(20):
-            p = path_from_grid(rng.standard_normal((7, 3)), 2.0 / 6)
+            p = Path(rng.standard_normal((7, 3)), 2.0 / 6)
             g = om_gradient(p, cfg)
             fd = self.fd_gradient(p, cfg)
             scale = max(1.0, np.max(np.abs(g)))
@@ -223,7 +218,7 @@ class TestOmGradient:
             q=NoiseCoefficient.affine(0.1, 4.0), T=2.0, rho=rho, g=g_force,
         )
         rng = np.random.default_rng(99)
-        p = path_from_grid(rng.standard_normal((9, 3)), 2.0 / 8)
+        p = Path(rng.standard_normal((9, 3)), 2.0 / 8)
         g = om_gradient(p, cfg)
         fd = self.fd_gradient(p, cfg)
         scale = max(1.0, np.max(np.abs(g)))
@@ -231,19 +226,19 @@ class TestOmGradient:
 
     def test_zero_at_zero_path(self):
         cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.constant(1.0), T=1.0)
-        p = path_from_grid(np.zeros((9, 3)), 0.125)
+        p = Path(np.zeros((9, 3)), 0.125)
         assert np.all(om_gradient(p, cfg) == 0.0)
 
     def test_linear_in_path_for_quadratic_action(self):
         cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=LINEAR, q=NoiseCoefficient.constant(1.0), T=1.0)
         rng = np.random.default_rng(31)
-        p1 = path_from_grid(rng.standard_normal((9, 3)), 0.125)
-        p2 = path_from_grid(2.5 * p1.states, 0.125)
+        p1 = Path(rng.standard_normal((9, 3)), 0.125)
+        p2 = Path(2.5 * p1.states, 0.125)
         np.testing.assert_allclose(om_gradient(p2, cfg), 2.5 * om_gradient(p1, cfg), rtol=1e-12)
 
 
 def test_horizon_mismatch_rejected():
     cfg = example_cfg(T=30.0)
-    p = path_from_grid(np.zeros((9, 3)), 0.125)  # covers [0, 1] only
+    p = Path(np.zeros((9, 3)), 0.125)  # covers [0, 1] only
     with pytest.raises(ConfigurationError, match="horizon"):
         om_action(p, cfg)

@@ -131,7 +131,7 @@ class TestPathCsvRoundTrip:
         from omlat import Path
 
         rng = np.random.default_rng(0)
-        p = Path(times=0.125 * np.arange(9), states=rng.standard_normal((9, 3)), dt=0.125)
+        p = Path(rng.standard_normal((9, 3)), 0.125)
         dest = tmp_path / "p.csv"
         write_path_csv(p, dest)
         q = read_path_csv(dest)
@@ -141,10 +141,20 @@ class TestPathCsvRoundTrip:
     def test_header_shape(self, tmp_path):
         from omlat import Path
 
-        p = Path(times=np.array([0.0, 1.0]), states=np.zeros((2, 5)), dt=1.0)
+        p = Path(np.zeros((2, 5)), 1.0)
         dest = tmp_path / "p.csv"
         write_path_csv(p, dest)
         assert dest.read_text().splitlines()[0] == "t,u_-2,u_-1,u_0,u_1,u_2"
+
+    def test_time_step_must_be_positive(self, tmp_path):
+        # the start-at-0 and uniform-grid checks are in tests/test_paths.py
+        csv = tmp_path / "still.csv"
+        csv.write_text("t,u_0\n0,0\n0,0\n0,0\n")
+        with pytest.raises(ConfigurationError, match="still.csv: time step dt must be positive and finite, got 0.0"):
+            read_path_csv(csv)
+        near = tmp_path / "near.csv"  # steps equal within a relative 1e-9
+        near.write_text("t,u_0\n0,0\n0.25,0\n0.5000000000001,0\n")
+        assert read_path_csv(near).dt == 0.25
 
 
 class TestCliRuns:
@@ -358,6 +368,39 @@ class TestCliRuns:
         assert "late.csv: time grid must start at 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_om_rejects_a_path_the_config_does_not_fit_before_opening_out(
+        self, scalar_file, example5_file, tmp_path, capsys
+    ):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", scalar_file, "--out", str(sim), "--dt", "0.25"]) == 0
+        longer = tmp_path / "long.cfg"
+        longer.write_text(SCALAR.replace("T = 1", "T = 2"))
+        cases = {
+            example5_file: "path has 1 sites, config has 61",
+            str(longer): "path covers [0, 1] but the configured horizon is 2",
+        }
+        for cfg, message in cases.items():
+            out = tmp_path / "om"
+            code = main(["om", "--config", cfg, "--path", str(sim / "path_000.csv"), "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "tube", "--samples", "1000"], ["mpp", "--dt", "0.25", "--phi0", "zero"]],
+        ids=["tube", "mpp"],
+    )
+    def test_noise_below_the_action_floor_rejected_before_opening_out(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text(SCALAR.replace("constant:1.0", "constant:1e-13"))
+        out = tmp_path / "run"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "noise coefficient below 1e-12" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_om_round_trip(self, example5_file, tmp_path):
         sim = tmp_path / "sim"
         main(["simulate", "--config", example5_file, "--seed", "3", "--out", str(sim), "--dt", "0.25"])
@@ -391,6 +434,15 @@ class TestCliRuns:
         rows = (out / "cocycle.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all(float(r.split(",")[1]) <= 1e-12 for r in rows[1:])
+
+    def test_verify_cocycle_restarts_at_grid_steps_on_every_grid(self, scalar_file, tmp_path):
+        # 5 steps of 0.2: T/4 is no grid time, so the restarts are at steps 5 // 4 and 5 // 2
+        out = tmp_path / "coc"
+        code = main(["verify", "cocycle", "--config", scalar_file, "--out", str(out), "--dt", "0.2"])
+        assert code == 0
+        rows = [r.split(",") for r in (out / "cocycle.csv").read_text().splitlines()[1:]]
+        assert [float(s) for s, _ in rows] == [0.2, 0.4]
+        assert all(float(dev) == 0.0 for _, dev in rows)
 
     def test_verify_tube_zero_case(self, scalar_file, tmp_path):
         out = tmp_path / "tube"
@@ -585,6 +637,19 @@ class TestCliRuns:
         assert code == 0
         rows = (out / "truncation.csv").read_text().splitlines()
         assert rows[0] == "K,tail,tail_wide" and len(rows) == 2
+
+    def test_verify_truncation_rejects_a_q_table_too_narrow_for_2n_before_opening_out(self, tmp_path, capsys):
+        # a table of 3 sites covers n = 1 but not the widened n = 2
+        table = tmp_path / "q.csv"
+        table.write_text("0,1,1,1\n30,1,1,1\n")
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1").replace("example5:0.01,31", f"table:{table}"))
+        out = tmp_path / "t1"
+        code = main(["verify", "truncation", "--config", str(cfg), "--out", str(out), "--dt", "0.5", "--ensemble", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "table covers 3 sites, need 5" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_overflowing_action_is_a_numerical_failure(self, scalar_file, tmp_path):
         path = tmp_path / "big.csv"
@@ -794,5 +859,7 @@ def test_cli_fuzz_exits_with_a_documented_code_and_closes_its_manifest(command, 
             # every JSON file of the run is strict JSON: no NaN or Infinity tokens
             docs = {f.name: json.loads(f.read_text(), parse_constant=_reject_constant) for f in out.glob("*.json")}
             manifest = docs["manifest.json"]
+            # a run whose inputs are rejected creates no output directory
+            assert (manifest["error"] or {}).get("type") not in ("ConfigurationError", "DegenerateNoiseError"), (argv, err.getvalue())
             assert manifest["status"] == ("ok" if code == 0 else "failed")
             assert manifest["exit_code"] == code and manifest["wall_clock_s"] is not None

@@ -32,11 +32,6 @@ def example5_spec(n=30, steps=600, tol=None):
     return BVPSpec(cfg=cfg, phi0=phi0, phiT=np.zeros(cfg.d), steps=steps, gradient_tol=tol)
 
 
-def path_from_grid(states, dt):
-    states = np.asarray(states, dtype=float)
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
-
-
 def action_along_homotopy(spec, path_a, path_b, samples=11):
     """Action along the straight-line blend of two paths sharing both
     endpoints, at ``samples`` equally spaced blend weights from 0 to 1."""
@@ -47,7 +42,7 @@ def action_along_homotopy(spec, path_a, path_b, samples=11):
     out = np.empty(samples)
     for j, w in enumerate(np.linspace(0.0, 1.0, samples)):
         blend = (1.0 - w) * path_a.states + w * path_b.states
-        out[j] = om_action(path_from_grid(blend, path_a.dt), spec.cfg).total
+        out[j] = om_action(Path(blend, path_a.dt), spec.cfg).total
     return out
 
 
@@ -143,12 +138,12 @@ class TestSolveMpp:
 
 class TestElResidual:
     def test_zero_path_zero_residual(self):
-        p = path_from_grid(np.zeros((61, 7)), 0.5)
+        p = Path(np.zeros((61, 7)), 0.5)
         assert np.all(el_residual_example5(p) == 0.0)
         assert np.all(el_residual_example5(p, displayed_form=True) == 0.0)
 
     def test_wrong_horizon_rejected(self):
-        p = path_from_grid(np.zeros((11, 3)), 0.1)
+        p = Path(np.zeros((11, 3)), 0.1)
         with pytest.raises(ConfigurationError):
             el_residual_example5(p)
 
@@ -159,8 +154,8 @@ class TestElResidual:
         k0, i0 = 30, 6  # site index -n + 6 = 0
         bumped = base.copy()
         bumped[k0, i0] += 0.37
-        r0 = el_residual_example5(path_from_grid(base, 0.5))
-        r1 = el_residual_example5(path_from_grid(bumped, 0.5))
+        r0 = el_residual_example5(Path(base, 0.5))
+        r1 = el_residual_example5(Path(bumped, 0.5))
         diff = np.abs(r1 - r0)
         nz = np.argwhere(diff > 0)
         assert nz.size > 0
@@ -201,7 +196,7 @@ class TestHomotopy:
         bump = res.path.states.copy()
         interior = np.arange(1, res.path.steps)
         bump[interior] += 0.15 * np.sin(np.pi * interior / res.path.steps)[:, None]
-        other = path_from_grid(bump, res.path.dt)
+        other = Path(bump, res.path.dt)
         vals = action_along_homotopy(spec, res.path, other, samples=9)
         assert np.argmin(vals) == 0
 
@@ -210,7 +205,7 @@ class TestHomotopy:
         res = solve_mpp(spec)
         bump = res.path.states.copy()
         bump[1:-1, 0] += 0.3 * np.sin(np.linspace(0, np.pi, 63))
-        vals = action_along_homotopy(spec, res.path, path_from_grid(bump, res.path.dt), samples=7)
+        vals = action_along_homotopy(spec, res.path, Path(bump, res.path.dt), samples=7)
         second = np.diff(vals, 2)
         assert np.max(np.abs(second - second[0])) <= 1e-10
 
@@ -220,7 +215,7 @@ class TestHomotopy:
         other = res.path.states.copy()
         other[-1] += 1.0
         with pytest.raises(ConfigurationError):
-            action_along_homotopy(spec, res.path, path_from_grid(other, res.path.dt))
+            action_along_homotopy(spec, res.path, Path(other, res.path.dt))
 
 
 class TestSolverFallback:
@@ -305,14 +300,14 @@ class TestHessianBand:
             rho=rng.uniform(0.5, 1.5, 2 * n + 1),
         )
         dt = cfg.T / self.STEPS
-        path = path_from_grid(rng.normal(size=(self.STEPS + 1, cfg.d)), dt)
+        path = Path(rng.normal(size=(self.STEPS + 1, cfg.d)), dt)
         t_mid = dt * (np.arange(self.STEPS) + 0.5)
         row_weight = np.sqrt(dt) * cfg.rho / cfg.q.grid(t_mid, n)
 
         def with_interior(x):
             states = path.states.copy()
             states[1:-1] = x.reshape(self.STEPS - 1, cfg.d)
-            return path_from_grid(states, dt)
+            return Path(states, dt)
 
         return cfg, path, row_weight, with_interior
 
@@ -387,7 +382,7 @@ class TestFoldedStep:
         assert res.record[1].damping == 0.0 and res.record[1].fallback == 0
 
         lam = np.linspace(0.0, 1.0, 17)[:, None]
-        start = path_from_grid((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
+        start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
         t_mid = start.dt * (np.arange(16) + 0.5)
         row_weight = np.sqrt(start.dt) * spec.cfg.rho / spec.cfg.q.grid(t_mid, 30)
         H = natural_gauss_newton(start, spec.cfg, row_weight)

@@ -33,21 +33,16 @@ def scalar_cfg(lam=0.4, q=1.0, T=1.0):
     return LatticeConfig(n=0, nu=0.1, lam=lam, f=LINEAR, q=NoiseCoefficient.constant(q), T=T)
 
 
-def grid_path(states, dt):
-    states = np.asarray(states, dtype=float)
-    return Path(times=dt * np.arange(states.shape[0]), states=states, dt=dt)
-
-
 class TestPathNorm:
     def test_identical_paths(self):
-        p = grid_path(np.random.default_rng(0).standard_normal((9, 3)), 0.125)
+        p = Path(np.random.default_rng(0).standard_normal((9, 3)), 0.125)
         assert l2rho_path_norm(p, p, np.ones(3)) == 0.0
 
     def test_constant_difference(self):
         dt, T = 0.1, 1.0
-        a = grid_path(np.zeros((11, 3)), dt)
+        a = Path(np.zeros((11, 3)), dt)
         c = np.array([0.3, -0.4, 1.2])
-        b = grid_path(np.tile(c, (11, 1)), dt)
+        b = Path(np.tile(c, (11, 1)), dt)
         rho = np.array([1.0, 2.0, 0.5])
         expected = np.sqrt(np.sum((rho * c) ** 2) * T)
         assert l2rho_path_norm(a, b, rho) == pytest.approx(expected, rel=1e-12)
@@ -59,16 +54,16 @@ class TestPathNorm:
 
         def dist(steps):
             ts = np.linspace(0.0, 1.0, steps + 1)
-            a = grid_path(np.array([f(t) for t in ts]), 1.0 / steps)
-            b = grid_path(np.zeros((steps + 1, 2)), 1.0 / steps)
+            a = Path(np.array([f(t) for t in ts]), 1.0 / steps)
+            b = Path(np.zeros((steps + 1, 2)), 1.0 / steps)
             return l2rho_path_norm(a, b, np.ones(2))
 
         errs = [abs(dist(steps) - dist(4096)) for steps in (32, 64)]
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
     def test_grid_mismatch(self):
-        a = grid_path(np.zeros((9, 1)), 0.125)
-        b = grid_path(np.zeros((5, 1)), 0.25)
+        a = Path(np.zeros((9, 1)), 0.125)
+        b = Path(np.zeros((5, 1)), 0.25)
         with pytest.raises(ConfigurationError):
             l2rho_path_norm(a, b, np.ones(1))
 
@@ -81,7 +76,7 @@ class TestBlockArithmetic:
         N, count = 16, 5
         dt = 1.0 / N
         ts = np.linspace(0.0, 1.0, N + 1)
-        phi = grid_path(np.outer(np.sin(np.pi * ts), np.array([0.1, 0.3, 0.1])), dt)
+        phi = Path(np.outer(np.sin(np.pi * ts), np.array([0.1, 0.3, 0.1])), dt)
         monkeypatch.setattr(tube, "MIN_HITS", 1)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(10.0,), samples=count, seed=99)
         table = tube_ratio(exp)
@@ -103,7 +98,7 @@ class TestBlockArithmetic:
             modes = NoisePath(dt=dt, increments=(q0 * dW[j]) @ V / q0[0])
             conv = ou_convolution(modes, cfg.q, alpha)
             y = conv.states @ V.T
-            expected = l2rho_path_norm(grid_path(y, dt), grid_path(np.zeros((N + 1, 3)), dt), cfg.rho) ** 2
+            expected = l2rho_path_norm(Path(y, dt), Path(np.zeros((N + 1, 3)), dt), cfg.rho) ** 2
             assert den_sq[j] == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
@@ -177,7 +172,7 @@ def test_block_distances_match_matmul_loop(n, denominator, reference):
     N = 48
     ts = np.linspace(0.0, 1.0, N + 1)
     amp = 0.0 if reference == "zero" else 0.4
-    phi = grid_path(amp * np.outer(np.sin(np.pi * ts / 2), np.linspace(0.5, 1.0, cfg.d)), 1.0 / N)
+    phi = Path(amp * np.outer(np.sin(np.pi * ts / 2), np.linspace(0.5, 1.0, cfg.d)), 1.0 / N)
     exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=700, seed=31, denominator=denominator)
     for block_index, count in ((0, 700), (3, 257)):
         got = _block_distances(exp, block_index, count)
@@ -193,7 +188,7 @@ def test_pruning_is_exact(n, denominator):
     # count: its full-length sums still exceed the largest radius squared
     cfg = LatticeConfig(n=n, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(1.0, 1.0), T=1.0)
     N = 100
-    phi = grid_path(np.zeros((N + 1, cfg.d)), 1.0 / N)
+    phi = Path(np.zeros((N + 1, cfg.d)), 1.0 / N)
     eps = tuple((1 + n) * e for e in (0.4, 0.3, 0.2))
     exp = TubeExperiment(cfg=cfg, phi=phi, eps=eps, samples=600, seed=17, denominator=denominator)
     got = _block_distances(exp, 1, 600)
@@ -223,7 +218,7 @@ def test_tube_ratio_reports_the_first_blow_up_in_sample_order(monkeypatch):
         runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
     cfg = LatticeConfig(n=0, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=2.0)
     N = 256
-    phi = grid_path(np.zeros((N + 1, 1)), 2.0 / N)
+    phi = Path(np.zeros((N + 1, 1)), 2.0 / N)
     exp = TubeExperiment(cfg=cfg, phi=phi, eps=(100.0,), samples=2000, seed=3)
 
     def first_blow_up(run):
@@ -250,7 +245,7 @@ def test_a_block_draws_each_chunk_in_one_call_from_its_one_generator(monkeypatch
             return self.g.standard_normal(*args, **kwargs)
 
     N = 100
-    phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+    phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=5000, seed=6)
     expected = _block_distances(exp, 1, 5000)
     monkeypatch.setattr(tube, "Generator", Counting)
@@ -274,7 +269,7 @@ def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
 
     monkeypatch.setattr(tube, "euler_maruyama", recording)
     N = 100
-    phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+    phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=300, seed=2)
     _block_distances(exp, 2, 300)
     stages = matmul_block_distances(exp, 2, 300)[2]
@@ -295,7 +290,7 @@ def test_only_a_trajectory_still_stepped_can_blow_up():
         runaway = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=1.0)
     cfg = LatticeConfig(n=0, nu=0.1, lam=0.1, f=runaway, q=NoiseCoefficient.constant(1.0), T=2.0)
     N = 256
-    phi = grid_path(np.zeros((N + 1, 1)), 2.0 / N)
+    phi = Path(np.zeros((N + 1, 1)), 2.0 / N)
     first = tube.TUBE_BLOCK_SIZE
     blown = {}
     for eps in (100.0, 0.3):
@@ -319,7 +314,7 @@ def test_a_block_whose_trajectories_all_leave_stops_drawing(monkeypatch):
 
     monkeypatch.setattr(tube, "euler_maruyama", recording)
     N = 128
-    phi = grid_path(np.ones((N + 1, 1)), 1.0 / N)
+    phi = Path(np.ones((N + 1, 1)), 1.0 / N)
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.01,), samples=200, seed=3)
     num_sq, den_sq = _block_distances(exp, 0, 200)
     assert calls == [(200, 8, 1)] * 4  # the first stage's four chunks
@@ -329,7 +324,7 @@ def test_a_block_whose_trajectories_all_leave_stops_drawing(monkeypatch):
 def test_pruning_block_holds_no_more_memory_than_one_that_prunes_nothing():
     # every stage draws into a prefix of the block's one buffer
     def traced_peak(eps, N=256, count=2048):
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(eps,), samples=count, seed=4)
         tracemalloc.start()
         try:
@@ -348,7 +343,7 @@ def test_block_memory_does_not_grow_with_the_number_of_steps():
     # a block holds its increments a fixed number of steps at a time, so
     # its peak memory is set by its size, not by N
     def traced_peak(N, count=2048):
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=count, seed=4)
         tracemalloc.start()
         try:
@@ -366,7 +361,7 @@ def test_a_block_holds_no_more_memory_than_a_half_size_block_at_a_32_step_chunk(
     # chunk, its traced peak stays within that of a half-size block drawn
     # 32 steps at a time.  A 16-step chunk would not
     def traced_peak(count, N=64):
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(10.0,), samples=count, seed=4)
         tracemalloc.start()
         try:
@@ -389,7 +384,7 @@ class TestTubeRatio:
     def test_zero_action_ratio_near_one(self):
         cfg = scalar_cfg()
         N = 256
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=60_000, seed=1)
         table = tube_ratio(exp)
         assert table.predicted == 1.0
@@ -400,7 +395,7 @@ class TestTubeRatio:
     def test_hits_monotone_in_radius(self):
         cfg = scalar_cfg()
         N = 128
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.5, 0.35, 0.25), samples=30_000, seed=3)
         table = tube_ratio(exp)
         assert table.num_hits[0] >= table.num_hits[1] >= table.num_hits[2]
@@ -410,7 +405,7 @@ class TestTubeRatio:
         cfg = scalar_cfg()
         N = 256
         ts = np.linspace(0.0, 1.0, N + 1)
-        phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
+        phi = Path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.3, 0.2), samples=150_000, seed=2)
         table = tube_ratio(exp)
         target = -0.5 * om_action(phi, cfg).total
@@ -422,7 +417,7 @@ class TestTubeRatio:
     def test_doubling_q_shifts_prediction_and_trend(self):
         N = 256
         ts = np.linspace(0.0, 1.0, N + 1)
-        phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
+        phi = Path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
         tables, actions = {}, {}
         for qval in (1.0, 2.0):
             cfg = scalar_cfg(q=qval)
@@ -438,7 +433,7 @@ class TestTubeRatio:
     def test_statistical_power_error(self):
         cfg = scalar_cfg()
         N = 64
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.05,), samples=300, seed=1)
         with pytest.raises(StatisticalPowerError):
             tube_ratio(exp)
@@ -446,7 +441,7 @@ class TestTubeRatio:
     def test_deterministic(self):
         cfg = scalar_cfg()
         N = 64
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.4,), samples=20_000, seed=8)
         t1 = tube_ratio(exp)
         t2 = tube_ratio(exp)
@@ -455,7 +450,7 @@ class TestTubeRatio:
 
     def test_mismatched_reference_rejected(self):
         cfg = scalar_cfg()
-        phi = grid_path(np.zeros((9, 3)), 0.125)
+        phi = Path(np.zeros((9, 3)), 0.125)
         with pytest.raises(ConfigurationError):
             TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=100)
 
@@ -463,7 +458,7 @@ class TestTubeRatio:
     def test_bad_radius_rejected(self, eps):
         # a nan radius would set the prune cutoff to nan and drop every
         # trajectory at the first prune point
-        phi = grid_path(np.zeros((9, 1)), 0.125)
+        phi = Path(np.zeros((9, 1)), 0.125)
         with pytest.raises(ConfigurationError, match="radii"):
             TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=eps, samples=100)
 
@@ -471,7 +466,7 @@ class TestTubeRatio:
         # the observer's in-order site sum equals np.sum(axis=1) only for
         # d <= 7, so the experiment itself keeps d <= 3
         cfg = LatticeConfig(n=2, nu=0.1, lam=0.4, f=LINEAR, q=NoiseCoefficient.constant(1.0), T=1.0)
-        phi = grid_path(np.zeros((9, 5)), 0.125)
+        phi = Path(np.zeros((9, 5)), 0.125)
         with pytest.raises(ConfigurationError, match="n <= 1"):
             TubeExperiment(cfg=cfg, phi=phi, eps=(0.3,), samples=100)
 
@@ -480,7 +475,7 @@ class TestPlainDenominator:
     def test_plain_variant_runs_and_differs(self):
         cfg = scalar_cfg()
         N = 128
-        phi = grid_path(np.zeros((N + 1, 1)), 1.0 / N)
+        phi = Path(np.zeros((N + 1, 1)), 1.0 / N)
         conv = tube_ratio(
             TubeExperiment(cfg=cfg, phi=phi, eps=(0.5,), samples=30_000, seed=6)
         )
@@ -493,7 +488,7 @@ class TestPlainDenominator:
         assert np.isfinite(plain.ratio[0])
         # which trajectories are pruned depends on the denominator; over one
         # stage nothing is pruned, and the solution ensembles are the same
-        short = grid_path(np.zeros((_TUBE_STAGE_STEPS + 1, 1)), 1.0 / _TUBE_STAGE_STEPS)
+        short = Path(np.zeros((_TUBE_STAGE_STEPS + 1, 1)), 1.0 / _TUBE_STAGE_STEPS)
         nums = [
             _block_distances(TubeExperiment(cfg=cfg, phi=short, eps=(0.5,), samples=3000, seed=6,
                                             denominator=kind), 0, 3000)[0]
@@ -512,7 +507,7 @@ def test_log_ratio_flattens_toward_prediction():
     cfg = scalar_cfg()
     N = 512
     ts = np.linspace(0.0, 1.0, N + 1)
-    phi = grid_path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
+    phi = Path(0.8 * np.sin(np.pi * ts / 2)[:, None], 1.0 / N)
     exp = TubeExperiment(cfg=cfg, phi=phi, eps=(0.4, 0.3, 0.2), samples=400_000, seed=2)
     table = tube_ratio(exp)
     target = -0.5 * om_action(phi, cfg).total
