@@ -40,7 +40,7 @@ from .errors import (
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
 from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .lattice import weighted_norm
-from .mpp import BVPSpec, RecordRow, solve_mpp
+from .mpp import BVPSpec, RecordRow, _band_shape, solve_mpp
 from .noise import sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
@@ -52,9 +52,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_POWER = 4
 
-#: Most steps a ``--dt`` grid may have: the step counter range of the
+#: Most steps a ``--dt`` grid may have, and most trajectories an
+#: ``--ensemble`` may have: the step and trajectory counter ranges of the
 #: noise keys (``noise._philox_key``).
 _MAX_STEPS = 2**32
+_MAX_TRAJECTORIES = 2**24
 
 
 def parse_state_spec(raw: str, n: int) -> np.ndarray:
@@ -96,6 +98,26 @@ def _radii(raw: str) -> list:
     return eps
 
 
+def _check_ensemble(count: int) -> None:
+    """``--ensemble`` is at least 1 and at most :data:`_MAX_TRAJECTORIES`."""
+    check_count(count, "--ensemble")
+    if count > _MAX_TRAJECTORIES:
+        raise ConfigurationError(
+            f"--ensemble={count} is more than the 2^24 trajectories the noise keys address"
+        )
+
+
+def _check_memory(nbytes: int, dt: float | None, steps: int, what: str) -> None:
+    """Reject a ``--dt`` grid of ``steps`` steps on which ``what`` needs
+    more than the host's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigurationError(
+            f"--dt={dt} gives {steps} steps: {what} needs {nbytes} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def _steps_from_dt(T: float, d: int, dt: float | None, default_steps: int) -> int:
     """Steps of the ``--dt`` grid on [0, T]: dt must be positive, finite
     and divide T into at most :data:`_MAX_STEPS` steps, and one trajectory
@@ -109,13 +131,7 @@ def _steps_from_dt(T: float, d: int, dt: float | None, default_steps: int) -> in
     steps = int(round(T / dt))
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ConfigurationError(f"--dt={dt} does not divide the horizon T={T}")
-    states = 8 * (steps + 1) * d
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if states > memory:
-        raise ConfigurationError(
-            f"--dt={dt} gives {steps} steps: one trajectory of {d} sites needs "
-            f"{states} bytes, more than the {memory} bytes of physical memory"
-        )
+    _check_memory(8 * (steps + 1) * d, dt, steps, f"one trajectory of {d} sites")
     return steps
 
 
@@ -148,7 +164,7 @@ def _prepare_out(args, **derived) -> FsPath:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    check_count(args.ensemble, "--ensemble")
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 1024)
     u0 = parse_state_spec(args.u0, cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
@@ -168,6 +184,8 @@ def cmd_simulate(args) -> int:
 def cmd_mpp(args) -> int:
     cfg = load_config(args.config)
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 600)
+    band = 8 * math.prod(_band_shape(steps, cfg.d))
+    _check_memory(band, args.dt, steps, f"the solver's band for {cfg.d} sites")
     sites = _parse_slice(args.slice, cfg.n) if args.slice else []
     spec = BVPSpec(
         cfg=cfg,
@@ -252,23 +270,20 @@ def _verify_cocycle(args) -> int:
     u0 = parse_state_spec(args.u0, cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
     noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps)
-    rows = []
-    worst = 0.0
-    for m in (steps // 4, steps // 2):  # restart at grid steps, so every --dt grid has them
-        s = m * noise.dt
-        dev = cocycle_check(u0, noise, s, cfg)
-        rows.append((s, dev))
-        worst = max(worst, dev)
+    # restart at grid steps, so every --dt grid has them
+    starts = [m * noise.dt for m in (steps // 4, steps // 2)]
+    devs = cocycle_check(u0, noise, starts, cfg)
+    for s, dev in zip(starts, devs):
         print(f"verify cocycle: s={s:g} deviation={dev:.3e}")
-    write_csv(out / "cocycle.csv", "s,deviation", rows)
-    return EXIT_OK if worst <= 1e-12 else EXIT_NUMERICAL
+    write_csv(out / "cocycle.csv", "s,deviation", zip(starts, devs))
+    return EXIT_OK if max(devs) <= 1e-12 else EXIT_NUMERICAL
 
 
 def _verify_truncation(args) -> int:
     cfg = load_config(args.config)
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
-    check_count(args.ensemble, "--ensemble")
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     wide = cfg.widened(2 * cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
@@ -305,7 +320,7 @@ def _verify_truncation(args) -> int:
 
 def _verify_bound(args) -> int:
     cfg = load_config(args.config)
-    check_count(args.ensemble, "--ensemble")
+    _check_ensemble(args.ensemble)
     steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
     u0 = parse_state_spec(args.u0, cfg.n)
     out = _prepare_out(args, dt=cfg.T / steps, steps=steps)

@@ -9,7 +9,10 @@ block's sites are numbered centre-out (0, +1, -1, +2, -2, ...), which
 brings every ring neighbour, the wrap included, within 4 positions, so
 the matrix is banded with half-bandwidth min(2d - 1, d + 4) rather than
 the 2d - 1 of natural site order.  Each step is one banded Cholesky solve
-in that order, damped Levenberg-style when the factorization fails.
+in that order, damped Levenberg-style when the factorization fails.  A
+solve allocates one band, 8 (N - 1) d min(2d, d + 5) bytes, and every
+factorization attempt rebuilds the matrix in it, since the Cholesky
+factor overwrites it.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -106,33 +109,32 @@ class MPPResult:
     record: tuple = field(repr=False)
 
 
-def _shift_diagonals(c, u, c2, h):
-    """Cyclic diagonals of ``M diag(u) M2`` for ``M = diag(c) + h (S + S^T)``
-    and ``M2 = diag(c2) + h (S + S^T)``, S the cyclic shift on the sites.
-
-    Returns ``{s: v}`` with ``v[..., a]`` the entry at (a, (a + s) mod d);
-    shifts that coincide on short rings add up."""
-    up, dn = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)  # u[a+1], u[a-1]
-    cu, uc2 = c * u, u * c2
-    return {
-        0: cu * c2 + h * h * (up + dn),
-        1: h * (cu + np.roll(uc2, -1, axis=-1)),
-        -1: h * (cu + np.roll(uc2, 1, axis=-1)),
-        2: h * h * up,
-        -2: h * h * dn,
-    }
+def _band_shape(steps: int, d: int) -> tuple:
+    """Shape of the buffer :func:`_hessian_band` fills for a grid of
+    ``steps`` steps and ``d`` sites: min(2d, d + 5) band rows for each
+    site of each interior state."""
+    return (steps - 1, d, min(2 * d, d + 5))
 
 
-def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool = False) -> np.ndarray:
+def _hessian_band(
+    path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, out: np.ndarray
+) -> np.ndarray:
     """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
     states (time-major, each time block's sites centre-out), plus the exact
-    curvature terms when ``newton``.
+    curvature terms when ``newton``, built in place in ``out`` (shape
+    :func:`_band_shape`, any contents); returns the band as a view of
+    ``out``.
 
     J is the Jacobian of the scaled residuals ``row_weight * r_k``.  Interval
     k contributes the blocks ``diag(w_k) M_k^+`` in phi_{k+1} and
     ``diag(w_k) M_k^-`` in phi_k, with
     ``M_k^+- = (nu A + lam I + diag f'(m_k)) / 2 +- I / dt``, so each block of
-    H is a product of periodic tridiagonals with five cyclic diagonals.
+    H is a product ``M diag(u) M2`` of periodic tridiagonals
+    ``diag(c) + h (S + S^T)``, with c the diagonal of M_k^+ or M_k^-,
+    ``u = 2 w_k^2`` and S the cyclic shift on the sites: five cyclic
+    diagonals.  ``out`` is zeroed and each shift of the three kinds of
+    block is added into it in turn, so shifts that coincide on short rings
+    add up.
     Unknown ``j d + p`` is the site at array position ``order[p]`` of
     interior state j, with ``order = _center_out_order(d)``.  Storage is
     LAPACK lower banded, ``band[o, m] = H[m + o, m]``, with min(2d, d + 5)
@@ -141,16 +143,33 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
     min(2d - 1, d + 4).
     """
     d = cfg.d
-    N = path.steps
     dt = path.dt
+    h = -0.5 * cfg.nu
+    # out[j, q, o] = H[j d + q + o, j d + q], q and q + o folded positions;
+    # the entry of sites (a, b) lands at folded positions (fa, fb)
+    out.fill(0.0)
+    fa = np.argsort(_center_out_order(d))
+
+    def add(s, plus, minus, cross):
+        # shift s of each block on every interval k: interval j in phi_{j+1}
+        # (plus), interval j + 1 in phi_{j+1} (minus), phi_{j+2} x phi_{j+1}
+        # (cross)
+        fb = np.roll(fa, -s)  # folded position of site a + s
+        low = fa >= fb
+        out[:, fb[low], (fa - fb)[low]] += (plus[:-1] + minus[1:])[:, low]
+        out[:-1, fb, d + fa - fb] += cross[1:-1]
+
+    # arrays that only the centre diagonal needs go before it is scattered,
+    # so the build holds few (N, d) arrays at once
     mids = 0.5 * (path.states[:-1] + path.states[1:])
     u = 2.0 * row_weight**2  # H = 2 J^T J
     base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids)
     cp, cm = base + 1.0 / dt, base - 1.0 / dt
-    h = -0.5 * cfg.nu
-    plus = _shift_diagonals(cp[:-1], u[:-1], cp[:-1], h)  # interval j in phi_{j+1}
-    minus = _shift_diagonals(cm[1:], u[1:], cm[1:], h)  # interval j+1 in phi_{j+1}
-    cross = _shift_diagonals(cp[1:-1], u[1:-1], cm[1:-1], h)  # phi_{j+2} x phi_{j+1}
+    del base
+    cpu, cmu = cp * u, cm * u
+    ring = h * h * (np.roll(u, -1, axis=-1) + np.roll(u, 1, axis=-1))  # u[a+1] + u[a-1]
+    plus, minus, cross = cpu * cp + ring, cmu * cm + ring, cpu * cm + ring
+    del cp, cm, ring
     if newton:
         # second-order terms of the residuals and the trace part: site-
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
@@ -158,20 +177,22 @@ def _hessian_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton
             0.25 * u * residuals(path, cfg) * cfg.f.deriv(mids, 2)
             - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids, 3)
         )
-        plus[0] += curv[:-1]
-        minus[0] += curv[1:]
-        cross[0] += curv[1:-1]
-    # band3[j, q, o] = H[j d + q + o, j d + q], q and q + o folded positions;
-    # the entry of sites (a, b) lands at folded positions (fa, fb)
-    rows = min(2 * d, d + 5)
-    band3 = np.zeros((N - 1, d, rows))
-    fa = np.argsort(_center_out_order(d))
-    for s in plus:
-        fb = np.roll(fa, -s)  # folded position of site a + s
-        low = fa >= fb
-        band3[:, fb[low], (fa - fb)[low]] += (plus[s] + minus[s])[:, low]
-        band3[:-1, fb, d + fa - fb] += cross[s]
-    return band3.reshape(-1, rows).T
+        plus += curv
+        minus += curv
+        cross += curv
+    del mids
+    add(0, plus, minus, cross)
+    for s in (1, -1):
+        add(
+            s,
+            h * (cpu + np.roll(cpu, -s, axis=-1)),
+            h * (cmu + np.roll(cmu, -s, axis=-1)),
+            h * (cpu + np.roll(cmu, -s, axis=-1)),
+        )
+    for s in (2, -2):
+        hv = h * h * np.roll(u, -s // 2, axis=-1)  # u[a+1], u[a-1]
+        add(s, hv, hv, hv)
+    return out.reshape(-1, out.shape[-1]).T
 
 
 def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
@@ -215,13 +236,11 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     d = cfg.d
     N = spec.steps
     dt = cfg.T / N
-    t_mid = dt * (np.arange(N) + 0.5)
-    q_mid = cfg.q.grid(t_mid, cfg.n)
-    row_weight = np.sqrt(dt) * cfg.rho[None, :] / q_mid
-
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
     states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
     path = Path(states, dt)
+    # q at the interval midpoints, where the action evaluates it
+    row_weight = np.sqrt(dt) * cfg.rho[None, :] / _check_path(path, cfg)
     report = om_action(path, cfg)
     action_val = report.total
 
@@ -231,15 +250,16 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     # the band numbers each time block's sites centre-out
     order = _center_out_order(d)
     fold = np.argsort(order)
+    buffer = np.empty(_band_shape(N, d))  # the one band of the solve
 
     while record[-1].gradient_norm > spec.tol and len(record) <= spec.max_iterations:
         g_fold = grad[:, order].ravel()
 
         step = None
         for _ in range(8):
-            # the Cholesky factor overwrites the band, so every attempt builds
-            # one; dropping it after the solve keeps a single band alive
-            band = _hessian_band(path, cfg, row_weight, spec.newton)
+            # the Cholesky factor overwrites the band, so every attempt
+            # rebuilds it in the solve's one buffer
+            band = _hessian_band(path, cfg, row_weight, spec.newton, buffer)
             band[0] += damping
             tried = damping
             try:
@@ -250,7 +270,6 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
                 )
             except np.linalg.LinAlgError:  # not positive definite: damp harder
                 cand = None
-            del band
             if cand is not None and np.all(np.isfinite(cand)) and float(g_fold @ cand) < 0.0:
                 step = cand
                 break

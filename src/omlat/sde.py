@@ -210,23 +210,27 @@ def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
     return BoundReport(lhs=lhs, rhs=rhs, ratios=ratios, max_ratio=float(np.max(ratios)))
 
 
-def cocycle_check(u0, noise: NoisePath, s: float, cfg: LatticeConfig) -> float:
+def cocycle_check(u0, noise: NoisePath, starts, cfg: LatticeConfig) -> list:
     """Flow consistency under the noise shift.
 
-    Integrates once over the full horizon, then again from the state at
-    time s using the shifted increments and time-shifted coefficients, and
-    returns the largest weighted-norm deviation between the two legs.  For
+    Integrates once over the full horizon, then, for each restart time s
+    in ``starts``, again from the state at time s using the shifted
+    increments and time-shifted coefficients, and returns for each s the
+    largest weighted-norm deviation between the two legs.  For
     Euler-Maruyama both legs perform identical arithmetic, so the
-    deviation must vanish to rounding.  ``s`` must be a grid time.
+    deviation must vanish to rounding.  Every s must be a grid time.
     """
     full = integrate(u0, noise, cfg)
-    shifted = shift_noise(noise, s)
-    m = shifted.origin_step - noise.origin_step
-    restarted = integrate(full.states[m], shifted, cfg)
-    dev = 0.0
-    for k in range(restarted.steps + 1):
-        dev = max(dev, weighted_norm(full.states[m + k] - restarted.states[k], cfg.rho))
-    return dev
+    devs = []
+    for s in starts:
+        shifted = shift_noise(noise, s)
+        m = shifted.origin_step - noise.origin_step
+        restarted = integrate(full.states[m], shifted, cfg)
+        dev = 0.0
+        for k in range(restarted.steps + 1):
+            dev = max(dev, weighted_norm(full.states[m + k] - restarted.states[k], cfg.rho))
+        devs.append(dev)
+    return devs
 
 
 def truncation_tail(paths, K: int, rho) -> float:

@@ -110,7 +110,7 @@ def test_criterion_03_cocycle_property():
     steps = 512
     noise = sample_noise(4, steps, cfg.d, cfg.T / steps)
     u0, _ = example5_boundary(5)
-    devs = [cocycle_check(u0, noise, frac * cfg.T, cfg) for frac in (0.25, 0.5)]
+    devs = cocycle_check(u0, noise, [frac * cfg.T for frac in (0.25, 0.5)], cfg)
     assert all(dev <= 1e-12 for dev in devs)
     print(f"\nACCEPTANCE 03 cocycle: PASS (deviations {devs[0]:.2e}, {devs[1]:.2e} at s=T/4, T/2)")
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -17,6 +18,7 @@ import omlat
 from omlat import ConfigurationError, parse_config, parse_q_spec, smallball_mc
 from omlat.cli import main, parse_state_spec
 from omlat.io import read_path_csv, write_path_csv
+from omlat.mpp import _band_shape
 from oracles import example5_boundary, example5_config
 
 EXAMPLE5 = """
@@ -210,6 +212,31 @@ class TestCliRuns:
         assert "--ensemble" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["verify", "truncation"], ["verify", "bound"]],
+        ids=["simulate", "truncation", "bound"],
+    )
+    def test_ensemble_beyond_the_noise_keys_rejected(self, example5_file, tmp_path, capsys, monkeypatch, command):
+        # the noise keys address trajectories 0 .. 2^24 - 1: 2^24 trajectories
+        # reach the draws (stubbed here), one more is rejected before a run opens
+        class Drawn(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr("omlat.cli.integrate_ensemble", stub)
+        argv = command + ["--config", example5_file, "--dt", "0.25"]
+        with pytest.raises(Drawn):
+            main(argv + ["--out", str(tmp_path / "most"), "--ensemble", "16777216"])
+        out = tmp_path / "many"
+        code = main(argv + ["--out", str(out), "--ensemble", "16777217"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--ensemble=16777217" in err and "2^24" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt", ["0", "-0.25", "nan", "inf", "1e-300"])
     @pytest.mark.parametrize(
         "command", [["simulate"], ["mpp"], ["verify", "tube"]], ids=["simulate", "mpp", "tube"]
@@ -229,6 +256,27 @@ class TestCliRuns:
                      "--dt", "6.984919309616089e-09"])
         assert code == 2
         err = capsys.readouterr().err
+        assert "--dt" in err and "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_mpp_band_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys, monkeypatch):
+        # the fewest steps of 61 sites whose solver band exceeds physical
+        # memory while one trajectory fits; rejected before BVPSpec
+        # allocates its check path (stubbed here) or a run opens
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        per_state = 8 * math.prod(_band_shape(2, 61))  # the band of one interior state
+        steps = memory // per_state + 2
+        assert 8 * (steps + 1) * 61 <= memory < 8 * math.prod(_band_shape(steps, 61))
+
+        def no_spec(*args, **kwargs):
+            raise AssertionError("BVPSpec built")
+
+        monkeypatch.setattr("omlat.cli.BVPSpec", no_spec)
+        out = tmp_path / "mpp"
+        code = main(["mpp", "--config", example5_file, "--out", str(out), "--dt", repr(30.0 / steps)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"gives {steps} steps: the solver's band for 61 sites" in err
         assert "--dt" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 

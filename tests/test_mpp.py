@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from omlat import (
@@ -13,7 +16,9 @@ from omlat import (
     om_gradient,
     residuals,
 )
-from omlat.mpp import BVPSpec, _hessian_band, el_residual_example5, solve_mpp
+from omlat.action import _check_path
+from omlat.lattice import _center_out_order
+from omlat.mpp import BVPSpec, _band_shape, _hessian_band, el_residual_example5, solve_mpp
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -324,7 +329,8 @@ class TestHessianBand:
         J = central_jacobian(scaled, x0)
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = (2.0 * J.T @ J)[np.ix_(fold, fold)]
-        H = dense_from_lower_band(_hessian_band(path, cfg, row_weight))
+        band = _hessian_band(path, cfg, row_weight, False, np.empty(_band_shape(self.STEPS, cfg.d)))
+        H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -336,7 +342,8 @@ class TestHessianBand:
 
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = central_jacobian(gradient, path.states[1:-1].ravel())[np.ix_(fold, fold)]
-        H = dense_from_lower_band(_hessian_band(path, cfg, row_weight, newton=True))
+        band = _hessian_band(path, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, cfg.d)))
+        H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 30])
@@ -344,11 +351,120 @@ class TestHessianBand:
         # the fold first narrows the band at n = 3: d + 4 < 2d - 1 from d = 7
         cfg, path, row_weight, _ = self.setup_problem(n)
         d = cfg.d
-        band = _hessian_band(path, cfg, row_weight, newton=True)
+        band = _hessian_band(path, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, d)))
         assert band.shape == (min(2 * d, d + 5), (self.STEPS - 1) * d)
         H = dense_from_lower_band(band)
         rows, cols = np.nonzero(H)
         assert np.max(np.abs(rows - cols)) == min(2 * d - 1, d + 4)
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 30])
+    def test_build_ignores_what_the_buffer_held(self, n, newton):
+        # d = 1 and 3 have coinciding shifts, which must still add
+        cfg, path, row_weight, _ = self.setup_problem(n)
+        shape = _band_shape(self.STEPS, cfg.d)
+        from_nan = _hessian_band(path, cfg, row_weight, newton, np.full(shape, np.nan))
+        from_zero = _hessian_band(path, cfg, row_weight, newton, np.zeros(shape))
+        assert_same_bits(from_nan, from_zero)
+        assert_same_bits(from_nan, reference_band(path, cfg, row_weight, newton))
+
+
+def reference_band(path, cfg, row_weight, newton):
+    """The band with all five cyclic diagonals of the plus, minus and
+    cross blocks held at once, then scattered shift by shift into a fresh
+    zero array: the assembly whose bits the in-place build keeps."""
+
+    def diagonals(c, u, c2, h):
+        up, dn = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
+        cu, uc2 = c * u, u * c2
+        return {
+            0: cu * c2 + h * h * (up + dn),
+            1: h * (cu + np.roll(uc2, -1, axis=-1)),
+            -1: h * (cu + np.roll(uc2, 1, axis=-1)),
+            2: h * h * up,
+            -2: h * h * dn,
+        }
+
+    d, N, dt = cfg.d, path.steps, path.dt
+    mids = 0.5 * (path.states[:-1] + path.states[1:])
+    u = 2.0 * row_weight**2
+    base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids)
+    cp, cm = base + 1.0 / dt, base - 1.0 / dt
+    h = -0.5 * cfg.nu
+    plus = diagonals(cp[:-1], u[:-1], cp[:-1], h)
+    minus = diagonals(cm[1:], u[1:], cm[1:], h)
+    cross = diagonals(cp[1:-1], u[1:-1], cm[1:-1], h)
+    if newton:
+        curv = (
+            0.25 * u * residuals(path, cfg) * cfg.f.deriv(mids, 2)
+            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids, 3)
+        )
+        plus[0] += curv[:-1]
+        minus[0] += curv[1:]
+        cross[0] += curv[1:-1]
+    rows = min(2 * d, d + 5)
+    band3 = np.zeros((N - 1, d, rows))
+    fa = np.argsort(_center_out_order(d))
+    for s in plus:
+        fb = np.roll(fa, -s)
+        low = fa >= fb
+        band3[:, fb[low], (fa - fb)[low]] += (plus[s] + minus[s])[:, low]
+        band3[:-1, fb, d + fa - fb] += cross[s]
+    return band3.reshape(-1, rows).T
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBandBuffer:
+    """The band is built in place, in one buffer per solve."""
+
+    def test_failed_attempt_leaves_no_trace_in_the_next_band(self, monkeypatch):
+        # the first factorization scribbles NaN over the band and fails, as a
+        # partial Cholesky factor would; the retry rebuilds the same buffer
+        import omlat.mpp as mpp_mod
+
+        seen = []
+
+        def scribbling_solve(ab, b, **kwargs):
+            seen.append((ab.__array_interface__["data"][0], ab.copy()))
+            if len(seen) == 1:
+                ab[...] = np.nan
+                raise np.linalg.LinAlgError("not positive definite")
+            return solveh_banded(ab, b, **kwargs)
+
+        monkeypatch.setattr(mpp_mod, "solveh_banded", scribbling_solve)
+        spec = example5_spec(n=2, steps=16)
+        res = solve_mpp(spec)
+        assert res.converged and res.record[1].damping > 0.0 and res.record[1].fallback == 0
+        assert len(seen) == len(res.record)  # one failed attempt, then one per step
+        assert len({address for address, _ in seen}) == 1
+
+        lam = np.linspace(0.0, 1.0, 17)[:, None]
+        start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
+        row_weight = np.sqrt(start.dt) * spec.cfg.rho / _check_path(start, spec.cfg)
+        fresh = _hessian_band(start, spec.cfg, row_weight, False, np.empty(_band_shape(16, 5)))
+        fresh[0] += res.record[1].damping
+        assert_same_bits(seen[1][1], fresh)
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    def test_build_holds_few_grid_arrays(self, newton):
+        # N = 1200, d = 61: the band is 66 (N, d)-sized arrays, the build's
+        # own arrays at most 16 at any time
+        spec = example5_spec(steps=1200)
+        cfg, dt = spec.cfg, spec.cfg.T / 1200
+        path = Path(np.random.default_rng(5).normal(scale=0.3, size=(1201, cfg.d)), dt)
+        row_weight = np.sqrt(dt) * cfg.rho / _check_path(path, cfg)
+        out = np.empty(_band_shape(1200, cfg.d))
+        tracemalloc.start()
+        try:
+            _hessian_band(path, cfg, row_weight, newton, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1200 * cfg.d * 8
 
 
 def natural_gauss_newton(path, cfg, row_weight):

@@ -330,14 +330,14 @@ class TestCocycle:
     def test_zero_shift(self):
         cfg = self.example_cfg(n=2)
         noise = sample_noise(12, 128, 5, 30.0 / 128)
-        assert cocycle_check(self.gaussian_bump(2), noise, 0.0, cfg) == 0.0
+        assert cocycle_check(self.gaussian_bump(2), noise, [0.0], cfg) == [0.0]
 
     @pytest.mark.parametrize("frac", [0.25, 0.5])
     def test_example_config_deviation_vanishes(self, frac):
         cfg = self.example_cfg(n=5)
         steps = 512
         noise = sample_noise(4, steps, cfg.d, cfg.T / steps)
-        dev = cocycle_check(self.gaussian_bump(5), noise, frac * cfg.T, cfg)
+        (dev,) = cocycle_check(self.gaussian_bump(5), noise, [frac * cfg.T], cfg)
         assert dev <= 1e-12
 
     def test_deviation_uniform_over_grid(self):
@@ -347,8 +347,25 @@ class TestCocycle:
         steps = 256
         noise = sample_noise(8, steps, cfg.d, cfg.T / steps)
         u0 = self.gaussian_bump(3)
-        for m in (32, 64, 192):
-            assert cocycle_check(u0, noise, m * cfg.T / steps, cfg) <= 1e-12
+        devs = cocycle_check(u0, noise, [m * cfg.T / steps for m in (32, 64, 192)], cfg)
+        assert len(devs) == 3 and all(dev <= 1e-12 for dev in devs)
+
+    def test_full_leg_integrated_once_for_all_restarts(self, monkeypatch):
+        # 256 steps in full, then 192 and 128 from the restarts at T/4, T/2
+        import omlat.sde as sde_mod
+
+        legs = []
+
+        def counted(u0, noise, cfg):
+            legs.append(noise.steps)
+            return integrate(u0, noise, cfg)
+
+        monkeypatch.setattr(sde_mod, "integrate", counted)
+        cfg = self.example_cfg(n=1)
+        noise = sample_noise(8, 256, cfg.d, cfg.T / 256)
+        devs = cocycle_check(np.zeros(3), noise, [64 * noise.dt, 128 * noise.dt], cfg)
+        assert legs == [256, 192, 128]
+        assert devs == [0.0, 0.0]
 
     def test_restart_on_the_grid_repeats_the_full_run_bit_for_bit(self):
         # q is evaluated at dt (m + k) on both legs, so the restarted leg
@@ -362,13 +379,13 @@ class TestCocycle:
             s = m * noise.dt
             restarted = integrate(full.states[m], shift_noise(noise, s), cfg)
             np.testing.assert_array_equal(restarted.states, full.states[m:])
-            assert cocycle_check(self.gaussian_bump(2), noise, s, cfg) == 0.0
+            assert cocycle_check(self.gaussian_bump(2), noise, [s], cfg) == [0.0]
 
     def test_off_grid_split_rejected(self):
         cfg = self.example_cfg(n=1)
         noise = sample_noise(8, 64, 3, 30.0 / 64)
         with pytest.raises(ConfigurationError):
-            cocycle_check(np.zeros(3), noise, 0.33 * cfg.T, cfg)
+            cocycle_check(np.zeros(3), noise, [0.33 * cfg.T], cfg)
 
 
 def decaying_table_noise(n, scale=0.25):
