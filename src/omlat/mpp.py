@@ -9,10 +9,15 @@ block's sites are numbered centre-out (0, +1, -1, +2, -2, ...), which
 brings every ring neighbour, the wrap included, within 4 positions, so
 the matrix is banded with half-bandwidth min(2d - 1, d + 4) rather than
 the 2d - 1 of natural site order.  Each step is one banded Cholesky solve
-in that order, damped Levenberg-style when the factorization fails.  A
-solve allocates one band, 8 (N - 1) d min(2d, d + 5) bytes, and every
-factorization attempt rebuilds the matrix in it, since the Cholesky
-factor overwrites it.
+in that order, damped Levenberg-style when the factorization fails.  The
+solve splits the band at the middle interior state: two worker threads
+factor the halves before and after it at once, through LAPACK calls that
+release the GIL, and the calling thread joins them at the middle state's
+Schur complement.  The split is fixed, so the result does not depend on
+the thread count.  A solve allocates one band, 8 N d min(2d, d + 5)
+bytes, since each half holds its own copy of the middle state's block,
+and every factorization attempt rebuilds the matrix in it, since the
+Cholesky factor overwrites it.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -24,16 +29,20 @@ solver's output.
 """
 from __future__ import annotations
 
+import ctypes
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
+import scipy
+from scipy.linalg import cython_lapack
 
-from .action import OMReport, _check_path, om_action, om_gradient, residuals
+from .action import OMReport, _check_path, _residuals, om_action, om_gradient
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
+from .utils import map_blocks
 
 __all__ = [
     "BVPSpec",
@@ -109,21 +118,80 @@ class MPPResult:
     record: tuple = field(repr=False)
 
 
+def _lapack(name: str, signature: str):
+    """LAPACK's ``name``, through the function pointer that
+    ``scipy.linalg.cython_lapack`` publishes, as a ctypes function: the call
+    releases the GIL, which scipy's own LAPACK wrappers hold.
+    ``signature`` is the C signature the binding assumes, with ``d`` for
+    double; a capsule that declares any other (a build with 64-bit
+    integers, say) would have the call corrupt memory, so it raises
+    ImportError."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsule = cython_lapack.__pyx_capi__[name]
+    declared = get_name(capsule)
+    if re.sub(r"\w+_d \*", "d *", declared.decode()) != signature:
+        raise ImportError(
+            f"scipy {scipy.__version__} declares LAPACK {name} as {declared.decode()!r}, "
+            f"which is not the {signature!r} that omlat calls"
+        )
+    types = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int), "d *": ctypes.c_void_p}
+    args = signature.removeprefix("void (").removesuffix(")").split(", ")
+    return ctypes.CFUNCTYPE(None, *(types[a] for a in args))(get_pointer(capsule, declared))
+
+
+_dpbtrf = _lapack("dpbtrf", "void (char *, int *, int *, d *, int *, int *)")
+_dtbtrs = _lapack("dtbtrs", "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, int *)")
+
+
+def _factor(band: np.ndarray, n: int) -> int:
+    """LAPACK ``dpbtrf``: overwrite the lower band of the first ``n``
+    unknowns of ``band`` with its Cholesky factor L, in place.  ``band``
+    holds min(2d, d + 5) band rows per unknown, ``band[..., o]`` of unknown
+    m being ``H[m + o, m]``: LAPACK's lower band storage, column-major.
+    Returns LAPACK's info, positive when that matrix is not positive
+    definite."""
+    rows = band.shape[-1]
+    info = ctypes.c_int()
+    _dpbtrf(b"L", ctypes.c_int(n), ctypes.c_int(rows - 1), band.ctypes.data, ctypes.c_int(rows), info)
+    return info.value
+
+
+def _substitute(band: np.ndarray, n: int, rhs: np.ndarray, trans: bytes) -> None:
+    """LAPACK ``dtbtrs``: each row of the C-contiguous ``rhs`` (shape
+    (nrhs, n)) becomes ``L^-1 rhs`` (``trans`` b"N") or ``L^-T rhs`` (b"T"),
+    in place, with L the factor that :func:`_factor` left in ``band``."""
+    rows = band.shape[-1]
+    info = ctypes.c_int()
+    _dtbtrs(
+        b"L", trans, b"N", ctypes.c_int(n), ctypes.c_int(rows - 1), ctypes.c_int(rhs.shape[0]),
+        band.ctypes.data, ctypes.c_int(rows), rhs.ctypes.data, ctypes.c_int(n), info,
+    )
+    if info.value:
+        raise np.linalg.LinAlgError(f"dtbtrs failed with info {info.value}")
+
+
 def _band_shape(steps: int, d: int) -> tuple:
-    """Shape of the buffer :func:`_hessian_band` fills for a grid of
-    ``steps`` steps and ``d`` sites: min(2d, d + 5) band rows for each
-    site of each interior state."""
-    return (steps - 1, d, min(2 * d, d + 5))
+    """Shape of the band buffer of a solve on a grid of ``steps`` steps and
+    ``d`` sites: min(2d, d + 5) band rows for each site of each interior
+    state, and one block row more, since each of the band's two halves
+    ends in its own copy of the middle state (:func:`_two_ended_solve`)."""
+    return (steps, d, min(2 * d, d + 5))
 
 
 def _hessian_band(
-    path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, out: np.ndarray
+    path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, out: np.ndarray, reverse: bool = False
 ) -> np.ndarray:
     """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
-    states (time-major, each time block's sites centre-out), plus the exact
-    curvature terms when ``newton``, built in place in ``out`` (shape
-    :func:`_band_shape`, any contents); returns the band as a view of
-    ``out``.
+    states of ``path`` (time-major, each time block's sites centre-out),
+    plus the exact curvature terms when ``newton``, built in place in
+    ``out`` (shape ``(steps - 1, d, min(2d, d + 5))``, any contents);
+    returns the band as a view of ``out``.  ``reverse`` numbers the
+    interior states last to first, which gives the band of the
+    block-permuted matrix; the solver builds the second half of its band
+    that way (:func:`_two_ended_solve`).
 
     J is the Jacobian of the scaled residuals ``row_weight * r_k``.  Interval
     k contributes the blocks ``diag(w_k) M_k^+`` in phi_{k+1} and
@@ -132,7 +200,9 @@ def _hessian_band(
     H is a product ``M diag(u) M2`` of periodic tridiagonals
     ``diag(c) + h (S + S^T)``, with c the diagonal of M_k^+ or M_k^-,
     ``u = 2 w_k^2`` and S the cyclic shift on the sites: five cyclic
-    diagonals.  ``out`` is zeroed and each shift of the three kinds of
+    diagonals.  In reverse, phi_k and phi_{k+1} trade places, and so do
+    M_k^+ and M_k^-, which is dt negated in them; the residuals r_k keep
+    their values.  ``out`` is zeroed and each shift of the three kinds of
     block is added into it in turn, so shifts that coincide on short rings
     add up.
     Unknown ``j d + p`` is the site at array position ``order[p]`` of
@@ -144,6 +214,7 @@ def _hessian_band(
     """
     d = cfg.d
     dt = path.dt
+    step = -1 if reverse else 1  # the intervals in the band's order
     h = -0.5 * cfg.nu
     # out[j, q, o] = H[j d + q + o, j d + q], q and q + o folded positions;
     # the entry of sites (a, b) lands at folded positions (fa, fb)
@@ -162,25 +233,27 @@ def _hessian_band(
     # arrays that only the centre diagonal needs go before it is scattered,
     # so the build holds few (N, d) arrays at once
     mids = 0.5 * (path.states[:-1] + path.states[1:])
-    u = 2.0 * row_weight**2  # H = 2 J^T J
-    base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids)
-    cp, cm = base + 1.0 / dt, base - 1.0 / dt
+    u = 2.0 * row_weight[::step] ** 2  # H = 2 J^T J
+    base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids[::step])
+    if newton:
+        # second-order terms of the residuals and the trace part: site-
+        # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
+        curv = (
+            0.25 * u * _residuals(path, cfg, mids)[::step] * cfg.f.deriv(mids[::step], 2)
+            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids[::step], 3)
+        )
+    del mids
+    cp, cm = base + step / dt, base - step / dt
     del base
     cpu, cmu = cp * u, cm * u
     ring = h * h * (np.roll(u, -1, axis=-1) + np.roll(u, 1, axis=-1))  # u[a+1] + u[a-1]
     plus, minus, cross = cpu * cp + ring, cmu * cm + ring, cpu * cm + ring
     del cp, cm, ring
     if newton:
-        # second-order terms of the residuals and the trace part: site-
-        # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
-        curv = (
-            0.25 * u * residuals(path, cfg) * cfg.f.deriv(mids, 2)
-            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids, 3)
-        )
         plus += curv
         minus += curv
         cross += curv
-    del mids
+        del curv
     add(0, plus, minus, cross)
     for s in (1, -1):
         add(
@@ -193,6 +266,80 @@ def _hessian_band(
         hv = h * h * np.roll(u, -s // 2, axis=-1)  # u[a+1], u[a-1]
         add(s, hv, hv, hv)
     return out.reshape(-1, out.shape[-1]).T
+
+
+def _build_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, buffer: np.ndarray) -> int:
+    """Build the band of ``path``'s interior states into ``buffer`` (shape
+    :func:`_band_shape`) as :func:`_two_ended_solve` takes it, and return
+    the middle interior state m = (N - 1) // 2, where the halves meet: the
+    blocks of states 0..m in time order, from the sub-path that ends one
+    state past m, then the blocks of states N - 2..m in reverse time order,
+    from the sub-path that starts one state before it."""
+    middle = (path.steps - 1) // 2
+    early, late = Path(path.states[: middle + 3], path.dt), Path(path.states[middle:], path.dt)
+    _hessian_band(early, cfg, row_weight[: middle + 2], newton, buffer[: middle + 1])
+    _hessian_band(late, cfg, row_weight[middle:], newton, buffer[middle + 1 :], reverse=True)
+    return middle
+
+
+def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarray:
+    """Solve ``H x = rhs`` for the folded unknowns of the N - 1 interior
+    states (``rhs`` and the result of shape (N - 1, d)) by eliminating
+    toward interior state ``middle`` from both ends, the two-ended
+    ("twisted") block factorization (van der Vorst 1987, Parallel Computing
+    5, 45-54).  The factorization overwrites ``band``.
+
+    ``band`` (shape :func:`_band_shape`) holds blocks 0..middle of H in time
+    order, then blocks N - 2..middle in reverse time order, so each half
+    ends in its own copy of the middle state's block.  One worker thread
+    per half factors the half's blocks before the middle one
+    (:func:`_factor`) and forward-substitutes its part of ``rhs``; the
+    LAPACK calls release the GIL, so the halves run in parallel.  The
+    calling thread then forms the middle state's d x d Schur complement
+    from each half's last factor block and its coupling to the middle
+    state, which the factorization leaves in that block's band rows below
+    the half, factors it with ``np.linalg.cholesky`` and back-substitutes.
+    Returns the solution, in ``rhs`` itself when it is C-contiguous.
+    Raises LinAlgError when H is not positive definite.
+    """
+    d, rows = band.shape[1:]
+    halves = (band[: middle + 1], band[middle + 1 :])
+    # the early half solves in place in rhs, the late half in a reversed copy
+    rhs = np.ascontiguousarray(rhs)
+    parts = (rhs[:middle], rhs[:middle:-1].copy())
+
+    def eliminate(i, _):
+        half, y = halves[i], parts[i]
+        if y.size:
+            if _factor(half, y.size):
+                raise np.linalg.LinAlgError("not positive definite")
+            _substitute(half, y.size, y.reshape(1, -1), b"N")
+
+    map_blocks(eliminate, 2, 1)
+    a, b = np.indices((d, d))
+    # the middle block, whose band rows hold its lower triangle
+    low = halves[0][-1][b, np.abs(a - b)]
+    schur = np.where(a >= b, low, low.T)
+    x = rhs[middle].copy()
+    joined = [(half, y) for half, y in zip(halves, parts) if y.size]  # none at N = 2
+    couplings = []
+    for half, y in joined:
+        # coupling[a, b] = H[middle site a, site b of the half's last
+        # eliminated state], solved in place into Y^T, Y = L_last^-1 coupling^T
+        o = d + a - b
+        coupling = np.where(o < rows, half[-2][b, np.minimum(o, rows - 1)], 0.0)
+        _substitute(half[-2], d, coupling, b"N")
+        schur -= coupling @ coupling.T
+        x -= coupling @ y[-1]
+        couplings.append(coupling)
+    lower = np.linalg.cholesky(schur)
+    x = np.linalg.solve(lower.T, np.linalg.solve(lower, x))
+    for (half, y), coupling in zip(joined, couplings):
+        y[-1] -= coupling.T @ x
+        _substitute(half, y.size, y.reshape(1, -1), b"T")
+    rhs[middle] = x
+    rhs[middle + 1 :] = parts[1][::-1]
+    return rhs
 
 
 def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
@@ -253,31 +400,27 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     buffer = np.empty(_band_shape(N, d))  # the one band of the solve
 
     while record[-1].gradient_norm > spec.tol and len(record) <= spec.max_iterations:
-        g_fold = grad[:, order].ravel()
+        g_fold = grad.take(order, axis=1)  # C-ordered: the solve works in -g_fold
 
         step = None
         for _ in range(8):
             # the Cholesky factor overwrites the band, so every attempt
             # rebuilds it in the solve's one buffer
-            band = _hessian_band(path, cfg, row_weight, spec.newton, buffer)
-            band[0] += damping
+            middle = _build_band(path, cfg, row_weight, spec.newton, buffer)
+            buffer[..., 0] += damping
             tried = damping
             try:
-                # at most one band row per unknown: scipy's tridiagonal
-                # path fails on a two-row band of one unknown (d = 1, N = 2)
-                cand = solveh_banded(
-                    band[: g_fold.size], -g_fold, overwrite_ab=True, lower=True, check_finite=False
-                )
+                cand = _two_ended_solve(buffer, -g_fold, middle)
             except np.linalg.LinAlgError:  # not positive definite: damp harder
                 cand = None
-            if cand is not None and np.all(np.isfinite(cand)) and float(g_fold @ cand) < 0.0:
+            if cand is not None and np.all(np.isfinite(cand)) and np.vdot(g_fold, cand) < 0.0:
                 step = cand
                 break
             damping = max(4.0 * damping, 1e-8 * (1.0 + abs(action_val)))
         accepted = None
         if step is not None:
-            slope = float(g_fold @ step)
-            accepted = _backtrack(path, cfg, step.reshape(N - 1, d)[:, fold], 1.0, slope, action_val, 30)
+            slope = float(np.vdot(g_fold, step))
+            accepted = _backtrack(path, cfg, step[:, fold], 1.0, slope, action_val, 30)
         fallback = accepted is None
         if fallback:
             # no Gauss-Newton step descends: plain gradient descent

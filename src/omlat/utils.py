@@ -21,7 +21,8 @@ def check_count(count: int, name: str) -> None:
 
 def worker_count() -> int:
     """Worker cap for the block pool of :func:`map_blocks`, which runs the
-    tube and small-ball blocks: the OMLAT_THREADS environment variable
+    tube and small-ball blocks and the two halves of the mpp solver's band
+    factorization: the OMLAT_THREADS environment variable
     when set, else the usable CPU count, and never more than the usable
     CPUs, since each running block holds its buffers."""
     try:
@@ -40,7 +41,9 @@ def worker_count() -> int:
 def map_blocks(fn, samples: int, block_size: int) -> list:
     """``fn(block_index, count)`` for each block of ``samples`` cut into
     ``block_size`` pieces (the last may be shorter), run on a pool of
-    :func:`worker_count` threads; the results come back in block order."""
+    :func:`worker_count` threads; the results come back in block order.
+    The tube and small ball cut their samples this way, and the mpp solve
+    runs its two band halves as two blocks of one."""
     blocks = [(i, min(block_size, samples - start)) for i, start in enumerate(range(0, samples, block_size))]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         return list(pool.map(lambda block: fn(*block), blocks))

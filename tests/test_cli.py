@@ -264,8 +264,8 @@ class TestCliRuns:
         # memory while one trajectory fits; rejected before BVPSpec
         # allocates its check path (stubbed here) or a run opens
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        per_state = 8 * math.prod(_band_shape(2, 61))  # the band of one interior state
-        steps = memory // per_state + 2
+        per_step = 8 * math.prod(_band_shape(1, 61))  # the band holds one block row per step
+        steps = memory // per_step + 1
         assert 8 * (steps + 1) * 61 <= memory < 8 * math.prod(_band_shape(steps, 61))
 
         def no_spec(*args, **kwargs):
@@ -362,10 +362,8 @@ class TestCliRuns:
     def test_mpp_convergence_log_records_fallback_steps(self, scalar_file, tmp_path, monkeypatch):
         import omlat.mpp as mpp_mod
 
-        def broken_solve(*args, **kwargs):
-            raise np.linalg.LinAlgError("factorization disabled")
-
-        monkeypatch.setattr(mpp_mod, "solveh_banded", broken_solve)
+        # every factorization reports a matrix that is not positive definite
+        monkeypatch.setattr(mpp_mod, "_factor", lambda band, n: 1)
         out = tmp_path / "mpp_fallback"
         main(["mpp", "--config", scalar_file, "--out", str(out), "--dt", "0.125", "--max-iter", "3"])
         header, *rows = (out / "convergence.csv").read_text().splitlines()
@@ -376,6 +374,24 @@ class TestCliRuns:
             # every factorization failed, so the damping grew and each step is gradient descent
             assert row[6] == "1" and float(row[3]) > 0.0
             assert 0.0 < float(row[4]) <= 1.0 and int(row[5]) >= 0
+
+    def test_mpp_files_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 4"))
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OMLAT_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            code = main([
+                "mpp", "--config", str(cfg), "--out", str(out), "--dt", "0.25", "--newton",
+                "--slice", "i=0,3",
+            ])
+            assert code == 0
+            files.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"})
+        assert sorted(files[0]) == [
+            "convergence.csv", "mpp_path.csv", "om_report.json", "slice_i0.csv", "slice_i3.csv",
+        ]
+        assert files[0] == files[1]
 
     def test_growth_bound_violation_names_c_f(self, tmp_path, capsys):
         cfg = tmp_path / "steep.cfg"

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
@@ -18,7 +19,16 @@ from omlat import (
 )
 from omlat.action import _check_path
 from omlat.lattice import _center_out_order
-from omlat.mpp import BVPSpec, _band_shape, _hessian_band, el_residual_example5, solve_mpp
+from omlat.mpp import (
+    BVPSpec,
+    _band_shape,
+    _build_band,
+    _hessian_band,
+    _lapack,
+    _two_ended_solve,
+    el_residual_example5,
+    solve_mpp,
+)
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -62,7 +72,7 @@ class TestSolveMpp:
         assert np.max(np.abs(res.path.states[:, 0] - exact)) <= 1e-3
 
     def test_single_interior_unknown(self):
-        # d = 1, N = 2: a one-unknown band, which scipy's tridiagonal solve rejects
+        # d = 1, N = 2: the one unknown is the middle state, and both halves are empty
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=2)
         res = solve_mpp(spec)
         assert res.converged and res.iterations <= 3
@@ -229,10 +239,8 @@ class TestSolverFallback:
         # gradient fallback, which still has to make monotone progress
         import omlat.mpp as mpp_mod
 
-        def broken_solve(*args, **kwargs):
-            raise np.linalg.LinAlgError("factorization disabled")
-
-        monkeypatch.setattr(mpp_mod, "solveh_banded", broken_solve)
+        # every factorization reports a matrix that is not positive definite
+        monkeypatch.setattr(mpp_mod, "_factor", lambda band, n: 1)
         spec = BVPSpec(
             cfg=scalar_cfg(lam=0.8), phi0=np.array([1.0]), phiT=np.array([0.2]),
             steps=16, max_iterations=50, gradient_tol=1e-10,
@@ -263,6 +271,13 @@ class TestSolverFallback:
         assert not res.converged and res.iterations == 1
         assert len(calls) == 1
         assert len(res.record) == 1
+
+
+def path_band_shape(steps, d):
+    """Shape of the band of all interior states of a ``steps``-step path:
+    the solve's buffer has one block row more, for the middle state's
+    second copy."""
+    return (steps - 1,) + _band_shape(steps, d)[1:]
 
 
 def dense_from_lower_band(band):
@@ -329,7 +344,7 @@ class TestHessianBand:
         J = central_jacobian(scaled, x0)
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = (2.0 * J.T @ J)[np.ix_(fold, fold)]
-        band = _hessian_band(path, cfg, row_weight, False, np.empty(_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path, cfg, row_weight, False, np.empty(path_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -342,7 +357,7 @@ class TestHessianBand:
 
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = central_jacobian(gradient, path.states[1:-1].ravel())[np.ix_(fold, fold)]
-        band = _hessian_band(path, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -351,7 +366,7 @@ class TestHessianBand:
         # the fold first narrows the band at n = 3: d + 4 < 2d - 1 from d = 7
         cfg, path, row_weight, _ = self.setup_problem(n)
         d = cfg.d
-        band = _hessian_band(path, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, d)))
+        band = _hessian_band(path, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, d)))
         assert band.shape == (min(2 * d, d + 5), (self.STEPS - 1) * d)
         H = dense_from_lower_band(band)
         rows, cols = np.nonzero(H)
@@ -362,7 +377,7 @@ class TestHessianBand:
     def test_build_ignores_what_the_buffer_held(self, n, newton):
         # d = 1 and 3 have coinciding shifts, which must still add
         cfg, path, row_weight, _ = self.setup_problem(n)
-        shape = _band_shape(self.STEPS, cfg.d)
+        shape = path_band_shape(self.STEPS, cfg.d)
         from_nan = _hessian_band(path, cfg, row_weight, newton, np.full(shape, np.nan))
         from_zero = _hessian_band(path, cfg, row_weight, newton, np.zeros(shape))
         assert_same_bits(from_nan, from_zero)
@@ -418,24 +433,33 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def two_half_band(path, cfg, row_weight, newton):
+    """The solve's band buffer for ``path``, built fresh into NaN."""
+    band = np.full(_band_shape(path.steps, cfg.d), np.nan)
+    _build_band(path, cfg, row_weight, newton, band)
+    return band
+
+
 class TestBandBuffer:
     """The band is built in place, in one buffer per solve."""
 
-    def test_failed_attempt_leaves_no_trace_in_the_next_band(self, monkeypatch):
-        # the first factorization scribbles NaN over the band and fails, as a
-        # partial Cholesky factor would; the retry rebuilds the same buffer
+    def solve_with_first_attempt_broken(self, monkeypatch, breaks):
+        # ``breaks(band, n, factor)`` stands in for each factorization of the
+        # first attempt; every attempt's band is recorded as it reaches the
+        # two-ended solve, and the retry must rebuild the same buffer
         import omlat.mpp as mpp_mod
 
-        seen = []
+        seen, factor, solve = [], mpp_mod._factor, mpp_mod._two_ended_solve
 
-        def scribbling_solve(ab, b, **kwargs):
-            seen.append((ab.__array_interface__["data"][0], ab.copy()))
-            if len(seen) == 1:
-                ab[...] = np.nan
-                raise np.linalg.LinAlgError("not positive definite")
-            return solveh_banded(ab, b, **kwargs)
+        def recording_solve(band, rhs, middle):
+            seen.append((band.__array_interface__["data"][0], band.copy()))
+            return solve(band, rhs, middle)
 
-        monkeypatch.setattr(mpp_mod, "solveh_banded", scribbling_solve)
+        def breaking_factor(band, n):
+            return breaks(band, n, factor) if len(seen) == 1 else factor(band, n)
+
+        monkeypatch.setattr(mpp_mod, "_two_ended_solve", recording_solve)
+        monkeypatch.setattr(mpp_mod, "_factor", breaking_factor)
         spec = example5_spec(n=2, steps=16)
         res = solve_mpp(spec)
         assert res.converged and res.record[1].damping > 0.0 and res.record[1].fallback == 0
@@ -445,26 +469,172 @@ class TestBandBuffer:
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
         row_weight = np.sqrt(start.dt) * spec.cfg.rho / _check_path(start, spec.cfg)
-        fresh = _hessian_band(start, spec.cfg, row_weight, False, np.empty(_band_shape(16, 5)))
-        fresh[0] += res.record[1].damping
+        fresh = two_half_band(start, spec.cfg, row_weight, False)
+        fresh[..., 0] += res.record[1].damping
         assert_same_bits(seen[1][1], fresh)
+
+    def test_failed_attempt_leaves_no_trace_in_the_next_band(self, monkeypatch):
+        # the first factorization of each half scribbles NaN over its half
+        # and fails, as a partial Cholesky factor would
+        def scribble(band, n, factor):
+            band[...] = np.nan
+            return 1
+
+        self.solve_with_first_attempt_broken(monkeypatch, scribble)
+
+    @pytest.mark.parametrize("part", ["late-half", "middle-state"])
+    def test_failure_in_one_part_leaves_no_trace_in_the_next_band(self, monkeypatch, part):
+        # late-half: only the reversed half fails to factor.  middle-state:
+        # both halves factor, but the middle block is negated, so the
+        # middle state's Schur complement is indefinite
+        def breaks(band, n, factor):
+            if band.ctypes.data == band.base.ctypes.data:  # the half that starts the buffer
+                info = factor(band, n)
+                if part == "middle-state":
+                    band[-1] *= -1.0
+                return info
+            if part == "middle-state":
+                return factor(band, n)
+            band[...] = np.nan
+            return 1
+
+        self.solve_with_first_attempt_broken(monkeypatch, breaks)
+
+    @pytest.mark.parametrize("steps", [2, 3, 16])
+    def test_solve_allocates_the_checked_shape(self, monkeypatch, steps):
+        # the two halves are built into one buffer of _band_shape, the
+        # shape the CLI's memory check multiplies out
+        import omlat.mpp as mpp_mod
+
+        outs = []
+
+        def recording_build(path, cfg, row_weight, newton, out, reverse=False):
+            outs.append((out, reverse))
+            return _hessian_band(path, cfg, row_weight, newton, out, reverse)
+
+        monkeypatch.setattr(mpp_mod, "_hessian_band", recording_build)
+        spec = example5_spec(n=2, steps=steps)
+        solve_mpp(spec)
+        assert outs
+        buffers = {id(out.base) for out, _ in outs}
+        assert len(buffers) == 1
+        buffer = outs[0][0].base
+        assert buffer.shape == _band_shape(steps, 5)
+        m = (steps - 1) // 2
+        for out, reverse in outs:
+            assert out.shape[0] == (steps - 1 - m if reverse else m + 1)
+            assert out.ctypes.data == buffer[m + 1 if reverse else 0].ctypes.data
 
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
     def test_build_holds_few_grid_arrays(self, newton):
         # N = 1200, d = 61: the band is 66 (N, d)-sized arrays, the build's
-        # own arrays at most 16 at any time
+        # own arrays at most 12 at any time (11.03 measured, either build)
         spec = example5_spec(steps=1200)
         cfg, dt = spec.cfg, spec.cfg.T / 1200
         path = Path(np.random.default_rng(5).normal(scale=0.3, size=(1201, cfg.d)), dt)
         row_weight = np.sqrt(dt) * cfg.rho / _check_path(path, cfg)
-        out = np.empty(_band_shape(1200, cfg.d))
+        out = np.empty(path_band_shape(1200, cfg.d))
         tracemalloc.start()
         try:
             _hessian_band(path, cfg, row_weight, newton, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 1200 * cfg.d * 8
+        assert peak <= 12 * 1200 * cfg.d * 8
+
+
+def block_reversed(H, d):
+    """``H`` with its d x d blocks in reverse order, rows and columns."""
+    blocks = H.shape[0] // d
+    perm = (d * np.arange(blocks)[::-1, None] + np.arange(d)[None, :]).ravel()
+    return H[np.ix_(perm, perm)]
+
+
+def example_problem(n, steps, seed=0):
+    """The example-5 coefficients on 2n + 1 sites, with random weights and
+    a path near the linear start: a Newton matrix there is positive
+    definite."""
+    rng = np.random.default_rng(seed)
+    d = 2 * n + 1
+    cfg = LatticeConfig(
+        n=n, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.01, 31.0), T=30.0,
+        rho=rng.uniform(0.5, 1.5, d),
+    )
+    lam = np.linspace(0.0, 1.0, steps + 1)[:, None]
+    states = (1.0 - lam) * rng.normal(scale=0.6, size=d) + rng.normal(scale=0.05, size=(steps + 1, d))
+    path = Path(states, cfg.T / steps)
+    row_weight = np.sqrt(path.dt) * cfg.rho / _check_path(path, cfg)
+    return cfg, path, row_weight
+
+
+class TestTwoEndedSolve:
+    """The two halves of the band and the solve that joins them, against
+    the natural band in time order and scipy's banded Cholesky solve."""
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    @pytest.mark.parametrize("n, steps", [(0, 3), (0, 16), (1, 7), (2, 9), (30, 7)])
+    def test_reversed_build_is_the_block_reversed_band(self, n, steps, newton):
+        cfg, path, row_weight = example_problem(n, steps)
+        shape = path_band_shape(steps, cfg.d)
+        natural, reversed_ = (
+            dense_from_lower_band(_hessian_band(path, cfg, row_weight, newton, np.empty(shape), reverse))
+            for reverse in (False, True)
+        )
+        oracle = block_reversed(natural, cfg.d)
+        assert np.max(np.abs(reversed_ - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5], ids=["undamped", "damped"])
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    @pytest.mark.parametrize(
+        "n, steps", [(0, 2), (0, 3), (0, 64), (1, 7), (1, 600), (30, 7), (30, 600)]
+    )
+    def test_matches_scipy_on_the_natural_band(self, n, steps, newton, damping):
+        cfg, path, row_weight = example_problem(n, steps)
+        d = cfg.d
+        natural = _hessian_band(path, cfg, row_weight, newton, np.empty(path_band_shape(steps, d)))
+        natural[0] += damping
+        rhs = np.random.default_rng(steps).normal(size=(steps - 1, d))
+        # solveh_banded takes at most one band row per unknown
+        oracle = solveh_banded(natural[: natural.shape[1]], rhs.ravel(), lower=True).reshape(steps - 1, d)
+        band = two_half_band(path, cfg, row_weight, newton)
+        band[..., 0] += damping
+        x = _two_ended_solve(band, rhs, (steps - 1) // 2)
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_any_memory_order_of_rhs(self):
+        # the solve works in place in a C-ordered rhs, and on a copy of any other
+        cfg, path, row_weight = example_problem(2, 9)
+        rhs = np.random.default_rng(1).normal(size=(8, 5))
+        x = [
+            _two_ended_solve(two_half_band(path, cfg, row_weight, False), rhs.copy(order=order), 4)
+            for order in "CF"
+        ]
+        assert_same_bits(x[0], x[1])
+
+    def test_indefinite_matrix_raises(self):
+        cfg, path, row_weight = example_problem(1, 9)
+        band = two_half_band(path, cfg, row_weight, False)
+        band[..., 0] -= 1e6
+        with pytest.raises(np.linalg.LinAlgError):
+            _two_ended_solve(band, np.ones((8, 3)), 4)
+
+    def test_abi_check_rejects_another_signature(self):
+        # a cython_lapack built with 64-bit integers would declare another
+        # signature; the binding refuses it rather than corrupt memory
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
+            _lapack("dpbtrf", "void (char *, long *, long *, d *, long *, long *)")
+        with pytest.raises(ImportError, match="dtbtrs"):
+            _lapack("dtbtrs", "void (char *, int *, int *, d *, int *, int *)")
+
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch):
+        base = example5_spec(n=3, steps=120)
+        spec = BVPSpec(cfg=base.cfg, phi0=base.phi0, phiT=base.phiT, steps=120, newton=True)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OMLAT_THREADS", threads)
+            results.append(solve_mpp(spec))
+        assert_same_bits(results[0].path.states, results[1].path.states)
+        assert results[0].record == results[1].record
 
 
 def natural_gauss_newton(path, cfg, row_weight):

@@ -131,3 +131,29 @@ def test_key_tags_distinct_and_not_retired():
     values = list(tags.values())
     assert len(set(values)) == len(values), f"tags share a value: {tags}"
     assert not RETIRED_TAGS & set(values), f"a retired tag is reused: {tags}"
+
+
+def test_ctypes_and_lapack_only_in_mpp():
+    # the solver's GIL-free LAPACK binding is the package's one use of
+    # ctypes and its one direct LAPACK caller: any other module that
+    # called LAPACK would bypass the binding's signature check
+    lapack = {
+        "ctypes", "cython_lapack", "lapack", "get_lapack_funcs",
+        "solveh_banded", "cholesky_banded", "cho_solve_banded",
+    }
+    users = set()
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            else:
+                continue
+            if names & lapack:
+                users.add(source.name)
+    assert users <= {"mpp.py"}, f"ctypes or LAPACK used outside mpp.py: {sorted(users - {'mpp.py'})}"
