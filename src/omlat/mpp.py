@@ -14,10 +14,13 @@ solve splits the band at the middle interior state: two worker threads
 factor the halves before and after it at once, through LAPACK calls that
 release the GIL, and the calling thread joins them at the middle state's
 Schur complement.  The split is fixed, so the result does not depend on
-the thread count.  A solve allocates one band, 8 N d min(2d, d + 5)
-bytes, since each half holds its own copy of the middle state's block,
-and every factorization attempt rebuilds the matrix in it, since the
-Cholesky factor overwrites it.
+the thread count.  The two LAPACK routines, ``dpbtrf`` and ``dtbtrs``,
+come from scipy's ``cython_lapack`` extension, which this module loads
+by itself: importing omlat does not import ``scipy.linalg``.  A solve
+allocates one band, 8 N d min(2d, d + 5) bytes, since each half holds
+its own copy of the middle state's block, and every factorization
+attempt rebuilds the matrix in it, since the Cholesky factor overwrites
+it.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -30,13 +33,15 @@ solver's output.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-from scipy.linalg import cython_lapack
 
 from .action import OMReport, _check_path, _residuals, om_action, om_gradient
 from .errors import ConfigurationError, IntegrationError
@@ -118,19 +123,39 @@ class MPPResult:
     record: tuple = field(repr=False)
 
 
+def _cython_lapack():
+    """scipy's ``scipy.linalg.cython_lapack`` extension, loaded by itself
+    from the ``linalg`` directory of the scipy package: ``scipy.linalg``'s
+    ``__init__``, which imports the rest of ``scipy.linalg`` and through it
+    ``numpy.testing`` and ``numpy.f2py``, never runs.  The module is
+    registered under its own name, so a later ``from scipy.linalg import
+    cython_lapack`` returns this same module (the attribute
+    ``scipy.linalg.cython_lapack`` stays unset: the import system sets it
+    only on a first load).  Raises ImportError when the directory holds no
+    such extension."""
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("cython_lapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no cython_lapack extension in {directory}")
+    spec.name = "scipy.linalg.cython_lapack"
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _lapack(name: str, signature: str):
     """LAPACK's ``name``, through the function pointer that
-    ``scipy.linalg.cython_lapack`` publishes, as a ctypes function: the call
-    releases the GIL, which scipy's own LAPACK wrappers hold.
-    ``signature`` is the C signature the binding assumes, with ``d`` for
-    double; a capsule that declares any other (a build with 64-bit
-    integers, say) would have the call corrupt memory, so it raises
+    ``scipy.linalg.cython_lapack`` publishes (:func:`_cython_lapack`), as a
+    ctypes function: the call releases the GIL, which scipy's own LAPACK
+    wrappers hold.  ``signature`` is the C signature the binding assumes,
+    with ``d`` for double; a capsule that declares any other (a build with
+    64-bit integers, say) would have the call corrupt memory, so it raises
     ImportError."""
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _CYTHON_LAPACK.__pyx_capi__[name]
     declared = get_name(capsule)
     if re.sub(r"\w+_d \*", "d *", declared.decode()) != signature:
         raise ImportError(
@@ -142,6 +167,7 @@ def _lapack(name: str, signature: str):
     return ctypes.CFUNCTYPE(None, *(types[a] for a in args))(get_pointer(capsule, declared))
 
 
+_CYTHON_LAPACK = _cython_lapack()
 _dpbtrf = _lapack("dpbtrf", "void (char *, int *, int *, d *, int *, int *)")
 _dtbtrs = _lapack("dtbtrs", "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, int *)")
 

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ from scipy import sparse
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
+import omlat
 from omlat import (
     ConfigurationError,
     LatticeConfig,
@@ -23,6 +28,7 @@ from omlat.mpp import (
     BVPSpec,
     _band_shape,
     _build_band,
+    _cython_lapack,
     _hessian_band,
     _lapack,
     _two_ended_solve,
@@ -635,6 +641,54 @@ class TestTwoEndedSolve:
             results.append(solve_mpp(spec))
         assert_same_bits(results[0].path.states, results[1].path.states)
         assert results[0].record == results[1].record
+
+
+def fresh_python(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this checkout's omlat."""
+    src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+class TestLapackBinding:
+    """The solver loads scipy's ``cython_lapack`` extension by itself, not
+    through ``scipy.linalg``."""
+
+    def test_later_scipy_import_sees_the_same_routines(self):
+        # omlat first, as the CLI does, then scipy.linalg in the same process
+        out = json.loads(fresh_python(
+            "import ctypes, json, sys\n"
+            "from omlat import mpp\n"
+            "loaded = 'scipy.linalg' in sys.modules\n"
+            "from scipy.linalg import cython_lapack\n"
+            "get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(('PyCapsule_GetName', ctypes.pythonapi))\n"
+            "get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(\n"
+            "    ('PyCapsule_GetPointer', ctypes.pythonapi))\n"
+            "pairs = [\n"
+            "    (get_pointer(cython_lapack.__pyx_capi__[name], get_name(cython_lapack.__pyx_capi__[name])),\n"
+            "     ctypes.cast(bound, ctypes.c_void_p).value)\n"
+            "    for name, bound in (('dpbtrf', mpp._dpbtrf), ('dtbtrs', mpp._dtbtrs))\n"
+            "]\n"
+            "print(json.dumps({'loaded': loaded, 'same': cython_lapack is mpp._CYTHON_LAPACK, 'pairs': pairs}))\n"
+        ))
+        assert not out["loaded"]
+        assert out["same"]
+        for scipys, ours in out["pairs"]:
+            assert scipys is not None and scipys == ours
+
+    def test_loads_the_extension_scipy_linalg_imports(self):
+        ours = fresh_python("from omlat import mpp; print(mpp._CYTHON_LAPACK.__file__)")
+        theirs = fresh_python("from scipy.linalg import cython_lapack; print(cython_lapack.__file__)")
+        assert ours == theirs and ours.strip().startswith(os.path.dirname(scipy.__file__))
+
+    def test_missing_extension_raises(self, monkeypatch, tmp_path):
+        # a scipy whose linalg directory holds no cython_lapack is refused,
+        # naming its version; nothing else is tried
+        (tmp_path / "linalg").mkdir()
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
+            _cython_lapack()
 
 
 def natural_gauss_newton(path, cfg, row_weight):

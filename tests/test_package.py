@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import omlat
@@ -157,3 +160,15 @@ def test_ctypes_and_lapack_only_in_mpp():
             if names & lapack:
                 users.add(source.name)
     assert users <= {"mpp.py"}, f"ctypes or LAPACK used outside mpp.py: {sorted(users - {'mpp.py'})}"
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # scipy.linalg's __init__ imports numpy.testing and numpy.f2py, most of
+    # the time and memory of an import; mpp loads the one scipy.linalg
+    # extension it calls by itself.  Checked by module, not by time.
+    heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py")
+    src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, omlat.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]", f"import omlat.cli loaded {proc.stdout.strip()}"
