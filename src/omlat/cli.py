@@ -4,11 +4,15 @@ Subcommands: ``simulate`` (sample trajectories), ``mpp`` (most-probable
 path between fixed endpoints), ``om`` (action of a stored path CSV), and
 ``verify <experiment>`` for the desk-scale checks (kl, cocycle,
 truncation, bound, smallball, tube).  One config file defines the
-problem; experiment options are flags.  Every run writes manifest.json
-into the output directory before any data file, and rewrites it once at
-the end of the run, finished or failed, with the wall clock, status,
-exit code and error; reruns with identical inputs produce
-byte-identical CSVs.
+problem; experiment options are flags.  Each command has a check phase
+(:func:`_check` and its ``_plan_*`` hook), which reads the flags, the
+config and the input files, runs every library check and returns a plan,
+and a run phase (``_run_*``), which computes and writes.  Only
+:func:`main` opens the run between the two, writing manifest.json into
+the output directory before any data file, so a rejected run creates no
+directory.  It rewrites the manifest once at the end of the run,
+finished or failed, with the wall clock, status, exit code and error;
+reruns with identical inputs produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error (a size too large for
 memory included), 3 numerical failure (blow-up or non-convergence),
@@ -24,6 +28,7 @@ import platform
 import sys
 import time
 from pathlib import Path as FsPath
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -90,62 +95,74 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
     raise ConfigurationError(f"unknown state spec {raw!r}")
 
 
-def _radii(raw: str) -> list:
-    """The ``--eps`` list: at least one number."""
-    eps = _parse_float_list(raw, "--eps")
-    if not eps:
-        raise ConfigurationError(f"--eps: need at least one radius, got {raw!r}")
-    return eps
-
-
-def _check_ensemble(count: int) -> None:
-    """``--ensemble`` is at least 1 and at most :data:`_MAX_TRAJECTORIES`."""
-    check_count(count, "--ensemble")
-    if count > _MAX_TRAJECTORIES:
-        raise ConfigurationError(
-            f"--ensemble={count} is more than the 2^24 trajectories the noise keys address"
-        )
-
-
-def _check_memory(nbytes: int, dt: float | None, steps: int, what: str) -> None:
-    """Reject a ``--dt`` grid of ``steps`` steps on which ``what`` needs
-    more than the host's physical memory."""
+def _check_memory(nbytes: int, size: str, what: str) -> None:
+    """Reject a run on which ``what`` needs more than the host's physical
+    memory; ``size`` names the flag that set the size and its value."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ConfigurationError(
-            f"--dt={dt} gives {steps} steps: {what} needs {nbytes} bytes, "
-            f"more than the {memory} bytes of physical memory"
+            f"{size}: {what} needs {nbytes} bytes, more than the {memory} bytes of physical memory"
         )
 
 
-def _steps_from_dt(T: float, d: int, dt: float | None, default_steps: int) -> int:
-    """Steps of the ``--dt`` grid on [0, T]: dt must be positive, finite
-    and divide T into at most :data:`_MAX_STEPS` steps, and one trajectory
-    of ``d`` states on the grid must fit in the host's physical memory."""
-    if dt is None:
-        return default_steps
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"--dt must be a positive finite step, got {dt}")
-    if not T / dt < _MAX_STEPS + 0.5:  # an overflow to inf fails this too
-        raise ConfigurationError(f"--dt={dt} gives more than 2^32 steps on the horizon T={T}")
-    steps = int(round(T / dt))
-    if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ConfigurationError(f"--dt={dt} does not divide the horizon T={T}")
-    _check_memory(8 * (steps + 1) * d, dt, steps, f"one trajectory of {d} sites")
-    return steps
+def _check(args) -> SimpleNamespace:
+    """The check phase; computes and writes nothing.  The plan it returns
+    is the flags, with the config as ``cfg``, the ``--dt`` grid as
+    ``steps`` of ``dt`` (``grid`` says what set it), states for the state
+    flags and ``--eps`` as ``radii``; the command's hook adds the rest.
+    A grid has at most :data:`_MAX_STEPS` steps and must fit in memory."""
+    flags = vars(args)
+    plan = SimpleNamespace(**flags)
+    if "config" in flags:
+        plan.cfg = cfg = load_config(args.config)
+    if "ensemble" in flags:
+        check_count(args.ensemble, "--ensemble")
+        if args.ensemble > _MAX_TRAJECTORIES:
+            raise ConfigurationError(
+                f"--ensemble={args.ensemble} is more than the 2^24 trajectories the noise keys address"
+            )
+    if "dt" in flags:
+        dt = args.dt
+        if dt is None:
+            steps, plan.grid = args.default_steps, f"the default {args.default_steps} steps (no --dt)"
+        else:
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigurationError(f"--dt must be a positive finite step, got {dt}")
+            if not cfg.T / dt < _MAX_STEPS + 0.5:  # an overflow to inf fails this too
+                raise ConfigurationError(f"--dt={dt} gives more than 2^32 steps on the horizon T={cfg.T}")
+            steps = int(round(cfg.T / dt))
+            if steps < 1 or abs(steps * dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+                raise ConfigurationError(f"--dt={dt} does not divide the horizon T={cfg.T}")
+            plan.grid = f"--dt={dt} gives {steps} steps"
+        plan.steps, plan.dt = steps, cfg.T / steps
+        _check_memory(8 * (steps + 1) * cfg.d, plan.grid, f"one trajectory of {cfg.d} sites")
+    for name in ("u0", "phi0", "phiT"):
+        if name in flags:
+            setattr(plan, name, parse_state_spec(flags[name], cfg.n))
+    if "samples" in flags:
+        check_count(args.samples, "--samples")
+    if "eps" in flags:
+        plan.radii = _parse_float_list(args.eps, "--eps")
+        if not plan.radii:
+            raise ConfigurationError(f"--eps: need at least one radius, got {args.eps!r}")
+    args.phases[0](plan)
+    return plan
 
 
-def _prepare_out(args, **derived) -> FsPath:
+def _prepare_out(args, plan, check_s: float) -> tuple:
     """Open the run: create ``--out`` and write its manifest, with the
-    worker thread count and the Python, numpy and scipy versions.  ``main``
-    closes the run from ``args.run``; ``derived`` holds values the
-    handler computed from the flags (the ``--dt`` grid)."""
+    worker thread count, the Python, numpy and scipy versions, the plan's
+    grid and the check phase's wall clock ``check_s``.  Returns the
+    directory and the manifest, which ``main`` completes at the end."""
     out = FsPath(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"--out {out}: cannot create the output directory ({exc})") from exc
-    config = getattr(args, "config", None)
+    flags = {k: v for k, v in vars(args).items() if k not in ("phases", "default_steps")}
+    if "steps" in vars(plan):
+        flags.update(dt=plan.dt, steps=plan.steps)
+    config = flags.get("config")
     payload = {
         "subcommand": f"verify-{args.experiment}" if args.command == "verify" else args.command,
         "config": config,
@@ -155,21 +172,17 @@ def _prepare_out(args, **derived) -> FsPath:
         "version": __version__,
         "threads": worker_count(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
-        "args": {**{k: v for k, v in vars(args).items() if k not in ("func", "run")}, **derived},
+        "args": flags,
+        "check_s": check_s,
     }
     write_manifest(out, payload)
-    args.run = (out, payload)
-    return out
+    return out, payload
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 1024)
-    u0 = parse_state_spec(args.u0, cfg.n)
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
-    summary = {"trajectories": [], "steps": steps, "dt": cfg.T / steps}
-    for j, (_, path) in enumerate(integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg)):
+def _run_simulate(plan, out) -> int:
+    cfg = plan.cfg
+    summary = {"trajectories": [], "steps": plan.steps, "dt": plan.dt}
+    for j, (_, path) in enumerate(integrate_ensemble(plan.u0, plan.seed, plan.ensemble, plan.steps, cfg)):
         name = f"path_{j:03d}.csv"
         write_path_csv(path, out / name)
         norms = [weighted_norm(s, cfg.rho) for s in path.states]
@@ -177,27 +190,23 @@ def cmd_simulate(args) -> int:
             {"index": j, "file": name, "sup_norm": max(norms), "final_norm": norms[-1]}
         )
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"simulate: wrote {args.ensemble} trajectories to {out}")
+    print(f"simulate: wrote {plan.ensemble} trajectories to {out}")
     return EXIT_OK
 
 
-def cmd_mpp(args) -> int:
-    cfg = load_config(args.config)
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 600)
-    band = 8 * math.prod(_band_shape(steps, cfg.d))
-    _check_memory(band, args.dt, steps, f"the solver's band for {cfg.d} sites")
-    sites = _parse_slice(args.slice, cfg.n) if args.slice else []
-    spec = BVPSpec(
-        cfg=cfg,
-        phi0=parse_state_spec(args.phi0, cfg.n),
-        phiT=parse_state_spec(args.phiT, cfg.n),
-        steps=steps,
-        max_iterations=args.max_iter,
-        gradient_tol=args.tol,
-        newton=args.newton,
+def _plan_mpp(plan) -> None:
+    cfg = plan.cfg
+    band = 8 * math.prod(_band_shape(plan.steps, cfg.d))
+    _check_memory(band, plan.grid, f"the solver's band for {cfg.d} sites")
+    plan.sites = _parse_slice(plan.slice, cfg.n) if plan.slice else []
+    plan.spec = BVPSpec(
+        cfg=cfg, phi0=plan.phi0, phiT=plan.phiT, steps=plan.steps,
+        max_iterations=plan.max_iter, gradient_tol=plan.tol, newton=plan.newton,
     )
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
-    result = solve_mpp(spec)
+
+
+def _run_mpp(plan, out) -> int:
+    result = solve_mpp(plan.spec)
     write_path_csv(result.path, out / "mpp_path.csv")
     write_om_json(result.action, out / "om_report.json")
     write_csv(
@@ -205,11 +214,11 @@ def cmd_mpp(args) -> int:
         ",".join(("iteration", *RecordRow._fields)),
         [(k, *row) for k, row in enumerate(result.record)],
     )
-    for i in sites:
+    for i in plan.sites:
         write_csv(
             out / f"slice_i{i}.csv",
             f"t,u_{i}",
-            zip(result.path.times, result.path.states[:, i + cfg.n]),
+            zip(result.path.times, result.path.states[:, i + plan.cfg.n]),
         )
     status = "converged" if result.converged else "NOT converged"
     print(
@@ -235,77 +244,76 @@ def _parse_slice(raw: str, n: int) -> list:
     return sites
 
 
-def cmd_om(args) -> int:
-    cfg = load_config(args.config)
-    path = read_path_csv(args.path)
-    _check_path(path, cfg)
-    out = _prepare_out(args)
-    report = om_action(path, cfg)
+def _plan_om(plan) -> None:
+    plan.path = read_path_csv(plan.path)
+    _check_path(plan.path, plan.cfg)
+
+
+def _run_om(plan, out) -> int:
+    report = om_action(plan.path, plan.cfg)
     write_om_json(report, out / "om_report.json")
-    print(
-        f"om: drift={_f(report.drift_term)} trace={_f(report.trace_term)} "
-        f"total={_f(report.total)}"
-    )
+    print(f"om: drift={_f(report.drift_term)} trace={_f(report.trace_term)} total={_f(report.total)}")
     return EXIT_OK
 
 
-def _verify_kl(args) -> int:
-    _check_decay_rate(args.lam, "--lambda")
-    check_count(args.m, "--m")
-    out = _prepare_out(args)
-    spec = kl_spectrum(args.lam, args.m)
+def _plan_kl(plan) -> None:
+    _check_decay_rate(plan.lam, "--lambda")
+    check_count(plan.m, "--m")
+
+
+def _run_kl(plan, out) -> int:
+    spec = kl_spectrum(plan.lam, plan.m)
     res = spec.residuals()
     write_csv(
         out / "kl_spectrum.csv",
         "i,gamma,mu,A,residual",
-        [(i + 1, spec.gamma[i], spec.mu[i], spec.A[i], res[i]) for i in range(args.m)],
+        [(i + 1, spec.gamma[i], spec.mu[i], spec.A[i], res[i]) for i in range(plan.m)],
     )
-    print(f"verify kl: m={args.m} max residual {res.max():.3e}")
+    print(f"verify kl: m={plan.m} max residual {res.max():.3e}")
     return EXIT_OK
 
 
-def _verify_cocycle(args) -> int:
-    cfg = load_config(args.config)
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 512)
-    u0 = parse_state_spec(args.u0, cfg.n)
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
-    noise = sample_noise(args.seed, steps, cfg.d, cfg.T / steps)
+def _plan_cocycle(plan) -> None:
+    # restarts at steps N//4 and N//2: below 4 steps one is t = 0, where no deviation can show
+    if plan.steps < 4:
+        raise ConfigurationError(f"{plan.grid}: verify cocycle needs at least 4 steps to restart after t = 0")
+
+
+def _run_cocycle(plan, out) -> int:
+    noise = sample_noise(plan.seed, plan.steps, plan.cfg.d, plan.dt)
     # restart at grid steps, so every --dt grid has them
-    starts = [m * noise.dt for m in (steps // 4, steps // 2)]
-    devs = cocycle_check(u0, noise, starts, cfg)
+    starts = [m * noise.dt for m in (plan.steps // 4, plan.steps // 2)]
+    devs = cocycle_check(plan.u0, noise, starts, plan.cfg)
     for s, dev in zip(starts, devs):
         print(f"verify cocycle: s={s:g} deviation={dev:.3e}")
     write_csv(out / "cocycle.csv", "s,deviation", zip(starts, devs))
     return EXIT_OK if max(devs) <= 1e-12 else EXIT_NUMERICAL
 
 
-def _verify_truncation(args) -> int:
-    cfg = load_config(args.config)
+def _plan_truncation(plan) -> None:
+    cfg, count = plan.cfg, plan.ensemble
     if cfg.n < 1:
         raise ConfigurationError(f"truncation needs n >= 1 (cutoffs K = 1..n), config has n={cfg.n}")
-    _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
-    wide = cfg.widened(2 * cfg.n)
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
+    plan.wide = wide = cfg.widened(2 * cfg.n)
+    size = f"--ensemble={count} over {plan.steps} steps"
+    _check_memory(8 * count * (plan.steps + 1) * (cfg.d + wide.d), size, "keeping both ensembles")
+
+
+def _run_truncation(plan, out) -> int:
+    cfg, wide = plan.cfg, plan.wide
     bump = min(2, cfg.n)
 
     def run(sub):
         u0 = np.zeros(sub.d)
         for i in range(-bump, bump + 1):
             u0[i + sub.n] = 1.0 / (1.0 + i * i)
-        return [path for _, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, sub)]
+        return [path for _, path in integrate_ensemble(u0, plan.seed, plan.ensemble, plan.steps, sub)]
 
     paths, paths_wide = run(cfg), run(wide)
-    cutoffs = list(range(1, cfg.n + 1))
-    rows = []
-    for K in cutoffs:
-        rows.append(
-            (
-                K,
-                truncation_tail(paths, K, cfg.rho),
-                truncation_tail(paths_wide, K, wide.rho),
-            )
-        )
+    rows = [
+        (K, truncation_tail(paths, K, cfg.rho), truncation_tail(paths_wide, K, wide.rho))
+        for K in range(1, cfg.n + 1)
+    ]
     write_csv(out / "truncation.csv", "K,tail,tail_wide", rows)
     msd = 0.0
     off = wide.n - cfg.n
@@ -318,53 +326,46 @@ def _verify_truncation(args) -> int:
     return EXIT_OK if monotone else EXIT_NUMERICAL
 
 
-def _verify_bound(args) -> int:
-    cfg = load_config(args.config)
-    _check_ensemble(args.ensemble)
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
-    u0 = parse_state_spec(args.u0, cfg.n)
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
+def _plan_bound(plan) -> None:
+    size = f"--ensemble={plan.ensemble} over {plan.steps} steps"
+    _check_memory(16 * plan.ensemble * (plan.steps + 1) * plan.cfg.d, size, "keeping paths and noise paths")
+
+
+def _run_bound(plan, out) -> int:
+    cfg = plan.cfg
     paths, wqs = [], []
-    for noise, path in integrate_ensemble(u0, args.seed, args.ensemble, steps, cfg):
+    for noise, path in integrate_ensemble(plan.u0, plan.seed, plan.ensemble, plan.steps, cfg):
         paths.append(path)
         wqs.append(wq_path(noise, cfg.q))
     report = apriori_bound_check(paths, wqs, cfg)
     write_csv(
         out / "bound.csv",
         "trajectory,sup_norm_sq,bound_functional,ratio",
-        [(j, report.lhs[j], report.rhs[j], report.ratios[j]) for j in range(args.ensemble)],
+        [(j, report.lhs[j], report.rhs[j], report.ratios[j]) for j in range(plan.ensemble)],
     )
-    print(f"verify bound: max empirical ratio {report.max_ratio:.4g} over {args.ensemble} paths")
+    print(f"verify bound: max empirical ratio {report.max_ratio:.4g} over {plan.ensemble} paths")
     return EXIT_OK
 
 
-def _verify_smallball(args) -> int:
-    eps = _radii(args.eps)
-    if not all(0.0 < e <= 1.0 for e in eps):
-        raise ConfigurationError(f"--eps: radii must lie in (0, 1], got {args.eps!r}")
-    rate_up, rate_low = smallball_rates(args.alpha)
-    check_count(args.samples, "--samples")
-    _check_truncation(args.alpha, args.imax, min(eps), "--imax")
-    out = _prepare_out(args)
-    res = smallball_mc(args.alpha, args.imax, eps, args.samples, seed=args.seed)
-    rows = [
-        (e, res.estimates[j], res.ci_lo[j], res.ci_hi[j], rate_up, rate_low)
-        for j, e in enumerate(eps)
-    ]
+def _plan_smallball(plan) -> None:
+    if not all(0.0 < e <= 1.0 for e in plan.radii):
+        raise ConfigurationError(f"--eps: radii must lie in (0, 1], got {plan.eps!r}")
+    plan.rates = smallball_rates(plan.alpha)
+    _check_truncation(plan.alpha, plan.imax, min(plan.radii), "--imax")
+
+
+def _run_smallball(plan, out) -> int:
+    eps = plan.radii
+    res = smallball_mc(plan.alpha, plan.imax, eps, plan.samples, seed=plan.seed)
+    rows = [(e, res.estimates[j], res.ci_lo[j], res.ci_hi[j], *plan.rates) for j, e in enumerate(eps)]
     write_csv(out / "smallball.csv", "eps,estimate,ci_lo,ci_hi,rate_up,rate_low", rows)
-    print(
-        "verify smallball: "
-        + " ".join(f"P({e:g})={res.estimates[j]:.3e}" for j, e in enumerate(eps))
-    )
+    print("verify smallball: " + " ".join(f"P({e:g})={res.estimates[j]:.3e}" for j, e in enumerate(eps)))
     return EXIT_OK
 
 
-def _verify_tube(args) -> int:
-    cfg = load_config(args.config)
-    check_count(args.samples, "--samples")
-    steps = _steps_from_dt(cfg.T, cfg.d, args.dt, 256)
-    eps = tuple(_radii(args.eps))
-    kind, _, rest = args.reference.partition(":")
+def _plan_tube(plan) -> None:
+    cfg, steps = plan.cfg, plan.steps
+    kind, _, rest = plan.reference.partition(":")
     if kind == "zero":
         states = np.zeros((steps + 1, cfg.d))
     elif kind == "sine":
@@ -375,20 +376,22 @@ def _verify_tube(args) -> int:
         ts = np.linspace(0.0, cfg.T, steps + 1)
         states = amp * np.sin(np.pi * ts / (2.0 * cfg.T))[:, None] * np.ones(cfg.d)[None, :]
     else:
-        raise ConfigurationError(f"unknown tube reference {args.reference!r}")
-    exp = TubeExperiment(
-        cfg=cfg, phi=Path(states, cfg.T / steps), eps=eps, samples=args.samples, seed=args.seed,
-        denominator=args.denominator,
+        raise ConfigurationError(f"unknown tube reference {plan.reference!r}")
+    plan.exp = TubeExperiment(
+        cfg=cfg, phi=Path(states, plan.dt), eps=tuple(plan.radii), samples=plan.samples, seed=plan.seed,
+        denominator=plan.denominator,
     )
-    out = _prepare_out(args, dt=cfg.T / steps, steps=steps)
-    table = tube_ratio(exp)
+
+
+def _run_tube(plan, out) -> int:
+    table = tube_ratio(plan.exp)
     write_csv(
         out / "tube.csv",
         "eps,num_hits,den_hits,ratio,ci_lo,ci_hi,predicted",
         [
             (table.eps[j], int(table.num_hits[j]), int(table.den_hits[j]),
              table.ratio[j], table.ci_lo[j], table.ci_hi[j], table.predicted)
-            for j in range(len(eps))
+            for j in range(len(table.eps))
         ],
     )
     print(
@@ -403,76 +406,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"omlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dt=True):
-        p.add_argument("--config", required=True, help="problem config file")
+    def common(p, run, hook=lambda plan: None, config=True, steps=None):
+        """The run phase ``run``, the check hook ``hook``, and the shared
+        flags: ``--config`` unless ``config`` is false, ``--seed``,
+        ``--out``, and ``--dt`` when the default grid has ``steps`` steps."""
+        if config:
+            p.add_argument("--config", required=True, help="problem config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        if dt:
+        if steps:
             p.add_argument("--dt", type=float, default=None, help="time step (must divide T)")
+            p.set_defaults(default_steps=steps)
+        p.set_defaults(phases=(hook, run))
 
     p = sub.add_parser("simulate", help="integrate trajectories of the lattice system")
-    common(p)
+    common(p, _run_simulate, steps=1024)
     p.add_argument("--ensemble", type=int, default=1, help="number of trajectories")
     p.add_argument("--u0", default="gauss:0.6,8", help="initial state: zero|gauss:<amp>,<sigma>|csv:<path>")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("mpp", help="most-probable path between fixed endpoints")
-    common(p)
+    common(p, _run_mpp, _plan_mpp, steps=600)
     p.add_argument("--phi0", default="gauss:0.6,8", help="state at t=0")
     p.add_argument("--phiT", default="zero", help="state at t=T")
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=None, help="gradient tolerance (default 1e-8 d N)")
     p.add_argument("--newton", action="store_true", help="full Newton steps")
     p.add_argument("--slice", default=None, help="site slices to export, e.g. i=0,10")
-    p.set_defaults(func=cmd_mpp)
 
     p = sub.add_parser("om", help="action of a stored path CSV")
-    common(p, dt=False)  # the grid is the path CSV's
+    common(p, _run_om, _plan_om)  # no --dt: the grid is the path CSV's
     p.add_argument("--path", required=True, help="path CSV (as written by simulate/mpp)")
-    p.set_defaults(func=cmd_om)
 
     p = sub.add_parser("verify", help="desk-scale verification experiments")
     vsub = p.add_subparsers(dest="experiment", required=True)
 
     v = vsub.add_parser("kl", help="covariance eigenpairs and root residuals")
+    common(v, _run_kl, _plan_kl, config=False)
     v.add_argument("--lambda", dest="lam", type=float, default=0.4)
     v.add_argument("--m", type=int, default=50)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default="out")
-    v.set_defaults(func=_verify_kl)
 
     v = vsub.add_parser("cocycle", help="flow consistency under the noise shift")
-    common(v)
+    common(v, _run_cocycle, _plan_cocycle, steps=512)
     v.add_argument("--u0", default="gauss:0.6,8")
-    v.set_defaults(func=_verify_cocycle)
 
     v = vsub.add_parser("truncation", help="tail statistics and widening comparison")
-    common(v)
+    common(v, _run_truncation, _plan_truncation, steps=256)
     v.add_argument("--ensemble", type=int, default=200)
-    v.set_defaults(func=_verify_truncation)
 
     v = vsub.add_parser("bound", help="a priori sup-norm bound over an ensemble")
-    common(v)
+    common(v, _run_bound, _plan_bound, steps=256)
     v.add_argument("--ensemble", type=int, default=100)
     v.add_argument("--u0", default="gauss:0.6,8")
-    v.set_defaults(func=_verify_bound)
 
     v = vsub.add_parser("smallball", help="weighted chi-square small-ball probabilities")
+    common(v, _run_smallball, _plan_smallball, config=False)
     v.add_argument("--alpha", type=float, default=1.0)
     v.add_argument("--imax", type=int, default=12000)
     v.add_argument("--eps", default="0.5,0.4,0.3")
     v.add_argument("--samples", type=int, default=1_000_000)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default="out")
-    v.set_defaults(func=_verify_smallball)
 
     v = vsub.add_parser("tube", help="tube-probability ratio against the action prediction")
-    common(v)
+    common(v, _run_tube, _plan_tube, steps=256)
     v.add_argument("--eps", default="0.3,0.2")
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--reference", default="zero", help="zero|sine:<amp>")
     v.add_argument("--denominator", default="convolution", choices=["convolution", "plain"])
-    v.set_defaults(func=_verify_tube)
 
     return parser
 
@@ -489,11 +487,12 @@ _FAILURES = (
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.run = None  # (out, manifest payload) once the handler opens its run directory
     started = time.perf_counter()
-    code = error = None
+    run = code = error = None  # run: (out, manifest payload) once the run is open
     try:
-        code = args.func(args)
+        plan = _check(args)
+        run = _prepare_out(args, plan, time.perf_counter() - started)
+        code = args.phases[1](plan, run[0])
     except (OmlatError, MemoryError) as exc:
         error = exc
         code, label = next((c, lbl) for cls, c, lbl in _FAILURES if isinstance(exc, cls))
@@ -502,8 +501,8 @@ def main(argv=None) -> int:
         error = exc
         raise
     finally:
-        if args.run is not None:
-            out, payload = args.run
+        if run is not None:
+            out, payload = run
             payload.update(
                 wall_clock_s=time.perf_counter() - started,
                 status="ok" if code == EXIT_OK else "failed",

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omlat
-from omlat import ConfigurationError, parse_config, parse_q_spec, smallball_mc
-from omlat.cli import main, parse_state_spec
+import omlat.cli as cli
+from omlat import ConfigurationError, Path, kl_spectrum, parse_config, parse_q_spec, smallball_mc
+from omlat.cli import build_parser, main, parse_state_spec
 from omlat.io import read_path_csv, write_path_csv
 from omlat.mpp import _band_shape
 from oracles import example5_boundary, example5_config
@@ -217,9 +219,11 @@ class TestCliRuns:
         [["simulate"], ["verify", "truncation"], ["verify", "bound"]],
         ids=["simulate", "truncation", "bound"],
     )
-    def test_ensemble_beyond_the_noise_keys_rejected(self, example5_file, tmp_path, capsys, monkeypatch, command):
+    def test_ensemble_beyond_the_noise_keys_rejected(self, tmp_path, capsys, monkeypatch, command):
         # the noise keys address trajectories 0 .. 2^24 - 1: 2^24 trajectories
-        # reach the draws (stubbed here), one more is rejected before a run opens
+        # reach the draws (stubbed here), one more is rejected before a run opens.
+        # Three sites and one step, so that the 2^24 trajectories that
+        # truncation and bound keep fit in memory (at most 2.1 GB)
         class Drawn(Exception):
             pass
 
@@ -227,7 +231,9 @@ class TestCliRuns:
             raise Drawn
 
         monkeypatch.setattr("omlat.cli.integrate_ensemble", stub)
-        argv = command + ["--config", example5_file, "--dt", "0.25"]
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1").replace("T = 30", "T = 0.25"))
+        argv = command + ["--config", str(cfg), "--dt", "0.25"]
         with pytest.raises(Drawn):
             main(argv + ["--out", str(tmp_path / "most"), "--ensemble", "16777216"])
         out = tmp_path / "many"
@@ -734,6 +740,184 @@ class TestCliRuns:
         code, err = _run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
         assert code == 2
         assert err == f"configuration error: q_spec table {table}: the file holds no rows\n"
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+EX5_CFG = os.path.join(CONFIGS, "example5.cfg")
+SCALAR_CFG = os.path.join(CONFIGS, "scalar.cfg")
+
+# The README's example runs, at smaller sizes; "{path}" is a path CSV on example 5's grid.
+README_RUNS = {
+    "simulate": ["simulate", "--config", EX5_CFG, "--seed", "1", "--dt", "0.05", "--ensemble", "4"],
+    "mpp": ["mpp", "--config", EX5_CFG, "--dt", "0.05", "--slice", "i=0,10"],
+    "om": ["om", "--config", EX5_CFG, "--path", "{path}"],
+    "kl": ["verify", "kl", "--lambda", "0.4", "--m", "50"],
+    "cocycle": ["verify", "cocycle", "--config", EX5_CFG, "--dt", "0.05859375"],
+    "truncation": ["verify", "truncation", "--config", EX5_CFG, "--ensemble", "4"],
+    "bound": ["verify", "bound", "--config", EX5_CFG, "--ensemble", "4"],
+    "smallball": ["verify", "smallball", "--alpha", "1", "--imax", "12000", "--eps", "0.5,0.4,0.3",
+                  "--samples", "1000"],
+    "tube": ["verify", "tube", "--config", SCALAR_CFG, "--eps", "0.3,0.2", "--samples", "1000"],
+}
+
+# Every option of every (sub)command: option strings, dest, default and
+# whether it is required, as the parser had them before the commands were
+# split into check and run phases.
+_S = argparse.SUPPRESS
+_HELP = (("-h", "--help"), "help", _S, False)
+_OUT, _SEED = (("--out",), "out", "out", False), (("--seed",), "seed", 0, False)
+_COMMON = [(("--config",), "config", None, True), _OUT, _SEED]
+_DT = (("--dt",), "dt", None, False)
+_U0 = (("--u0",), "u0", "gauss:0.6,8", False)
+CLI_SURFACE = {
+    (): [(("--version",), "version", _S, False), _HELP],
+    ("simulate",): [*_COMMON, _DT, (("--ensemble",), "ensemble", 1, False), _U0, _HELP],
+    ("mpp",): [
+        *_COMMON, _DT, (("--max-iter",), "max_iter", 200, False), (("--newton",), "newton", False, False),
+        (("--phi0",), "phi0", "gauss:0.6,8", False), (("--phiT",), "phiT", "zero", False),
+        (("--slice",), "slice", None, False), (("--tol",), "tol", None, False), _HELP,
+    ],
+    ("om",): [*_COMMON, (("--path",), "path", None, True), _HELP],
+    ("verify",): [_HELP],
+    ("verify", "kl"): [(("--lambda",), "lam", 0.4, False), (("--m",), "m", 50, False), _OUT, _SEED, _HELP],
+    ("verify", "cocycle"): [*_COMMON, _DT, _U0, _HELP],
+    ("verify", "truncation"): [*_COMMON, _DT, (("--ensemble",), "ensemble", 200, False), _HELP],
+    ("verify", "bound"): [*_COMMON, _DT, (("--ensemble",), "ensemble", 100, False), _U0, _HELP],
+    ("verify", "smallball"): [
+        (("--alpha",), "alpha", 1.0, False), (("--eps",), "eps", "0.5,0.4,0.3", False),
+        (("--imax",), "imax", 12000, False), (("--samples",), "samples", 1_000_000, False), _OUT, _SEED, _HELP,
+    ],
+    ("verify", "tube"): [
+        *_COMMON, _DT, (("--denominator",), "denominator", "convolution", False),
+        (("--eps",), "eps", "0.3,0.2", False), (("--reference",), "reference", "zero", False),
+        (("--samples",), "samples", 100_000, False), _HELP,
+    ],
+}
+
+
+def _surface(parser, prefix=()):
+    """Option strings, dest, default and requiredness of each option of
+    ``parser`` and of its subcommands, by command path."""
+    options = [(tuple(a.option_strings), a.dest, a.default, a.required) for a in parser._actions if a.option_strings]
+    found = {prefix: sorted(options)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_surface(sub, prefix + (name,)))
+    return found
+
+
+class TestCheckPhase:
+    @pytest.mark.parametrize("name", sorted(README_RUNS))
+    def test_check_phase_computes_and_writes_nothing(self, tmp_path, monkeypatch, name):
+        # the run opener is reached, and before it nothing is computed or written
+        class Opened(Exception):
+            pass
+
+        def opener(*args, **kwargs):
+            raise Opened
+
+        def computing(label):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{label} ran in the check phase")
+            return fail
+
+        inputs, work = tmp_path / "in", tmp_path / "work"
+        inputs.mkdir()
+        work.mkdir()
+        path_csv = inputs / "path.csv"
+        write_path_csv(Path(np.zeros((121, 61)), 0.25), path_csv)
+        monkeypatch.setattr(cli, "_prepare_out", opener)
+        for label in ("solve_mpp", "om_action", "kl_spectrum", "integrate_ensemble", "sample_noise",
+                      "smallball_mc", "tube_ratio"):
+            monkeypatch.setattr(cli, label, computing(label))
+        monkeypatch.chdir(work)
+        argv = [a.replace("{path}", str(path_csv)) for a in README_RUNS[name]]
+        with pytest.raises(Opened):
+            main(argv + ["--out", str(work / "run")])
+        assert list(work.iterdir()) == []
+
+    def test_cli_surface_is_pinned(self, capsys):
+        assert _surface(build_parser()) == {command: sorted(options) for command, options in CLI_SURFACE.items()}
+        for command in CLI_SURFACE:
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: omlat")
+
+    @pytest.mark.parametrize(
+        "command, per_state", [("truncation", 8 * (61 + 121)), ("bound", 16 * 61)], ids=["truncation", "bound"]
+    )
+    def test_ensemble_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys, monkeypatch,
+                                                      command, per_state):
+        # the fewest trajectories whose kept states exceed physical memory on
+        # 120 steps of 61 sites: truncation keeps them and the widened 121-site
+        # ones, bound keeps them and their noise paths.  One fewer reaches the
+        # draws (stubbed here); that many are rejected before a run opens
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        count = memory // (per_state * 121) + 1
+        assert count <= 2**24
+
+        class Drawn(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr("omlat.cli.integrate_ensemble", stub)
+        argv = ["verify", command, "--config", example5_file, "--dt", "0.25"]
+        with pytest.raises(Drawn):
+            main(argv + ["--out", str(tmp_path / "fits"), "--ensemble", str(count - 1)])
+        out = tmp_path / "many"
+        code = main(argv + ["--out", str(out), "--ensemble", str(count)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--ensemble={count} over 120 steps" in err and "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_message_names_the_default_grid(self, tmp_path, capsys, monkeypatch):
+        # a lattice whose solver band on mpp's default 600 steps exceeds
+        # physical memory, with --dt left out
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        n = 1
+        while 8 * math.prod(_band_shape(600, 2 * n + 1)) <= memory:
+            n *= 2
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", f"n = {n}"))
+        out = tmp_path / "mpp"
+        assert main(["mpp", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"the default 600 steps (no --dt): the solver's band for {2 * n + 1} sites" in err
+        assert "--dt=None" not in err and not out.exists()
+
+    @pytest.mark.parametrize("dt", ["1", "0.5", "0.3333333333333333"], ids=["1", "2", "3"])
+    def test_verify_cocycle_below_four_steps_rejected(self, tmp_path, capsys, dt):
+        # the restarts are steps N // 4 and N // 2; below 4 steps one is t = 0,
+        # where the restarted run is the full run and cannot deviate
+        out = tmp_path / "coc"
+        assert main(["verify", "cocycle", "--config", SCALAR_CFG, "--dt", dt, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--dt={float(dt)} gives" in err and "at least 4" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_verify_cocycle_on_four_steps(self, tmp_path):
+        out = tmp_path / "coc"
+        assert main(["verify", "cocycle", "--config", SCALAR_CFG, "--dt", "0.25", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "cocycle.csv").read_text().splitlines()[1:]]
+        assert [float(s) for s, _ in rows] == [0.25, 0.5]
+
+    def test_manifest_records_the_check_phase_time_when_the_run_opens(self, tmp_path, monkeypatch):
+        out = tmp_path / "kl"
+        opened = []
+
+        def reading_manifest(*args, **kwargs):
+            opened.append(json.loads((out / "manifest.json").read_text()))
+            return kl_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr("omlat.cli.kl_spectrum", reading_manifest)
+        assert main(["verify", "kl", "--m", "5", "--out", str(out)]) == 0
+        manifest = _closed_manifest(out, 0)
+        assert opened[0]["check_s"] == manifest["check_s"]
+        assert 0 <= manifest["check_s"] <= manifest["wall_clock_s"]
 
 
 def _closed_manifest(out, code, error_type=None):
