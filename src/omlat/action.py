@@ -30,7 +30,6 @@ from .paths import Path
 
 __all__ = [
     "OMReport",
-    "residuals",
     "trace_term",
     "om_action",
     "om_gradient",
@@ -91,12 +90,6 @@ def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
 
 def _midpoints(path: Path) -> np.ndarray:
     return 0.5 * (path.states[:-1] + path.states[1:])
-
-
-def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
-    """All interval residuals, shape (N, d)."""
-    _check_path(path, cfg)
-    return _residuals(path, cfg, _midpoints(path))
 
 
 def _residuals(path: Path, cfg: LatticeConfig, mids: np.ndarray) -> np.ndarray:

@@ -146,8 +146,11 @@ def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig
     ``integrate(u0, sample_noise(seed, steps, d, dt, trajectory=j), cfg)``.
 
     Trajectories are stepped together in groups that hold at most
-    :data:`ENSEMBLE_STATE_BYTES` of states; a group is stepped only when
-    the previous one has been consumed.
+    :data:`ENSEMBLE_STATE_BYTES` of states, each group's noise drawn once
+    into the (m, steps, d) array the stepper reads.  A group is stepped
+    only when the previous one has been consumed and released, so a
+    consumer that reduces each pair as it comes holds one group and one
+    pair, a copy of its rows: a view would keep its whole group alive.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.d,):
@@ -156,11 +159,13 @@ def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig
     size = max(1, ENSEMBLE_STATE_BYTES // (8 * (steps + 1) * cfg.d))
     for start in range(0, count, size):
         group = range(start, min(start + size, count))
-        noises = [sample_noise(seed, steps, cfg.d, dt, trajectory=j) for j in group]
-        increments = np.stack([noise.increments for noise in noises])
+        increments = np.empty((len(group), steps, cfg.d))
+        for j, row in zip(group, increments):
+            row[:] = sample_noise(seed, steps, cfg.d, dt, trajectory=j).increments
         states = euler_maruyama(np.tile(u0, (len(group), 1)), increments, cfg, dt, group)
-        for noise, path_states in zip(noises, states):
-            yield noise, Path(path_states, dt)
+        for j, row, path_states in zip(group, increments, states):
+            yield NoisePath(dt=dt, increments=row.copy(), trajectory=j), Path(path_states.copy(), dt)
+        del increments, states, row, path_states  # before the next group is allocated
 
 
 @dataclass(frozen=True)
@@ -179,32 +184,32 @@ class BoundReport:
     max_ratio: float
 
 
-def apriori_bound_check(paths, wq_paths, cfg: LatticeConfig) -> BoundReport:
+def apriori_bound_check(pairs, cfg: LatticeConfig) -> BoundReport:
     """Evaluate the sup-norm bound on an ensemble of (solution, noise-path)
-    pairs sharing one grid.
+    pairs, each pair on one grid, in one pass over ``pairs``: a list, or
+    a stream such as :func:`integrate_ensemble`'s; only the two sides of
+    each pair's bound are kept.
 
     The ratio sup|u|^2 / rhs is reported per trajectory (defined as 0 when
     the right-hand side vanishes); it should stay bounded under grid
     refinement.
     """
-    if len(paths) != len(wq_paths):
-        raise ConfigurationError("need one noise path per solution path")
     rho = cfg.rho
     g_norm_sq = weighted_norm(cfg.g, rho) ** 2
-    lhs = np.empty(len(paths))
-    rhs = np.empty(len(paths))
-    for j, (u, w) in enumerate(zip(paths, wq_paths)):
+    lhs, rhs = [], []
+    for u, w in pairs:
         if not u.same_grid(w):
             raise ConfigurationError("solution and noise paths are on different grids")
         u_sq = np.sum((rho * u.states) ** 2, axis=1)
         w_sq = np.sum((rho * w.states) ** 2, axis=1)
         integrand = w_sq + w_sq ** (2 * cfg.f.p + 1) + g_norm_sq
-        lhs[j] = float(np.max(u_sq))
-        rhs[j] = float(
+        lhs.append(float(np.max(u_sq)))
+        rhs.append(float(
             np.sum((rho * u.states[0]) ** 2)
             + np.max(w_sq)
             + np.trapezoid(integrand, dx=u.dt)
-        )
+        ))
+    lhs, rhs = np.array(lhs), np.array(rhs)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
     return BoundReport(lhs=lhs, rhs=rhs, ratios=ratios, max_ratio=float(np.max(ratios)))
@@ -233,25 +238,41 @@ def cocycle_check(u0, noise: NoisePath, starts, cfg: LatticeConfig) -> list:
     return devs
 
 
-def truncation_tail(paths, K: int, rho) -> float:
-    """Ensemble tail statistic ``max_t mean_j sum_{|i|>K} (rho_i u_i(t))^2``.
+def truncation_tail(pairs, cutoffs, rho, rho_wide) -> tuple:
+    """Tail statistics of an ensemble truncated at n and of the same
+    trajectories on a lattice widened to n' >= n, in one pass over
+    ``pairs``, the (u, v) paths of each trajectory at n and at n': a list,
+    or a stream such as ``zip`` of two :func:`integrate_ensemble` runs.
 
-    ``K`` must be below the truncation half-width; K = n gives the empty
-    sum, 0.
+    ``rho`` and ``rho_wide`` are the weights of the two lattices.  For
+    each cutoff K, at most n (K = n gives the empty sum, 0),
+
+        ``tails[c] = max_t mean_j sum_{|i|>K} (rho_i u_i(t))^2``,  K = cutoffs[c],
+
+    ``tails_wide[c]`` is the same statistic of v, and the mean-square
+    difference on the common sites is
+    ``msd = mean_j max_t sum_{|i|<=n} (u_i(t) - v_i(t))^2``.
+    Returns ``(tails, tails_wide, msd)``.
     """
-    d = paths[0].d
-    n = (d - 1) // 2
-    if K > n:
-        raise ConfigurationError(f"cutoff K={K} exceeds the truncation half-width {n}")
-    rho = np.asarray(rho, dtype=float)
-    sites = np.arange(-n, n + 1)
-    mask = np.abs(sites) > K
-    if not np.any(mask):
-        return 0.0
-    acc = None
-    for p in paths:
-        if p.d != d:
-            raise ConfigurationError("ensemble paths have mixed dimensions")
-        tail = np.sum((rho[mask] * p.states[:, mask]) ** 2, axis=1)
-        acc = tail if acc is None else acc + tail
-    return float(np.max(acc / len(paths)))
+    rho, rho_wide = np.asarray(rho, dtype=float), np.asarray(rho_wide, dtype=float)
+    n, off = (rho.size - 1) // 2, (rho_wide.size - rho.size) // 2
+    if off < 0:
+        raise ConfigurationError(f"the widened lattice has {rho_wide.size} sites, fewer than {rho.size}")
+    if max(cutoffs, default=0) > n:
+        raise ConfigurationError(f"cutoff K={max(cutoffs)} exceeds the truncation half-width {n}")
+    masks = [np.abs(np.arange(-n, n + 1)) > K for K in cutoffs]
+    masks_wide = [np.abs(np.arange(-n - off, n + off + 1)) > K for K in cutoffs]
+    acc, msd, count = None, 0.0, 0
+    for u, v in pairs:
+        if (u.d, v.d) != (rho.size, rho_wide.size):
+            raise ConfigurationError(f"paths of {u.d} and {v.d} sites, weights of {rho.size} and {rho_wide.size}")
+        # the tails of u at each cutoff, then those of v
+        tail = [np.sum((rho[m] * u.states[:, m]) ** 2, axis=1) for m in masks]
+        tail += [np.sum((rho_wide[m] * v.states[:, m]) ** 2, axis=1) for m in masks_wide]
+        acc = tail if acc is None else [a + t for a, t in zip(acc, tail)]
+        msd += np.max(np.sum((u.states - v.states[:, off : off + u.d]) ** 2, axis=1))
+        count += 1
+    if not count:
+        raise ConfigurationError("the tails need at least one trajectory")
+    tails = [float(np.max(a / count)) for a in acc]
+    return tails[: len(masks)], tails[len(masks) :], msd / count

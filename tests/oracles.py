@@ -7,7 +7,8 @@ trajectories together.  :func:`strong_errors` measures the strong error
 of the Euler-Maruyama stepper against a finer resolution of the same
 Brownian paths.  :func:`l2rho_path_norm` is the weighted L2 distance of
 two paths by the trapezoid rule, against which the tube's block
-distances are checked.
+distances are checked.  :func:`residuals` is every interval residual of
+the action, which the action and solver tests differentiate.
 
 The forward/backward differences :func:`apply_B`, :func:`apply_BT` and
 :func:`dense_B` check the factorization A = B B^T = B^T B of the
@@ -34,6 +35,7 @@ from omlat import (
     Path,
     PolynomialNonlinearity,
 )
+from omlat.action import _check_path, _midpoints, _residuals
 from omlat.sde import euler_maruyama
 
 
@@ -45,6 +47,13 @@ def l2rho_path_norm(path_a: Path, path_b: Path, rho) -> float:
     rho = np.asarray(rho, dtype=float)
     sq = np.sum((rho * (path_a.states - path_b.states)) ** 2, axis=1)
     return float(np.sqrt(np.trapezoid(sq, dx=path_a.dt)))
+
+
+def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
+    """All interval residuals of the action, shape (N, d), after the
+    action's entry check."""
+    _check_path(path, cfg)
+    return _residuals(path, cfg, _midpoints(path))
 
 
 def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha) -> Path:

@@ -136,7 +136,8 @@ def test_criterion_04_truncation_convergence():
         )
 
     cfg8, paths8 = ensembles[8]
-    tails = [truncation_tail(paths8, K, cfg8.rho) for K in range(2, 9)]
+    cfg16, paths16 = ensembles[16]
+    tails, _, _ = truncation_tail(zip(paths8, paths16), range(2, 9), cfg8.rho, cfg16.rho)
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert tails[0] > 0.0
 

@@ -11,10 +11,10 @@ from omlat import (
     dense_A,
     om_action,
     om_gradient,
-    residuals,
     trace_term,
 )
 from omlat.lattice import drift
+from oracles import residuals
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,9 +222,7 @@ class TestCliRuns:
     )
     def test_ensemble_beyond_the_noise_keys_rejected(self, tmp_path, capsys, monkeypatch, command):
         # the noise keys address trajectories 0 .. 2^24 - 1: 2^24 trajectories
-        # reach the draws (stubbed here), one more is rejected before a run opens.
-        # Three sites and one step, so that the 2^24 trajectories that
-        # truncation and bound keep fit in memory (at most 2.1 GB)
+        # reach the draws (stubbed here), one more is rejected before a run opens
         class Drawn(Exception):
             pass
 
@@ -242,6 +241,26 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "--ensemble=16777217" in err and "2^24" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["truncation", "bound"])
+    def test_ensemble_memory_does_not_grow_with_the_ensemble(self, example5_file, tmp_path, monkeypatch, command):
+        # one trajectory per group: each trajectory is reduced as it is
+        # stepped, so 32 trajectories peak no higher than 4 do, give or take
+        # less than one trajectory of states (61 sites, 60 steps)
+        monkeypatch.setattr("omlat.sde.ENSEMBLE_STATE_BYTES", 1)
+        peaks = []
+        for count in (4, 32):
+            tracemalloc.start()
+            try:
+                code = main([
+                    "verify", command, "--config", example5_file, "--dt", "0.5", "--ensemble", str(count),
+                    "--out", str(tmp_path / str(count)),
+                ])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] < peaks[0] + 8 * 61 * 61, peaks
 
     @pytest.mark.parametrize("dt", ["0", "-0.25", "nan", "inf", "1e-300"])
     @pytest.mark.parametrize(
@@ -308,14 +327,15 @@ class TestCliRuns:
         assert not out.exists()
 
     def test_memory_error_exits_2_and_closes_manifest(self, tmp_path, capsys, monkeypatch):
-        # a size the host cannot hold; the allocation is simulated, since a
-        # real one may end in the OOM killer rather than an exception
+        # a size the host cannot hold, past the check phase's estimate; the
+        # allocation is simulated, since a real one may end in the OOM killer
+        # rather than an exception
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
 
         monkeypatch.setattr("omlat.cli.kl_spectrum", too_large)
         out = tmp_path / "kl"
-        assert main(["verify", "kl", "--m", "100000000000", "--out", str(out)]) == 2
+        assert main(["verify", "kl", "--m", "1000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "745. GiB" in err and "Traceback" not in err
         _closed_manifest(out, 2, "MemoryError")
@@ -668,6 +688,13 @@ class TestCliRuns:
         assert flags.split()[0] in err and "Traceback" not in err
         assert not (tmp_path / "kl").exists()
 
+    def test_verify_kl_m_beyond_physical_memory_rejected_before_opening_out(self, tmp_path, capsys):
+        out = tmp_path / "kl"
+        assert main(["verify", "kl", "--m", "100000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--m=100000000000" in err and "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):
         # the state is parsed before the run opens its output directory
@@ -689,6 +716,22 @@ class TestCliRuns:
             err = capsys.readouterr().err
             assert f"state file {state}: values must be finite" in err and "Traceback" not in err, command
             assert not out.exists(), command
+
+    @pytest.mark.parametrize(
+        "text, fault", [("", "the file holds no rows"), ("1\n2\n3\n", "expected one row, got 3")],
+        ids=["empty", "three-rows"],
+    )
+    def test_bad_csv_state_rejected_in_one_line(self, tmp_path, text, fault):
+        # three values in three rows would fit the three sites, but a state is one row
+        state = tmp_path / "state.csv"
+        state.write_text(text)
+        cfg = tmp_path / "n1.cfg"
+        cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1"))
+        out = tmp_path / "sim"
+        code, err = _run_cli(["simulate", "--config", str(cfg), "--u0", f"csv:{state}", "--dt", "0.5", "--out", str(out)])
+        assert code == 2
+        assert err == f"configuration error: state file {state}: {fault}\n"
+        assert not out.exists()
 
     def test_verify_truncation_small_lattices(self, tmp_path, capsys):
         from pathlib import Path as FsPath
@@ -843,36 +886,6 @@ class TestCheckPhase:
             with pytest.raises(SystemExit) as exc:
                 main([*command, "--help"])
             assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: omlat")
-
-    @pytest.mark.parametrize(
-        "command, per_state", [("truncation", 8 * (61 + 121)), ("bound", 16 * 61)], ids=["truncation", "bound"]
-    )
-    def test_ensemble_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys, monkeypatch,
-                                                      command, per_state):
-        # the fewest trajectories whose kept states exceed physical memory on
-        # 120 steps of 61 sites: truncation keeps them and the widened 121-site
-        # ones, bound keeps them and their noise paths.  One fewer reaches the
-        # draws (stubbed here); that many are rejected before a run opens
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        count = memory // (per_state * 121) + 1
-        assert count <= 2**24
-
-        class Drawn(Exception):
-            pass
-
-        def stub(*args, **kwargs):
-            raise Drawn
-
-        monkeypatch.setattr("omlat.cli.integrate_ensemble", stub)
-        argv = ["verify", command, "--config", example5_file, "--dt", "0.25"]
-        with pytest.raises(Drawn):
-            main(argv + ["--out", str(tmp_path / "fits"), "--ensemble", str(count - 1)])
-        out = tmp_path / "many"
-        code = main(argv + ["--out", str(out), "--ensemble", str(count)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"--ensemble={count} over 120 steps" in err and "physical memory" in err and "Traceback" not in err
-        assert not out.exists()
 
     def test_memory_message_names_the_default_grid(self, tmp_path, capsys, monkeypatch):
         # a lattice whose solver band on mpp's default 600 steps exceeds

@@ -20,7 +20,6 @@ from omlat import (
     PolynomialNonlinearity,
     om_action,
     om_gradient,
-    residuals,
 )
 from omlat.action import _check_path
 from omlat.lattice import _center_out_order
@@ -35,6 +34,7 @@ from omlat.mpp import (
     el_residual_example5,
     solve_mpp,
 )
+from oracles import residuals
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)

@@ -31,8 +31,11 @@ def test_all_names_no_modules():
 
 
 def test_every_public_name_has_a_caller_in_the_package():
-    # names loaded by code (not docstrings) in the modules besides
-    # __init__, whose imports alone do not make a caller
+    # names loaded as names by code (not docstrings) in the modules besides
+    # __init__, whose imports alone do not make a caller.  Package modules
+    # import public names with ``from .x import name``, so an attribute of
+    # the same name, such as the method ``KLSpectrum.residuals``, is not a
+    # caller
     loaded = set()
     for source in SOURCES:
         if source.name == "__init__.py":
@@ -40,8 +43,6 @@ def test_every_public_name_has_a_caller_in_the_package():
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
     uncalled = sorted(set(omlat.__all__) - loaded - UNCALLED_IN_PACKAGE)
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
 

@@ -189,12 +189,15 @@ class TestBatchedStepper:
         cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.4), T=1.0)
         u0 = np.array([0.1, 0.5, 1.0, 0.5, 0.1])
         steps = 32
-        expected = [integrate(u0, sample_noise(6, steps, 5, 1.0 / steps, trajectory=j), cfg) for j in range(5)]
+        noises = [sample_noise(6, steps, 5, 1.0 / steps, trajectory=j) for j in range(5)]
+        expected = [integrate(u0, noise, cfg) for noise in noises]
         for budget in (sde.ENSEMBLE_STATE_BYTES, 1, 2 * 8 * (steps + 1) * 5):
             monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
             pairs = list(integrate_ensemble(u0, 6, 5, steps, cfg))
             assert [noise.trajectory for noise, _ in pairs] == list(range(5))
-            for (_, path), ref in zip(pairs, expected):
+            for (noise, path), ref_noise, ref in zip(pairs, noises, expected):
+                np.testing.assert_array_equal(noise.increments, ref_noise.increments)
+                assert (noise.dt, noise.origin_step) == (ref_noise.dt, 0)
                 np.testing.assert_array_equal(path.states, ref.states)
                 np.testing.assert_array_equal(path.times, ref.times)
 
@@ -281,7 +284,7 @@ class TestAprioriBound:
         zero_noise = NoisePath(dt=1.0 / 8, increments=np.zeros((8, 3)))
         u = integrate(np.zeros(3), zero_noise, cfg)
         w = wq_path(zero_noise, NoiseCoefficient.constant(0.0))
-        rep = apriori_bound_check([u], [w], cfg)
+        rep = apriori_bound_check([(u, w)], cfg)
         assert rep.max_ratio == 0.0
         assert np.all(rep.lhs == 0.0)
 
@@ -291,12 +294,11 @@ class TestAprioriBound:
         maxima = []
         for steps in (128, 256):
             dt = cfg.T / steps
-            paths, wqs = [], []
+            pairs = []
             for j in range(100):
                 noise = sample_noise(2027, steps, 5, dt, trajectory=j)
-                paths.append(integrate(u0, noise, cfg))
-                wqs.append(wq_path(noise, cfg.q))
-            rep = apriori_bound_check(paths, wqs, cfg)
+                pairs.append((integrate(u0, noise, cfg), wq_path(noise, cfg.q)))
+            rep = apriori_bound_check(pairs, cfg)
             assert np.isfinite(rep.max_ratio)
             maxima.append(rep.max_ratio)
         assert 0.5 <= maxima[1] / maxima[0] <= 2.0
@@ -310,8 +312,8 @@ class TestAprioriBound:
         u1 = integrate(np.zeros(5), noise, cfg1)
         u2 = integrate(np.zeros(5), noise, cfg2)
         w = wq_path(noise, base.q)
-        r1 = apriori_bound_check([u1], [w], cfg1)
-        r2 = apriori_bound_check([u2], [w], cfg2)
+        r1 = apriori_bound_check([(u1, w)], cfg1)
+        r2 = apriori_bound_check([(u2, w)], cfg2)
         # u0 = 0 and the same noise path: only int |g|^2 dt = T |g|^2 moves
         g_sq = weighted_norm(g, cfg1.rho) ** 2
         assert r2.rhs[0] - r1.rhs[0] == pytest.approx(3.0 * cfg1.T * g_sq, rel=1e-12)
@@ -410,20 +412,21 @@ class TestTruncationTail:
 
     def test_empty_tail(self):
         cfg, paths = self.ensemble(n=4, count=3)
-        assert truncation_tail(paths, 4, cfg.rho) == 0.0
+        tails, tails_wide, msd = truncation_tail(zip(paths, paths), [4], cfg.rho, cfg.rho)
+        assert tails == tails_wide == [0.0] and msd == 0.0
 
     def test_monotone_in_cutoff(self):
-        cfg, paths = self.ensemble(n=8)
-        tails = [truncation_tail(paths, K, cfg.rho) for K in range(2, 9)]
-        assert all(a >= b for a, b in zip(tails, tails[1:]))
-        assert tails[0] > 0.0
+        cfg8, paths8 = self.ensemble(n=8)
+        cfg16, paths16 = self.ensemble(n=16)
+        for tails in truncation_tail(zip(paths8, paths16), range(2, 9), cfg8.rho, cfg16.rho)[:2]:
+            assert all(a >= b for a, b in zip(tails, tails[1:]))
+            assert tails[0] > 0.0
 
     def test_stable_under_widening(self):
         # same seeds on a wider truncation change the tail at fixed K by < 10%
         _, paths8 = self.ensemble(n=8)
         _, paths16 = self.ensemble(n=16)
-        t8 = truncation_tail(paths8, 5, np.ones(17))
-        t16 = truncation_tail(paths16, 5, np.ones(33))
+        [t8], [t16], _ = truncation_tail(zip(paths8, paths16), [5], np.ones(17), np.ones(33))
         assert abs(t16 - t8) < 0.10 * t8
 
     def test_mean_square_difference_shrinks_as_n_doubles(self):
@@ -444,8 +447,82 @@ class TestTruncationTail:
         d1 = diff(4, 8)
         d2 = diff(8, 16)
         assert d2 < d1
+        for small, big, expected in ((4, 8, d1), (8, 16, d2)):
+            _, _, msd = truncation_tail(zip(paths[small], paths[big]), [1], cfgs[small].rho, cfgs[big].rho)
+            assert msd == expected
 
     def test_cutoff_beyond_truncation_rejected(self):
         cfg, paths = self.ensemble(n=4, count=2)
         with pytest.raises(ConfigurationError):
-            truncation_tail(paths, 7, cfg.rho)
+            truncation_tail(zip(paths, paths), [7], cfg.rho, cfg.rho)
+
+    def test_narrower_widening_mixed_sites_and_empty_ensemble_rejected(self):
+        cfg4, paths4 = self.ensemble(n=4, count=2)
+        cfg8, paths8 = self.ensemble(n=8, count=2)
+        with pytest.raises(ConfigurationError, match="fewer than 17"):
+            truncation_tail(zip(paths8, paths4), [1], cfg8.rho, cfg4.rho)
+        with pytest.raises(ConfigurationError, match="paths of 9 and 9 sites"):
+            truncation_tail(zip(paths4, paths4), [1], cfg4.rho, cfg8.rho)
+        with pytest.raises(ConfigurationError, match="at least one trajectory"):
+            truncation_tail(iter(()), [1], cfg4.rho, cfg8.rho)
+
+
+class TestEnsembleStream:
+    """The ensemble statistics reduce :func:`integrate_ensemble`'s stream
+    as it is stepped; each equals its value from a kept list, bit for bit."""
+
+    def cfgs(self):
+        cfg = LatticeConfig(n=3, nu=0.3, lam=0.4, f=CUBIC, q=decaying_table_noise(6), T=1.0)
+        return cfg, cfg.widened(6)
+
+    @staticmethod
+    def bump(cfg):
+        u0 = np.zeros(cfg.d)
+        for i in range(-2, 3):
+            u0[i + cfg.n] = 1.0 / (1.0 + i * i)
+        return u0
+
+    def kept(self, cfg, count, steps):
+        dt = cfg.T / steps
+        noises = [sample_noise(9, steps, cfg.d, dt, trajectory=j) for j in range(count)]
+        return noises, [integrate(self.bump(cfg), noise, cfg) for noise in noises]
+
+    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 1])
+    def test_truncation_tails_from_the_stream_equal_the_per_cutoff_walk_over_a_list(self, monkeypatch, budget):
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
+        cfg, wide = self.cfgs()
+        count, steps, cutoffs = 6, 20, range(1, cfg.n + 1)
+        stream = zip(*((p for _, p in integrate_ensemble(self.bump(sub), 9, count, steps, sub)) for sub in (cfg, wide)))
+        tails, tails_wide, msd = truncation_tail(stream, cutoffs, cfg.rho, wide.rho)
+        (_, paths), (_, paths_wide) = self.kept(cfg, count, steps), self.kept(wide, count, steps)
+        assert (tails, tails_wide, msd) == truncation_tail(zip(paths, paths_wide), cutoffs, cfg.rho, wide.rho)
+
+        def per_cutoff(paths, K, rho):
+            # one walk over the kept list per cutoff, in trajectory order
+            mask = np.abs(np.arange(-(paths[0].d // 2), paths[0].d // 2 + 1)) > K
+            acc = None
+            for p in paths:
+                tail = np.sum((rho[mask] * p.states[:, mask]) ** 2, axis=1)
+                acc = tail if acc is None else acc + tail
+            return float(np.max(acc / len(paths)))
+
+        assert tails == [per_cutoff(paths, K, cfg.rho) for K in cutoffs]
+        assert tails_wide == [per_cutoff(paths_wide, K, wide.rho) for K in cutoffs]
+        off = wide.n - cfg.n
+        expected = sum(
+            np.max(np.sum((a.states - b.states[:, off : off + a.d]) ** 2, axis=1)) for a, b in zip(paths, paths_wide)
+        ) / count
+        assert np.float64(msd).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 1])
+    def test_bound_from_the_stream_equals_the_bound_from_a_list(self, monkeypatch, budget):
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
+        cfg, _ = self.cfgs()
+        u0 = self.bump(cfg)
+        stream = ((path, wq_path(noise, cfg.q)) for noise, path in integrate_ensemble(u0, 9, 6, 20, cfg))
+        streamed = apriori_bound_check(stream, cfg)
+        noises, paths = self.kept(cfg, 6, 20)
+        kept = apriori_bound_check([(p, wq_path(w, cfg.q)) for p, w in zip(paths, noises)], cfg)
+        for field in ("lhs", "rhs", "ratios"):
+            assert getattr(streamed, field).tobytes() == getattr(kept, field).tobytes(), field
+        assert streamed.max_ratio == kept.max_ratio
