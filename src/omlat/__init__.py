@@ -42,7 +42,7 @@ from .kl import (
     smallball_rates,
     wilson_interval,
 )
-from .mpp import BVPSpec, MPPResult, el_residual_example5, solve_mpp
+from .mpp import BVPSpec, MPPResult, solve_mpp
 from .paths import Path
 from .sde import BoundReport, apriori_bound_check, cocycle_check, integrate, truncation_tail
 from .tube import TubeExperiment, TubeTable, tube_ratio

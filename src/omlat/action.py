@@ -2,8 +2,8 @@
 
 For a path phi on a uniform grid the action has two parts,
 
-    drift part:  sum_k dt * | r_k / q(t_{k+1/2}) |_rho^2
-    trace part:  sum_k dt * sum_i rho_i^2 (-f'(phi_{k+1/2,i}))
+    drift part:  sum_k dt * sum_i | r_{k,i} / q_i(t_{k+1/2}) |^2
+    trace part:  sum_k dt * sum_i (-f'(phi_{k+1/2,i}))
 
 where the interval residual
 
@@ -11,7 +11,8 @@ where the interval residual
 
 is the midpoint discretization of ``phi' + (nu A + lam I) phi - (-f(phi) + g)``
 and the division by q is componentwise (the noise operator is diagonal).
-The midpoint scheme is second-order accurate, so the total converges at
+Neither part carries the weights rho of l^2_rho (see the README).  The
+midpoint scheme is second-order accurate, so the total converges at
 O(dt^2) on smooth paths.
 
 No 1/2 prefactor is applied here: the tube-probability experiments use
@@ -98,14 +99,14 @@ def _residuals(path: Path, cfg: LatticeConfig, mids: np.ndarray) -> np.ndarray:
 
 
 def trace_term(state, cfg: LatticeConfig):
-    """Weighted trace of the drift's state derivative: a float for one
+    """Trace of the nonlinear drift's state derivative: a float for one
     state of shape (d,), an array for a stack of states (..., d).
 
     The nonlinearity acts componentwise, so the derivative is diagonal and
-    the trace reduces to ``sum_i rho_i^2 (-f'(u_i))``.
+    the trace reduces to ``sum_i (-f'(u_i))``.
     """
     state = np.asarray(state, dtype=float)
-    return -np.sum(cfg.rho**2 * cfg.f.deriv(state), axis=-1)
+    return -np.sum(cfg.f.deriv(state), axis=-1)
 
 
 def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
@@ -126,7 +127,7 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
     dt = path.dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         res = _residuals(path, cfg, mids)
-        drift_k = dt * np.sum((cfg.rho * res / qs) ** 2, axis=1)
+        drift_k = dt * np.sum((res / qs) ** 2, axis=1)
         trace_k = dt * trace_term(mids, cfg)
         drift_total = float(np.sum(drift_k))
         trace_total = float(np.sum(trace_k))
@@ -157,24 +158,23 @@ def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
     Each interval contributes through the chain rule of its residual, its
     midpoint, and the trace part:
 
-        d(drift_k)/d(phi_k)     = 2 dt (rho^2 r_k / q^2) . (-1/dt + L_k / 2)
-        d(drift_k)/d(phi_{k+1}) = 2 dt (rho^2 r_k / q^2) . (+1/dt + L_k / 2)
+        d(drift_k)/d(phi_k)     = 2 dt (r_k / q^2) . (-1/dt + L_k / 2)
+        d(drift_k)/d(phi_{k+1}) = 2 dt (r_k / q^2) . (+1/dt + L_k / 2)
 
-    with ``L_k = nu A + lam I + diag f'(m_k)`` (self-adjoint in the
-    unweighted product), plus ``-dt/2 rho^2 f''(m_k)`` from the trace.
+    with ``L_k = nu A + lam I + diag f'(m_k)`` (self-adjoint), plus
+    ``-dt/2 f''(m_k)`` from the trace.
     """
     qs = _check_path(path, cfg)
     mids = _midpoints(path)
     res = _residuals(path, cfg, mids)
     dt = path.dt
-    rho_sq = cfg.rho**2
-    w = 2.0 * dt * rho_sq * res / qs**2  # (N, d)
+    w = 2.0 * dt * res / qs**2  # (N, d)
     fp = cfg.f.deriv(mids)
     # L_k w for every interval: nu A w + lam w + f'(m_k) w.
     lw = cfg.nu * apply_A(w) + cfg.lam * w + fp * w
     plus = w / dt + 0.5 * lw  # d drift_k / d phi_{k+1}
     minus = -w / dt + 0.5 * lw  # d drift_k / d phi_k
-    tgrad = -0.5 * dt * rho_sq * cfg.f.deriv(mids, 2)  # d trace_k / d phi_k (= / d phi_{k+1})
+    tgrad = -0.5 * dt * cfg.f.deriv(mids, 2)  # d trace_k / d phi_k (= / d phi_{k+1})
     grad = np.zeros((path.steps - 1, path.d))
     grad += plus[:-1] + tgrad[:-1]  # interval k = m-1 contributes at phi_m
     grad += minus[1:] + tgrad[1:]  # interval k = m contributes at phi_m

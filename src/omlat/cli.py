@@ -63,6 +63,10 @@ EXIT_POWER = 4
 _MAX_STEPS = 2**32
 _MAX_TRAJECTORIES = 2**24
 
+#: Largest residual ``verify kl`` accepts, relative to max(1, gamma_i / lambda):
+#: the residual is the difference of two terms of that size.
+_KL_RESIDUAL_TOL = 1e-12
+
 
 def parse_state_spec(raw: str, n: int) -> np.ndarray:
     """Boundary/initial state grammar: ``zero`` | ``gauss:<amp>,<sigma>``
@@ -110,6 +114,8 @@ def _check(args) -> SimpleNamespace:
     A grid has at most :data:`_MAX_STEPS` steps and must fit in memory."""
     flags = vars(args)
     plan = SimpleNamespace(**flags)
+    if not 0 <= args.seed < 2**64:
+        raise ConfigurationError(f"--seed must lie in [0, 2^64), got {args.seed}")
     if "config" in flags:
         plan.cfg = cfg = load_config(args.config)
     if "ensemble" in flags:
@@ -140,8 +146,8 @@ def _check(args) -> SimpleNamespace:
         check_count(args.samples, "--samples")
     if "eps" in flags:
         plan.radii = _parse_float_list(args.eps, "--eps")
-        if not plan.radii:
-            raise ConfigurationError(f"--eps: need at least one radius, got {args.eps!r}")
+        if not (plan.radii and all(1e-150 <= e <= 1e150 for e in plan.radii)):
+            raise ConfigurationError(f"--eps: need radii in [1e-150, 1e150], got {args.eps!r}")
     args.phases[0](plan)
     return plan
 
@@ -270,6 +276,9 @@ def _run_kl(plan, out) -> int:
         ((i + 1, spec.gamma[i], spec.mu[i], spec.A[i], res[i]) for i in range(plan.m)),
     )
     print(f"verify kl: m={plan.m} max residual {res.max():.3e}")
+    if np.max(res / np.maximum(1.0, spec.gamma / plan.lam)) > _KL_RESIDUAL_TOL:
+        print(f"verify kl: a residual exceeds {_KL_RESIDUAL_TOL:g} max(1, gamma_i / lambda)", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -126,7 +126,7 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
 
     def integer(key):
         val = number(key)
-        if int(val) != val:
+        if not val.is_integer():  # nan and inf too
             raise ConfigurationError(f"field {key!r}: expected an integer, got {fields[key]!r}")
         return int(val)
 

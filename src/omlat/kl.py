@@ -75,10 +75,11 @@ class KLSpectrum:
 
 
 def _check_decay_rate(lam: float, name: str) -> None:
-    """Reject a decay rate that is not positive and finite; ``name`` names
-    it in the message."""
-    if not 0 < lam < math.inf:
-        raise ConfigurationError(f"{name} must be positive and finite, got {lam}")
+    """Reject a decay rate outside [1e-150, 1e150], where lam^2 and the
+    root bracket's lower end stay normal doubles; ``name`` names it in the
+    message."""
+    if not 1e-150 <= lam <= 1e150:
+        raise ConfigurationError(f"{name} must lie in [1e-150, 1e150], got {lam}")
 
 
 def kl_spectrum(lam: float, count: int) -> KLSpectrum:
@@ -88,6 +89,8 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     where ``g(u) = lam cot(u) - gamma`` is strictly decreasing from +inf
     to -inf, so each bracket contains exactly one root; the iteration
     stops when the bracket cannot be split further in double precision.
+    The bracket starts at min(1e-12, lam / 2c), c = (2i-1) pi/2, below the
+    root u ~ lam / c however small lam is.
     """
     _check_decay_rate(lam, "decay rate")
     check_count(count, "count")
@@ -99,9 +102,10 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
         def g(u):
             return lam / math.tan(u) - (c + u)
 
-        lo, hi = 1e-12, math.pi - 1e-12
-        # g(lo) > 0 > g(hi); keep the sign invariant while halving
-        for _ in range(200):
+        lo, hi = min(1e-12, 0.5 * lam / c), math.pi - 1e-12
+        # g(lo) > 0 > g(hi); keep the sign invariant while halving.  Halving
+        # a width of pi reaches the spacing of any double in 1100 steps
+        for _ in range(1100):
             midpoint = 0.5 * (lo + hi)
             if midpoint <= lo or midpoint >= hi:
                 break
@@ -130,10 +134,13 @@ def smallball_rates(alpha: float) -> tuple:
     unknown.  Requires alpha > 1/2 (at alpha = 1/2 the exponent rho
     diverges).
     """
-    if not alpha > 0.5:
-        raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
+    if not 0.5 < alpha < math.inf:
+        raise ConfigurationError(f"alpha must exceed 1/2 and be finite, got {alpha}")
     rho = 1.0 / (2.0 * alpha - 1.0)
-    return alpha - 0.5, alpha * (1.0 + rho) ** rho
+    try:
+        return alpha - 0.5, alpha * (1.0 + rho) ** rho
+    except OverflowError:
+        raise ConfigurationError(f"alpha={alpha} is too close to 1/2: rate_low = alpha (1 + rho)^rho overflows") from None
 
 
 def wilson_interval(hits: int, trials: int) -> tuple:
@@ -202,10 +209,13 @@ def _staged_sums(g: Generator, count: int, w: np.ndarray, cutoff: float) -> np.n
     return sums
 
 
-def _required_i_max(alpha: float, eps_min: float) -> int:
-    # sum_{i > I} i^(-2 alpha) <= I^(1 - 2 alpha) / (2 alpha - 1) < 1e-3 eps_min^2
+def _required_i_max(alpha: float, eps_min: float) -> str:
+    # sum_{i > I} i^(-2 alpha) <= I^(1 - 2 alpha) / (2 alpha - 1) < 1e-3 eps_min^2;
+    # near alpha = 1/2 the I needed overflows a double, so give its power of ten
     target = 1e-3 * eps_min**2 * (2.0 * alpha - 1.0)
-    return int(math.ceil(target ** (-1.0 / (2.0 * alpha - 1.0)))) + 1
+    exponent = -1.0 / (2.0 * alpha - 1.0)
+    digits = exponent * math.log10(target)
+    return f"10^{digits:.0f}" if digits > 300 else str(int(math.ceil(target**exponent)) + 1)
 
 
 def _check_truncation(alpha: float, i_max: int, eps_min: float, name: str) -> None:
@@ -248,8 +258,8 @@ def smallball_mc(
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if not np.all(np.isfinite(eps) & (eps > 0)):
-        raise ConfigurationError(f"radii must be positive and finite, got {eps.tolist()}")
+    if not np.all((eps >= 1e-150) & (eps <= 1e150)):
+        raise ConfigurationError(f"radii must lie in [1e-150, 1e150], got {eps.tolist()}")
     check_count(samples, "samples")
     _check_truncation(alpha, i_max, float(np.min(eps)), "i_max")
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)

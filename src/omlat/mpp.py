@@ -24,11 +24,6 @@ it.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
-
-A hard-coded evaluator for the stationarity system of the worked
-disease-spread configuration (nu=0.1, lam=0.4, cubic 0.1 u^3, noise
-0.01(31 - t + 1/(|i|+1))) provides an independent cross-check of the
-solver's output.
 """
 from __future__ import annotations
 
@@ -53,7 +48,6 @@ __all__ = [
     "BVPSpec",
     "MPPResult",
     "solve_mpp",
-    "el_residual_example5",
 ]
 
 
@@ -219,9 +213,9 @@ def _hessian_band(
     block-permuted matrix; the solver builds the second half of its band
     that way (:func:`_two_ended_solve`).
 
-    J is the Jacobian of the scaled residuals ``row_weight * r_k``.  Interval
-    k contributes the blocks ``diag(w_k) M_k^+`` in phi_{k+1} and
-    ``diag(w_k) M_k^-`` in phi_k, with
+    J is the Jacobian of the scaled residuals ``w_k r_k``, w_k =
+    row_weight[k] = sqrt(dt) / q(t_{k+1/2}), with no rho.  Interval k adds
+    ``diag(w_k) M_k^+`` in phi_{k+1} and ``diag(w_k) M_k^-`` in phi_k, with
     ``M_k^+- = (nu A + lam I + diag f'(m_k)) / 2 +- I / dt``, so each block of
     H is a product ``M diag(u) M2`` of periodic tridiagonals
     ``diag(c) + h (S + S^T)``, with c the diagonal of M_k^+ or M_k^-,
@@ -266,7 +260,7 @@ def _hessian_band(
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
         curv = (
             0.25 * u * _residuals(path, cfg, mids)[::step] * cfg.f.deriv(mids[::step], 2)
-            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids[::step], 3)
+            - 0.25 * dt * cfg.f.deriv(mids[::step], 3)
         )
     del mids
     cp, cm = base + step / dt, base - step / dt
@@ -413,7 +407,7 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
     path = Path(states, dt)
     # q at the interval midpoints, where the action evaluates it
-    row_weight = np.sqrt(dt) * cfg.rho[None, :] / _check_path(path, cfg)
+    row_weight = np.sqrt(dt) / _check_path(path, cfg)
     report = om_action(path, cfg)
     action_val = report.total
 
@@ -471,66 +465,3 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         converged=record[-1].gradient_norm <= spec.tol,
         record=tuple(record),
     )
-
-
-# Coefficients of the worked disease-spread configuration.
-_EX5_NU = 0.1
-_EX5_LAM = 0.4
-_EX5_CUBIC = 0.1
-_EX5_A = 31.0
-
-
-def el_residual_example5(path: Path, displayed_form: bool = False) -> np.ndarray:
-    """Residual of the hand-derived stationarity system for the worked
-    disease-spread configuration, evaluated with central differences at
-    the interior grid points.  Shape (N-1, d).
-
-    With ``s_i(t) = 31 - t + 1/(|i|+1)`` and
-    ``r_i = phi_i' - 0.1 (phi_{i-1} - 2 phi_i + phi_{i+1}) + 0.4 phi_i + 0.1 phi_i^3``,
-    the system reads
-
-        phi_i'' = r_i (0.6 + 0.3 phi_i^2)
-                  - 0.1 r_{i-1} (s_i / s_{i-1})^2 - 0.1 r_{i+1} (s_i / s_{i+1})^2
-                  + 0.1 (phi_{i-1}' - 2 phi_i' + phi_{i+1}') - 0.4 phi_i'
-                  - 0.3 phi_i^2 phi_i' - 0.00003 phi_i s_i^2 - 2 r_i / s_i.
-
-    ``displayed_form=True`` drops the two (s_i / s_{i+-1})^2 ratios,
-    treating neighbouring noise amplitudes as equal (a tempting
-    simplification since they differ by at most a few percent early on).
-    That variant is not the stationarity condition of the action: on a
-    converged minimizer its residual stalls at the size of the dropped
-    terms instead of vanishing with the grid.
-    """
-    if abs(path.T - 30.0) > 1e-9:
-        raise ConfigurationError(f"this check is specific to the horizon T=30, got {path.T}")
-    phi = path.states
-    dt = path.dt
-    n = (path.d - 1) // 2
-    sites = np.arange(-n, n + 1)
-    t_int = path.times[1:-1]
-    s = _EX5_A - t_int[:, None] + 1.0 / (np.abs(sites) + 1.0)[None, :]
-
-    mid = phi[1:-1]
-    vel = (phi[2:] - phi[:-2]) / (2.0 * dt)
-    acc = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-
-    def lap(x):
-        return np.roll(x, 1, axis=1) - 2.0 * x + np.roll(x, -1, axis=1)
-
-    r = vel - _EX5_NU * lap(mid) + _EX5_LAM * mid + _EX5_CUBIC * mid**3
-    if displayed_form:
-        ratio_m = ratio_p = 1.0
-    else:
-        ratio_m = (s / np.roll(s, 1, axis=1)) ** 2
-        ratio_p = (s / np.roll(s, -1, axis=1)) ** 2
-    rhs = (
-        r * (0.6 + 0.3 * mid**2)
-        - 0.1 * np.roll(r, 1, axis=1) * ratio_m
-        - 0.1 * np.roll(r, -1, axis=1) * ratio_p
-        + _EX5_NU * lap(vel)
-        - _EX5_LAM * vel
-        - 3.0 * _EX5_CUBIC * mid**2 * vel
-        - 0.00003 * mid * s**2
-        - 2.0 * r / s
-    )
-    return acc - rhs

@@ -40,10 +40,12 @@ _TAG_TUBE_BLOCK = 5  # SFC64 via _block_bits; b = trajectory block
 
 
 def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
     if not (0 <= a < 2**24 and 0 <= b < 2**32):
         raise ConfigurationError(f"counter components out of range: {(a, b)}")
     word = (int(tag) << 56) | (int(a) << 32) | int(b)
-    return np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, word], dtype=np.uint64)
+    return np.array([int(seed), word], dtype=np.uint64)
 
 
 def _block_bits(seed: int, tag: int, index: int) -> SFC64:

@@ -76,8 +76,8 @@ class TubeExperiment:
             )
         _check_path(self.phi, self.cfg)
         eps = tuple(float(e) for e in self.eps)
-        if not eps or not all(0 < e < np.inf for e in eps):
-            raise ConfigurationError(f"need positive finite radii, got {eps}")
+        if not eps or not all(1e-150 <= e <= 1e150 for e in eps):  # e^2 a normal double
+            raise ConfigurationError(f"need radii in [1e-150, 1e150], got {eps}")
         if self.denominator not in ("convolution", "plain"):
             raise ConfigurationError(f"unknown denominator kind {self.denominator!r}")
         check_count(self.samples, "samples")

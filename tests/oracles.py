@@ -16,7 +16,9 @@ lattice's second difference.  :func:`kernel_eigen_check` and
 :func:`eigenfunction_orthogonality` check the KL eigenpairs against the
 damped-noise kernel :func:`ou_kernel` by quadrature.
 :func:`example5_config` and :func:`example5_boundary` build the worked
-61-site example in code.  :func:`smallball_reference` is the small-ball
+61-site example in code, and :func:`el_residual_example5` is the
+hand-derived stationarity system of that example, the solver's
+independent check.  :func:`smallball_reference` is the small-ball
 probability from the Cramer-von Mises series, and :func:`binomial_tails`
 tests a hit count against it.
 """
@@ -227,6 +229,69 @@ def example5_boundary(n: int = 30, sigma: float = 8.0):
     i = np.arange(-n, n + 1)
     phi0 = 0.6 * np.exp(-(i**2) / (2.0 * sigma**2))
     return phi0, np.zeros(2 * n + 1)
+
+
+# Coefficients of the worked disease-spread configuration.
+_EX5_NU = 0.1
+_EX5_LAM = 0.4
+_EX5_CUBIC = 0.1
+_EX5_A = 31.0
+
+
+def el_residual_example5(path: Path, displayed_form: bool = False) -> np.ndarray:
+    """Residual of the hand-derived stationarity system for the worked
+    disease-spread configuration, evaluated with central differences at
+    the interior grid points.  Shape (N-1, d).
+
+    With ``s_i(t) = 31 - t + 1/(|i|+1)`` and
+    ``r_i = phi_i' - 0.1 (phi_{i-1} - 2 phi_i + phi_{i+1}) + 0.4 phi_i + 0.1 phi_i^3``,
+    the system reads
+
+        phi_i'' = r_i (0.6 + 0.3 phi_i^2)
+                  - 0.1 r_{i-1} (s_i / s_{i-1})^2 - 0.1 r_{i+1} (s_i / s_{i+1})^2
+                  + 0.1 (phi_{i-1}' - 2 phi_i' + phi_{i+1}') - 0.4 phi_i'
+                  - 0.3 phi_i^2 phi_i' - 0.00003 phi_i s_i^2 - 2 r_i / s_i.
+
+    ``displayed_form=True`` drops the two (s_i / s_{i+-1})^2 ratios,
+    treating neighbouring noise amplitudes as equal (a tempting
+    simplification since they differ by at most a few percent early on).
+    That variant is not the stationarity condition of the action: on a
+    converged minimizer its residual stalls at the size of the dropped
+    terms instead of vanishing with the grid.
+    """
+    if abs(path.T - 30.0) > 1e-9:
+        raise ConfigurationError(f"this check is specific to the horizon T=30, got {path.T}")
+    phi = path.states
+    dt = path.dt
+    n = (path.d - 1) // 2
+    sites = np.arange(-n, n + 1)
+    t_int = path.times[1:-1]
+    s = _EX5_A - t_int[:, None] + 1.0 / (np.abs(sites) + 1.0)[None, :]
+
+    mid = phi[1:-1]
+    vel = (phi[2:] - phi[:-2]) / (2.0 * dt)
+    acc = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+
+    def lap(x):
+        return np.roll(x, 1, axis=1) - 2.0 * x + np.roll(x, -1, axis=1)
+
+    r = vel - _EX5_NU * lap(mid) + _EX5_LAM * mid + _EX5_CUBIC * mid**3
+    if displayed_form:
+        ratio_m = ratio_p = 1.0
+    else:
+        ratio_m = (s / np.roll(s, 1, axis=1)) ** 2
+        ratio_p = (s / np.roll(s, -1, axis=1)) ** 2
+    rhs = (
+        r * (0.6 + 0.3 * mid**2)
+        - 0.1 * np.roll(r, 1, axis=1) * ratio_m
+        - 0.1 * np.roll(r, -1, axis=1) * ratio_p
+        + _EX5_NU * lap(vel)
+        - _EX5_LAM * vel
+        - 3.0 * _EX5_CUBIC * mid**2 * vel
+        - 0.00003 * mid * s**2
+        - 2.0 * r / s
+    )
+    return acc - rhs
 
 
 def smallball_reference(eps: float, i_max: int, terms: int = 20) -> float:

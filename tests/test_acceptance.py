@@ -26,7 +26,7 @@ from omlat import (
     weighted_norm,
 )
 from omlat.cli import main
-from omlat.mpp import BVPSpec, el_residual_example5, solve_mpp
+from omlat.mpp import BVPSpec, solve_mpp
 from omlat.tube import TubeExperiment, tube_ratio
 from oracles import (
     apply_B,
@@ -34,6 +34,7 @@ from oracles import (
     binomial_tails,
     dense_B,
     eigenfunction_orthogonality,
+    el_residual_example5,
     example5_boundary,
     example5_config,
     kernel_eigen_check,

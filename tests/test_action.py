@@ -97,10 +97,7 @@ class TestTraceTerm:
         def F_i(i, x):
             return -f(np.array([x]))[0]
 
-        fd = sum(
-            rho[i] ** 2 * (F_i(i, phi[i] + h) - F_i(i, phi[i] - h)) / (2 * h)
-            for i in range(3)
-        )
+        fd = sum((F_i(i, phi[i] + h) - F_i(i, phi[i] - h)) / (2 * h) for i in range(3))
         assert trace_term(phi, cfg) == pytest.approx(fd, abs=1e-7)
 
 
@@ -242,3 +239,45 @@ def test_horizon_mismatch_rejected():
     p = Path(np.zeros((9, 3)), 0.125)  # covers [0, 1] only
     with pytest.raises(ConfigurationError, match="horizon"):
         om_action(p, cfg)
+
+
+class TestNoRhoWeight:
+    """The action is the Cameron-Martin norm of the noise q_i dW_i plus a
+    trace, and neither depends on the weights rho of l^2_rho."""
+
+    @staticmethod
+    def cfg(rho, f=CUBIC):
+        return LatticeConfig(n=1, nu=0.1, lam=0.4, f=f, q=NoiseCoefficient.affine(0.5, 2.0), T=1.0, rho=rho)
+
+    @staticmethod
+    def sine_path(steps):
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        return Path(np.outer(np.sin(np.pi * ts / 2), [0.8, 0.5, -0.3]), 1.0 / steps)
+
+    def test_action_and_gradient_do_not_change_with_rho(self):
+        p = self.sine_path(64)
+        base = self.cfg(None)
+        for rho in (np.full(3, 3.0), np.array([0.5, 1.0, 2.0])):
+            cfg = self.cfg(rho)
+            assert om_action(p, cfg).total == om_action(p, base).total
+            assert om_action(p, cfg).trace_term == om_action(p, base).trace_term
+            np.testing.assert_array_equal(om_gradient(p, cfg), om_gradient(p, base))
+
+    def test_matches_the_euler_chain_density_at_first_order(self):
+        # f = 0: the Euler chain u_{k+1} = u_k - dt L u_k + q(t_k) dW_k is
+        # Gaussian, and the tube ratio's small-eps limit at fixed dt is
+        # exp(-h^T C^-1 h / 2), h^T C^-1 h = sum_k dt |(dphi_k/dt + L phi_k) / q(t_k)|^2,
+        # which holds no rho.  The action's midpoint rule differs from the
+        # chain's left-point rule by O(dt).
+        cfg = self.cfg(np.array([0.5, 1.0, 2.0]), f=LINEAR)
+        L = cfg.nu * dense_A(3) + cfg.lam * np.eye(3)
+        gaps = []
+        for steps in (256, 512, 1024):
+            p = self.sine_path(steps)
+            phi, dt = p.states, p.dt
+            h = (phi[1:] - phi[:-1]) / dt + phi[:-1] @ L.T
+            chain = dt * np.sum((h / cfg.q.grid(p.times[:-1], cfg.n)) ** 2)
+            gaps.append(np.exp(-0.5 * om_action(p, cfg).total) / np.exp(-0.5 * chain) - 1.0)
+        assert abs(gaps[0]) <= 5e-3
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.9 <= coarse / fine <= 2.1

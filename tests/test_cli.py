@@ -695,6 +695,61 @@ class TestCliRuns:
         assert "--m=100000000000" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["n", "p"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_integer_config_field_rejected_before_opening_out(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SCALAR.replace(f"\n{field} = ", f"\n{field} = {value} # "))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "tube", "--eps", "1e300"], "--eps"),
+            (["verify", "tube", "--eps", "0.3,1e-300"], "--eps"),
+            (["verify", "kl", "--lambda", "1e300"], "--lambda"),
+            (["verify", "kl", "--lambda", "1e-300"], "--lambda"),
+            (["verify", "smallball", "--alpha", "0.5000001"], "alpha"),
+            (["verify", "smallball", "--alpha", "0.505"], "--imax"),
+            (["simulate", "--seed", "-1"], "--seed"),
+            (["simulate", "--seed", str(2**64)], "--seed"),
+        ],
+        ids=["tube-eps-huge", "tube-eps-tiny", "kl-lambda-huge", "kl-lambda-tiny", "smallball-alpha-near-half",
+             "smallball-imax-beyond-doubles", "seed-negative", "seed-two-to-the-64"],
+    )
+    def test_extreme_flag_rejected_before_opening_out(self, scalar_file, tmp_path, capsys, argv, flag):
+        if argv[0] != "verify" or argv[1] == "tube":
+            argv = argv + ["--config", scalar_file]
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["1e-13", "1e-150"])
+    def test_verify_kl_tiny_lambda_passes_its_residual_check(self, tmp_path, lam):
+        # each residual cancels two terms of size gamma_i / lambda, 1e15 and
+        # more here: the roots are right when it is a rounding of those
+        out = tmp_path / "kl"
+        assert main(["verify", "kl", "--lambda", lam, "--m", "50", "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "kl_spectrum.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 4] <= 1e-14 * rows[:, 1] / float(lam))
+
+    def test_verify_kl_residual_above_tolerance_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def off_by_a_part_in_a_million(lam, m):
+            spec = kl_spectrum(lam, m)
+            return type(spec)(lam, spec.gamma, spec.mu, spec.A, spec.pole_offset * (1 + 1e-6))
+
+        monkeypatch.setattr("omlat.cli.kl_spectrum", off_by_a_part_in_a_million)
+        out = tmp_path / "kl"
+        assert main(["verify", "kl", "--m", "5", "--out", str(out)]) == 3
+        assert "exceeds" in capsys.readouterr().err
+        _closed_manifest(out, 3)
+
     @pytest.mark.parametrize("spec", ["gauss:0.6,0", "gauss:0.6,-1", "gauss:nan,8"])
     def test_bad_gauss_state_spec_rejected(self, example5_file, tmp_path, capsys, spec):
         # the state is parsed before the run opens its output directory
@@ -984,9 +1039,9 @@ _CONFIG_GOOD = {
     "rho": ["uniform"], "T": ["1", "0.5"],
 }
 _CONFIG_BAD = {
-    "n": ["2", "-1", "0.5", "x"], "nu": ["0", "nan"], "lambda": ["-1"], "f_coeffs": ["0, 1e300", "-1", "a"],
-    "p": ["0"], "C_f": ["-1"], "g": ["0.25, 1", "nan"], "q_spec": ["constant:0", "example5:1", "banana:1"],
-    "rho": ["-1", "2, 2, 2, 2"], "T": ["0", "inf"],
+    "n": ["2", "-1", "0.5", "x", "nan", "inf"], "nu": ["0", "nan"], "lambda": ["-1"],
+    "f_coeffs": ["0, 1e300", "-1", "a"], "p": ["0", "nan", "inf"], "C_f": ["-1"], "g": ["0.25, 1", "nan"],
+    "q_spec": ["constant:0", "example5:1", "banana:1"], "rho": ["-1", "2, 2, 2, 2"], "T": ["0", "inf"],
 }
 _TEXT_FILES = {
     "q.csv": ["0,1,1,1\n2,1,1,1\n", "0,1\n2,1\n", "", "0\n", "t,q\n", "0,1,1,1\n"],
@@ -997,7 +1052,7 @@ _TEXT_FILES = {
 _STATE = st.sampled_from(["zero", "gauss:0.6,8", "gauss:1", "gauss:1e300,1", "csv:state.csv", "tri:1"])
 _DT = st.sampled_from(["0.25", "0.125", "0", "-1", "nan", "0.3", "x"])
 _SEED = st.integers(min_value=-1, max_value=2**64)
-_EPS = st.sampled_from(["0.3,0.2", "0.5", "", ",", "-1", "2", "x", "nan", "inf"])
+_EPS = st.sampled_from(["0.3,0.2", "0.5", "", ",", "-1", "2", "x", "nan", "inf", "1e300", "1e-300"])
 
 
 def _maybe(values):
@@ -1019,12 +1074,12 @@ _COMMANDS = {
         slice=_maybe(st.sampled_from(["i=0", "i=9", "i=x", ""])),
     )),
     ("om",): (True, _flags(seed=_maybe(_SEED))),
-    ("verify", "kl"): (False, _flags(**{"lambda": st.sampled_from(["0.4", "0", "nan", "inf"]), "m": st.integers(-1, 6)})),
+    ("verify", "kl"): (False, _flags(**{"lambda": st.sampled_from(["0.4", "0", "nan", "inf", "1e300", "1e-13", "1e-300"]), "m": st.integers(-1, 6)})),
     ("verify", "cocycle"): (True, _flags(dt=_maybe(_DT), seed=_maybe(_SEED), u0=_maybe(_STATE))),
     ("verify", "truncation"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3))),
     ("verify", "bound"): (True, _flags(dt=_maybe(_DT), ensemble=st.integers(-1, 3), u0=_maybe(_STATE))),
     ("verify", "smallball"): (False, _flags(
-        alpha=st.sampled_from(["3", "2", "1", "0.5", "nan"]), imax=st.integers(-1, 50), eps=_EPS,
+        alpha=st.sampled_from(["3", "2", "1", "0.5", "nan", "0.5000001", "0.505"]), imax=st.integers(-1, 50), eps=_EPS,
         samples=st.integers(-1, 2000), seed=_maybe(_SEED),
     )),
     ("verify", "tube"): (True, _flags(

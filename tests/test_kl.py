@@ -71,8 +71,17 @@ class TestSpectrum:
             vals = eigenfunction(spec, i, s) ** 2
             assert np.trapezoid(vals, s) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("lam", [1e-11, 1e-13, 1e-150])
+    def test_tiny_decay_rate_roots_sit_lam_over_c_above_the_poles(self, lam):
+        # tan(c + u) = -cot(u) = -(c + u) / lam gives u = lam / c to first
+        # order (the next term is lam / c^2 smaller), below any fixed lower
+        # end of the bracket
+        spec = kl_spectrum(lam, 50)
+        c = (2 * np.arange(1, 51) - 1) * math.pi / 2
+        np.testing.assert_allclose(spec.pole_offset, lam / c, rtol=1e-9)
+
     def test_invalid_arguments(self):
-        for lam in (0.0, math.nan, math.inf):
+        for lam in (0.0, math.nan, math.inf, 1e300, 1e-300):
             with pytest.raises(ConfigurationError, match="decay rate"):
                 kl_spectrum(lam, 5)
         with pytest.raises(ConfigurationError):

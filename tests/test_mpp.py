@@ -31,10 +31,9 @@ from omlat.mpp import (
     _hessian_band,
     _lapack,
     _two_ended_solve,
-    el_residual_example5,
     solve_mpp,
 )
-from oracles import residuals
+from oracles import el_residual_example5, residuals
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -328,7 +327,7 @@ class TestHessianBand:
         dt = cfg.T / self.STEPS
         path = Path(rng.normal(size=(self.STEPS + 1, cfg.d)), dt)
         t_mid = dt * (np.arange(self.STEPS) + 0.5)
-        row_weight = np.sqrt(dt) * cfg.rho / cfg.q.grid(t_mid, n)
+        row_weight = np.sqrt(dt) / cfg.q.grid(t_mid, n)
 
         def with_interior(x):
             states = path.states.copy()
@@ -418,7 +417,7 @@ def reference_band(path, cfg, row_weight, newton):
     if newton:
         curv = (
             0.25 * u * residuals(path, cfg) * cfg.f.deriv(mids, 2)
-            - 0.25 * dt * cfg.rho**2 * cfg.f.deriv(mids, 3)
+            - 0.25 * dt * cfg.f.deriv(mids, 3)
         )
         plus[0] += curv[:-1]
         minus[0] += curv[1:]
@@ -474,7 +473,7 @@ class TestBandBuffer:
 
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
-        row_weight = np.sqrt(start.dt) * spec.cfg.rho / _check_path(start, spec.cfg)
+        row_weight = np.sqrt(start.dt) / _check_path(start, spec.cfg)
         fresh = two_half_band(start, spec.cfg, row_weight, False)
         fresh[..., 0] += res.record[1].damping
         assert_same_bits(seen[1][1], fresh)
@@ -538,7 +537,7 @@ class TestBandBuffer:
         spec = example5_spec(steps=1200)
         cfg, dt = spec.cfg, spec.cfg.T / 1200
         path = Path(np.random.default_rng(5).normal(scale=0.3, size=(1201, cfg.d)), dt)
-        row_weight = np.sqrt(dt) * cfg.rho / _check_path(path, cfg)
+        row_weight = np.sqrt(dt) / _check_path(path, cfg)
         out = np.empty(path_band_shape(1200, cfg.d))
         tracemalloc.start()
         try:
@@ -569,7 +568,7 @@ def example_problem(n, steps, seed=0):
     lam = np.linspace(0.0, 1.0, steps + 1)[:, None]
     states = (1.0 - lam) * rng.normal(scale=0.6, size=d) + rng.normal(scale=0.05, size=(steps + 1, d))
     path = Path(states, cfg.T / steps)
-    row_weight = np.sqrt(path.dt) * cfg.rho / _check_path(path, cfg)
+    row_weight = np.sqrt(path.dt) / _check_path(path, cfg)
     return cfg, path, row_weight
 
 
@@ -724,7 +723,7 @@ class TestFoldedStep:
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
         t_mid = start.dt * (np.arange(16) + 0.5)
-        row_weight = np.sqrt(start.dt) * spec.cfg.rho / spec.cfg.q.grid(t_mid, 30)
+        row_weight = np.sqrt(start.dt) / spec.cfg.q.grid(t_mid, 30)
         H = natural_gauss_newton(start, spec.cfg, row_weight)
         oracle = spsolve(H, -om_gradient(start, spec.cfg).ravel()).reshape(15, 61)
         taken = (res.path.states - start.states)[1:-1] / res.record[1].step_length

@@ -78,7 +78,7 @@ def numpy_scalar_key(seed, tag, a, b):
 
 
 class TestRekeyedGenerator:
-    @pytest.mark.parametrize("seed", [0, -1, 2**63, 12345])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**63, 12345])
     def test_rows_match_a_fresh_generator_per_row(self, seed):
         d, steps, dt = 7, 40, 0.3
         center_out = [3, 4, 2, 5, 1, 6, 0]  # array positions of sites 0, +1, -1, ...
@@ -89,7 +89,7 @@ class TestRekeyedGenerator:
                 row[center_out] = Generator(Philox(key=_philox_key(seed, 1, trajectory, k))).standard_normal(d)
                 np.testing.assert_array_equal(got[k], row * np.sqrt(dt))
 
-    @pytest.mark.parametrize("seed", [0, -1, 2**63, 12345])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**63, 12345])
     def test_key_words_match_numpy_scalar_construction(self, seed):
         for tag, a, b in [(1, 0, 0), (1, 2**24 - 1, 2**32 - 1), (3, 0, 77), (4, 0, 2**31), (5, 0, 12)]:
             np.testing.assert_array_equal(_philox_key(seed, tag, a, b), numpy_scalar_key(seed, tag, a, b))
@@ -110,9 +110,13 @@ class TestBlockBits:
         draws = {tuple(first_draws(*t)) for t in triples}
         assert len(draws) == len(triples)
 
-    def test_seed_minus_one_is_seed_two_to_the_64_minus_one(self):
-        # _philox_key reduces a seed to 64 bits, so both seeds give one stream
-        np.testing.assert_array_equal(first_draws(-1, 5, 7, 64), first_draws(2**64 - 1, 5, 7, 64))
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected_not_aliased(self, seed):
+        # a key word holds 64 bits: reducing the seed would give -1 the
+        # stream of 2^64 - 1, and 2^64 + 5 that of 5
+        with pytest.raises(ConfigurationError, match="seed"):
+            first_draws(seed, 5, 7, 64)
+        first_draws(2**64 - 1, 5, 7, 64)
 
     def test_seed_above_two_to_the_32_does_not_collide_with_a_smaller_seed(self):
         # the high 32-bit word of the seed is entropy of its own: seed

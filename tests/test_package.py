@@ -10,10 +10,6 @@ import types
 
 import omlat
 
-# The solver's independent oracle: public so a user can check a solution,
-# and never called by the solver itself.
-UNCALLED_IN_PACKAGE = {"el_residual_example5"}
-
 # Dataclass fields that no package code reads, each with its reason.
 UNREAD_FIELDS = {}
 
@@ -43,7 +39,7 @@ def test_every_public_name_has_a_caller_in_the_package():
         for node in ast.walk(ast.parse(source.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-    uncalled = sorted(set(omlat.__all__) - loaded - UNCALLED_IN_PACKAGE)
+    uncalled = sorted(set(omlat.__all__) - loaded)
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
 
 

@@ -23,7 +23,7 @@ from omlat import (
 from omlat.noise import _TAG_TUBE_BLOCK, _block_bits
 from omlat.sde import euler_maruyama
 from omlat.tube import _TUBE_STAGE_STEPS, TubeExperiment, _block_distances, tube_ratio
-from oracles import l2rho_path_norm, ou_convolution
+from oracles import l2rho_path_norm, ou_convolution, residuals
 
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
@@ -514,3 +514,38 @@ def test_log_ratio_flattens_toward_prediction():
     gaps = [abs(np.log(table.ratio[j]) - target) for j in range(3)]
     assert gaps[0] > gaps[1] and gaps[0] > gaps[2]
     assert gaps[2] < 0.1
+
+
+def test_prediction_does_not_depend_on_rho():
+    # rho weighs the tube distance and nothing else: scaling rho by c
+    # scales every distance by c, so the counts at radius c eps are those
+    # at eps, and the prediction exp(-S/2) must not move either
+    N = 32
+    ts = np.linspace(0.0, 1.0, N + 1)
+    phi = Path(np.outer(np.sin(np.pi * ts / 2), [0.8, 0.5, -0.3]), 1.0 / N)
+    tables = []
+    for rho, c in ((np.ones(3), 1.0), (np.full(3, 3.0), 3.0), (np.array([0.5, 1.0, 2.0]), 1.0)):
+        cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=CUBIC, q=NoiseCoefficient.affine(0.5, 2.0), T=1.0, rho=rho)
+        exp = TubeExperiment(cfg=cfg, phi=phi, eps=(c * 10.0, c * 1.2), samples=2000, seed=4)
+        tables.append(tube_ratio(exp))
+    uniform, scaled, mixed = tables
+    assert scaled.predicted == uniform.predicted == mixed.predicted < 1.0
+    np.testing.assert_array_equal(scaled.num_hits, uniform.num_hits)
+    np.testing.assert_array_equal(scaled.den_hits, uniform.den_hits)
+
+
+
+def test_log_ratio_under_non_uniform_rho_is_nearer_the_rho_free_prediction():
+    # d = 3, rho = (0.5, 1, 2), f = 0, q = 1: -S/2 is -0.643, and an action
+    # that weighted the residuals by rho^2 would give -1.125.  Over seeds
+    # 0-29 the log ratio at eps 0.6 lies in [-0.67, -0.45], nearer the
+    # first on every seed (0.4-0.6 s a run on 2 vCPUs).
+    rho = np.array([0.5, 1.0, 2.0])
+    cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=LINEAR, q=NoiseCoefficient.constant(1.0), T=1.0, rho=rho)
+    N = 128
+    ts = np.linspace(0.0, 1.0, N + 1)
+    phi = Path(0.5 * np.sin(np.pi * ts / 2)[:, None] * np.ones(3), 1.0 / N)
+    table = tube_ratio(TubeExperiment(cfg=cfg, phi=phi, eps=(0.6,), samples=32768, seed=5))
+    log_ratio = np.log(table.ratio[0])
+    weighted = -0.5 * phi.dt * np.sum((rho * residuals(phi, cfg)) ** 2)
+    assert abs(log_ratio - np.log(table.predicted)) < abs(log_ratio - weighted)
