@@ -77,8 +77,9 @@ def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
         raise ConfigurationError(
             f"path covers [0, {path.T:g}] but the configured horizon is {cfg.T:g}"
         )
-    times = path.times
-    t_mid = 0.5 * (times[:-1] + times[1:])
+    t_mid = path.times
+    t_mid = t_mid[:-1] + t_mid[1:]
+    t_mid *= 0.5
     qs = cfg.q.grid(t_mid, cfg.n)
     if np.min(np.abs(qs)) < Q_DEGENERACY_FLOOR:
         k, i = np.unravel_index(int(np.argmin(np.abs(qs))), qs.shape)
@@ -89,13 +90,39 @@ def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
     return qs
 
 
-def _midpoints(path: Path) -> np.ndarray:
-    return 0.5 * (path.states[:-1] + path.states[1:])
+#: The action and its gradient visit the intervals in blocks of about this
+#: many values, so their work arrays stay far below a path's size at every
+#: N; each interval's arithmetic is the same in any block.
+_BLOCK_VALUES = 4096
 
 
-def _residuals(path: Path, cfg: LatticeConfig, mids: np.ndarray) -> np.ndarray:
-    vel = (path.states[1:] - path.states[:-1]) / path.dt
-    return vel + cfg.nu * apply_A(mids) + cfg.lam * mids + cfg.f(mids) - cfg.g
+def _blocks(steps: int, d: int):
+    """The intervals ``range(k0, k1)`` of each block, in order, and the
+    block length: ``_BLOCK_VALUES // d`` intervals, at least one."""
+    rows = min(steps, max(1, _BLOCK_VALUES // d))
+    return [(k0, min(k0 + rows, steps)) for k0 in range(0, steps, rows)], rows
+
+
+def _midpoints(states: np.ndarray, out=None) -> np.ndarray:
+    """Interval midpoints ``(phi_k + phi_{k+1}) / 2`` of ``states``, into ``out``."""
+    out = np.add(states[:-1], states[1:], out=out)
+    out *= 0.5
+    return out
+
+
+def _residuals(states: np.ndarray, dt: float, cfg: LatticeConfig, mids: np.ndarray, out=None, work=(None, None)):
+    """The interval residuals r_k of ``states`` (midpoints ``mids``), summed
+    left to right as written in the module docstring, into ``out``; the
+    two ``work`` arrays (shaped like ``mids``) take the terms."""
+    res = np.subtract(states[1:], states[:-1], out=out)
+    res /= dt
+    term = apply_A(mids, out=work[0])
+    term *= cfg.nu
+    res += term
+    res += np.multiply(mids, cfg.lam, out=term)
+    res += cfg.f.deriv(mids, 0, out=term, work=work[1])
+    res -= cfg.g
+    return res
 
 
 def trace_term(state, cfg: LatticeConfig):
@@ -122,13 +149,26 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
         If the action overflows, naming the first interval at which its
         running sum is not finite.
     """
-    qs = _check_path(path, cfg)
-    mids = _midpoints(path)
-    dt = path.dt
+    return _action(path, cfg, _check_path(path, cfg))
+
+
+def _action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport:
+    """:func:`om_action` of a path that passed :func:`_check_path`, which
+    returned ``qs``; it works block by block in four work arrays."""
+    states, dt, steps = path.states, path.dt, path.steps
+    drift_k, trace_k = np.empty(steps), np.empty(steps)
+    blocks, rows = _blocks(steps, path.d)
+    work = np.empty((4, rows, path.d))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        res = _residuals(path, cfg, mids)
-        drift_k = dt * np.sum((res / qs) ** 2, axis=1)
-        trace_k = dt * trace_term(mids, cfg)
+        for k0, k1 in blocks:
+            mids, res, a, b = work[:, : k1 - k0]
+            _midpoints(states[k0 : k1 + 1], out=mids)
+            trace_k[k0:k1] = trace_term(mids, cfg)
+            _residuals(states[k0 : k1 + 1], dt, cfg, mids, out=res, work=(a, b))
+            res /= qs[k0:k1]
+            np.sum(np.square(res, out=res), axis=1, out=drift_k[k0:k1])
+        drift_k *= dt  # dt sum_i (r_k / q)^2
+        trace_k *= dt
         drift_total = float(np.sum(drift_k))
         trace_total = float(np.sum(trace_k))
         if not math.isfinite(drift_total + trace_total):
@@ -162,20 +202,37 @@ def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
         d(drift_k)/d(phi_{k+1}) = 2 dt (r_k / q^2) . (+1/dt + L_k / 2)
 
     with ``L_k = nu A + lam I + diag f'(m_k)`` (self-adjoint), plus
-    ``-dt/2 f''(m_k)`` from the trace.
+    ``-dt/2 f''(m_k)`` from the trace.  It works block by block in five
+    work arrays.  The sum starts from zeros: ``0.0 + x`` turns -0.0 into 0.0.
     """
     qs = _check_path(path, cfg)
-    mids = _midpoints(path)
-    res = _residuals(path, cfg, mids)
-    dt = path.dt
-    w = 2.0 * dt * res / qs**2  # (N, d)
-    fp = cfg.f.deriv(mids)
-    # L_k w for every interval: nu A w + lam w + f'(m_k) w.
-    lw = cfg.nu * apply_A(w) + cfg.lam * w + fp * w
-    plus = w / dt + 0.5 * lw  # d drift_k / d phi_{k+1}
-    minus = -w / dt + 0.5 * lw  # d drift_k / d phi_k
-    tgrad = -0.5 * dt * cfg.f.deriv(mids, 2)  # d trace_k / d phi_k (= / d phi_{k+1})
-    grad = np.zeros((path.steps - 1, path.d))
-    grad += plus[:-1] + tgrad[:-1]  # interval k = m-1 contributes at phi_m
-    grad += minus[1:] + tgrad[1:]  # interval k = m contributes at phi_m
+    states, dt, steps = path.states, path.dt, path.steps
+    grad = np.zeros((steps - 1, path.d))
+    blocks, rows = _blocks(steps, path.d)
+    work = np.empty((5, rows, path.d))
+    for k0, k1 in blocks:
+        mids, w, lw, a, b = work[:, : k1 - k0]
+        _midpoints(states[k0 : k1 + 1], out=mids)
+        _residuals(states[k0 : k1 + 1], dt, cfg, mids, out=w, work=(a, b))
+        w *= 2.0 * dt
+        w /= np.square(qs[k0:k1], out=a)  # w = 2 dt r / q^2
+        # L_k w for every interval: nu A w + lam w + f'(m_k) w, halved
+        apply_A(w, out=lw)
+        lw *= cfg.nu
+        lw += np.multiply(w, cfg.lam, out=a)
+        lw += np.multiply(cfg.f.deriv(mids, out=a, work=b), w, out=a)
+        lw *= 0.5
+        tgrad = cfg.f.deriv(mids, 2, out=a, work=b)
+        tgrad *= -0.5 * dt  # d trace_k / d phi_k (= / d phi_{k+1})
+        plus = np.divide(w, dt, out=b)  # d drift_k / d phi_{k+1}
+        plus += lw
+        plus += tgrad
+        end = min(k1, steps - 1)  # interval k contributes at phi_{k+1}: row k
+        grad[k0:end] += plus[: end - k0]
+        minus = np.negative(w, out=b)  # d drift_k / d phi_k
+        minus /= dt
+        minus += lw
+        minus += tgrad
+        start = max(k0, 1)  # interval k contributes at phi_k: row k - 1
+        grad[start - 1 : k1 - 1] += minus[start - k0 :]
     return grad

@@ -44,8 +44,7 @@ from .errors import (
 )
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
 from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
-from .lattice import weighted_norm
-from .mpp import BVPSpec, RecordRow, _band_shape, solve_mpp
+from .mpp import BVPSpec, RecordRow, _solve_bytes, solve_mpp
 from .noise import sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
@@ -188,7 +187,8 @@ def _run_simulate(plan, out) -> int:
     for j, (_, path) in enumerate(integrate_ensemble(plan.u0, plan.seed, plan.ensemble, plan.steps, cfg)):
         name = f"path_{j:03d}.csv"
         write_path_csv(path, out / name)
-        norms = [weighted_norm(s, cfg.rho) for s in path.states]
+        # each state's weighted_norm, from one product per trajectory
+        norms = [math.sqrt(row.dot(row)) for row in cfg.rho * path.states]
         summary["trajectories"].append(
             {"index": j, "file": name, "sup_norm": max(norms), "final_norm": norms[-1]}
         )
@@ -199,8 +199,7 @@ def _run_simulate(plan, out) -> int:
 
 def _plan_mpp(plan) -> None:
     cfg = plan.cfg
-    band = 8 * math.prod(_band_shape(plan.steps, cfg.d))
-    _check_memory(band, plan.grid, f"the solver's band for {cfg.d} sites")
+    _check_memory(_solve_bytes(plan.steps, cfg.d), plan.grid, f"the solver's band and work arrays for {cfg.d} sites")
     plan.sites = _parse_slice(plan.slice, cfg.n) if plan.slice else []
     plan.spec = BVPSpec(
         cfg=cfg, phi0=plan.phi0, phiT=plan.phiT, steps=plan.steps,

@@ -42,6 +42,15 @@ _F_CHECK_GRID = np.linspace(-10.0, 10.0, 1001)
 #: Points of [0, T] at which the noise coefficient is checked nonzero.
 _Q_CHECK_POINTS = 513
 
+#: Largest growth exponent p: the growth check evaluates x^(2p) on
+#: [-10, 10], and 10^(2p) must be a finite double.
+_P_MAX = int(math.log10(np.finfo(float).max)) // 2
+
+#: Range of the magnitudes whose squares are normal doubles, which |q| and
+#: the weights rho_i must keep: the action divides by q^2, and the tube
+#: experiment weighs its squared distances by rho^2.
+_SQUARE_MIN, _SQUARE_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+
 
 def _check_lengths(*arrays):
     lengths = {len(a) for a in arrays}
@@ -136,6 +145,10 @@ class PolynomialNonlinearity:
         ))
         if self.p < 1 or int(self.p) != self.p:
             raise ConfigurationError(f"growth exponent p must be a positive integer, got {self.p}")
+        if self.p > _P_MAX:
+            raise ConfigurationError(
+                f"growth exponent p must be at most {_P_MAX}: the growth check's 10^(2p) on [-10, 10] overflows"
+            )
         if self.growth_constant < 0:
             raise ConfigurationError("growth constant must be nonnegative")
         if self.coeffs and not self.condition_f1():
@@ -148,19 +161,25 @@ class PolynomialNonlinearity:
     def __call__(self, x):
         return self.deriv(x, 0)
 
-    def deriv(self, x, order=1):
+    def deriv(self, x, order=1, out=None, work=None):
         """The ``order``-th derivative of f, for ``order`` 0 to 3: Horner in
         x^2 over the coefficients ``perm(2k+1, order) coeffs[k]`` of the
-        terms with ``2k+1 >= order``, times x when ``order`` is even."""
+        terms with ``2k+1 >= order``, times x when ``order`` is even.
+        ``out`` receives the result and ``work`` holds x^2 when given (each
+        shaped like x, neither overlapping it or the other); the result
+        does not depend on them."""
         x = np.asarray(x, dtype=float)
         terms = self._horner[order]
-        if not terms:
-            return np.zeros_like(x)
-        x2 = x * x
-        acc = np.full_like(x, terms[-1])
-        for c in reversed(terms[:-1]):
-            acc = acc * x2 + c
-        return x * acc if order % 2 == 0 else acc
+        acc = np.empty_like(x) if out is None else out
+        acc.fill(terms[-1] if terms else 0.0)
+        if len(terms) > 1:
+            x2 = np.multiply(x, x, out=work)
+            for c in reversed(terms[:-1]):
+                acc *= x2
+                acc += c
+        if terms and order % 2 == 0:
+            acc *= x
+        return acc
 
     def condition_f1(self) -> bool:
         """Monotone non-decreasing check on a symmetric grid.
@@ -175,7 +194,8 @@ class PolynomialNonlinearity:
     def condition_f2(self) -> bool:
         """Growth bound ``|f(x)| <= C |x| (1 + x^(2p))`` on the check grid."""
         g = _F_CHECK_GRID
-        bound = self.growth_constant * np.abs(g) * (1.0 + g ** (2 * self.p))
+        with np.errstate(over="ignore"):  # a bound past the doubles holds every finite |f(x)|
+            bound = self.growth_constant * np.abs(g) * (1.0 + g ** (2 * self.p))
         return bool(np.all(np.abs(self(g)) <= bound + 1e-12))
 
 
@@ -232,6 +252,14 @@ class LatticeConfig:
             raise ConfigurationError("all weights rho_i must be positive")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(rho))):
             raise ConfigurationError("g and rho must be finite")
+        # rho_i^2 must be a normal double, and a state's squared norm must
+        # stay finite up to the blow-up threshold: d (rho_i BLOWUP_THRESHOLD)^2
+        rho_max = _SQUARE_MAX / math.sqrt(d) / BLOWUP_THRESHOLD
+        if not np.all((rho >= _SQUARE_MIN) & (rho <= rho_max)):
+            raise ConfigurationError(
+                f"weights rho_i must lie in [{_SQUARE_MIN:.4g}, {rho_max:.4g}] on {d} sites, "
+                f"got {np.min(rho):.4g} to {np.max(rho):.4g}"
+            )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "rho", rho)
         self._check_noise_nondegenerate()
@@ -240,6 +268,9 @@ class LatticeConfig:
         # q_i(t) != 0 on a sampling grid, with no sign change per site:
         # a continuous nonzero coefficient keeps one sign.
         ts = np.linspace(0.0, self.T, _Q_CHECK_POINTS)
+        if self.q.kind == "table":  # piecewise linear: its extremes sit at its nodes, 0 or T
+            nodes = self.q.table_times
+            ts = np.union1d(ts, nodes[(nodes > 0.0) & (nodes < self.T)])
         qs = self.q.grid(ts, self.n)
         if not np.all(np.isfinite(qs)):
             raise ConfigurationError("noise coefficient is not finite on [0, T]")
@@ -247,6 +278,13 @@ class LatticeConfig:
             k, i = np.argwhere(qs == 0.0)[0]
             raise DegenerateNoiseError(
                 f"q vanishes at t={ts[k]:.6g} (site {i - self.n})"
+            )
+        outside = (np.abs(qs) < _SQUARE_MIN) | (np.abs(qs) > _SQUARE_MAX)
+        if np.any(outside):
+            k, i = np.argwhere(outside)[0]
+            raise ConfigurationError(
+                f"noise coefficient q (q_spec) is {qs[k, i]:.4g} at t={ts[k]:.6g} (site {i - self.n}): "
+                f"the action divides by q^2, so |q| must lie in [{_SQUARE_MIN:.4g}, {_SQUARE_MAX:.4g}]"
             )
         signs = np.sign(qs)
         if np.any(signs.min(axis=0) != signs.max(axis=0)):

@@ -20,7 +20,9 @@ by itself: importing omlat does not import ``scipy.linalg``.  A solve
 allocates one band, 8 N d min(2d, d + 5) bytes, since each half holds
 its own copy of the middle state's block, and every factorization
 attempt rebuilds the matrix in it, since the Cholesky factor overwrites
-it.
+it.  Besides the band it holds at most nine arrays of the path's size
+(:func:`_solve_bytes`): the action, its gradient and the band build
+work in place in a few work arrays, and each array goes once it is dead.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 from collections import namedtuple
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .action import OMReport, _check_path, _residuals, om_action, om_gradient
+from .action import OMReport, _action, _check_path, _midpoints, _residuals, om_gradient
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
@@ -201,6 +204,17 @@ def _band_shape(steps: int, d: int) -> tuple:
     return (steps, d, min(2 * d, d + 5))
 
 
+#: Arrays of a path's size, 8 (N + 1) d bytes each, that a solve holds at
+#: most besides its band, at any moment and for any d and N.
+_SOLVE_PATH_ARRAYS = 9
+
+
+def _solve_bytes(steps: int, d: int) -> int:
+    """Bytes a solve on a grid of ``steps`` steps and ``d`` sites holds at
+    most: its band and :data:`_SOLVE_PATH_ARRAYS` path-sized arrays."""
+    return 8 * (math.prod(_band_shape(steps, d)) + _SOLVE_PATH_ARRAYS * (steps + 1) * d)
+
+
 def _hessian_band(
     path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, out: np.ndarray, reverse: bool = False
 ) -> np.ndarray:
@@ -241,64 +255,98 @@ def _hessian_band(
     out.fill(0.0)
     fa = np.argsort(_center_out_order(d))
 
-    def add(s, plus, minus, cross):
-        # shift s of each block on every interval k: interval j in phi_{j+1}
-        # (plus), interval j + 1 in phi_{j+1} (minus), phi_{j+2} x phi_{j+1}
-        # (cross)
+    def add(s, values, cross=False):
+        # shift s of each block: values[j] lands in block j, on and below its
+        # diagonal (interval j in phi_{j+1} plus interval j + 1 in
+        # phi_{j+1}) or, with cross, below it (phi_{j+2} x phi_{j+1}); one
+        # shift's two sets of entries are disjoint, so either may go first
         fb = np.roll(fa, -s)  # folded position of site a + s
-        low = fa >= fb
-        out[:, fb[low], (fa - fb)[low]] += (plus[:-1] + minus[1:])[:, low]
-        out[:-1, fb, d + fa - fb] += cross[1:-1]
+        if cross:
+            out[:-1, fb, d + fa - fb] += values
+        else:
+            low = fa >= fb
+            out[:, fb[low], (fa - fb)[low]] += values[:, low]
 
-    # arrays that only the centre diagonal needs go before it is scattered,
-    # so the build holds few (N, d) arrays at once
-    mids = 0.5 * (path.states[:-1] + path.states[1:])
-    u = 2.0 * row_weight[::step] ** 2  # H = 2 J^T J
-    base = cfg.nu + 0.5 * cfg.lam + 0.5 * cfg.f.deriv(mids[::step])
+    # every product is formed in place in one of a few (N, d) work arrays,
+    # and u is squared again for the last shifts rather than kept
+    mids = _midpoints(path.states)
+    base, work = np.empty_like(mids), np.empty_like(mids)
+    u = np.square(row_weight[::step])
+    u *= 2.0  # H = 2 J^T J
     if newton:
         # second-order terms of the residuals and the trace part: site-
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
-        curv = (
-            0.25 * u * _residuals(path, cfg, mids)[::step] * cfg.f.deriv(mids[::step], 2)
-            - 0.25 * dt * cfg.f.deriv(mids[::step], 3)
-        )
+        res = _residuals(path.states, dt, cfg, mids, out=np.empty_like(mids), work=(base, work))
+        curv, base = np.multiply(u, 0.25, out=base), res
+        curv *= res[::step]
+        curv *= cfg.f.deriv(mids[::step], 2, out=base, work=work)
+        curv -= np.multiply(cfg.f.deriv(mids[::step], 3, out=base, work=work), 0.25 * dt, out=base)
+    cfg.f.deriv(mids[::step], out=base, work=work)
+    base *= 0.5
+    base += cfg.nu + 0.5 * cfg.lam
+    cpu = np.add(base, step / dt, out=work)
+    cpu *= u
+    cmu = np.subtract(base, step / dt, out=mids)
+    cmu *= u
     del mids
-    cp, cm = base + step / dt, base - step / dt
-    del base
-    cpu, cmu = cp * u, cm * u
-    ring = h * h * (np.roll(u, -1, axis=-1) + np.roll(u, 1, axis=-1))  # u[a+1] + u[a-1]
-    plus, minus, cross = cpu * cp + ring, cmu * cm + ring, cpu * cm + ring
-    del cp, cm, ring
+    ring = np.roll(u, -1, axis=-1)  # h^2 (u[a+1] + u[a-1])
+    ring += np.roll(u, 1, axis=-1)
+    ring *= h * h
+    spare = u  # u is dead until the last shifts
+    del u
+    # shift 0: the cross blocks cpu cm, then plus = cpu cp and minus = cmu cm
+    cross = np.subtract(base, step / dt, out=spare)
+    cross *= cpu
+    cross += ring
+    if newton:
+        cross += curv
+    add(0, cross[1:-1], cross=True)
+    plus = np.add(base, step / dt, out=spare)
+    plus *= cpu
+    plus += ring
+    minus = base
+    minus -= step / dt
+    minus *= cmu
+    minus += ring
     if newton:
         plus += curv
         minus += curv
-        cross += curv
         del curv
-    add(0, plus, minus, cross)
+    plus[:-1] += minus[1:]
+    add(0, plus[:-1])
     for s in (1, -1):
-        add(
-            s,
-            h * (cpu + np.roll(cpu, -s, axis=-1)),
-            h * (cmu + np.roll(cmu, -s, axis=-1)),
-            h * (cpu + np.roll(cmu, -s, axis=-1)),
-        )
+        plus = np.add(cpu, np.roll(cpu, -s, axis=-1), out=spare)
+        plus *= h
+        minus = np.add(cmu, np.roll(cmu, -s, axis=-1), out=base)
+        minus *= h
+        plus[:-1] += minus[1:]
+        add(s, plus[:-1])
+        cross = np.add(cpu, np.roll(cmu, -s, axis=-1), out=ring)
+        cross *= h
+        add(s, cross[1:-1], cross=True)
+    u = np.square(row_weight[::step], out=spare)
+    u *= 2.0
     for s in (2, -2):
-        hv = h * h * np.roll(u, -s // 2, axis=-1)  # u[a+1], u[a-1]
-        add(s, hv, hv, hv)
+        hv = np.multiply(np.roll(u, -s // 2, axis=-1), h * h, out=base)  # u[a+1], u[a-1]
+        add(s, np.add(hv[:-1], hv[1:], out=ring[:-1]))
+        add(s, hv[1:-1], cross=True)
     return out.reshape(-1, out.shape[-1]).T
 
 
-def _build_band(path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, buffer: np.ndarray) -> int:
+def _build_band(path: Path, cfg: LatticeConfig, qs: np.ndarray, newton: bool, buffer: np.ndarray) -> int:
     """Build the band of ``path``'s interior states into ``buffer`` (shape
     :func:`_band_shape`) as :func:`_two_ended_solve` takes it, and return
     the middle interior state m = (N - 1) // 2, where the halves meet: the
     blocks of states 0..m in time order, from the sub-path that ends one
     state past m, then the blocks of states N - 2..m in reverse time order,
-    from the sub-path that starts one state before it."""
+    from the sub-path that starts one state before it.  ``qs`` is q at the
+    interval midpoints (:func:`_check_path`); each half takes its own row
+    weights from it."""
     middle = (path.steps - 1) // 2
+    scale = np.sqrt(path.dt)
     early, late = Path(path.states[: middle + 3], path.dt), Path(path.states[middle:], path.dt)
-    _hessian_band(early, cfg, row_weight[: middle + 2], newton, buffer[: middle + 1])
-    _hessian_band(late, cfg, row_weight[middle:], newton, buffer[middle + 1 :], reverse=True)
+    _hessian_band(early, cfg, scale / qs[: middle + 2], newton, buffer[: middle + 1])
+    _hessian_band(late, cfg, scale / qs[middle:], newton, buffer[middle + 1 :], reverse=True)
     return middle
 
 
@@ -362,25 +410,28 @@ def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarr
     return rhs
 
 
-def _trial_action(path: Path, cfg: LatticeConfig) -> OMReport | None:
+def _trial_action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport | None:
     """The action of a line-search trial, or None when it overflows: the
     search then rejects the trial as it rejects one that does not descend."""
     try:
-        return om_action(path, cfg)
+        return _action(path, cfg, qs)
     except IntegrationError:
         return None
 
 
-def _backtrack(path: Path, cfg: LatticeConfig, direction, t, slope: float, action_val: float, halvings: int):
+def _backtrack(path: Path, cfg: LatticeConfig, qs, direction, t, slope: float, action_val: float, halvings: int):
     """Armijo backtracking from ``path`` along ``direction``: the first of
     the steps ``t, t/2, ...`` (at most ``halvings`` of them) whose action
     decreases by at least ``1e-4 t slope``, as (path, report, t, halvings
-    taken), or None."""
+    taken), or None.  Every trial is formed in one array, which the
+    accepted path keeps."""
+    trial = np.empty_like(path.states)
+    trial[0], trial[-1] = path.states[0], path.states[-1]
     for taken in range(halvings):
-        trial = path.states.copy()
-        trial[1:-1] += t * direction
+        np.multiply(direction, t, out=trial[1:-1])
+        trial[1:-1] += path.states[1:-1]
         trial_path = Path(trial, path.dt)
-        trial_report = _trial_action(trial_path, cfg)
+        trial_report = _trial_action(trial_path, cfg, qs)
         if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
             return trial_path, trial_report, t, taken
         t *= 0.5
@@ -397,18 +448,21 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     iteration falls back to steepest descent.  Convergence means
     ``max |gradient| <= spec.tol``; a non-converged result is returned
     with ``converged=False`` rather than raised, but an initial path whose
-    action overflows raises :class:`IntegrationError`.
+    action overflows raises :class:`IntegrationError`.  Besides the band,
+    the solve holds at most :data:`_SOLVE_PATH_ARRAYS` arrays of the
+    path's size at any moment (:func:`_solve_bytes`): each one goes as
+    soon as it is dead.
     """
     cfg = spec.cfg
     d = cfg.d
     N = spec.steps
     dt = cfg.T / N
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
-    states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
-    path = Path(states, dt)
+    path = Path((1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :], dt)
+    del lam_interp
     # q at the interval midpoints, where the action evaluates it
-    row_weight = np.sqrt(dt) / _check_path(path, cfg)
-    report = om_action(path, cfg)
+    qs = _check_path(path, cfg)
+    report = _action(path, cfg, qs)
     action_val = report.total
 
     grad = om_gradient(path, cfg)
@@ -420,37 +474,43 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     buffer = np.empty(_band_shape(N, d))  # the one band of the solve
 
     while record[-1].gradient_norm > spec.tol and len(record) <= spec.max_iterations:
-        g_fold = grad.take(order, axis=1)  # C-ordered: the solve works in -g_fold
-
+        # only the result needs the report, and at d = 1 its per-interval
+        # arrays are path-sized: a search that stalls evaluates it again
+        report = None
         step = None
         for _ in range(8):
             # the Cholesky factor overwrites the band, so every attempt
             # rebuilds it in the solve's one buffer
-            middle = _build_band(path, cfg, row_weight, spec.newton, buffer)
+            middle = _build_band(path, cfg, qs, spec.newton, buffer)
             buffer[..., 0] += damping
             tried = damping
-            try:
-                cand = _two_ended_solve(buffer, -g_fold, middle)
+            try:  # the solve overwrites -g, in folded order, with the step
+                step = _two_ended_solve(buffer, np.negative(grad.take(order, axis=1)), middle)
             except np.linalg.LinAlgError:  # not positive definite: damp harder
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)) and np.vdot(g_fold, cand) < 0.0:
-                step = cand
-                break
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                slope = float(np.vdot(grad.take(order, axis=1), step))
+                if slope < 0.0:
+                    break
+            step = None
             damping = max(4.0 * damping, 1e-8 * (1.0 + abs(action_val)))
         accepted = None
         if step is not None:
-            slope = float(np.vdot(g_fold, step))
-            accepted = _backtrack(path, cfg, step[:, fold], 1.0, slope, action_val, 30)
+            direction = step[:, fold]
+            del step
+            accepted = _backtrack(path, cfg, qs, direction, 1.0, slope, action_val, 30)
+            del direction
         fallback = accepted is None
         if fallback:
             # no Gauss-Newton step descends: plain gradient descent
             slope = -float(np.sum(grad * grad))
             t = 1.0 / (1.0 + np.max(np.abs(grad)))
-            accepted = _backtrack(path, cfg, -grad, t, slope, action_val, 40)
+            accepted = _backtrack(path, cfg, qs, -grad, t, slope, action_val, 40)
         if accepted is None:
             break  # no descent possible at working precision
 
         path, report, t, taken = accepted
+        del accepted, grad  # the old path and gradient go before the new gradient
         action_val = report.total
         grad = om_gradient(path, cfg)
         record.append(RecordRow(action_val, float(np.max(np.abs(grad))), tried, t, taken, int(fallback)))
@@ -458,6 +518,8 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         if damping < 1e-14 * (1.0 + abs(action_val)):
             damping = 0.0
 
+    if report is None:  # the last search stalled on the path it started from
+        report = _action(path, cfg, qs)
     return MPPResult(
         path=path,
         action=report,

@@ -9,6 +9,7 @@ trajectories together.  :func:`integrate` is its one-trajectory case and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,8 +233,9 @@ def cocycle_check(u0, noise: NoisePath, starts, cfg: LatticeConfig) -> list:
         m = shifted.origin_step - noise.origin_step
         restarted = integrate(full.states[m], shifted, cfg)
         dev = 0.0
-        for k in range(restarted.steps + 1):
-            dev = max(dev, weighted_norm(full.states[m + k] - restarted.states[k], cfg.rho))
+        # each state's weighted_norm of the difference, from one product
+        for row in cfg.rho * (full.states[m : m + restarted.steps + 1] - restarted.states):
+            dev = max(dev, math.sqrt(row.dot(row)))
         devs.append(dev)
     return devs
 

@@ -55,7 +55,7 @@ def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
     """All interval residuals of the action, shape (N, d), after the
     action's entry check."""
     _check_path(path, cfg)
-    return _residuals(path, cfg, _midpoints(path))
+    return _residuals(path.states, path.dt, cfg, _midpoints(path.states))
 
 
 def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha) -> Path:

@@ -21,7 +21,7 @@ import omlat.cli as cli
 from omlat import ConfigurationError, Path, kl_spectrum, parse_config, parse_q_spec, smallball_mc
 from omlat.cli import build_parser, main, parse_state_spec
 from omlat.io import read_path_csv, write_path_csv
-from omlat.mpp import _band_shape
+from omlat.mpp import _band_shape, _solve_bytes
 from oracles import example5_boundary, example5_config
 
 EXAMPLE5 = """
@@ -301,8 +301,29 @@ class TestCliRuns:
         code = main(["mpp", "--config", example5_file, "--out", str(out), "--dt", repr(30.0 / steps)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"gives {steps} steps: the solver's band for 61 sites" in err
+        assert f"gives {steps} steps: the solver's band and work arrays for 61 sites" in err
         assert "--dt" in err and "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_mpp_working_set_beyond_physical_memory_rejected(self, scalar_file, tmp_path, capsys, monkeypatch):
+        # d = 1: the band is two path-sized arrays, so a grid whose band and
+        # one trajectory fit in physical memory can still need more for the
+        # solve's other path-sized arrays, which the check counts too
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        steps = (memory - _solve_bytes(0, 1)) // (_solve_bytes(1, 1) - _solve_bytes(0, 1)) + 1
+        assert 8 * math.prod(_band_shape(steps, 1)) + 8 * (steps + 1) <= memory < _solve_bytes(steps, 1)
+        assert _solve_bytes(steps - 1, 1) <= memory
+
+        def no_spec(*args, **kwargs):
+            raise AssertionError("BVPSpec built")
+
+        monkeypatch.setattr("omlat.cli.BVPSpec", no_spec)
+        out = tmp_path / "mpp"
+        code = main(["mpp", "--config", scalar_file, "--out", str(out), "--dt", repr(1.0 / steps)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"gives {steps} steps: the solver's band and work arrays for 1 sites" in err
+        assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -707,6 +728,30 @@ class TestCliRuns:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "field, value, command, named",
+        [
+            ("p", "1e300", ["simulate"], "growth exponent p"),
+            ("rho", "1e300", ["simulate"], "weights rho_i"),
+            ("rho", "1e-300", ["verify", "tube"], "weights rho_i"),
+            ("q_spec", "constant:1e300", ["mpp"], "q (q_spec)"),
+            ("q_spec", "constant:1e-300", ["simulate"], "q (q_spec)"),
+        ],
+        ids=["p-growth-check-overflows", "rho-norm-overflows", "rho-square-underflows", "q-square-overflows",
+             "q-square-underflows"],
+    )
+    def test_extreme_config_value_rejected_before_opening_out(self, tmp_path, capsys, field, value, command, named):
+        # 10^(2p) on the growth check's grid, d (rho 1e8)^2 and q^2 overflow,
+        # rho^2 and q^2 underflow: each ran to exit 0 or 3, with numpy
+        # warnings or none, before these ranges were checked
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SCALAR.replace(f"\n{field} = ", f"\n{field} = {value} # "))
+        out = tmp_path / "run"
+        assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Warning" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["verify", "tube", "--eps", "1e300"], "--eps"),
@@ -954,7 +999,7 @@ class TestCheckPhase:
         out = tmp_path / "mpp"
         assert main(["mpp", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"the default 600 steps (no --dt): the solver's band for {2 * n + 1} sites" in err
+        assert f"the default 600 steps (no --dt): the solver's band and work arrays for {2 * n + 1} sites" in err
         assert "--dt=None" not in err and not out.exists()
 
     @pytest.mark.parametrize("dt", ["1", "0.5", "0.3333333333333333"], ids=["1", "2", "3"])
@@ -1038,10 +1083,13 @@ _CONFIG_GOOD = {
     "C_f": ["0.1"], "g": ["zero"], "q_spec": ["constant:1.0", "example5:0.01,1.5", "table:q.csv"],
     "rho": ["uniform"], "T": ["1", "0.5"],
 }
+_EXTREMES = ["1e300", "1e-300"]
 _CONFIG_BAD = {
-    "n": ["2", "-1", "0.5", "x", "nan", "inf"], "nu": ["0", "nan"], "lambda": ["-1"],
-    "f_coeffs": ["0, 1e300", "-1", "a"], "p": ["0", "nan", "inf"], "C_f": ["-1"], "g": ["0.25, 1", "nan"],
-    "q_spec": ["constant:0", "example5:1", "banana:1"], "rho": ["-1", "2, 2, 2, 2"], "T": ["0", "inf"],
+    "n": ["2", "-1", "0.5", "x", "nan", "inf"], "nu": ["0", "nan", *_EXTREMES], "lambda": ["-1", *_EXTREMES],
+    "f_coeffs": ["0, 1e300", "-1", "a"], "p": ["0", "nan", "inf", *_EXTREMES], "C_f": ["-1", *_EXTREMES],
+    "g": ["0.25, 1", "nan", *_EXTREMES],
+    "q_spec": ["constant:0", "example5:1", "banana:1", "constant:1e300", "constant:1e-300"],
+    "rho": ["-1", "2, 2, 2, 2", *_EXTREMES], "T": ["0", "inf", *_EXTREMES],
 }
 _TEXT_FILES = {
     "q.csv": ["0,1,1,1\n2,1,1,1\n", "0,1\n2,1\n", "", "0\n", "t,q\n", "0,1,1,1\n"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,15 @@ class TestNonlinearity:
             bad = PolynomialNonlinearity(coeffs=(0.0, -1.0), p=1, growth_constant=0.1)
         assert not bad.condition_f1()
         assert not bad.condition_f2()
+
+    def test_growth_exponent_range(self):
+        # p = 154 keeps 10^(2p) finite; C |x| (1 + x^(2p)) may still pass the
+        # doubles at |x| = 10, and then holds every finite |f(x)| silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PolynomialNonlinearity(coeffs=(0.0, 1.0), p=154, growth_constant=1.0).condition_f2()
+        with pytest.raises(ConfigurationError, match="at most 154"):
+            PolynomialNonlinearity(coeffs=(0.0, 1.0), p=155, growth_constant=1.0)
 
     def test_empty_polynomial_is_zero(self):
         f0 = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)

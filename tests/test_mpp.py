@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from omlat.action import _check_path
 from omlat.lattice import _center_out_order
 from omlat.mpp import (
     BVPSpec,
+    _SOLVE_PATH_ARRAYS,
     _band_shape,
     _build_band,
     _cython_lapack,
     _hessian_band,
     _lapack,
+    _solve_bytes,
     _two_ended_solve,
     solve_mpp,
 )
@@ -438,10 +441,10 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def two_half_band(path, cfg, row_weight, newton):
+def two_half_band(path, cfg, newton):
     """The solve's band buffer for ``path``, built fresh into NaN."""
     band = np.full(_band_shape(path.steps, cfg.d), np.nan)
-    _build_band(path, cfg, row_weight, newton, band)
+    _build_band(path, cfg, _check_path(path, cfg), newton, band)
     return band
 
 
@@ -473,8 +476,7 @@ class TestBandBuffer:
 
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
-        row_weight = np.sqrt(start.dt) / _check_path(start, spec.cfg)
-        fresh = two_half_band(start, spec.cfg, row_weight, False)
+        fresh = two_half_band(start, spec.cfg, False)
         fresh[..., 0] += res.record[1].damping
         assert_same_bits(seen[1][1], fresh)
 
@@ -533,7 +535,8 @@ class TestBandBuffer:
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
     def test_build_holds_few_grid_arrays(self, newton):
         # N = 1200, d = 61: the band is 66 (N, d)-sized arrays, the build's
-        # own arrays at most 12 at any time (11.03 measured, either build)
+        # own arrays at most 8 at any time (7.01 measured Gauss-Newton, 7.23
+        # Newton)
         spec = example5_spec(steps=1200)
         cfg, dt = spec.cfg, spec.cfg.T / 1200
         path = Path(np.random.default_rng(5).normal(scale=0.3, size=(1201, cfg.d)), dt)
@@ -545,7 +548,23 @@ class TestBandBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 1200 * cfg.d * 8
+        assert peak <= 8 * 1200 * cfg.d * 8
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    @pytest.mark.parametrize("n, steps", [(0, 100_000), (1, 30_000), (30, 1200)])
+    def test_solve_holds_its_band_and_nine_path_arrays(self, n, steps, newton):
+        # everything the solve allocates, its result included, at most the
+        # band and 9 arrays of 8 (N + 1) d bytes at any moment: 7.0 to 7.3
+        # measured at d = 1, 3 and 61
+        spec = replace(example5_spec(n=n, steps=steps), newton=newton)
+        tracemalloc.start()
+        try:
+            solve_mpp(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _SOLVE_PATH_ARRAYS == 9
+        assert peak <= _solve_bytes(steps, spec.cfg.d)
 
 
 def block_reversed(H, d):
@@ -601,7 +620,7 @@ class TestTwoEndedSolve:
         rhs = np.random.default_rng(steps).normal(size=(steps - 1, d))
         # solveh_banded takes at most one band row per unknown
         oracle = solveh_banded(natural[: natural.shape[1]], rhs.ravel(), lower=True).reshape(steps - 1, d)
-        band = two_half_band(path, cfg, row_weight, newton)
+        band = two_half_band(path, cfg, newton)
         band[..., 0] += damping
         x = _two_ended_solve(band, rhs, (steps - 1) // 2)
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -611,14 +630,14 @@ class TestTwoEndedSolve:
         cfg, path, row_weight = example_problem(2, 9)
         rhs = np.random.default_rng(1).normal(size=(8, 5))
         x = [
-            _two_ended_solve(two_half_band(path, cfg, row_weight, False), rhs.copy(order=order), 4)
+            _two_ended_solve(two_half_band(path, cfg, False), rhs.copy(order=order), 4)
             for order in "CF"
         ]
         assert_same_bits(x[0], x[1])
 
     def test_indefinite_matrix_raises(self):
         cfg, path, row_weight = example_problem(1, 9)
-        band = two_half_band(path, cfg, row_weight, False)
+        band = two_half_band(path, cfg, False)
         band[..., 0] -= 1e6
         with pytest.raises(np.linalg.LinAlgError):
             _two_ended_solve(band, np.ones((8, 3)), 4)
