@@ -22,7 +22,6 @@ from .lattice import (
     LatticeConfig,
     PolynomialNonlinearity,
     apply_A,
-    dense_A,
     drift,
     weighted_norm,
 )

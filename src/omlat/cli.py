@@ -45,7 +45,7 @@ from .errors import (
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
 from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .mpp import BVPSpec, RecordRow, _solve_bytes, solve_mpp
-from .noise import sample_noise, wq_path
+from .noise import _MAX_STEPS, _MAX_TRAJECTORIES, sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
@@ -55,12 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_POWER = 4
-
-#: Most steps a ``--dt`` grid may have, and most trajectories an
-#: ``--ensemble`` may have: the step and trajectory counter ranges of the
-#: noise keys (``noise._philox_key``).
-_MAX_STEPS = 2**32
-_MAX_TRAJECTORIES = 2**24
 
 #: Largest residual ``verify kl`` accepts, relative to max(1, gamma_i / lambda):
 #: the residual is the difference of two terms of that size.

@@ -30,7 +30,6 @@ __all__ = [
     "weighted_norm",
     "apply_A",
     "drift",
-    "dense_A",
 ]
 
 #: Any component beyond this magnitude is treated as a blown-up trajectory.
@@ -50,12 +49,6 @@ _P_MAX = int(math.log10(np.finfo(float).max)) // 2
 #: the weights rho_i must keep: the action divides by q^2, and the tube
 #: experiment weighs its squared distances by rho^2.
 _SQUARE_MIN, _SQUARE_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
-
-
-def _check_lengths(*arrays):
-    lengths = {len(a) for a in arrays}
-    if len(lengths) != 1:
-        raise ConfigurationError(f"length mismatch: {sorted(lengths)}")
 
 
 def _center_out_order(d: int) -> np.ndarray:
@@ -81,7 +74,8 @@ def weighted_norm(u, rho) -> float:
     """
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    _check_lengths(u, rho)
+    if len(u) != len(rho):
+        raise ConfigurationError(f"length mismatch: {sorted({len(u), len(rho)})}")
     return float(np.linalg.norm(rho * u))
 
 
@@ -100,16 +94,6 @@ def apply_A(u, out=None):
     out[..., :1] -= u[..., -1:]
     out[..., :-1] -= u[..., 1:]
     out[..., -1:] -= u[..., :1]
-    return out
-
-
-def dense_A(d: int) -> np.ndarray:
-    """Dense matrix of :func:`apply_A` (2 on the diagonal, -1 on the first
-    off-diagonals and in the periodic corners)."""
-    out = np.empty((d, d))
-    eye = np.eye(d)
-    for j in range(d):
-        out[:, j] = apply_A(eye[:, j])
     return out
 
 
@@ -248,12 +232,11 @@ class LatticeConfig:
             raise ConfigurationError(f"g must have length {d}, got shape {g.shape}")
         if rho.shape != (d,):
             raise ConfigurationError(f"rho must have length {d}, got shape {rho.shape}")
-        if not np.all(rho > 0):
-            raise ConfigurationError("all weights rho_i must be positive")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(rho))):
-            raise ConfigurationError("g and rho must be finite")
+        if not np.all(np.isfinite(g)):
+            raise ConfigurationError("g must be finite")
         # rho_i^2 must be a normal double, and a state's squared norm must
-        # stay finite up to the blow-up threshold: d (rho_i BLOWUP_THRESHOLD)^2
+        # stay finite up to the blow-up threshold: d (rho_i BLOWUP_THRESHOLD)^2.
+        # The test is for the inside, so it rejects nan as well.
         rho_max = _SQUARE_MAX / math.sqrt(d) / BLOWUP_THRESHOLD
         if not np.all((rho >= _SQUARE_MIN) & (rho <= rho_max)):
             raise ConfigurationError(
@@ -272,14 +255,12 @@ class LatticeConfig:
             nodes = self.q.table_times
             ts = np.union1d(ts, nodes[(nodes > 0.0) & (nodes < self.T)])
         qs = self.q.grid(ts, self.n)
-        if not np.all(np.isfinite(qs)):
-            raise ConfigurationError("noise coefficient is not finite on [0, T]")
         if np.any(qs == 0.0):
             k, i = np.argwhere(qs == 0.0)[0]
             raise DegenerateNoiseError(
                 f"q vanishes at t={ts[k]:.6g} (site {i - self.n})"
             )
-        outside = (np.abs(qs) < _SQUARE_MIN) | (np.abs(qs) > _SQUARE_MAX)
+        outside = ~((np.abs(qs) >= _SQUARE_MIN) & (np.abs(qs) <= _SQUARE_MAX))  # nan and inf too
         if np.any(outside):
             k, i = np.argwhere(outside)[0]
             raise ConfigurationError(

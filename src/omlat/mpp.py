@@ -410,20 +410,12 @@ def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarr
     return rhs
 
 
-def _trial_action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport | None:
-    """The action of a line-search trial, or None when it overflows: the
-    search then rejects the trial as it rejects one that does not descend."""
-    try:
-        return _action(path, cfg, qs)
-    except IntegrationError:
-        return None
-
-
 def _backtrack(path: Path, cfg: LatticeConfig, qs, direction, t, slope: float, action_val: float, halvings: int):
     """Armijo backtracking from ``path`` along ``direction``: the first of
     the steps ``t, t/2, ...`` (at most ``halvings`` of them) whose action
     decreases by at least ``1e-4 t slope``, as (path, report, t, halvings
-    taken), or None.  Every trial is formed in one array, which the
+    taken), or None.  A trial whose action overflows is rejected as one
+    that does not descend.  Every trial is formed in one array, which the
     accepted path keeps."""
     trial = np.empty_like(path.states)
     trial[0], trial[-1] = path.states[0], path.states[-1]
@@ -431,9 +423,12 @@ def _backtrack(path: Path, cfg: LatticeConfig, qs, direction, t, slope: float, a
         np.multiply(direction, t, out=trial[1:-1])
         trial[1:-1] += path.states[1:-1]
         trial_path = Path(trial, path.dt)
-        trial_report = _trial_action(trial_path, cfg, qs)
-        if trial_report is not None and trial_report.total <= action_val + 1e-4 * t * slope:
-            return trial_path, trial_report, t, taken
+        try:
+            trial_report = _action(trial_path, cfg, qs)
+            if trial_report.total <= action_val + 1e-4 * t * slope:
+                return trial_path, trial_report, t, taken
+        except IntegrationError:
+            pass
         t *= 0.5
     return None
 

@@ -38,11 +38,15 @@ _TAG_NOISE_ROW = 1  # Philox; a = trajectory, b = step
 _TAG_SMALLBALL_BLOCK = 3  # SFC64 via _block_bits; b = sample block; every coordinate, stage after stage
 _TAG_TUBE_BLOCK = 5  # SFC64 via _block_bits; b = trajectory block
 
+#: Ranges of the key's trajectory and step counters, a and b.
+_MAX_TRAJECTORIES = 2**24
+_MAX_STEPS = 2**32
+
 
 def _philox_key(seed: int, tag: int, a: int, b: int) -> np.ndarray:
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
-    if not (0 <= a < 2**24 and 0 <= b < 2**32):
+    if not (0 <= a < _MAX_TRAJECTORIES and 0 <= b < _MAX_STEPS):
         raise ConfigurationError(f"counter components out of range: {(a, b)}")
     word = (int(tag) << 56) | (int(a) << 32) | int(b)
     return np.array([int(seed), word], dtype=np.uint64)

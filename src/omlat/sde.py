@@ -193,23 +193,24 @@ def apriori_bound_check(pairs, cfg: LatticeConfig) -> BoundReport:
 
     The ratio sup|u|^2 / rhs is reported per trajectory (defined as 0 when
     the right-hand side vanishes); it should stay bounded under grid
-    refinement.
+    refinement.  A right-hand side that overflows (|W|^(4p+2) at a large
+    p) raises :class:`IntegrationError` naming the pair's index in ``pairs``.
     """
     rho = cfg.rho
     g_norm_sq = weighted_norm(cfg.g, rho) ** 2
     lhs, rhs = [], []
-    for u, w in pairs:
+    for j, (u, w) in enumerate(pairs):
         if not u.same_grid(w):
             raise ConfigurationError("solution and noise paths are on different grids")
-        u_sq = np.sum((rho * u.states) ** 2, axis=1)
-        w_sq = np.sum((rho * w.states) ** 2, axis=1)
-        integrand = w_sq + w_sq ** (2 * cfg.f.p + 1) + g_norm_sq
+        with np.errstate(over="ignore"):  # an overflow is caught below
+            u_sq = np.sum((rho * u.states) ** 2, axis=1)
+            w_sq = np.sum((rho * w.states) ** 2, axis=1)
+            integrand = w_sq + w_sq ** (2 * cfg.f.p + 1) + g_norm_sq
+            rhs_j = float(np.sum((rho * u.states[0]) ** 2) + np.max(w_sq) + np.trapezoid(integrand, dx=u.dt))
+        if not math.isfinite(rhs_j):
+            raise IntegrationError(f"the bound functional of trajectory {j} overflows at p = {cfg.f.p}", trajectory=j)
         lhs.append(float(np.max(u_sq)))
-        rhs.append(float(
-            np.sum((rho * u.states[0]) ** 2)
-            + np.max(w_sq)
-            + np.trapezoid(integrand, dx=u.dt)
-        ))
+        rhs.append(rhs_j)
     lhs, rhs = np.array(lhs), np.array(rhs)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)

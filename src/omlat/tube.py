@@ -22,7 +22,7 @@ from numpy.random import Generator
 
 from .action import _check_path, om_action
 from .errors import ConfigurationError, StatisticalPowerError
-from .lattice import LatticeConfig, dense_A
+from .lattice import LatticeConfig, apply_A
 from .noise import _TAG_TUBE_BLOCK, _block_bits
 from .paths import Path
 from .sde import euler_maruyama
@@ -124,20 +124,21 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
     rho_sq = (cfg.rho**2)[None, :]
     g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
 
-    base = cfg.nu * dense_A(d) + cfg.lam * np.eye(d)
-    alpha, V = np.linalg.eigh(base)
-    decay = np.exp(-alpha * dt)[None, :]
+    alpha, V = np.linalg.eigh(cfg.nu * apply_A(np.eye(d)) + cfg.lam * np.eye(d))
+    # The plain denominator is the convolution one with unit decay and no
+    # basis change: x * 1.0 is x bit for bit.  At d = 1 the eigenbasis is
+    # [[1.0]] and the basis changes are exact copies, so they are skipped:
+    # `@` on (count, 1) is a slow per-row loop, and np.dot hands it to
+    # BLAS, whose threads contend with the pool.
     convolution = exp.denominator == "convolution"
-    # At d = 1 the eigenbasis is [[1.0]] and the basis changes are exact
-    # copies, so they are skipped: `@` on (count, 1) is a slow per-row
-    # loop, and np.dot hands it to BLAS, whose threads contend with the pool.
-    rotate = d > 1
+    decay = (np.exp(-alpha * dt) if convolution else np.ones(d))[None, :]
+    rotate = convolution and d > 1
 
     # trapezoid accumulation: half weight at k = 0 and k = N; at k = 0 both
     # ensembles sit exactly on their reference, so that term is zero
     num_sq = np.zeros(count)
     den_sq = np.zeros(count)
-    x = np.zeros((count, d))  # reference-noise state, eigenbasis coordinates
+    x = np.zeros((count, d))  # reference-noise state, in the eigenbasis when rotated
     sq = np.empty((count, d))  # weighted squared distance per site
     u = np.tile(phi[0], (count, 1))
 
@@ -153,13 +154,9 @@ def _block_distances(exp: TubeExperiment, block_index: int, count: int):
         acc += s
 
     def accumulate(k, u, forced):
-        if convolution:
-            np.add(x, forced @ V if rotate else forced, out=x)
-            np.multiply(x, decay, out=x)
-            y = x @ V.T if rotate else x
-        else:
-            np.add(x, forced, out=x)
-            y = x
+        np.add(x, forced @ V if rotate else forced, out=x)
+        np.multiply(x, decay, out=x)
+        y = x @ V.T if rotate else x
         w = dt if k < N - 1 else 0.5 * dt
         np.subtract(u, phi[k + 1], out=sq)
         np.square(sq, out=sq)

@@ -8,7 +8,7 @@ from omlat import (
     NoiseCoefficient,
     Path,
     PolynomialNonlinearity,
-    dense_A,
+    apply_A,
     om_action,
     om_gradient,
     trace_term,
@@ -55,7 +55,7 @@ class TestResidual:
         v = np.array([0.2, 0.1, -0.3])
         dt = 0.125
         p = Path(a[None, :] + v[None, :] * (dt * np.arange(9))[:, None], dt)
-        M = cfg.nu * dense_A(3) + cfg.lam * np.eye(3)
+        M = cfg.nu * apply_A(np.eye(3)).T + cfg.lam * np.eye(3)
         for k in range(8):
             t_mid = (k + 0.5) * dt
             expected = v + M @ (a + v * t_mid)
@@ -270,7 +270,7 @@ class TestNoRhoWeight:
         # which holds no rho.  The action's midpoint rule differs from the
         # chain's left-point rule by O(dt).
         cfg = self.cfg(np.array([0.5, 1.0, 2.0]), f=LINEAR)
-        L = cfg.nu * dense_A(3) + cfg.lam * np.eye(3)
+        L = cfg.nu * apply_A(np.eye(3)).T + cfg.lam * np.eye(3)
         gaps = []
         for steps in (256, 512, 1024):
             p = self.sine_path(steps)

@@ -440,6 +440,20 @@ class TestCliRuns:
         ]
         assert files[0] == files[1]
 
+    def test_bound_overflow_exits_numerical_naming_the_trajectory(self, tmp_path, capsys):
+        # |W|^(4p+2) overflows at p = 154: the run fails instead of writing
+        # an infinite bound functional and a ratio of 0
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(SCALAR.replace("n = 0", "n = 1").replace("p = 1", "p = 154").replace("constant:1.0", "constant:3"))
+        out = tmp_path / "bound"
+        code = main(["verify", "bound", "--config", str(cfg), "--ensemble", "4", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "trajectory 0 overflows" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (out / "bound.csv").exists()
+        _closed_manifest(out, 3, "IntegrationError")
+
     def test_growth_bound_violation_names_c_f(self, tmp_path, capsys):
         cfg = tmp_path / "steep.cfg"
         cfg.write_text(EXAMPLE5.replace("C_f = 0.1", "C_f = 0.01"))

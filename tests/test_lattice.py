@@ -11,7 +11,6 @@ from omlat import (
     NoiseCoefficient,
     PolynomialNonlinearity,
     apply_A,
-    dense_A,
     drift,
     weighted_norm,
 )
@@ -75,7 +74,7 @@ class TestOperators:
         np.testing.assert_allclose(apply_B([1.0, 0.0, 0.0]), [-1.0, 0.0, 1.0])
 
     def test_dense_matrices_structure(self):
-        A = dense_A(5)
+        A = apply_A(np.eye(5)).T
         assert np.all(np.diag(A) == 2.0)
         assert A[0, 4] == -1.0 and A[4, 0] == -1.0
         B = dense_B(5)
@@ -85,7 +84,7 @@ class TestOperators:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_factorization_identities(self, n):
         d = 2 * n + 1
-        A = dense_A(d)
+        A = apply_A(np.eye(d)).T
         B = dense_B(d)
         assert np.max(np.abs(A - B @ B.T)) <= 1e-14
         assert np.max(np.abs(A - B.T @ B)) <= 1e-14
@@ -115,7 +114,7 @@ class TestOperators:
         nu, lam = 0.1, 0.4
         for n in (1, 3, 5):
             d = 2 * n + 1
-            vals = np.linalg.eigvalsh(nu * dense_A(d) + lam * np.eye(d))
+            vals = np.linalg.eigvalsh(nu * apply_A(np.eye(d)).T + lam * np.eye(d))
             assert np.all(vals >= lam - 1e-12)
 
     def test_batch_rows_match_single(self):
@@ -217,7 +216,7 @@ class TestDrift:
         f0 = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
         cfg = make_cfg(n=3, nu=0.25, lam=0.7, f=f0)
         d = cfg.d
-        M = -(cfg.nu * dense_A(d) + cfg.lam * np.eye(d))
+        M = -(cfg.nu * apply_A(np.eye(d)).T + cfg.lam * np.eye(d))
         rng = np.random.default_rng(17)
         for _ in range(10):
             u = rand_vec(rng, d)
@@ -274,10 +273,19 @@ class TestLatticeConfig:
             {"T": np.inf},
             {"nu": np.inf},
             {"lam": np.inf},
+            {"rho": np.array([1.0, np.nan, 1.0])},
+            {"rho": np.array([1.0, np.inf, 1.0])},
+            {"g": np.array([0.0, np.nan, 0.0])},
+            {"g": np.array([0.0, np.inf, 0.0])},
+            {"q": NoiseCoefficient.constant(np.nan)},
+            {"q": NoiseCoefficient.constant(np.inf)},
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        # the message names the parameter (q by its config key)
+        (name,) = kwargs
+        match = {"n": "half-width", "lam": "lambda", "rho": "rho_i", "g": r"\bg\b", "q": "q_spec"}.get(name, name)
+        with pytest.raises(ConfigurationError, match=match):
             make_cfg(**kwargs)
 
     def test_vanishing_noise_rejected(self):

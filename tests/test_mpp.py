@@ -15,6 +15,7 @@ from scipy.sparse.linalg import spsolve
 import omlat
 from omlat import (
     ConfigurationError,
+    IntegrationError,
     LatticeConfig,
     NoiseCoefficient,
     Path,
@@ -22,7 +23,7 @@ from omlat import (
     om_action,
     om_gradient,
 )
-from omlat.action import _check_path
+from omlat.action import _action, _check_path
 from omlat.lattice import _center_out_order
 from omlat.mpp import (
     BVPSpec,
@@ -279,6 +280,26 @@ class TestSolverFallback:
         assert not res.converged and res.iterations == 1
         assert len(calls) == 1
         assert len(res.record) == 1
+
+    def test_overflowing_trial_is_rejected_like_one_that_does_not_descend(self, monkeypatch):
+        # the first trial of the first search overflows (call 0 is the
+        # starting path's action): the search halves the step and goes on
+        import omlat.mpp as mpp_mod
+
+        calls = []
+
+        def first_trial_overflows(path, cfg, qs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise IntegrationError("action overflows")
+            return _action(path, cfg, qs)
+
+        monkeypatch.setattr(mpp_mod, "_action", first_trial_overflows)
+        spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=16)
+        res = solve_mpp(spec)
+        assert len(calls) > 2
+        assert res.converged
+        assert res.record[1].backtracks >= 1
 
 
 def path_band_shape(steps, d):

@@ -318,6 +318,19 @@ class TestAprioriBound:
         g_sq = weighted_norm(g, cfg1.rho) ** 2
         assert r2.rhs[0] - r1.rhs[0] == pytest.approx(3.0 * cfg1.T * g_sq, rel=1e-12)
 
+    def test_overflowing_bound_functional_names_the_trajectory(self):
+        # |W|^(4p+2) at p = 154 overflows once |W|^2 > 10; the silent path's
+        # functional is 0 and passes, the second pair is named by its index
+        f = PolynomialNonlinearity(coeffs=(), p=154, growth_constant=1.0)
+        cfg = LatticeConfig(n=1, nu=0.1, lam=0.4, f=f, q=NoiseCoefficient.constant(3.0), T=1.0)
+        pairs = []
+        for noise in (silent_noise(16, 3, 1.0 / 16), sample_noise(0, 16, 3, 1.0 / 16, trajectory=1)):
+            pairs.append((integrate(np.zeros(3), noise, cfg), wq_path(noise, cfg.q)))
+        assert apriori_bound_check(pairs[:1], cfg).rhs[0] == 0.0
+        with pytest.raises(IntegrationError, match="trajectory 1 overflows at p = 154") as raised:
+            apriori_bound_check(pairs, cfg)
+        assert raised.value.trajectory == 1
+
 
 class TestCocycle:
     def example_cfg(self, n=5):

@@ -14,7 +14,7 @@ from omlat import (
     Path,
     PolynomialNonlinearity,
     StatisticalPowerError,
-    dense_A,
+    apply_A,
     drift,
     integrate,
     om_action,
@@ -127,7 +127,7 @@ def matmul_block_distances(exp, block_index, count, filler=None):
     rho_sq = (cfg.rho**2)[None, :]
     g = Generator(_block_bits(exp.seed, _TAG_TUBE_BLOCK, block_index))
     qs = cfg.q.grid(dt * np.arange(N), cfg.n)
-    alpha, V = np.linalg.eigh(cfg.nu * dense_A(d) + cfg.lam * np.eye(d))
+    alpha, V = np.linalg.eigh(cfg.nu * apply_A(np.eye(d)).T + cfg.lam * np.eye(d))
     decay = np.exp(-alpha * dt)[None, :]
     u = np.tile(phi[0], (count, 1))
     x = np.zeros((count, d))
