@@ -238,10 +238,12 @@ class LatticeConfig:
         # stay finite up to the blow-up threshold: d (rho_i BLOWUP_THRESHOLD)^2.
         # The test is for the inside, so it rejects nan as well.
         rho_max = _SQUARE_MAX / math.sqrt(d) / BLOWUP_THRESHOLD
-        if not np.all((rho >= _SQUARE_MIN) & (rho <= rho_max)):
+        inside = (rho >= _SQUARE_MIN) & (rho <= rho_max)
+        if not np.all(inside):
+            i = int(np.argmin(inside))
             raise ConfigurationError(
-                f"weights rho_i must lie in [{_SQUARE_MIN:.4g}, {rho_max:.4g}] on {d} sites, "
-                f"got {np.min(rho):.4g} to {np.max(rho):.4g}"
+                f"weight rho_i is {rho[i]:.4g} at site {i - self.n}: "
+                f"weights rho_i must lie in [{_SQUARE_MIN:.4g}, {rho_max:.4g}] on {d} sites"
             )
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "rho", rho)

@@ -20,9 +20,11 @@ by itself: importing omlat does not import ``scipy.linalg``.  A solve
 allocates one band, 8 N d min(2d, d + 5) bytes, since each half holds
 its own copy of the middle state's block, and every factorization
 attempt rebuilds the matrix in it, since the Cholesky factor overwrites
-it.  Besides the band it holds at most nine arrays of the path's size
-(:func:`_solve_bytes`): the action, its gradient and the band build
-work in place in a few work arrays, and each array goes once it is dead.
+it.  The band is built in time blocks of about 8192 values, so the
+build's work arrays do not grow with N.  Besides the band a solve holds
+at most eight arrays of the path's size (:func:`_solve_bytes`): the
+action and its gradient work in blocks too, and each path-sized array
+goes once it is dead.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -30,6 +32,7 @@ bounded below.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -206,13 +209,27 @@ def _band_shape(steps: int, d: int) -> tuple:
 
 #: Arrays of a path's size, 8 (N + 1) d bytes each, that a solve holds at
 #: most besides its band, at any moment and for any d and N.
-_SOLVE_PATH_ARRAYS = 9
+_SOLVE_PATH_ARRAYS = 8
 
 
 def _solve_bytes(steps: int, d: int) -> int:
     """Bytes a solve on a grid of ``steps`` steps and ``d`` sites holds at
     most: its band and :data:`_SOLVE_PATH_ARRAYS` path-sized arrays."""
     return 8 * (math.prod(_band_shape(steps, d)) + _SOLVE_PATH_ARRAYS * (steps + 1) * d)
+
+
+@functools.cache
+def _shift_entries(d: int, s: int) -> tuple:
+    """Where shift s of a site block lands in the band, ``out[j, p, o] =
+    H[j d + p + o, j d + p]`` with p and p + o folded positions: the mask
+    ``low`` of the sites a whose entry (a + s, a) lies on or below the
+    diagonal, the (p, o) indices of those entries, and those of the cross
+    block's d entries.  Cached: the build asks once per time block, and
+    only reads them."""
+    fa = np.argsort(_center_out_order(d))
+    fb = np.roll(fa, -s)  # folded position of site a + s
+    low = fa >= fb
+    return low, (fb[low], (fa - fb)[low]), (fb, d + fa - fb)
 
 
 def _hessian_band(
@@ -245,30 +262,30 @@ def _hessian_band(
     rows: ring sites up to two apart sit at most 4 positions apart, and
     the off-diagonal time block adds d, so the half-bandwidth is
     min(2d - 1, d + 4).
+
+    The endpoints of ``path`` are held fixed, so the block of its last
+    interior state has no cross block.  The products are formed in place in about ten work
+    arrays of the size of ``path.states``; the solver keeps them small by
+    calling this on sub-paths of one time block each (:func:`_build_band`).
     """
     d = cfg.d
     dt = path.dt
     step = -1 if reverse else 1  # the intervals in the band's order
     h = -0.5 * cfg.nu
-    # out[j, q, o] = H[j d + q + o, j d + q], q and q + o folded positions;
-    # the entry of sites (a, b) lands at folded positions (fa, fb)
     out.fill(0.0)
-    fa = np.argsort(_center_out_order(d))
 
     def add(s, values, cross=False):
         # shift s of each block: values[j] lands in block j, on and below its
         # diagonal (interval j in phi_{j+1} plus interval j + 1 in
         # phi_{j+1}) or, with cross, below it (phi_{j+2} x phi_{j+1}); one
         # shift's two sets of entries are disjoint, so either may go first
-        fb = np.roll(fa, -s)  # folded position of site a + s
+        low, on, below = _shift_entries(d, s)
         if cross:
-            out[:-1, fb, d + fa - fb] += values
+            out[:-1, below[0], below[1]] += values
         else:
-            low = fa >= fb
-            out[:, fb[low], (fa - fb)[low]] += values[:, low]
+            out[:, on[0], on[1]] += values[:, low]
 
-    # every product is formed in place in one of a few (N, d) work arrays,
-    # and u is squared again for the last shifts rather than kept
+    # every product is formed in place in one of a few work arrays
     mids = _midpoints(path.states)
     base, work = np.empty_like(mids), np.empty_like(mids)
     u = np.square(row_weight[::step])
@@ -288,20 +305,18 @@ def _hessian_band(
     cpu *= u
     cmu = np.subtract(base, step / dt, out=mids)
     cmu *= u
-    del mids
     ring = np.roll(u, -1, axis=-1)  # h^2 (u[a+1] + u[a-1])
     ring += np.roll(u, 1, axis=-1)
     ring *= h * h
-    spare = u  # u is dead until the last shifts
-    del u
+    values = np.empty_like(u)
     # shift 0: the cross blocks cpu cm, then plus = cpu cp and minus = cmu cm
-    cross = np.subtract(base, step / dt, out=spare)
+    cross = np.subtract(base, step / dt, out=values)
     cross *= cpu
     cross += ring
     if newton:
         cross += curv
     add(0, cross[1:-1], cross=True)
-    plus = np.add(base, step / dt, out=spare)
+    plus = np.add(base, step / dt, out=values)
     plus *= cpu
     plus += ring
     minus = base
@@ -311,11 +326,10 @@ def _hessian_band(
     if newton:
         plus += curv
         minus += curv
-        del curv
     plus[:-1] += minus[1:]
     add(0, plus[:-1])
     for s in (1, -1):
-        plus = np.add(cpu, np.roll(cpu, -s, axis=-1), out=spare)
+        plus = np.add(cpu, np.roll(cpu, -s, axis=-1), out=values)
         plus *= h
         minus = np.add(cmu, np.roll(cmu, -s, axis=-1), out=base)
         minus *= h
@@ -324,13 +338,16 @@ def _hessian_band(
         cross = np.add(cpu, np.roll(cmu, -s, axis=-1), out=ring)
         cross *= h
         add(s, cross[1:-1], cross=True)
-    u = np.square(row_weight[::step], out=spare)
-    u *= 2.0
     for s in (2, -2):
         hv = np.multiply(np.roll(u, -s // 2, axis=-1), h * h, out=base)  # u[a+1], u[a-1]
         add(s, np.add(hv[:-1], hv[1:], out=ring[:-1]))
         add(s, hv[1:-1], cross=True)
     return out.reshape(-1, out.shape[-1]).T
+
+
+#: Values of one time block of the band build: a block takes B =
+#: 8192 // d interior states (at least one) of a half at a time.
+_BAND_BLOCK_VALUES = 8192
 
 
 def _build_band(path: Path, cfg: LatticeConfig, qs: np.ndarray, newton: bool, buffer: np.ndarray) -> int:
@@ -340,13 +357,30 @@ def _build_band(path: Path, cfg: LatticeConfig, qs: np.ndarray, newton: bool, bu
     blocks of states 0..m in time order, from the sub-path that ends one
     state past m, then the blocks of states N - 2..m in reverse time order,
     from the sub-path that starts one state before it.  ``qs`` is q at the
-    interval midpoints (:func:`_check_path`); each half takes its own row
-    weights from it."""
+    interval midpoints (:func:`_check_path`).
+
+    Each half goes in time blocks of B states (:data:`_BAND_BLOCK_VALUES`):
+    one :func:`_hessian_band` call on the B + 3 states that rows j..j + B
+    of the half need, with the row weights of their intervals.  Row j + B
+    lacks its cross block, and the next block builds it again.  Each entry
+    is summed as one call on the whole half sums it, so the bits are the
+    same, and the build holds only block-sized arrays."""
     middle = (path.steps - 1) // 2
     scale = np.sqrt(path.dt)
-    early, late = Path(path.states[: middle + 3], path.dt), Path(path.states[middle:], path.dt)
-    _hessian_band(early, cfg, scale / qs[: middle + 2], newton, buffer[: middle + 1])
-    _hessian_band(late, cfg, scale / qs[middle:], newton, buffer[middle + 1 :], reverse=True)
+    halves = (
+        (path.states[: middle + 3], qs[: middle + 2], buffer[: middle + 1], False),
+        (path.states[middle:], qs[middle:], buffer[middle + 1 :], True),
+    )
+    block = max(1, _BAND_BLOCK_VALUES // cfg.d)
+    for states, q, out, reverse in halves:
+        size = len(states)
+        for j in range(0, max(len(out) - 1, 1), block):
+            # states j..j + B + 2 of the half in the band's order
+            a, b = j, min(j + block + 3, size)
+            if reverse:
+                a, b = size - b, size - a
+            sub = Path(states[a:b], path.dt)
+            _hessian_band(sub, cfg, scale / q[a : b - 1], newton, out[j : j + b - a - 2], reverse)
     return middle
 
 

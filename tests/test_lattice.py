@@ -288,6 +288,13 @@ class TestLatticeConfig:
         with pytest.raises(ConfigurationError, match=match):
             make_cfg(**kwargs)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejected_weight_names_its_site(self, bad):
+        # n = 1: array position 1 is site 0; a nan among the weights must
+        # not hide the site behind a "nan to nan" range
+        with pytest.raises(ConfigurationError, match=rf"rho_i is {bad:.4g} at site 0:"):
+            make_cfg(n=1, rho=np.array([1.0, bad, 1.0]))
+
     def test_vanishing_noise_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cfg(q=NoiseCoefficient.constant(0.0))

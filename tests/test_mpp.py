@@ -27,6 +27,7 @@ from omlat.action import _action, _check_path
 from omlat.lattice import _center_out_order
 from omlat.mpp import (
     BVPSpec,
+    _BAND_BLOCK_VALUES,
     _SOLVE_PATH_ARRAYS,
     _band_shape,
     _build_band,
@@ -531,7 +532,9 @@ class TestBandBuffer:
     @pytest.mark.parametrize("steps", [2, 3, 16])
     def test_solve_allocates_the_checked_shape(self, monkeypatch, steps):
         # the two halves are built into one buffer of _band_shape, the
-        # shape the CLI's memory check multiplies out
+        # shape the CLI's memory check multiplies out, in blocks of B = 3
+        # rows at d = 5 here: the block at row j of a half writes rows j to
+        # j + B, the last one up to the half's end
         import omlat.mpp as mpp_mod
 
         outs = []
@@ -541,6 +544,7 @@ class TestBandBuffer:
             return _hessian_band(path, cfg, row_weight, newton, out, reverse)
 
         monkeypatch.setattr(mpp_mod, "_hessian_band", recording_build)
+        monkeypatch.setattr(mpp_mod, "_BAND_BLOCK_VALUES", 15)
         spec = example5_spec(n=2, steps=steps)
         solve_mpp(spec)
         assert outs
@@ -549,34 +553,45 @@ class TestBandBuffer:
         buffer = outs[0][0].base
         assert buffer.shape == _band_shape(steps, 5)
         m = (steps - 1) // 2
-        for out, reverse in outs:
-            assert out.shape[0] == (steps - 1 - m if reverse else m + 1)
-            assert out.ctypes.data == buffer[m + 1 if reverse else 0].ctypes.data
+        expected = []
+        for first, rows, reverse in ((0, m + 1, False), (m + 1, steps - 1 - m, True)):
+            expected += [(first + j, min(4, rows - j), reverse) for j in range(0, max(rows - 1, 1), 3)]
+        builds = [
+            ((out.ctypes.data - buffer.ctypes.data) // buffer[0].nbytes, out.shape[0], reverse)
+            for out, reverse in outs
+        ]
+        assert builds == expected * (len(builds) // len(expected))
 
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
     def test_build_holds_few_grid_arrays(self, newton):
-        # N = 1200, d = 61: the band is 66 (N, d)-sized arrays, the build's
-        # own arrays at most 8 at any time (7.01 measured Gauss-Newton, 7.23
-        # Newton)
-        spec = example5_spec(steps=1200)
-        cfg, dt = spec.cfg, spec.cfg.T / 1200
-        path = Path(np.random.default_rng(5).normal(scale=0.3, size=(1201, cfg.d)), dt)
-        row_weight = np.sqrt(dt) / _check_path(path, cfg)
-        out = np.empty(path_band_shape(1200, cfg.d))
-        tracemalloc.start()
-        try:
-            _hessian_band(path, cfg, row_weight, newton, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 1200 * cfg.d * 8
+        # the build's own arrays are at most 12 of one block's size, 8 (B + 2) d
+        # bytes, whatever N: 10.4 measured Gauss-Newton and 11.1 Newton at
+        # N = 1200, d = 61 (B = 134, 1.2 arrays of the path's size), 9.3 and
+        # 10.2 at N = 100 000, d = 1 (B = 8192, 0.8)
+        for n, steps in ((30, 1200), (0, 100_000)):
+            spec = example5_spec(n=n, steps=steps)
+            cfg, dt = spec.cfg, spec.cfg.T / steps
+            path = Path(np.random.default_rng(5).normal(scale=0.3, size=(steps + 1, cfg.d)), dt)
+            qs = _check_path(path, cfg)
+            buffer = np.empty(_band_shape(steps, cfg.d))
+            tracemalloc.start()
+            try:
+                _build_band(path, cfg, qs, newton, buffer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block = _BAND_BLOCK_VALUES // cfg.d
+            assert 4 * block < steps  # several blocks to each half
+            assert peak <= 12 * 8 * (block + 2) * cfg.d
 
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
     @pytest.mark.parametrize("n, steps", [(0, 100_000), (1, 30_000), (30, 1200)])
-    def test_solve_holds_its_band_and_nine_path_arrays(self, n, steps, newton):
+    def test_solve_holds_its_band_and_eight_path_arrays(self, n, steps, newton):
         # everything the solve allocates, its result included, at most the
-        # band and 9 arrays of 8 (N + 1) d bytes at any moment: 7.0 to 7.3
-        # measured at d = 1, 3 and 61
+        # band and 8 arrays of 8 (N + 1) d bytes at any moment: 7.28 / 7.26
+        # measured (Gauss-Newton / Newton) at d = 1, where the report's
+        # per-interval arrays are path-sized, 5.97 / 5.96 at d = 3 and
+        # 5.48 / 5.45 at d = 61
         spec = replace(example5_spec(n=n, steps=steps), newton=newton)
         tracemalloc.start()
         try:
@@ -584,8 +599,27 @@ class TestBandBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert _SOLVE_PATH_ARRAYS == 9
+        assert _SOLVE_PATH_ARRAYS == 8
         assert peak <= _solve_bytes(steps, spec.cfg.d)
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 30])
+    def test_blocked_build_is_a_one_call_build_of_each_half(self, n, newton):
+        # the halves meet at m = (N - 1) // 2 and hold m + 1 and N - 1 - m
+        # rows; the grids below put them on each side of one and two block
+        # lengths B, and past them
+        d = 2 * n + 1
+        B = _BAND_BLOCK_VALUES // d
+        for steps in sorted({2, 3, 4, B + 1, B + 2, 2 * B + 1, 2 * B + 2, 2 * B + 3, 4 * B + 3, 4 * B + 5, 1200}):
+            cfg, path, row_weight = example_problem(n, steps)
+            m = (steps - 1) // 2
+            blocked = two_half_band(path, cfg, newton)
+            early = Path(path.states[: m + 3], path.dt)
+            late = Path(path.states[m:], path.dt)
+            one_call = np.full_like(blocked, np.nan)
+            _hessian_band(early, cfg, row_weight[: m + 2], newton, one_call[: m + 1])
+            _hessian_band(late, cfg, row_weight[m:], newton, one_call[m + 1 :], reverse=True)
+            assert_same_bits(blocked, one_call)
 
 
 def block_reversed(H, d):
