@@ -10,7 +10,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .action import OMReport, om_action, om_gradient, trace_term
+from .action import OMReport, om_action, trace_term
 from .errors import (
     ConfigurationError,
     DegenerateNoiseError,

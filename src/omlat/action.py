@@ -33,7 +33,6 @@ __all__ = [
     "OMReport",
     "trace_term",
     "om_action",
-    "om_gradient",
 ]
 
 #: Below this magnitude a noise coefficient counts as degenerate.
@@ -90,10 +89,10 @@ def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
     return qs
 
 
-#: The action and its gradient visit the intervals in blocks of about this
-#: many values, so their work arrays stay far below a path's size at every
-#: N; each interval's arithmetic is the same in any block.
-_BLOCK_VALUES = 4096
+#: The action, its gradient and the solver's band visit the intervals in
+#: blocks of about this many values, so their work arrays stay far below a
+#: path's size at every N; an interval's arithmetic is the same in any block.
+_BLOCK_VALUES = 8192
 
 
 def _blocks(steps: int, d: int):
@@ -149,16 +148,17 @@ def om_action(path: Path, cfg: LatticeConfig) -> OMReport:
         If the action overflows, naming the first interval at which its
         running sum is not finite.
     """
-    return _action(path, cfg, _check_path(path, cfg))
+    return _action(path.states, path.dt, cfg, _check_path(path, cfg))
 
 
-def _action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport:
-    """:func:`om_action` of a path that passed :func:`_check_path`, which
-    returned ``qs``; it works block by block in four work arrays."""
-    states, dt, steps = path.states, path.dt, path.steps
+def _action(states: np.ndarray, dt: float, cfg: LatticeConfig, qs: np.ndarray) -> OMReport:
+    """:func:`om_action` of the path ``states`` of step ``dt``, for which
+    :func:`_check_path` returned ``qs``, block by block in four work arrays.
+    Non-finite states raise IntegrationError, as an overflowing action does."""
+    steps, d = states.shape[0] - 1, states.shape[1]
     drift_k, trace_k = np.empty(steps), np.empty(steps)
-    blocks, rows = _blocks(steps, path.d)
-    work = np.empty((4, rows, path.d))
+    blocks, rows = _blocks(steps, d)
+    work = np.empty((4, rows, d))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for k0, k1 in blocks:
             mids, res, a, b = work[:, : k1 - k0]
@@ -173,7 +173,7 @@ def _action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport:
         trace_total = float(np.sum(trace_k))
         if not math.isfinite(drift_total + trace_total):
             bad = np.flatnonzero(~np.isfinite(np.cumsum(drift_k) + np.cumsum(trace_k)))
-            k = int(bad[0]) if bad.size else path.steps - 1
+            k = int(bad[0]) if bad.size else steps - 1
             raise IntegrationError(
                 f"the action is not finite: it overflows on interval {k} "
                 f"(t in [{k * dt:.6g}, {(k + 1) * dt:.6g}])",
@@ -191,9 +191,10 @@ def _action(path: Path, cfg: LatticeConfig, qs: np.ndarray) -> OMReport:
     )
 
 
-def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
-    """Exact gradient of the discrete action with respect to the interior
-    states phi_1..phi_{N-1}, holding the endpoints fixed.  Shape (N-1, d).
+def _gradient(states: np.ndarray, dt: float, cfg: LatticeConfig, qs: np.ndarray) -> np.ndarray:
+    """Exact gradient of the action of ``states`` (step ``dt``, ``qs`` from
+    :func:`_check_path`) in the interior states phi_1..phi_{N-1}, holding
+    the endpoints fixed.  Shape (N-1, d).
 
     Each interval contributes through the chain rule of its residual, its
     midpoint, and the trace part:
@@ -205,11 +206,10 @@ def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
     ``-dt/2 f''(m_k)`` from the trace.  It works block by block in five
     work arrays.  The sum starts from zeros: ``0.0 + x`` turns -0.0 into 0.0.
     """
-    qs = _check_path(path, cfg)
-    states, dt, steps = path.states, path.dt, path.steps
-    grad = np.zeros((steps - 1, path.d))
-    blocks, rows = _blocks(steps, path.d)
-    work = np.empty((5, rows, path.d))
+    steps, d = states.shape[0] - 1, states.shape[1]
+    grad = np.zeros((steps - 1, d))
+    blocks, rows = _blocks(steps, d)
+    work = np.empty((5, rows, d))
     for k0, k1 in blocks:
         mids, w, lw, a, b = work[:, : k1 - k0]
         _midpoints(states[k0 : k1 + 1], out=mids)

@@ -73,10 +73,12 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
         if len(parts) != 2:
             raise ConfigurationError("gauss state spec needs <amp>,<sigma>")
         amp, sigma = parts
-        if not sigma > 0:
-            raise ConfigurationError(f"gauss state spec: sigma must be positive, got {sigma:g}")
+        width = 2.0 * (sigma * sigma)  # sigma**2 raises OverflowError
+        if not (sigma > 0 and 0 < width < math.inf):
+            raise ConfigurationError(f"gauss state spec {raw!r}: sigma must be positive with 2 sigma^2 in (0, inf)")
         i = np.arange(-n, n + 1)
-        return amp * np.exp(-(i**2) / (2.0 * sigma**2))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the profile's limit
+            return amp * np.exp(-(i**2) / width)
     if kind == "csv":
         data = _read_numbers(rest, "state file")
         if data.shape[0] != 1:
@@ -332,6 +334,9 @@ def _plan_smallball(plan) -> None:
         raise ConfigurationError(f"--eps: radii must lie in (0, 1], got {plan.eps!r}")
     plan.rates = smallball_rates(plan.alpha)
     _check_truncation(plan.alpha, plan.imax, min(plan.radii), "--imax")
+    # bytes per coordinate: 16 for the weights, at most 20 for each worker's draws (tracemalloc)
+    nbytes = (16 + 20 * worker_count()) * plan.imax
+    _check_memory(nbytes, f"--imax={plan.imax}", "the small-ball weights with each worker's draws")
 
 
 def _run_smallball(plan, out) -> int:

@@ -20,11 +20,12 @@ by itself: importing omlat does not import ``scipy.linalg``.  A solve
 allocates one band, 8 N d min(2d, d + 5) bytes, since each half holds
 its own copy of the middle state's block, and every factorization
 attempt rebuilds the matrix in it, since the Cholesky factor overwrites
-it.  The band is built in time blocks of about 8192 values, so the
-build's work arrays do not grow with N.  Besides the band a solve holds
-at most eight arrays of the path's size (:func:`_solve_bytes`): the
-action and its gradient work in blocks too, and each path-sized array
-goes once it is dead.
+it.  The band, the action and its gradient are built in time blocks of
+about ``action._BLOCK_VALUES`` values, so no work array grows with N.
+Each kernel takes the states, ``dt`` and the q that the solve's one
+entry check returned, so a solve builds a ``Path`` only for that check
+and its result.  Besides the band a solve holds at most eight arrays of
+the path's size (:func:`_solve_bytes`), and each goes once it is dead.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from .action import OMReport, _action, _check_path, _midpoints, _residuals, om_gradient
+from .action import _BLOCK_VALUES, OMReport, _action, _check_path, _gradient, _midpoints, _residuals
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
@@ -113,7 +114,7 @@ class MPPResult:
     reached it: the damping on the diagonal of the last factorization
     tried, the step length t, the Armijo halvings taken to reach it, and 1
     when the step fell back to gradient descent.  Row 0 took no step and
-    holds zeros there.
+    holds zeros there, so the accepted steps, ``iterations``, are one fewer.
     """
 
     path: Path
@@ -233,13 +234,13 @@ def _shift_entries(d: int, s: int) -> tuple:
 
 
 def _hessian_band(
-    path: Path, cfg: LatticeConfig, row_weight: np.ndarray, newton: bool, out: np.ndarray, reverse: bool = False
+    states: np.ndarray, dt: float, cfg: LatticeConfig, row_weight, newton: bool, out: np.ndarray, reverse=False
 ) -> np.ndarray:
     """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
-    states of ``path`` (time-major, each time block's sites centre-out),
-    plus the exact curvature terms when ``newton``, built in place in
-    ``out`` (shape ``(steps - 1, d, min(2d, d + 5))``, any contents);
-    returns the band as a view of ``out``.  ``reverse`` numbers the
+    ``states`` of a path of step ``dt`` (time-major, each time block's
+    sites centre-out), plus the exact curvature terms when ``newton``,
+    built in place in ``out`` (shape ``(steps - 1, d, min(2d, d + 5))``,
+    any contents); returns the band as a view of ``out``.  ``reverse`` numbers the
     interior states last to first, which gives the band of the
     block-permuted matrix; the solver builds the second half of its band
     that way (:func:`_two_ended_solve`).
@@ -263,13 +264,12 @@ def _hessian_band(
     the off-diagonal time block adds d, so the half-bandwidth is
     min(2d - 1, d + 4).
 
-    The endpoints of ``path`` are held fixed, so the block of its last
-    interior state has no cross block.  The products are formed in place in about ten work
-    arrays of the size of ``path.states``; the solver keeps them small by
-    calling this on sub-paths of one time block each (:func:`_build_band`).
+    The endpoints are held fixed, so the last interior state's block has
+    no cross block.  The products are formed in place in about ten work
+    arrays of the size of ``states``; the solver keeps them small by
+    passing the states of one time block (:func:`_build_band`).
     """
     d = cfg.d
-    dt = path.dt
     step = -1 if reverse else 1  # the intervals in the band's order
     h = -0.5 * cfg.nu
     out.fill(0.0)
@@ -286,14 +286,14 @@ def _hessian_band(
             out[:, on[0], on[1]] += values[:, low]
 
     # every product is formed in place in one of a few work arrays
-    mids = _midpoints(path.states)
+    mids = _midpoints(states)
     base, work = np.empty_like(mids), np.empty_like(mids)
     u = np.square(row_weight[::step])
     u *= 2.0  # H = 2 J^T J
     if newton:
         # second-order terms of the residuals and the trace part: site-
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
-        res = _residuals(path.states, dt, cfg, mids, out=np.empty_like(mids), work=(base, work))
+        res = _residuals(states, dt, cfg, mids, out=np.empty_like(mids), work=(base, work))
         curv, base = np.multiply(u, 0.25, out=base), res
         curv *= res[::step]
         curv *= cfg.f.deriv(mids[::step], 2, out=base, work=work)
@@ -345,42 +345,36 @@ def _hessian_band(
     return out.reshape(-1, out.shape[-1]).T
 
 
-#: Values of one time block of the band build: a block takes B =
-#: 8192 // d interior states (at least one) of a half at a time.
-_BAND_BLOCK_VALUES = 8192
+def _build_band(states: np.ndarray, dt: float, cfg: LatticeConfig, qs, newton: bool, buffer: np.ndarray) -> int:
+    """Build the band of the interior ``states`` of a path of step ``dt``
+    into ``buffer`` (shape :func:`_band_shape`) as :func:`_two_ended_solve`
+    takes it, and return the middle interior state m = (N - 1) // 2, where
+    the halves meet: the blocks of states 0..m in time order, from the
+    states up to one past m, then those of states N - 2..m in reverse time
+    order, from one before m.  ``qs`` is q at the interval midpoints.
 
-
-def _build_band(path: Path, cfg: LatticeConfig, qs: np.ndarray, newton: bool, buffer: np.ndarray) -> int:
-    """Build the band of ``path``'s interior states into ``buffer`` (shape
-    :func:`_band_shape`) as :func:`_two_ended_solve` takes it, and return
-    the middle interior state m = (N - 1) // 2, where the halves meet: the
-    blocks of states 0..m in time order, from the sub-path that ends one
-    state past m, then the blocks of states N - 2..m in reverse time order,
-    from the sub-path that starts one state before it.  ``qs`` is q at the
-    interval midpoints (:func:`_check_path`).
-
-    Each half goes in time blocks of B states (:data:`_BAND_BLOCK_VALUES`):
+    Each half goes in time blocks of B = ``_BLOCK_VALUES // d`` states (at
+    least one), the action's blocks (:data:`omlat.action._BLOCK_VALUES`):
     one :func:`_hessian_band` call on the B + 3 states that rows j..j + B
     of the half need, with the row weights of their intervals.  Row j + B
     lacks its cross block, and the next block builds it again.  Each entry
     is summed as one call on the whole half sums it, so the bits are the
     same, and the build holds only block-sized arrays."""
-    middle = (path.steps - 1) // 2
-    scale = np.sqrt(path.dt)
+    middle = (len(states) - 2) // 2
+    scale = np.sqrt(dt)
     halves = (
-        (path.states[: middle + 3], qs[: middle + 2], buffer[: middle + 1], False),
-        (path.states[middle:], qs[middle:], buffer[middle + 1 :], True),
+        (states[: middle + 3], qs[: middle + 2], buffer[: middle + 1], False),
+        (states[middle:], qs[middle:], buffer[middle + 1 :], True),
     )
-    block = max(1, _BAND_BLOCK_VALUES // cfg.d)
-    for states, q, out, reverse in halves:
-        size = len(states)
+    block = max(1, _BLOCK_VALUES // cfg.d)
+    for half, q, out, reverse in halves:
+        size = len(half)
         for j in range(0, max(len(out) - 1, 1), block):
             # states j..j + B + 2 of the half in the band's order
             a, b = j, min(j + block + 3, size)
             if reverse:
                 a, b = size - b, size - a
-            sub = Path(states[a:b], path.dt)
-            _hessian_band(sub, cfg, scale / q[a : b - 1], newton, out[j : j + b - a - 2], reverse)
+            _hessian_band(half[a:b], dt, cfg, scale / q[a : b - 1], newton, out[j : j + b - a - 2], reverse)
     return middle
 
 
@@ -444,23 +438,22 @@ def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarr
     return rhs
 
 
-def _backtrack(path: Path, cfg: LatticeConfig, qs, direction, t, slope: float, action_val: float, halvings: int):
-    """Armijo backtracking from ``path`` along ``direction``: the first of
-    the steps ``t, t/2, ...`` (at most ``halvings`` of them) whose action
-    decreases by at least ``1e-4 t slope``, as (path, report, t, halvings
-    taken), or None.  A trial whose action overflows is rejected as one
-    that does not descend.  Every trial is formed in one array, which the
-    accepted path keeps."""
-    trial = np.empty_like(path.states)
-    trial[0], trial[-1] = path.states[0], path.states[-1]
+def _backtrack(states, dt: float, cfg: LatticeConfig, qs, direction, t, slope: float, action_val: float, halvings):
+    """Armijo backtracking from the path ``states`` (step ``dt``) along
+    ``direction``: the first of the steps ``t, t/2, ...`` (at most
+    ``halvings`` of them) whose action decreases by at least ``1e-4 t
+    slope``, as (states, report, t, halvings taken), or None.  A trial
+    whose action overflows or whose states are not finite is rejected as
+    one that does not descend.  Every trial is formed in one array."""
+    trial = np.empty_like(states)
+    trial[0], trial[-1] = states[0], states[-1]
     for taken in range(halvings):
         np.multiply(direction, t, out=trial[1:-1])
-        trial[1:-1] += path.states[1:-1]
-        trial_path = Path(trial, path.dt)
+        trial[1:-1] += states[1:-1]
         try:
-            trial_report = _action(trial_path, cfg, qs)
+            trial_report = _action(trial, dt, cfg, qs)
             if trial_report.total <= action_val + 1e-4 * t * slope:
-                return trial_path, trial_report, t, taken
+                return trial, trial_report, t, taken
         except IntegrationError:
             pass
         t *= 0.5
@@ -487,14 +480,15 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     N = spec.steps
     dt = cfg.T / N
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
-    path = Path((1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :], dt)
+    states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
     del lam_interp
-    # q at the interval midpoints, where the action evaluates it
-    qs = _check_path(path, cfg)
-    report = _action(path, cfg, qs)
+    # q at the interval midpoints, where the action evaluates it: the
+    # solve's one entry check, whose qs every kernel below takes
+    qs = _check_path(Path(states, dt), cfg)
+    report = _action(states, dt, cfg, qs)
     action_val = report.total
 
-    grad = om_gradient(path, cfg)
+    grad = _gradient(states, dt, cfg, qs)
     record = [RecordRow(action_val, float(np.max(np.abs(grad))), 0.0, 0.0, 0, 0)]
     damping = 0.0
     # the band numbers each time block's sites centre-out
@@ -510,7 +504,7 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         for _ in range(8):
             # the Cholesky factor overwrites the band, so every attempt
             # rebuilds it in the solve's one buffer
-            middle = _build_band(path, cfg, qs, spec.newton, buffer)
+            middle = _build_band(states, dt, cfg, qs, spec.newton, buffer)
             buffer[..., 0] += damping
             tried = damping
             try:  # the solve overwrites -g, in folded order, with the step
@@ -527,32 +521,32 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         if step is not None:
             direction = step[:, fold]
             del step
-            accepted = _backtrack(path, cfg, qs, direction, 1.0, slope, action_val, 30)
+            accepted = _backtrack(states, dt, cfg, qs, direction, 1.0, slope, action_val, 30)
             del direction
         fallback = accepted is None
         if fallback:
             # no Gauss-Newton step descends: plain gradient descent
             slope = -float(np.sum(grad * grad))
             t = 1.0 / (1.0 + np.max(np.abs(grad)))
-            accepted = _backtrack(path, cfg, qs, -grad, t, slope, action_val, 40)
+            accepted = _backtrack(states, dt, cfg, qs, -grad, t, slope, action_val, 40)
         if accepted is None:
             break  # no descent possible at working precision
 
-        path, report, t, taken = accepted
+        states, report, t, taken = accepted
         del accepted, grad  # the old path and gradient go before the new gradient
         action_val = report.total
-        grad = om_gradient(path, cfg)
+        grad = _gradient(states, dt, cfg, qs)
         record.append(RecordRow(action_val, float(np.max(np.abs(grad))), tried, t, taken, int(fallback)))
         damping *= 0.25
         if damping < 1e-14 * (1.0 + abs(action_val)):
             damping = 0.0
 
     if report is None:  # the last search stalled on the path it started from
-        report = _action(path, cfg, qs)
+        report = _action(states, dt, cfg, qs)
     return MPPResult(
-        path=path,
+        path=Path(states, dt),
         action=report,
-        iterations=min(len(record), spec.max_iterations),
+        iterations=len(record) - 1,
         converged=record[-1].gradient_norm <= spec.tol,
         record=tuple(record),
     )

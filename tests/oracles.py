@@ -8,7 +8,9 @@ of the Euler-Maruyama stepper against a finer resolution of the same
 Brownian paths.  :func:`l2rho_path_norm` is the weighted L2 distance of
 two paths by the trapezoid rule, against which the tube's block
 distances are checked.  :func:`residuals` is every interval residual of
-the action, which the action and solver tests differentiate.
+the action, which the action and solver tests differentiate, and
+:func:`om_gradient` is the solver's private gradient kernel on a checked
+``Path``.
 
 The forward/backward differences :func:`apply_B`, :func:`apply_BT` and
 :func:`dense_B` check the factorization A = B B^T = B^T B of the
@@ -37,7 +39,7 @@ from omlat import (
     Path,
     PolynomialNonlinearity,
 )
-from omlat.action import _check_path, _midpoints, _residuals
+from omlat.action import _check_path, _gradient, _midpoints, _residuals
 from omlat.sde import euler_maruyama
 
 
@@ -56,6 +58,11 @@ def residuals(path: Path, cfg: LatticeConfig) -> np.ndarray:
     action's entry check."""
     _check_path(path, cfg)
     return _residuals(path.states, path.dt, cfg, _midpoints(path.states))
+
+
+def om_gradient(path: Path, cfg: LatticeConfig) -> np.ndarray:
+    """The action's gradient in the interior states, shape (N - 1, d), after its entry check."""
+    return _gradient(path.states, path.dt, cfg, _check_path(path, cfg))
 
 
 def ou_convolution(noise: NoisePath, q: NoiseCoefficient, alpha) -> Path:

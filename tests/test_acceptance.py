@@ -18,7 +18,6 @@ from omlat import (
     integrate,
     kl_spectrum,
     om_action,
-    om_gradient,
     sample_noise,
     smallball_mc,
     truncation_tail,
@@ -37,6 +36,7 @@ from oracles import (
     example5_boundary,
     example5_config,
     kernel_eigen_check,
+    om_gradient,
     smallball_reference,
     strong_errors,
 )

@@ -4,17 +4,18 @@ import pytest
 from omlat import (
     ConfigurationError,
     DegenerateNoiseError,
+    IntegrationError,
     LatticeConfig,
     NoiseCoefficient,
     Path,
     PolynomialNonlinearity,
     apply_A,
     om_action,
-    om_gradient,
     trace_term,
 )
+from omlat.action import _action, _check_path
 from omlat.lattice import drift
-from oracles import residuals
+from oracles import om_gradient, residuals
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -232,6 +233,18 @@ class TestOmGradient:
         p1 = Path(rng.standard_normal((9, 3)), 0.125)
         p2 = Path(2.5 * p1.states, 0.125)
         np.testing.assert_allclose(om_gradient(p2, cfg), 2.5 * om_gradient(p1, cfg), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_states_raise_like_an_overflow(bad):
+    # the solver's line-search trials are arrays, not checked Paths: the
+    # action's overflow test is what rejects a trial that left the doubles
+    cfg = example_cfg(T=1.0)
+    p = Path(np.zeros((9, 3)), 0.125)
+    states = p.states.copy()
+    states[4, 1] = bad
+    with pytest.raises(IntegrationError, match="interval 3"):
+        _action(states, p.dt, cfg, _check_path(p, cfg))
 
 
 def test_horizon_mismatch_rejected():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -730,6 +731,25 @@ class TestCliRuns:
         assert "--m=100000000000" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_verify_smallball_imax_beyond_physical_memory_rejected_before_opening_out(self, tmp_path, capsys):
+        out = tmp_path / "smallball"
+        assert main(["verify", "smallball", "--imax", "100000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--imax=100000000000" in err and "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_gauss_sigma_whose_square_is_subnormal_runs_without_warning(self, example5_file, tmp_path, capsys):
+        # 2 sigma^2 = 2e-320: every site but the centre overflows i^2 / (2 sigma^2)
+        # to inf, whose exp(-inf) = 0 is the profile's limit
+        out = tmp_path / "bound"
+        argv = ["verify", "bound", "--config", example5_file, "--u0", "gauss:1,1e-160", "--ensemble", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--dt", "0.25", "--out", str(out)]) == 0
+        assert not caught and "Warning" not in capsys.readouterr().err
+        i = np.arange(-30, 31)
+        np.testing.assert_array_equal(parse_state_spec("gauss:1,1e-160", 30), (i == 0).astype(float))
+
     @pytest.mark.parametrize("field", ["n", "p"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_integer_config_field_rejected_before_opening_out(self, tmp_path, capsys, field, value):
@@ -776,9 +796,13 @@ class TestCliRuns:
             (["verify", "smallball", "--alpha", "0.505"], "--imax"),
             (["simulate", "--seed", "-1"], "--seed"),
             (["simulate", "--seed", str(2**64)], "--seed"),
+            (["simulate", "--u0", "gauss:1,1e200"], "gauss:1,1e200"),
+            (["simulate", "--u0", "gauss:1,1e-200"], "gauss:1,1e-200"),
+            (["mpp", "--phi0", "gauss:1,1e-200"], "gauss:1,1e-200"),
         ],
         ids=["tube-eps-huge", "tube-eps-tiny", "kl-lambda-huge", "kl-lambda-tiny", "smallball-alpha-near-half",
-             "smallball-imax-beyond-doubles", "seed-negative", "seed-two-to-the-64"],
+             "smallball-imax-beyond-doubles", "seed-negative", "seed-two-to-the-64", "gauss-sigma-square-overflows",
+             "gauss-sigma-square-underflows", "mpp-gauss-sigma-square-underflows"],
     )
     def test_extreme_flag_rejected_before_opening_out(self, scalar_file, tmp_path, capsys, argv, flag):
         if argv[0] != "verify" or argv[1] == "tube":

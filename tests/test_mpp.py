@@ -21,13 +21,11 @@ from omlat import (
     Path,
     PolynomialNonlinearity,
     om_action,
-    om_gradient,
 )
-from omlat.action import _action, _check_path
+from omlat.action import _BLOCK_VALUES, _action, _check_path, _gradient
 from omlat.lattice import _center_out_order
 from omlat.mpp import (
     BVPSpec,
-    _BAND_BLOCK_VALUES,
     _SOLVE_PATH_ARRAYS,
     _band_shape,
     _build_band,
@@ -38,7 +36,7 @@ from omlat.mpp import (
     _two_ended_solve,
     solve_mpp,
 )
-from oracles import el_residual_example5, residuals
+from oracles import el_residual_example5, om_gradient, residuals
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 LINEAR = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)
@@ -106,7 +104,7 @@ class TestSolveMpp:
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.zeros(1), phiT=np.zeros(1), steps=16)
         res = solve_mpp(spec)
         assert res.converged
-        assert res.iterations == 1
+        assert res.iterations == 0
         assert res.record[-1].gradient_norm == 0.0
         assert res.action.drift_term == 0.0
         assert np.all(res.path.states == 0.0)
@@ -153,6 +151,49 @@ class TestSolveMpp:
         res = solve_mpp(spec)
         assert not res.converged
         assert res.iterations == 1
+
+    @pytest.mark.parametrize("max_iterations", [200, 2], ids=["limit-free", "limit-binds"])
+    def test_iterations_count_the_accepted_steps(self, monkeypatch, max_iterations):
+        # record[0] is the start, which no step reached
+        import omlat.mpp as mpp_mod
+
+        accepted, backtrack = [], mpp_mod._backtrack
+
+        def counted_backtrack(*args):
+            result = backtrack(*args)
+            accepted.append(result is not None)
+            return result
+
+        monkeypatch.setattr(mpp_mod, "_backtrack", counted_backtrack)
+        res = solve_mpp(replace(example5_spec(n=2, steps=60), max_iterations=max_iterations))
+        assert res.converged == (max_iterations == 200)
+        assert res.iterations == sum(accepted) == len(res.record) - 1
+        assert res.converged or res.iterations == max_iterations
+
+    def test_a_solve_checks_once_and_builds_two_paths(self, monkeypatch):
+        # one Path for the entry check and one for the result; every kernel
+        # takes the states array and the q that the one check returned
+        import omlat.action as action_mod
+        import omlat.mpp as mpp_mod
+
+        spec = example5_spec(n=2, steps=60)
+        paths, checks = [], []
+
+        def counted_path(*args):
+            paths.append(Path(*args))
+            return paths[-1]
+
+        def counted_check(path, cfg):
+            checks.append(path)
+            return _check_path(path, cfg)
+
+        monkeypatch.setattr(mpp_mod, "Path", counted_path)
+        monkeypatch.setattr(mpp_mod, "_check_path", counted_check)
+        monkeypatch.setattr(action_mod, "_check_path", counted_check)
+        res = solve_mpp(spec)
+        assert res.converged and res.iterations >= 2
+        assert len(paths) <= 2 and res.path is paths[-1]
+        assert len(checks) == 1
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
@@ -270,15 +311,15 @@ class TestSolverFallback:
 
         calls = []
 
-        def counted_gradient(path, cfg):
-            calls.append(path)
-            return om_gradient(path, cfg)
+        def counted_gradient(states, dt, cfg, qs):
+            calls.append(states)
+            return _gradient(states, dt, cfg, qs)
 
         monkeypatch.setattr(mpp_mod, "_backtrack", lambda *args: None)
-        monkeypatch.setattr(mpp_mod, "om_gradient", counted_gradient)
+        monkeypatch.setattr(mpp_mod, "_gradient", counted_gradient)
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=16)
         res = solve_mpp(spec)
-        assert not res.converged and res.iterations == 1
+        assert not res.converged and res.iterations == 0
         assert len(calls) == 1
         assert len(res.record) == 1
 
@@ -289,11 +330,11 @@ class TestSolverFallback:
 
         calls = []
 
-        def first_trial_overflows(path, cfg, qs):
-            calls.append(path)
+        def first_trial_overflows(states, dt, cfg, qs):
+            calls.append(states)
             if len(calls) == 2:
                 raise IntegrationError("action overflows")
-            return _action(path, cfg, qs)
+            return _action(states, dt, cfg, qs)
 
         monkeypatch.setattr(mpp_mod, "_action", first_trial_overflows)
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=16)
@@ -374,7 +415,7 @@ class TestHessianBand:
         J = central_jacobian(scaled, x0)
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = (2.0 * J.T @ J)[np.ix_(fold, fold)]
-        band = _hessian_band(path, cfg, row_weight, False, np.empty(path_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, False, np.empty(path_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -387,7 +428,7 @@ class TestHessianBand:
 
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = central_jacobian(gradient, path.states[1:-1].ravel())[np.ix_(fold, fold)]
-        band = _hessian_band(path, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -396,7 +437,7 @@ class TestHessianBand:
         # the fold first narrows the band at n = 3: d + 4 < 2d - 1 from d = 7
         cfg, path, row_weight, _ = self.setup_problem(n)
         d = cfg.d
-        band = _hessian_band(path, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, d)))
         assert band.shape == (min(2 * d, d + 5), (self.STEPS - 1) * d)
         H = dense_from_lower_band(band)
         rows, cols = np.nonzero(H)
@@ -408,8 +449,8 @@ class TestHessianBand:
         # d = 1 and 3 have coinciding shifts, which must still add
         cfg, path, row_weight, _ = self.setup_problem(n)
         shape = path_band_shape(self.STEPS, cfg.d)
-        from_nan = _hessian_band(path, cfg, row_weight, newton, np.full(shape, np.nan))
-        from_zero = _hessian_band(path, cfg, row_weight, newton, np.zeros(shape))
+        from_nan = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.full(shape, np.nan))
+        from_zero = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.zeros(shape))
         assert_same_bits(from_nan, from_zero)
         assert_same_bits(from_nan, reference_band(path, cfg, row_weight, newton))
 
@@ -466,7 +507,7 @@ def assert_same_bits(a, b):
 def two_half_band(path, cfg, newton):
     """The solve's band buffer for ``path``, built fresh into NaN."""
     band = np.full(_band_shape(path.steps, cfg.d), np.nan)
-    _build_band(path, cfg, _check_path(path, cfg), newton, band)
+    _build_band(path.states, path.dt, cfg, _check_path(path, cfg), newton, band)
     return band
 
 
@@ -539,12 +580,12 @@ class TestBandBuffer:
 
         outs = []
 
-        def recording_build(path, cfg, row_weight, newton, out, reverse=False):
+        def recording_build(states, dt, cfg, row_weight, newton, out, reverse=False):
             outs.append((out, reverse))
-            return _hessian_band(path, cfg, row_weight, newton, out, reverse)
+            return _hessian_band(states, dt, cfg, row_weight, newton, out, reverse)
 
         monkeypatch.setattr(mpp_mod, "_hessian_band", recording_build)
-        monkeypatch.setattr(mpp_mod, "_BAND_BLOCK_VALUES", 15)
+        monkeypatch.setattr(mpp_mod, "_BLOCK_VALUES", 15)
         spec = example5_spec(n=2, steps=steps)
         solve_mpp(spec)
         assert outs
@@ -576,11 +617,11 @@ class TestBandBuffer:
             buffer = np.empty(_band_shape(steps, cfg.d))
             tracemalloc.start()
             try:
-                _build_band(path, cfg, qs, newton, buffer)
+                _build_band(path.states, dt, cfg, qs, newton, buffer)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            block = _BAND_BLOCK_VALUES // cfg.d
+            block = _BLOCK_VALUES // cfg.d
             assert 4 * block < steps  # several blocks to each half
             assert peak <= 12 * 8 * (block + 2) * cfg.d
 
@@ -588,10 +629,10 @@ class TestBandBuffer:
     @pytest.mark.parametrize("n, steps", [(0, 100_000), (1, 30_000), (30, 1200)])
     def test_solve_holds_its_band_and_eight_path_arrays(self, n, steps, newton):
         # everything the solve allocates, its result included, at most the
-        # band and 8 arrays of 8 (N + 1) d bytes at any moment: 7.28 / 7.26
+        # band and 8 arrays of 8 (N + 1) d bytes at any moment: 7.52 / 7.51
         # measured (Gauss-Newton / Newton) at d = 1, where the report's
-        # per-interval arrays are path-sized, 5.97 / 5.96 at d = 3 and
-        # 5.48 / 5.45 at d = 61
+        # per-interval arrays are path-sized, 6.24 / 6.23 at d = 3 and
+        # 5.86 / 5.83 at d = 61
         spec = replace(example5_spec(n=n, steps=steps), newton=newton)
         tracemalloc.start()
         try:
@@ -609,16 +650,14 @@ class TestBandBuffer:
         # rows; the grids below put them on each side of one and two block
         # lengths B, and past them
         d = 2 * n + 1
-        B = _BAND_BLOCK_VALUES // d
+        B = _BLOCK_VALUES // d
         for steps in sorted({2, 3, 4, B + 1, B + 2, 2 * B + 1, 2 * B + 2, 2 * B + 3, 4 * B + 3, 4 * B + 5, 1200}):
             cfg, path, row_weight = example_problem(n, steps)
             m = (steps - 1) // 2
             blocked = two_half_band(path, cfg, newton)
-            early = Path(path.states[: m + 3], path.dt)
-            late = Path(path.states[m:], path.dt)
             one_call = np.full_like(blocked, np.nan)
-            _hessian_band(early, cfg, row_weight[: m + 2], newton, one_call[: m + 1])
-            _hessian_band(late, cfg, row_weight[m:], newton, one_call[m + 1 :], reverse=True)
+            _hessian_band(path.states[: m + 3], path.dt, cfg, row_weight[: m + 2], newton, one_call[: m + 1])
+            _hessian_band(path.states[m:], path.dt, cfg, row_weight[m:], newton, one_call[m + 1 :], reverse=True)
             assert_same_bits(blocked, one_call)
 
 
@@ -656,7 +695,9 @@ class TestTwoEndedSolve:
         cfg, path, row_weight = example_problem(n, steps)
         shape = path_band_shape(steps, cfg.d)
         natural, reversed_ = (
-            dense_from_lower_band(_hessian_band(path, cfg, row_weight, newton, np.empty(shape), reverse))
+            dense_from_lower_band(
+                _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.empty(shape), reverse)
+            )
             for reverse in (False, True)
         )
         oracle = block_reversed(natural, cfg.d)
@@ -670,7 +711,7 @@ class TestTwoEndedSolve:
     def test_matches_scipy_on_the_natural_band(self, n, steps, newton, damping):
         cfg, path, row_weight = example_problem(n, steps)
         d = cfg.d
-        natural = _hessian_band(path, cfg, row_weight, newton, np.empty(path_band_shape(steps, d)))
+        natural = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.empty(path_band_shape(steps, d)))
         natural[0] += damping
         rhs = np.random.default_rng(steps).normal(size=(steps - 1, d))
         # solveh_banded takes at most one band row per unknown
