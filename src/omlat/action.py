@@ -67,16 +67,24 @@ class OMReport:
 
 
 def _check_path(path: Path, cfg: LatticeConfig) -> np.ndarray:
-    """The action's one entry check: the path's sites and horizon are the
-    config's, and every |q_i| at the interval midpoints is at least
-    :data:`Q_DEGENERACY_FLOOR`.  Returns q there, shape (N, d)."""
+    """The action's one entry check: the path's sites are the config's and
+    its grid passes :func:`_check_grid`.  Returns q at the interval
+    midpoints, shape (N, d)."""
     if path.d != cfg.d:
         raise ConfigurationError(f"path has {path.d} sites, config has {cfg.d}")
-    if abs(path.T - cfg.T) > 1e-9 * max(1.0, cfg.T):
+    return _check_grid(path.steps, path.dt, cfg)
+
+
+def _check_grid(steps: int, dt: float, cfg: LatticeConfig) -> np.ndarray:
+    """The grid of ``steps`` steps of ``dt`` covers the config's horizon,
+    and every |q_i| at its interval midpoints is at least
+    :data:`Q_DEGENERACY_FLOOR`.  Returns q there, shape (steps, d)."""
+    T = float(dt * steps)
+    if abs(T - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ConfigurationError(
-            f"path covers [0, {path.T:g}] but the configured horizon is {cfg.T:g}"
+            f"path covers [0, {T:g}] but the configured horizon is {cfg.T:g}"
         )
-    t_mid = path.times
+    t_mid = dt * np.arange(steps + 1)
     t_mid = t_mid[:-1] + t_mid[1:]
     t_mid *= 0.5
     qs = cfg.q.grid(t_mid, cfg.n)

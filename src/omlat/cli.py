@@ -15,7 +15,8 @@ finished or failed, with the wall clock, status, exit code and error;
 reruns with identical inputs produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 configuration error (a size too large for
-memory included), 3 numerical failure (blow-up or non-convergence),
+memory included, and for ``mpp`` an installed scipy whose LAPACK it
+cannot bind), 3 numerical failure (blow-up or non-convergence),
 4 insufficient statistical power.
 """
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
 from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
-from .mpp import BVPSpec, RecordRow, _solve_bytes, solve_mpp
+from .mpp import BVPSpec, RecordRow, _bind_lapack, _solve_bytes, solve_mpp
 from .noise import _MAX_STEPS, _MAX_TRAJECTORIES, sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
@@ -201,6 +202,10 @@ def _plan_mpp(plan) -> None:
         cfg=cfg, phi0=plan.phi0, phiT=plan.phiT, steps=plan.steps,
         max_iterations=plan.max_iter, gradient_tol=plan.tol, newton=plan.newton,
     )
+    try:
+        _bind_lapack()
+    except ImportError as exc:
+        raise ConfigurationError(f"mpp cannot call LAPACK: {exc}") from exc
 
 
 def _run_mpp(plan, out) -> int:

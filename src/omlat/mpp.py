@@ -15,17 +15,19 @@ factor the halves before and after it at once, through LAPACK calls that
 release the GIL, and the calling thread joins them at the middle state's
 Schur complement.  The split is fixed, so the result does not depend on
 the thread count.  The two LAPACK routines, ``dpbtrf`` and ``dtbtrs``,
-come from scipy's ``cython_lapack`` extension, which this module loads
-by itself: importing omlat does not import ``scipy.linalg``.  A solve
-allocates one band, 8 N d min(2d, d + 5) bytes, since each half holds
-its own copy of the middle state's block, and every factorization
-attempt rebuilds the matrix in it, since the Cholesky factor overwrites
-it.  The band, the action and its gradient are built in time blocks of
-about ``action._BLOCK_VALUES`` values, so no work array grows with N.
-Each kernel takes the states, ``dt`` and the q that the solve's one
-entry check returned, so a solve builds a ``Path`` only for that check
-and its result.  Besides the band a solve holds at most eight arrays of
-the path's size (:func:`_solve_bytes`), and each goes once it is dead.
+come from scipy's ``cython_lapack`` extension, which the first solve
+loads by itself (:func:`_bind_lapack`): importing omlat loads neither
+it nor ``scipy.linalg``, so a process that never solves never maps
+scipy's OpenBLAS.  A solve allocates one band, 8 N d min(2d, d + 5)
+bytes, since each half holds its own copy of the middle state's block,
+and every factorization attempt rebuilds the matrix in it, since the
+Cholesky factor overwrites it.  The band, the action and its gradient
+are built in time blocks of about ``action._BLOCK_VALUES`` values, so no
+work array grows with N.
+Each kernel takes the states, ``dt`` and the q that :class:`BVPSpec`
+evaluated once on the grid, so a solve builds a ``Path`` only for its
+result.  Besides the band a solve holds at most eight arrays of the
+path's size (:func:`_solve_bytes`), and each goes once it is dead.
 Shooting on the second-order stationarity system was rejected: that
 system is stiff and boundary-sensitive, while the discrete action is
 bounded below.
@@ -39,13 +41,15 @@ import importlib.util
 import math
 import os
 import re
+import sys
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
-from .action import _BLOCK_VALUES, OMReport, _action, _check_path, _gradient, _midpoints, _residuals
+from .action import _BLOCK_VALUES, OMReport, _action, _check_grid, _gradient, _midpoints, _residuals
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
@@ -70,6 +74,9 @@ class BVPSpec:
     max_iterations: int = 200
     gradient_tol: float | None = None  # default 1e-8 * d * N
     newton: bool = False
+    #: q at the grid's interval midpoints, where the action evaluates it:
+    #: the solve's one evaluation, which every kernel takes
+    _qs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -92,7 +99,9 @@ class BVPSpec:
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "phiT", phiT)
         # the action must be defined on the solver's grid before a run opens
-        _check_path(Path(np.zeros((self.steps + 1, d)), self.cfg.T / self.steps), self.cfg)
+        qs = _check_grid(self.steps, self.cfg.T / self.steps, self.cfg)
+        qs.flags.writeable = False  # every solve of this spec reads it
+        object.__setattr__(self, "_qs", qs)
 
     @property
     def tol(self) -> float:
@@ -146,17 +155,19 @@ def _cython_lapack():
 
 def _lapack(name: str, signature: str):
     """LAPACK's ``name``, through the function pointer that
-    ``scipy.linalg.cython_lapack`` publishes (:func:`_cython_lapack`), as a
-    ctypes function: the call releases the GIL, which scipy's own LAPACK
-    wrappers hold.  ``signature`` is the C signature the binding assumes,
-    with ``d`` for double; a capsule that declares any other (a build with
-    64-bit integers, say) would have the call corrupt memory, so it raises
+    ``scipy.linalg.cython_lapack`` publishes, as a ctypes function: the call
+    releases the GIL, which scipy's own LAPACK wrappers hold.  The extension
+    is the one already in ``sys.modules``, else :func:`_cython_lapack` loads
+    it.  ``signature`` is the C signature the binding assumes, with ``d``
+    for double; a capsule that declares any other (a build with 64-bit
+    integers, say) would have the call corrupt memory, so it raises
     ImportError."""
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsule = _CYTHON_LAPACK.__pyx_capi__[name]
+    module = sys.modules.get("scipy.linalg.cython_lapack") or _cython_lapack()
+    capsule = module.__pyx_capi__[name]
     declared = get_name(capsule)
     if re.sub(r"\w+_d \*", "d *", declared.decode()) != signature:
         raise ImportError(
@@ -168,9 +179,27 @@ def _lapack(name: str, signature: str):
     return ctypes.CFUNCTYPE(None, *(types[a] for a in args))(get_pointer(capsule, declared))
 
 
-_CYTHON_LAPACK = _cython_lapack()
-_dpbtrf = _lapack("dpbtrf", "void (char *, int *, int *, d *, int *, int *)")
-_dtbtrs = _lapack("dtbtrs", "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, int *)")
+#: LAPACK's ``dpbtrf`` and ``dtbtrs`` as ctypes functions, once :func:`_bind_lapack` has run.
+_LAPACK = {}
+_LAPACK_LOCK = threading.Lock()
+
+
+def _bind_lapack() -> None:
+    """Fill :data:`_LAPACK` on the first call; later calls find it full.
+    Only a solve calls LAPACK, so a process that never solves never maps
+    scipy's OpenBLAS.  :func:`_two_ended_solve` binds on its calling
+    thread before its workers start, and the lock keeps two first solves
+    on two threads from loading the extension at once.  Raises
+    ImportError, naming scipy's version, when the extension is missing or
+    declares another signature, and binds nothing then."""
+    with _LAPACK_LOCK:
+        if not _LAPACK:
+            _LAPACK.update(
+                dpbtrf=_lapack("dpbtrf", "void (char *, int *, int *, d *, int *, int *)"),
+                dtbtrs=_lapack(
+                    "dtbtrs", "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, int *)"
+                ),
+            )
 
 
 def _factor(band: np.ndarray, n: int) -> int:
@@ -182,7 +211,7 @@ def _factor(band: np.ndarray, n: int) -> int:
     definite."""
     rows = band.shape[-1]
     info = ctypes.c_int()
-    _dpbtrf(b"L", ctypes.c_int(n), ctypes.c_int(rows - 1), band.ctypes.data, ctypes.c_int(rows), info)
+    _LAPACK["dpbtrf"](b"L", ctypes.c_int(n), ctypes.c_int(rows - 1), band.ctypes.data, ctypes.c_int(rows), info)
     return info.value
 
 
@@ -192,7 +221,7 @@ def _substitute(band: np.ndarray, n: int, rhs: np.ndarray, trans: bytes) -> None
     in place, with L the factor that :func:`_factor` left in ``band``."""
     rows = band.shape[-1]
     info = ctypes.c_int()
-    _dtbtrs(
+    _LAPACK["dtbtrs"](
         b"L", trans, b"N", ctypes.c_int(n), ctypes.c_int(rows - 1), ctypes.c_int(rhs.shape[0]),
         band.ctypes.data, ctypes.c_int(rows), rhs.ctypes.data, ctypes.c_int(n), info,
     )
@@ -396,8 +425,10 @@ def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarr
     state, which the factorization leaves in that block's band rows below
     the half, factors it with ``np.linalg.cholesky`` and back-substitutes.
     Returns the solution, in ``rhs`` itself when it is C-contiguous.
-    Raises LinAlgError when H is not positive definite.
+    Raises LinAlgError when H is not positive definite, and ImportError
+    when scipy's LAPACK cannot be bound (:func:`_bind_lapack`).
     """
+    _bind_lapack()  # here, not in the workers, which would race the first load
     d, rows = band.shape[1:]
     halves = (band[: middle + 1], band[middle + 1 :])
     # the early half solves in place in rhs, the late half in a reversed copy
@@ -482,9 +513,7 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
     lam_interp = np.linspace(0.0, 1.0, N + 1)[:, None]
     states = (1.0 - lam_interp) * spec.phi0[None, :] + lam_interp * spec.phiT[None, :]
     del lam_interp
-    # q at the interval midpoints, where the action evaluates it: the
-    # solve's one entry check, whose qs every kernel below takes
-    qs = _check_path(Path(states, dt), cfg)
+    qs = spec._qs
     report = _action(states, dt, cfg, qs)
     action_val = report.total
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -422,6 +424,36 @@ class TestCliRuns:
             # every factorization failed, so the damping grew and each step is gradient descent
             assert row[6] == "1" and float(row[3]) > 0.0
             assert 0.0 < float(row[4]) <= 1.0 and int(row[5]) >= 0
+
+    @pytest.mark.parametrize("broken", ["missing", "signature"])
+    def test_scipy_without_usable_lapack_fails_mpp_only(self, scalar_file, tmp_path, capsys, monkeypatch, broken):
+        # a scipy without cython_lapack, or one whose routines take 64-bit
+        # integers: mpp exits 2 before its run opens, naming scipy's
+        # version, and a command that never solves runs as before
+        import omlat.mpp as mpp_mod
+
+        monkeypatch.setattr(mpp_mod, "_LAPACK", {})  # as in a process that has not solved yet
+        monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
+        if broken == "missing":
+            def missing():
+                raise ImportError(f"scipy {scipy.__version__} has no cython_lapack extension")
+
+            monkeypatch.setattr(mpp_mod, "_cython_lapack", missing)
+        else:
+            declared = b"void (char *, long *, long *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, long *, long *)"
+            new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
+                ("PyCapsule_New", ctypes.pythonapi)
+            )
+            capsule = new_capsule(1, declared, None)  # never called: the name is refused first
+            # the capsule points at the bytes of its name, so the fake keeps them
+            extension = types.SimpleNamespace(__pyx_capi__={"dpbtrf": capsule, "dtbtrs": capsule}, name=declared)
+            monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", extension)
+        out = tmp_path / "mpp"
+        assert main(["mpp", "--config", scalar_file, "--out", str(out), "--dt", "0.125"]) == 2
+        err = capsys.readouterr().err
+        assert f"scipy {scipy.__version__}" in err and "LAPACK" in err and "Traceback" not in err
+        assert not out.exists() and not mpp_mod._LAPACK
+        assert main(["verify", "kl", "--lambda", "0.4", "--m", "3", "--out", str(tmp_path / "kl")]) == 0
 
     def test_mpp_files_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"

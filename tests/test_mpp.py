@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -170,30 +171,31 @@ class TestSolveMpp:
         assert res.iterations == sum(accepted) == len(res.record) - 1
         assert res.converged or res.iterations == max_iterations
 
-    def test_a_solve_checks_once_and_builds_two_paths(self, monkeypatch):
-        # one Path for the entry check and one for the result; every kernel
-        # takes the states array and the q that the one check returned
-        import omlat.action as action_mod
+    def test_a_run_evaluates_q_once_and_builds_one_path(self, monkeypatch):
+        # the spec evaluates q on its grid, with no path of zeros, and the
+        # solve builds a Path only for its result: every kernel takes the
+        # states array and the spec's q
         import omlat.mpp as mpp_mod
 
-        spec = example5_spec(n=2, steps=60)
-        paths, checks = [], []
+        cfg = example5_spec(n=2, steps=60).cfg  # the config checks q on a grid of its own
+        paths, grids = [], []
+        grid = NoiseCoefficient.grid
 
         def counted_path(*args):
             paths.append(Path(*args))
             return paths[-1]
 
-        def counted_check(path, cfg):
-            checks.append(path)
-            return _check_path(path, cfg)
+        def counted_grid(q, times, n):
+            grids.append(len(times))
+            return grid(q, times, n)
 
         monkeypatch.setattr(mpp_mod, "Path", counted_path)
-        monkeypatch.setattr(mpp_mod, "_check_path", counted_check)
-        monkeypatch.setattr(action_mod, "_check_path", counted_check)
+        monkeypatch.setattr(NoiseCoefficient, "grid", counted_grid)
+        spec = BVPSpec(cfg=cfg, phi0=np.linspace(0.0, 0.6, cfg.d), phiT=np.zeros(cfg.d), steps=60)
         res = solve_mpp(spec)
         assert res.converged and res.iterations >= 2
-        assert len(paths) <= 2 and res.path is paths[-1]
-        assert len(checks) == 1
+        assert len(paths) == 1 and paths[0] is res.path
+        assert grids == [60]
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
@@ -765,16 +767,28 @@ def fresh_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
 
 
+#: A scalar solve, the first LAPACK call of a fresh interpreter.
+FIRST_SOLVE = (
+    "from omlat import BVPSpec, LatticeConfig, NoiseCoefficient, PolynomialNonlinearity, solve_mpp\n"
+    "f = PolynomialNonlinearity(coeffs=(), p=1, growth_constant=1.0)\n"
+    "cfg = LatticeConfig(n=0, nu=0.1, lam=1.3, f=f, q=NoiseCoefficient.constant(1.0), T=1.0)\n"
+    "solve_mpp(BVPSpec(cfg=cfg, phi0=[1.0], phiT=[0.3], steps=16))\n"
+)
+
+
 class TestLapackBinding:
-    """The solver loads scipy's ``cython_lapack`` extension by itself, not
-    through ``scipy.linalg``."""
+    """The first solve loads scipy's ``cython_lapack`` extension by itself,
+    not through ``scipy.linalg``."""
 
     def test_later_scipy_import_sees_the_same_routines(self):
-        # omlat first, as the CLI does, then scipy.linalg in the same process
+        # omlat first and a solve, as the CLI's mpp does, then scipy.linalg
+        # in the same process
         out = json.loads(fresh_python(
             "import ctypes, json, sys\n"
             "from omlat import mpp\n"
+            + FIRST_SOLVE +
             "loaded = 'scipy.linalg' in sys.modules\n"
+            "ours = sys.modules['scipy.linalg.cython_lapack']\n"
             "from scipy.linalg import cython_lapack\n"
             "get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(('PyCapsule_GetName', ctypes.pythonapi))\n"
             "get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(\n"
@@ -782,19 +796,61 @@ class TestLapackBinding:
             "pairs = [\n"
             "    (get_pointer(cython_lapack.__pyx_capi__[name], get_name(cython_lapack.__pyx_capi__[name])),\n"
             "     ctypes.cast(bound, ctypes.c_void_p).value)\n"
-            "    for name, bound in (('dpbtrf', mpp._dpbtrf), ('dtbtrs', mpp._dtbtrs))\n"
+            "    for name, bound in mpp._LAPACK.items()\n"
             "]\n"
-            "print(json.dumps({'loaded': loaded, 'same': cython_lapack is mpp._CYTHON_LAPACK, 'pairs': pairs}))\n"
+            "print(json.dumps({'loaded': loaded, 'same': cython_lapack is ours, 'pairs': pairs}))\n"
         ))
         assert not out["loaded"]
         assert out["same"]
+        assert len(out["pairs"]) == 2
         for scipys, ours in out["pairs"]:
             assert scipys is not None and scipys == ours
 
     def test_loads_the_extension_scipy_linalg_imports(self):
-        ours = fresh_python("from omlat import mpp; print(mpp._CYTHON_LAPACK.__file__)")
+        ours = fresh_python(FIRST_SOLVE + "import sys; print(sys.modules['scipy.linalg.cython_lapack'].__file__)")
         theirs = fresh_python("from scipy.linalg import cython_lapack; print(cython_lapack.__file__)")
         assert ours == theirs and ours.strip().startswith(os.path.dirname(scipy.__file__))
+
+    def test_first_two_ended_solve_binds_once_before_its_workers(self):
+        # the first LAPACK call of the process is a solve whose two halves
+        # run on two worker threads: the calling thread binds first, once,
+        # and the path has the bits of the same solve on one thread
+        out = json.loads(fresh_python(
+            "import json, os, threading\n"
+            "from omlat import mpp\n"
+            "from omlat import BVPSpec, LatticeConfig, NoiseCoefficient, PolynomialNonlinearity, solve_mpp\n"
+            "loads, load = [], mpp._cython_lapack\n"
+            "mpp._cython_lapack = lambda: loads.append(threading.current_thread().name) or load()\n"
+            "f = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)\n"
+            "cfg = LatticeConfig(n=3, nu=0.1, lam=0.4, f=f, q=NoiseCoefficient.affine(0.01, 31.0), T=30.0)\n"
+            "spec = BVPSpec(cfg=cfg, phi0=[0.1, 0.3, 0.5, 0.6, 0.5, 0.3, 0.1], phiT=[0.0] * 7, steps=120,\n"
+            "               newton=True)\n"
+            "paths = []\n"
+            "for threads in ('2', '1'):\n"
+            "    os.environ['OMLAT_THREADS'] = threads\n"
+            "    paths.append(solve_mpp(spec).path.states.tobytes().hex())\n"
+            "print(json.dumps({'loads': loads, 'same': paths[0] == paths[1]}))\n"
+        ))
+        assert out["loads"] == ["MainThread"]
+        assert out["same"]
+
+    def test_two_first_solves_on_two_threads_load_once(self):
+        # two threads whose first solves start together share one binding
+        out = json.loads(fresh_python(
+            "import json, threading\n"
+            "from omlat import mpp\n"
+            "loads, load = [], mpp._cython_lapack\n"
+            "mpp._cython_lapack = lambda: loads.append(1) or load()\n"
+            "start = threading.Barrier(2)\n"
+            "def solve():\n"
+            "    start.wait()\n"
+            + textwrap.indent(FIRST_SOLVE, "    ") +
+            "threads = [threading.Thread(target=solve) for _ in range(2)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(json.dumps({'loads': len(loads), 'bound': sorted(mpp._LAPACK)}))\n"
+        ))
+        assert out == {"loads": 1, "bound": ["dpbtrf", "dtbtrs"]}
 
     def test_missing_extension_raises(self, monkeypatch, tmp_path):
         # a scipy whose linalg directory holds no cython_lapack is refused,

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -159,13 +160,38 @@ def test_ctypes_and_lapack_only_in_mpp():
     assert users <= {"mpp.py"}, f"ctypes or LAPACK used outside mpp.py: {sorted(users - {'mpp.py'})}"
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     # scipy.linalg's __init__ imports numpy.testing and numpy.f2py, most of
     # the time and memory of an import; mpp loads the one scipy.linalg
-    # extension it calls by itself.  Checked by module, not by time.
-    heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py")
+    # extension it calls by itself, and only when it runs, so a command
+    # that never solves never maps scipy's OpenBLAS.  Checked by module,
+    # not by time.
+    heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py", "scipy.linalg.cython_lapack")
     src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, omlat.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    cfg = tmp_path / "scalar.cfg"
+    cfg.write_text("n = 0\nnu = 0.1\nlambda = 0.4\nf_coeffs =\np = 1\nC_f = 1.0\ng = zero\n"
+                   "q_spec = constant:1.0\nrho = uniform\nT = 1\n")
+    commands = {
+        "import": None,
+        "verify kl": ["verify", "kl", "--lambda", "0.4", "--m", "3", "--out", str(tmp_path / "kl")],
+        "mpp": ["mpp", "--config", str(cfg), "--dt", "0.125", "--out", str(tmp_path / "mpp")],
+    }
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import omlat.cli\n"
+        "from omlat import mpp\n"
+        "loads, load = [], mpp._cython_lapack\n"
+        "mpp._cython_lapack = lambda: loads.append(1) or load()\n"
+        "seen = {}\n"
+        f"for name, argv in {commands!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = argv and omlat.cli.main(argv)\n"
+        f"    seen[name] = (code, sorted(m for m in {heavy!r} if m in sys.modules), len(loads))\n"
+        "print(json.dumps(seen))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]", f"import omlat.cli loaded {proc.stdout.strip()}"
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == [None, [], 0], f"import omlat.cli loaded {seen['import'][1]}"
+    assert seen["verify kl"] == [0, [], 0], f"verify kl loaded {seen['verify kl'][1]}"
+    assert seen["mpp"] == [0, ["scipy.linalg.cython_lapack"], 1]
