@@ -36,21 +36,21 @@ import scipy
 
 from . import __version__
 from .action import _check_path, om_action
-from .config import _parse_float_list, _read_numbers, config_hash, load_config
+from .config import _parse_float_list, config_hash, load_config
 from .errors import (
     ConfigurationError,
     IntegrationError,
     OmlatError,
     StatisticalPowerError,
 )
-from .io import read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
-from .kl import _check_decay_rate, _check_truncation, kl_spectrum, smallball_mc, smallball_rates
+from .io import read_csv, read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
+from .kl import _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .mpp import BVPSpec, RecordRow, _bind_lapack, _solve_bytes, solve_mpp
 from .noise import _MAX_STEPS, _MAX_TRAJECTORIES, sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
-from .utils import check_count, format_float as _f, worker_count
+from .utils import check_count, check_scale, format_float as _f, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,7 +81,7 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):  # exp(-inf) = 0 is the profile's limit
             return amp * np.exp(-(i**2) / width)
     if kind == "csv":
-        data = _read_numbers(rest, "state file")
+        _, data = read_csv(rest, "state file")
         if data.shape[0] != 1:
             raise ConfigurationError(f"state file {rest}: expected one row, got {data.shape[0]}")
         if data.size != d:
@@ -107,7 +107,8 @@ def _check(args) -> SimpleNamespace:
     is the flags, with the config as ``cfg``, the ``--dt`` grid as
     ``steps`` of ``dt`` (``grid`` says what set it), states for the state
     flags and ``--eps`` as ``radii``; the command's hook adds the rest.
-    A grid has at most :data:`_MAX_STEPS` steps and must fit in memory."""
+    A grid has at most :data:`_MAX_STEPS` steps, and the command's peak on
+    it must fit in memory."""
     flags = vars(args)
     plan = SimpleNamespace(**flags)
     if not 0 <= args.seed < 2**64:
@@ -134,7 +135,9 @@ def _check(args) -> SimpleNamespace:
                 raise ConfigurationError(f"--dt={dt} does not divide the horizon T={cfg.T}")
             plan.grid = f"--dt={dt} gives {steps} steps"
         plan.steps, plan.dt = steps, cfg.T / steps
-        _check_memory(8 * (steps + 1) * cfg.d, plan.grid, f"one trajectory of {cfg.d} sites")
+        if args.peak:
+            what = f"the run's peak of {args.peak} trajectories of {cfg.d} sites"
+            _check_memory(8 * args.peak * (steps + 1) * cfg.d, plan.grid, what)
     for name in ("u0", "phi0", "phiT"):
         if name in flags:
             setattr(plan, name, parse_state_spec(flags[name], cfg.n))
@@ -142,8 +145,7 @@ def _check(args) -> SimpleNamespace:
         check_count(args.samples, "--samples")
     if "eps" in flags:
         plan.radii = _parse_float_list(args.eps, "--eps")
-        if not (plan.radii and all(1e-150 <= e <= 1e150 for e in plan.radii)):
-            raise ConfigurationError(f"--eps: need radii in [1e-150, 1e150], got {args.eps!r}")
+        check_scale(plan.radii, "--eps")
     args.phases[0](plan)
     return plan
 
@@ -158,7 +160,7 @@ def _prepare_out(args, plan, check_s: float) -> tuple:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"--out {out}: cannot create the output directory ({exc})") from exc
-    flags = {k: v for k, v in vars(args).items() if k not in ("phases", "default_steps")}
+    flags = {k: v for k, v in vars(args).items() if k not in ("phases", "default_steps", "peak")}
     if "steps" in vars(plan):
         flags.update(dt=plan.dt, steps=plan.steps)
     config = flags.get("config")
@@ -260,7 +262,7 @@ def _run_om(plan, out) -> int:
 
 
 def _plan_kl(plan) -> None:
-    _check_decay_rate(plan.lam, "--lambda")
+    check_scale(plan.lam, "--lambda")
     check_count(plan.m, "--m")
     # an eigenpair is five doubles and a CSV line, kept as a string and in
     # the file's text: about 340 bytes at m = 200 000 (tracemalloc)
@@ -396,21 +398,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"omlat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, hook=lambda plan: None, config=True, steps=None):
+    def common(p, run, hook=lambda plan: None, config=True, steps=None, peak=None):
         """The run phase ``run``, the check hook ``hook``, and the shared
         flags: ``--config`` unless ``config`` is false, ``--seed``,
-        ``--out``, and ``--dt`` when the default grid has ``steps`` steps."""
+        ``--out``, and ``--dt`` when the default grid has ``steps`` steps,
+        on which the run holds at most ``peak`` trajectories of states
+        (tracemalloc, rounded up; mpp's hook counts its solve)."""
         if config:
             p.add_argument("--config", required=True, help="problem config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
         if steps:
             p.add_argument("--dt", type=float, default=None, help="time step (must divide T)")
-            p.set_defaults(default_steps=steps)
+            p.set_defaults(default_steps=steps, peak=peak)
         p.set_defaults(phases=(hook, run))
 
     p = sub.add_parser("simulate", help="integrate trajectories of the lattice system")
-    common(p, _run_simulate, steps=1024)
+    common(p, _run_simulate, steps=1024, peak=7)
     p.add_argument("--ensemble", type=int, default=1, help="number of trajectories")
     p.add_argument("--u0", default="gauss:0.6,8", help="initial state: zero|gauss:<amp>,<sigma>|csv:<path>")
 
@@ -436,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int, default=50)
 
     v = vsub.add_parser("cocycle", help="flow consistency under the noise shift")
-    common(v, _run_cocycle, _plan_cocycle, steps=512)
+    common(v, _run_cocycle, _plan_cocycle, steps=512, peak=5)
     v.add_argument("--u0", default="gauss:0.6,8")
 
     v = vsub.add_parser("truncation", help="tail statistics and widening comparison")
-    common(v, _run_truncation, _plan_truncation, steps=256)
+    common(v, _run_truncation, _plan_truncation, steps=256, peak=20)
     v.add_argument("--ensemble", type=int, default=200)
 
     v = vsub.add_parser("bound", help="a priori sup-norm bound over an ensemble")
-    common(v, _run_bound, steps=256)
+    common(v, _run_bound, steps=256, peak=10)
     v.add_argument("--ensemble", type=int, default=100)
     v.add_argument("--u0", default="gauss:0.6,8")
 
@@ -456,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=1_000_000)
 
     v = vsub.add_parser("tube", help="tube-probability ratio against the action prediction")
-    common(v, _run_tube, _plan_tube, steps=256)
+    common(v, _run_tube, _plan_tube, steps=256, peak=6)
     v.add_argument("--eps", default="0.3,0.2")
     v.add_argument("--samples", type=int, default=100_000)
     v.add_argument("--reference", default="zero", help="zero|sine:<amp>")

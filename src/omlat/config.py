@@ -23,12 +23,12 @@ values for sites -m..m (m >= n).  Unknown keys are an error.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .io import read_csv
 from .lattice import LatticeConfig, PolynomialNonlinearity
 from .noise import NoiseCoefficient
 
@@ -47,22 +47,6 @@ def _parse_float_list(raw: str, key: str) -> list:
     if not all(np.isfinite(values)):
         raise ConfigurationError(f"{key}: non-finite value in {raw!r}")
     return values
-
-
-def _read_numbers(path, what: str) -> np.ndarray:
-    """The rows of a CSV file of numbers, at least one, as a 2-d array; a
-    configuration error names ``what`` and the file otherwise."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file without rows, rejected below
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigurationError(f"{what} {path}: cannot read ({exc})") from exc
-    except ValueError as exc:  # also a non-UTF-8 file (UnicodeDecodeError)
-        raise ConfigurationError(f"{what} {path}: not a CSV of numbers") from exc
-    if data.size == 0:
-        raise ConfigurationError(f"{what} {path}: the file holds no rows")
-    return data
 
 
 def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:
@@ -85,10 +69,13 @@ def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:
         path = FsPath(rest)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        data = _read_numbers(path, "q_spec table")
+        _, data = read_csv(path, "q_spec table")
         if data.shape[1] < 2:
-            raise ConfigurationError("q_spec table needs a time column and site columns")
-        return NoiseCoefficient.table(data[:, 0], data[:, 1:])
+            raise ConfigurationError(f"q_spec table {path}: needs a time column and site columns")
+        try:
+            return NoiseCoefficient.table(data[:, 0], data[:, 1:])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"q_spec table {path}: {exc}") from None
     raise ConfigurationError(f"unknown q_spec kind {kind!r}")
 
 

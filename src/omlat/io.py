@@ -1,4 +1,4 @@
-"""CSV and JSON writers.
+"""CSV and JSON writers, and the one CSV reader.
 
 All floats are written with 17 significant digits so files round-trip
 binary doubles and reruns are byte-identical.
@@ -18,6 +18,7 @@ from .utils import FLOAT_FORMAT, format_float as _f
 __all__ = [
     "write_path_csv",
     "read_path_csv",
+    "read_csv",
     "write_om_json",
     "write_manifest",
     "write_csv",
@@ -28,39 +29,48 @@ def write_path_csv(path: Path, dest) -> None:
     """Path as CSV: header ``t,u_-n,...,u_n``, one row per grid point."""
     n = (path.d - 1) // 2
     header = "t," + ",".join(f"u_{i}" for i in range(-n, n + 1))
-    # one %-template per row, FLOAT_FORMAT per value; rows are converted
-    # one at a time to keep the peak memory low
-    row = ",".join([FLOAT_FORMAT] * (path.d + 1))
-    lines = [header]
-    lines.extend(row % tuple(values.tolist()) for values in np.column_stack([path.times, path.states]))
-    FsPath(dest).write_text("\n".join(lines) + "\n")
+    # one %-template per row, FLOAT_FORMAT per value; each row is formatted
+    # and written on its own, so the text never holds more than one row
+    row = ",".join([FLOAT_FORMAT] * (path.d + 1)) + "\n"
+    with open(dest, "w") as f:
+        f.write(header + "\n")
+        f.writelines(row % (t, *values.tolist()) for t, values in zip(path.times.tolist(), path.states))
+
+
+def read_csv(src, what: str, header: bool = False) -> tuple:
+    """``(names, rows)`` of a CSV file of numbers, the package's one CSV
+    reader: the first line's cells with ``header`` (else ``[]``), and a
+    float array of one row per line below, as wide as the first line.
+    Every line before the trailing blank ones is a row, a blank or ``#``
+    line too; an error names ``what``, the file and a bad row's line."""
+    p = FsPath(src)
+    try:
+        lines = p.read_text().rstrip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{what} {p}: cannot read ({exc})") from exc
+    if not lines:
+        raise ConfigurationError(f"{what} {p}: the file holds no rows")
+    first = lines[0].split(",")
+    names, skip, label = (first, 1, "the header") if header else ([], 0, "line 1")
+    rows = np.empty((len(lines) - skip, len(first)))
+    for number, (line, row) in enumerate(zip(lines[skip:], rows), start=1 + skip):
+        cells = line.split(",")
+        if len(cells) != len(first):
+            raise ConfigurationError(f"{what} {p}, line {number}: {len(cells)} cells, {label} has {len(first)}")
+        try:
+            row[:] = [float(cell) for cell in cells]
+        except ValueError:
+            raise ConfigurationError(f"{what} {p}, line {number}: not a number in {line!r}") from None
+    return names, rows
 
 
 def read_path_csv(src) -> Path:
     """Read a path written by :func:`write_path_csv`: its time column must
     run 0, dt, 2dt, ... (uniform within a relative 1e-9)."""
     p = FsPath(src)
-    try:
-        lines = p.read_text().strip().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"path file {p}: cannot read ({exc})") from exc
-    if not lines:
-        raise ConfigurationError(f"{p}: empty path CSV")
-    header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise ConfigurationError(f"{p}: not a path CSV (header {lines[0]!r})")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigurationError(
-                f"{p}, line {number}: {len(cells)} cells, the header has {len(header)}"
-            )
-        try:
-            rows.append([float(tok) for tok in cells])
-        except ValueError:
-            raise ConfigurationError(f"{p}, line {number}: not a number in {line!r}") from None
-    data = np.array(rows)
+    names, data = read_csv(p, "path file", header=True)
+    if names[0] != "t" or len(names) < 2:
+        raise ConfigurationError(f"{p}: not a path CSV (header {','.join(names)!r})")
     if data.shape[0] < 2:
         raise ConfigurationError(f"{p}: need at least two grid rows")
     times = data[:, 0]

@@ -29,7 +29,7 @@ from numpy.random import Generator
 
 from .errors import ConfigurationError
 from .noise import _TAG_SMALLBALL_BLOCK, _block_bits
-from .utils import check_count, map_blocks
+from .utils import check_count, check_scale, map_blocks
 
 __all__ = [
     "KLSpectrum",
@@ -74,14 +74,6 @@ class KLSpectrum:
         return out
 
 
-def _check_decay_rate(lam: float, name: str) -> None:
-    """Reject a decay rate outside [1e-150, 1e150], where lam^2 and the
-    root bracket's lower end stay normal doubles; ``name`` names it in the
-    message."""
-    if not 1e-150 <= lam <= 1e150:
-        raise ConfigurationError(f"{name} must lie in [1e-150, 1e150], got {lam}")
-
-
 def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     """First ``count`` eigenpairs for a finite decay rate ``lam > 0``.
 
@@ -92,7 +84,7 @@ def kl_spectrum(lam: float, count: int) -> KLSpectrum:
     The bracket starts at min(1e-12, lam / 2c), c = (2i-1) pi/2, below the
     root u ~ lam / c however small lam is.
     """
-    _check_decay_rate(lam, "decay rate")
+    check_scale(lam, "decay rate")
     check_count(count, "count")
     gamma = np.empty(count)
     offsets = np.empty(count)
@@ -258,8 +250,7 @@ def smallball_mc(
     if not alpha > 0.5:
         raise ConfigurationError(f"alpha must exceed 1/2, got {alpha}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if not np.all((eps >= 1e-150) & (eps <= 1e150)):
-        raise ConfigurationError(f"radii must lie in [1e-150, 1e150], got {eps.tolist()}")
+    check_scale(eps, "radii")
     check_count(samples, "samples")
     _check_truncation(alpha, i_max, float(np.min(eps)), "i_max")
     w = np.arange(1, i_max + 1, dtype=float) ** (-2.0 * alpha)

@@ -38,9 +38,6 @@ BLOWUP_THRESHOLD = 1.0e8
 #: Grid used for the numerical nonlinearity checks (f1)/(f2).
 _F_CHECK_GRID = np.linspace(-10.0, 10.0, 1001)
 
-#: Points of [0, T] at which the noise coefficient is checked nonzero.
-_Q_CHECK_POINTS = 513
-
 #: Largest growth exponent p: the growth check evaluates x^(2p) on
 #: [-10, 10], and 10^(2p) must be a finite double.
 _P_MAX = int(math.log10(np.finfo(float).max)) // 2
@@ -250,18 +247,17 @@ class LatticeConfig:
         self._check_noise_nondegenerate()
 
     def _check_noise_nondegenerate(self):
-        # q_i(t) != 0 on a sampling grid, with no sign change per site:
-        # a continuous nonzero coefficient keeps one sign.
-        ts = np.linspace(0.0, self.T, _Q_CHECK_POINTS)
-        if self.q.kind == "table":  # piecewise linear: its extremes sit at its nodes, 0 or T
-            nodes = self.q.table_times
-            ts = np.union1d(ts, nodes[(nodes > 0.0) & (nodes < self.T)])
+        """Reject a q that vanishes, changes sign or leaves [_SQUARE_MIN,
+        _SQUARE_MAX] in size on [0, T].  Every q family is piecewise linear
+        in t, so its values at 0, T and the table's nodes decide all three
+        exactly; a family that is not piecewise linear must extend this."""
+        ts = np.array([0.0, self.T])
+        if self.q.kind == "table":  # nodes outside [0, T] clip onto 0 or T
+            ts = np.union1d(ts, np.clip(self.q.table_times, 0.0, self.T))
         qs = self.q.grid(ts, self.n)
         if np.any(qs == 0.0):
             k, i = np.argwhere(qs == 0.0)[0]
-            raise DegenerateNoiseError(
-                f"q vanishes at t={ts[k]:.6g} (site {i - self.n})"
-            )
+            raise DegenerateNoiseError(f"q vanishes at t={ts[k]:.6g} (site {i - self.n})")
         outside = ~((np.abs(qs) >= _SQUARE_MIN) & (np.abs(qs) <= _SQUARE_MAX))  # nan and inf too
         if np.any(outside):
             k, i = np.argwhere(outside)[0]
@@ -271,9 +267,7 @@ class LatticeConfig:
             )
         signs = np.sign(qs)
         if np.any(signs.min(axis=0) != signs.max(axis=0)):
-            raise ConfigurationError(
-                "noise coefficient changes sign on [0, T]; it must stay nonzero"
-            )
+            raise ConfigurationError("noise coefficient changes sign on [0, T]; it must stay nonzero")
 
     def widened(self, n: int) -> LatticeConfig:
         """Same problem on the wider truncation -n..n: forcing is

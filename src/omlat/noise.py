@@ -164,6 +164,8 @@ class NoiseCoefficient:
             raise ConfigurationError("table needs times (m,) and values (m, d)")
         if values.shape[1] % 2 != 1:
             raise ConfigurationError("table must cover an odd number of sites")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ConfigurationError("table times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("table times must be strictly increasing")
         return NoiseCoefficient(kind="table", table_times=times, table_values=values)

@@ -26,7 +26,7 @@ from .lattice import LatticeConfig, apply_A
 from .noise import _TAG_TUBE_BLOCK, _block_bits
 from .paths import Path
 from .sde import euler_maruyama
-from .utils import check_count, map_blocks
+from .utils import check_count, check_scale, map_blocks
 
 __all__ = ["TubeExperiment", "TubeTable", "tube_ratio"]
 
@@ -76,8 +76,7 @@ class TubeExperiment:
             )
         _check_path(self.phi, self.cfg)
         eps = tuple(float(e) for e in self.eps)
-        if not eps or not all(1e-150 <= e <= 1e150 for e in eps):  # e^2 a normal double
-            raise ConfigurationError(f"need radii in [1e-150, 1e150], got {eps}")
+        check_scale(eps, "radii")
         if self.denominator not in ("convolution", "plain"):
             raise ConfigurationError(f"unknown denominator kind {self.denominator!r}")
         check_count(self.samples, "samples")

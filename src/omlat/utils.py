@@ -4,9 +4,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .errors import ConfigurationError
 
-__all__ = ["check_count", "worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
+__all__ = ["check_count", "check_scale", "worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
 
 #: Format of every float in omlat's CSV files: 17 significant digits
 #: round-trip any double, so reruns are byte-identical.
@@ -17,6 +19,15 @@ def check_count(count: int, name: str) -> None:
     """Reject a count below one; ``name`` names it in the message."""
     if count < 1:
         raise ConfigurationError(f"{name} must be at least 1, got {count}")
+
+
+def check_scale(values, name: str) -> None:
+    """Reject an empty ``values``, or one with a value outside [1e-150,
+    1e150], nan included: the square of a radius or a rate in that range
+    is a normal double.  ``name`` names them in the message."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not (values.size and np.all((values >= 1e-150) & (values <= 1e150))):
+        raise ConfigurationError(f"{name} must lie in [1e-150, 1e150], got {values.tolist()}")
 
 
 def worker_count() -> int:

@@ -22,7 +22,9 @@ damped-noise kernel :func:`ou_kernel` by quadrature.
 hand-derived stationarity system of that example, the solver's
 independent check.  :func:`smallball_reference` is the small-ball
 probability from the Cramer-von Mises series, and :func:`binomial_tails`
-tests a hit count against it.
+tests a hit count against it.  :func:`grid_noise_check` is the noise
+check on a 513-point grid that ``LatticeConfig`` ran before it checked q
+at 0, T and the table's nodes alone.
 """
 import math
 
@@ -32,6 +34,7 @@ from scipy import special, stats
 
 from omlat import (
     ConfigurationError,
+    DegenerateNoiseError,
     KLSpectrum,
     LatticeConfig,
     NoiseCoefficient,
@@ -40,6 +43,7 @@ from omlat import (
     PolynomialNonlinearity,
 )
 from omlat.action import _check_path, _gradient, _midpoints, _residuals
+from omlat.lattice import _SQUARE_MAX, _SQUARE_MIN
 from omlat.sde import euler_maruyama
 
 
@@ -327,3 +331,23 @@ def smallball_reference(eps: float, i_max: int, terms: int = 20) -> float:
 def binomial_tails(hits: int, n: int, p: float) -> tuple:
     """``P(X <= hits)`` and ``P(X >= hits)`` for X ~ Binomial(n, p)."""
     return float(stats.binom.cdf(hits, n, p)), float(stats.binom.sf(hits - 1, n, p))
+
+
+def grid_noise_check(q: NoiseCoefficient, n: int, T: float) -> None:
+    """Raise as ``LatticeConfig`` did for a q that vanishes, leaves the range
+    of ``_SQUARE_MIN`` to ``_SQUARE_MAX`` in size or changes sign, with q
+    evaluated on 513 evenly spaced points of [0, T] and a table's nodes
+    inside (0, T)."""
+    ts = np.linspace(0.0, T, 513)
+    if q.kind == "table":
+        nodes = q.table_times
+        ts = np.union1d(ts, nodes[(nodes > 0.0) & (nodes < T)])
+    qs = q.grid(ts, n)
+    if np.any(qs == 0.0):
+        k, i = np.argwhere(qs == 0.0)[0]
+        raise DegenerateNoiseError(f"q vanishes at t={ts[k]:.6g} (site {i - n})")
+    if not np.all((np.abs(qs) >= _SQUARE_MIN) & (np.abs(qs) <= _SQUARE_MAX)):
+        raise ConfigurationError("noise coefficient q (q_spec) out of range")
+    signs = np.sign(qs)
+    if np.any(signs.min(axis=0) != signs.max(axis=0)):
+        raise ConfigurationError("noise coefficient changes sign on [0, T]; it must stay nonzero")

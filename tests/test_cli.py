@@ -287,6 +287,48 @@ class TestCliRuns:
         assert "--dt" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, dt", [(["simulate", "--ensemble", "3"], "0.5"), (["verify", "bound"], "0.5"),
+                        (["verify", "cocycle"], "0.5"), (["verify", "truncation"], "0.5"), (["verify", "tube"], "0.25")],
+        ids=["simulate", "bound", "cocycle", "truncation", "tube"],
+    )
+    def test_run_peak_beyond_physical_memory_rejected(
+        self, example5_file, scalar_file, tmp_path, capsys, monkeypatch, command, dt
+    ):
+        # physical memory holds two trajectories of states, but not the run's
+        # peak: before the peak was counted, each run opened --out and failed
+        # later with a MemoryError or was killed
+        config, d = (scalar_file, 1) if command[-1] == "tube" else (example5_file, 61)
+        steps = round((1.0 if d == 1 else 30.0) / float(dt))
+        memory = 2 * 8 * (steps + 1) * d
+        sysconf, fake = os.sysconf, {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+        monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+        out = tmp_path / "run"
+        assert main(command + ["--config", config, "--dt", dt, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--dt={float(dt)} gives {steps} steps: " in err and "the run's peak" in err and "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["verify", "bound"], ["verify", "cocycle"], ["verify", "truncation"]],
+        ids=["simulate", "bound", "cocycle", "truncation"],
+    )
+    def test_counted_peak_bounds_the_traced_peak(self, example5_file, tmp_path, monkeypatch, command):
+        # one trajectory per group, as on a grid whose trajectory exceeds the
+        # group's 32 MB, and enough trajectories for the peak to level off
+        monkeypatch.setattr("omlat.sde.ENSEMBLE_STATE_BYTES", 1)
+        argv = command + ["--config", example5_file, "--dt", "0.025", "--out", str(tmp_path / "run")]
+        if command[-1] != "cocycle":
+            argv += ["--ensemble", "3"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = build_parser().parse_args(argv).peak * 8 * 1201 * 61
+        assert 0.8 * counted < peak <= counted
+
     def test_mpp_band_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys, monkeypatch):
         # the fewest steps of 61 sites whose solver band exceeds physical
         # memory while one trajectory fits; rejected before BVPSpec
@@ -953,6 +995,49 @@ class TestCliRuns:
         code, err = _run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
         assert code == 2
         assert err == f"configuration error: q_spec table {table}: the file holds no rows\n"
+
+    @pytest.mark.parametrize(
+        "spec, text, fault",
+        [
+            ("table", "0,1\n\n1,1\n", "line 2: 1 cells, line 1 has 2"),
+            ("table", "0,1\n# q rises\n1,2\n", "line 2: 1 cells, line 1 has 2"),
+            ("table", "0,1\n1,x\n", "line 2: not a number in '1,x'"),
+            ("table", "0,1,1\n1,1\n", "line 2: 2 cells, line 1 has 3"),
+            ("csv", "0\n\n0\n", "line 2: not a number in ''"),
+            ("csv", "# a state\n0\n", "line 1: not a number in '# a state'"),
+        ],
+        ids=["table-blank-line", "table-comment-line", "table-not-a-number", "table-ragged", "csv-blank-line",
+             "csv-comment-line"],
+    )
+    def test_input_csv_error_names_file_and_line(self, scalar_file, tmp_path, capsys, spec, text, fault):
+        # np.loadtxt skipped blank and # lines; every line of a table or
+        # state file is now a row
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        config, argv = scalar_file, ["--u0", f"csv:{data}"]
+        if spec == "table":
+            config, argv = tmp_path / "table.cfg", []
+            config.write_text(SCALAR.replace("constant:1.0", f"table:{data}"))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--dt", "0.25", "--out", str(out), *argv]) == 2
+        what = "q_spec table" if spec == "table" else "state file"
+        assert f"configuration error: {what} {data}, {fault}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0,1\nnan,2\n40,3\n", "0,1\n10,2\ninf,3\n", "0,1\n10,nan\n"],
+                             ids=["nan-time", "inf-time", "nan-value"])
+    def test_non_finite_q_table_rejected(self, tmp_path, capsys, text):
+        # a nan time passed the strictly-increasing test, and an inf time
+        # loaded and ran to exit 0
+        table = tmp_path / "q.csv"
+        table.write_text(text)
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(SCALAR.replace("constant:1.0", f"table:{table}"))
+        for command in (["simulate"], ["mpp"]):
+            out = tmp_path / "run"
+            assert main(command + ["--config", str(cfg), "--dt", "0.25", "--out", str(out)]) == 2
+            assert f"q_spec table {table}: table times and values must be finite" in capsys.readouterr().err
+            assert not out.exists()
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")

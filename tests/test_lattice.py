@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from omlat import (
     ConfigurationError,
+    DegenerateNoiseError,
     LatticeConfig,
     NoiseCoefficient,
     PolynomialNonlinearity,
@@ -14,7 +15,7 @@ from omlat import (
     drift,
     weighted_norm,
 )
-from oracles import apply_B, apply_BT, dense_B
+from oracles import apply_B, apply_BT, dense_B, grid_noise_check
 
 CUBIC = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)
 Q_UNIT = NoiseCoefficient.constant(1.0)
@@ -254,6 +255,41 @@ class TestDrift:
             assert lhs <= -cfg.lam * np.dot(u - v, u - v) + 1e-12
 
 
+# q values: ordinary ones, zeros, the edges of the |q| range, and non-finite
+_Q_VALUES = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from([0.0, 1e-160, -1e-160, 1.49e-154, 1.5e-154, 1.34e154, 1.35e154, 1e160, np.nan, np.inf]),
+)
+
+
+@st.composite
+def _noise_cases(draw):
+    """(n, T, q) with q constant, affine or a table whose nodes may lie
+    outside [0, T], on 0 or T, or inside."""
+    n = draw(st.integers(0, 2))
+    T = draw(st.one_of(st.floats(0.01, 50.0), st.sampled_from([0.5, 1.0, 2.0, 30.0])))
+    kind = draw(st.sampled_from(["constant", "affine", "table"]))
+    if kind == "constant":
+        return n, T, NoiseCoefficient.constant(draw(_Q_VALUES))
+    if kind == "affine":
+        a = draw(st.one_of(st.floats(-60.0, 60.0), st.integers(-3, 31).map(float)))
+        return n, T, NoiseCoefficient.affine(draw(_Q_VALUES), a)
+    node = st.one_of(st.floats(-T, 2.0 * T), st.sampled_from([0.0, T / 4, T / 2, T]))
+    times = sorted(draw(st.sets(node, min_size=1, max_size=5)))
+    sites = 2 * (n + draw(st.integers(0, 1))) + 1
+    row = st.lists(_Q_VALUES.filter(np.isfinite), min_size=sites, max_size=sites)
+    return n, T, NoiseCoefficient.table(times, draw(st.lists(row, min_size=len(times), max_size=len(times))))
+
+
+def _raised(fn):
+    """The class of the configuration error ``fn()`` raises, or None."""
+    try:
+        fn()
+    except ConfigurationError as exc:
+        return type(exc)
+    return None
+
+
 class TestLatticeConfig:
     def test_dimension(self):
         assert make_cfg(n=0).d == 1
@@ -303,6 +339,23 @@ class TestLatticeConfig:
         # c0 (a - t + ...) crosses zero inside [0, T] when a < T.
         with pytest.raises(ConfigurationError):
             make_cfg(q=NoiseCoefficient.affine(0.01, 0.5), T=30.0)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(_noise_cases())
+    def test_node_check_decides_as_the_grid_check(self, case):
+        # q is piecewise linear in t, so 0, T and the table's nodes decide
+        # what the old 513-point grid decided
+        n, T, q = case
+        old, new = _raised(lambda: grid_noise_check(q, n, T)), _raised(lambda: make_cfg(n=n, q=q, T=T))
+        if old is DegenerateNoiseError and new is ConfigurationError:
+            # the grid landed exactly on a zero inside a linear piece, which
+            # the nodes see as the sign change or range it lies in
+            ts = np.linspace(0.0, T, 513)
+            zero_times = ts[np.any(q.grid(ts, n) == 0.0, axis=1)]
+            nodes = [0.0, T, *(q.table_times if q.kind == "table" else ())]
+            assert zero_times.size and not np.isin(zero_times, nodes).any()
+        else:
+            assert old is new
 
     def test_defaults_are_uniform(self):
         cfg = make_cfg(n=2)

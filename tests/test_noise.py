@@ -159,6 +159,16 @@ class TestCoefficient:
         with pytest.raises(ConfigurationError):
             NoiseCoefficient.table([0.0, 1.0], np.ones((2, 4)))
 
+    @pytest.mark.parametrize(
+        "times, value", [([0.0, np.nan, 40.0], 1.0), ([0.0, 10.0, np.inf], 1.0), ([0.0, 1.0, 2.0], np.nan)]
+    )
+    def test_table_rejects_non_finite_entries(self, times, value):
+        # nan compares false, so a nan time passed the strictly-increasing test
+        values = np.ones((3, 1))
+        values[1] = value
+        with pytest.raises(ConfigurationError, match="table times and values must be finite"):
+            NoiseCoefficient.table(times, values)
+
 
 class TestWqPath:
     def test_zero_coefficient(self):

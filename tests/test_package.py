@@ -119,6 +119,44 @@ def test_philox_only_in_noise():
     assert users <= {"noise.py"}, f"Philox used outside noise.py: {sorted(users - {'noise.py'})}"
 
 
+def test_csv_read_only_in_io():
+    # omlat.io.read_csv reads every CSV of numbers, with its line-numbered
+    # errors: no numpy text loader anywhere, and no csv module outside io
+    loaders = {"loadtxt", "genfromtxt"}
+    users = set()
+    for source in SOURCES:
+        banned = loaders if source.name == "io.py" else loaders | {"csv"}
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            else:
+                continue
+            if names & banned:
+                users.add(source.name)
+    assert not users, f"a CSV read outside omlat.io.read_csv: {sorted(users)}"
+
+
+def test_scale_bounds_only_in_check_scale():
+    # utils.check_scale holds the rule that a radius or a rate lies in
+    # [1e-150, 1e150]; the bounds anywhere else are a second copy of it
+    utils = pathlib.Path(omlat.__file__).parent / "utils.py"
+    (helper,) = [n for n in ast.parse(utils.read_text()).body if getattr(n, "name", None) == "check_scale"]
+    stray = []
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, ast.Constant):
+                continue
+            value = node.value
+            bound = (type(value) is float and abs(value) in (1e-150, 1e150)) or (
+                isinstance(value, str) and ("1e-150" in value or "1e150" in value)
+            )
+            if bound and not (source == utils and helper.lineno <= node.lineno <= helper.end_lineno):
+                stray.append(f"{source.name}:{node.lineno}")
+    assert not stray, f"the scale bounds outside utils.check_scale: {stray}"
+
+
 def test_key_tags_distinct_and_not_retired():
     tree = ast.parse((pathlib.Path(omlat.__file__).parent / "noise.py").read_text())
     tags = {
