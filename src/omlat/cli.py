@@ -22,7 +22,6 @@ cannot bind), 3 numerical failure (blow-up or non-convergence),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import platform
@@ -36,21 +35,21 @@ import scipy
 
 from . import __version__
 from .action import _check_path, om_action
-from .config import _parse_float_list, config_hash, load_config
+from .config import config_hash, load_config
 from .errors import (
     ConfigurationError,
     IntegrationError,
     OmlatError,
     StatisticalPowerError,
 )
-from .io import read_csv, read_path_csv, write_csv, write_manifest, write_om_json, write_path_csv
+from .io import format_float as _f, parse_floats, read_csv, read_path_csv, write_csv, write_json, write_path_csv
 from .kl import _check_truncation, kl_spectrum, smallball_mc, smallball_rates
 from .mpp import BVPSpec, RecordRow, _bind_lapack, _solve_bytes, solve_mpp
 from .noise import _MAX_STEPS, _MAX_TRAJECTORIES, sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
-from .utils import check_count, check_scale, format_float as _f, worker_count
+from .utils import check_count, check_scale, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,13 +66,10 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
     | ``csv:<path>`` (single-row CSV of 2n+1 finite values)."""
     d = 2 * n + 1
     kind, _, rest = raw.strip().partition(":")
-    if kind == "zero":
+    if raw.strip() == "zero":
         return np.zeros(d)
     if kind == "gauss":
-        parts = _parse_float_list(rest, "gauss state spec")
-        if len(parts) != 2:
-            raise ConfigurationError("gauss state spec needs <amp>,<sigma>")
-        amp, sigma = parts
+        amp, sigma = parse_floats(rest, "gauss state spec <amp>,<sigma>", 2)
         width = 2.0 * (sigma * sigma)  # sigma**2 raises OverflowError
         if not (sigma > 0 and 0 < width < math.inf):
             raise ConfigurationError(f"gauss state spec {raw!r}: sigma must be positive with 2 sigma^2 in (0, inf)")
@@ -86,8 +82,6 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
             raise ConfigurationError(f"state file {rest}: expected one row, got {data.shape[0]}")
         if data.size != d:
             raise ConfigurationError(f"state file {rest}: expected {d} values, got {data.size}")
-        if not np.all(np.isfinite(data)):
-            raise ConfigurationError(f"state file {rest}: values must be finite")
         return data[0]
     raise ConfigurationError(f"unknown state spec {raw!r}")
 
@@ -140,11 +134,14 @@ def _check(args) -> SimpleNamespace:
             _check_memory(8 * args.peak * (steps + 1) * cfg.d, plan.grid, what)
     for name in ("u0", "phi0", "phiT"):
         if name in flags:
-            setattr(plan, name, parse_state_spec(flags[name], cfg.n))
+            try:
+                setattr(plan, name, parse_state_spec(flags[name], cfg.n))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"--{name}: {exc}") from None
     if "samples" in flags:
         check_count(args.samples, "--samples")
     if "eps" in flags:
-        plan.radii = _parse_float_list(args.eps, "--eps")
+        plan.radii = parse_floats(args.eps, "--eps")
         check_scale(plan.radii, "--eps")
     args.phases[0](plan)
     return plan
@@ -176,7 +173,7 @@ def _prepare_out(args, plan, check_s: float) -> tuple:
         "args": flags,
         "check_s": check_s,
     }
-    write_manifest(out, payload)
+    write_json(out / "manifest.json", payload)
     return out, payload
 
 
@@ -191,7 +188,7 @@ def _run_simulate(plan, out) -> int:
         summary["trajectories"].append(
             {"index": j, "file": name, "sup_norm": max(norms), "final_norm": norms[-1]}
         )
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(out / "summary.json", summary)
     print(f"simulate: wrote {plan.ensemble} trajectories to {out}")
     return EXIT_OK
 
@@ -213,7 +210,7 @@ def _plan_mpp(plan) -> None:
 def _run_mpp(plan, out) -> int:
     result = solve_mpp(plan.spec)
     write_path_csv(result.path, out / "mpp_path.csv")
-    write_om_json(result.action, out / "om_report.json")
+    write_json(out / "om_report.json", result.action.as_dict())
     write_csv(
         out / "convergence.csv",
         ",".join(("iteration", *RecordRow._fields)),
@@ -235,17 +232,17 @@ def _run_mpp(plan, out) -> int:
 
 def _parse_slice(raw: str, n: int) -> list:
     """Sites named by a ``--slice`` spec such as ``i=0,10``, each checked
-    against the lattice -n..n."""
+    against the lattice -n..n; an empty site is rejected."""
     body = raw.strip()
     if body.startswith("i="):
         body = body[2:]
     try:
-        sites = [int(tok) for tok in body.split(",") if tok.strip() != ""]
+        sites = [int(tok) for tok in body.split(",")]
     except ValueError as exc:
-        raise ConfigurationError(f"bad slice spec {raw!r}; expected i=0,10") from exc
+        raise ConfigurationError(f"--slice {raw!r}: expected sites such as i=0,10") from exc
     for i in sites:
         if abs(i) > n:
-            raise ConfigurationError(f"slice site {i} outside -{n}..{n}")
+            raise ConfigurationError(f"--slice: site {i} outside -{n}..{n}")
     return sites
 
 
@@ -256,7 +253,7 @@ def _plan_om(plan) -> None:
 
 def _run_om(plan, out) -> int:
     report = om_action(plan.path, plan.cfg)
-    write_om_json(report, out / "om_report.json")
+    write_json(out / "om_report.json", report.as_dict())
     print(f"om: drift={_f(report.drift_term)} trace={_f(report.trace_term)} total={_f(report.total)}")
     return EXIT_OK
 
@@ -264,9 +261,10 @@ def _run_om(plan, out) -> int:
 def _plan_kl(plan) -> None:
     check_scale(plan.lam, "--lambda")
     check_count(plan.m, "--m")
-    # an eigenpair is five doubles and a CSV line, kept as a string and in
-    # the file's text: about 340 bytes at m = 200 000 (tracemalloc)
-    _check_memory(400 * plan.m, f"--m={plan.m}", "the spectrum with its residuals and CSV text")
+    # the peak holds seven doubles an eigenpair: the spectrum's four, the
+    # residual and two temporaries of the residual check; the CSV is written
+    # row by row.  57.7 bytes an eigenpair at m = 50 000 (tracemalloc)
+    _check_memory(64 * plan.m, f"--m={plan.m}", "the spectrum with its residuals")
 
 
 def _run_kl(plan, out) -> int:
@@ -358,17 +356,17 @@ def _run_smallball(plan, out) -> int:
 def _plan_tube(plan) -> None:
     cfg, steps = plan.cfg, plan.steps
     kind, _, rest = plan.reference.partition(":")
-    if kind == "zero":
+    if plan.reference == "zero":
         states = np.zeros((steps + 1, cfg.d))
     elif kind == "sine":
-        amps = _parse_float_list(rest, "--reference sine")
+        amps = parse_floats(rest, "--reference sine")
         if len(amps) > 1:
             raise ConfigurationError(f"--reference sine takes at most one amplitude, got {rest!r}")
         amp = (amps or [0.5])[0]
         ts = np.linspace(0.0, cfg.T, steps + 1)
         states = amp * np.sin(np.pi * ts / (2.0 * cfg.T))[:, None] * np.ones(cfg.d)[None, :]
     else:
-        raise ConfigurationError(f"unknown tube reference {plan.reference!r}")
+        raise ConfigurationError(f"--reference {plan.reference!r}: expected zero or sine:<amp>")
     plan.exp = TubeExperiment(
         cfg=cfg, phi=Path(states, plan.dt), eps=tuple(plan.radii), samples=plan.samples, seed=plan.seed,
         denominator=plan.denominator,
@@ -503,7 +501,7 @@ def main(argv=None) -> int:
                 exit_code=code,
                 error=None if error is None else {"type": type(error).__name__, "message": str(error)},
             )
-            write_manifest(out, payload)
+            write_json(out / "manifest.json", payload)
     return code
 
 

@@ -18,7 +18,10 @@ noted):
 ``example5:<c0>,<a>`` selects the affine-in-time profile
 ``c0 (a - t + 1/(|i|+1))``; ``table:<path>`` reads a CSV whose first
 column is the time grid and whose remaining 2m+1 columns are the site
-values for sites -m..m (m >= n).  Unknown keys are an error.
+values for sites -m..m (m >= n).  Unknown keys are an error.  Every
+number and comma list is read by :func:`omlat.io.parse_floats`: an empty
+value is the empty list, and every cell of any other must be a finite
+number.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import ConfigurationError
-from .io import read_csv
+from .io import parse_floats, read_csv
 from .lattice import LatticeConfig, PolynomialNonlinearity
 from .noise import NoiseCoefficient
 
@@ -37,34 +40,13 @@ __all__ = ["parse_config", "load_config", "parse_q_spec", "config_hash"]
 _REQUIRED = {"n", "nu", "lambda", "f_coeffs", "p", "C_f", "g", "q_spec", "rho", "T"}
 
 
-def _parse_float_list(raw: str, key: str) -> list:
-    """Comma-separated finite numbers (empty tokens skipped); a
-    configuration error names ``key`` otherwise."""
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: cannot parse list {raw!r}") from exc
-    if not all(np.isfinite(values)):
-        raise ConfigurationError(f"{key}: non-finite value in {raw!r}")
-    return values
-
-
 def parse_q_spec(raw: str, base_dir: FsPath | None = None) -> NoiseCoefficient:
     """Parse the q_spec grammar (see module docstring)."""
     kind, _, rest = raw.strip().partition(":")
     if kind == "constant":
-        try:
-            return NoiseCoefficient.constant(float(rest))
-        except ValueError as exc:
-            raise ConfigurationError(f"q_spec constant: bad value {rest!r}") from exc
+        return NoiseCoefficient.constant(*parse_floats(rest, "q_spec constant", 1))
     if kind == "example5":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError("q_spec example5 needs two parameters: <c0>,<a>")
-        try:
-            return NoiseCoefficient.affine(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigurationError(f"q_spec example5: bad parameters {rest!r}") from exc
+        return NoiseCoefficient.affine(*parse_floats(rest, "q_spec example5 <c0>,<a>", 2))
     if kind == "table":
         path = FsPath(rest)
         if base_dir is not None and not path.is_absolute():
@@ -106,21 +88,21 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
         raise ConfigurationError(f"missing config keys: {sorted(missing)}")
 
     def number(key):
-        try:
-            return float(fields[key])
-        except ValueError as exc:
-            raise ConfigurationError(f"field {key!r}: bad number {fields[key]!r}") from exc
+        return parse_floats(fields[key], f"field {key!r}", 1)[0]
 
     def integer(key):
         val = number(key)
-        if not val.is_integer():  # nan and inf too
+        if not val.is_integer():
             raise ConfigurationError(f"field {key!r}: expected an integer, got {fields[key]!r}")
         return int(val)
 
+    def vector(key, keyword):
+        """The list ``key`` of 2n+1 numbers, or None for ``keyword``."""
+        return None if fields[key] == keyword else np.array(parse_floats(fields[key], f"field {key!r}", 2 * n + 1))
+
     n = integer("n")
-    d = 2 * n + 1
     f = PolynomialNonlinearity(
-        coeffs=tuple(_parse_float_list(fields["f_coeffs"], "f_coeffs")),
+        coeffs=tuple(parse_floats(fields["f_coeffs"], "field 'f_coeffs'")),
         p=integer("p"),
         growth_constant=number("C_f"),
     )
@@ -129,12 +111,6 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
             f"field 'C_f': f breaks the growth bound |f(x)| <= C_f |x| (1 + x^(2p)) "
             f"for C_f = {f.growth_constant:g}, p = {f.p}"
         )
-    g = None if fields["g"] == "zero" else np.array(_parse_float_list(fields["g"], "g"))
-    rho = None if fields["rho"] == "uniform" else np.array(_parse_float_list(fields["rho"], "rho"))
-    if g is not None and g.size != d:
-        raise ConfigurationError(f"field 'g': expected {d} entries, got {g.size}")
-    if rho is not None and rho.size != d:
-        raise ConfigurationError(f"field 'rho': expected {d} entries, got {rho.size}")
     return LatticeConfig(
         n=n,
         nu=number("nu"),
@@ -142,8 +118,8 @@ def parse_config(text: str, base_dir: FsPath | None = None) -> LatticeConfig:
         f=f,
         q=parse_q_spec(fields["q_spec"], base_dir),
         T=number("T"),
-        g=g,
-        rho=rho,
+        g=vector("g", "zero"),
+        rho=vector("rho", "uniform"),
     )
 
 

@@ -1,4 +1,5 @@
-"""CSV and JSON writers, and the one CSV reader.
+"""Every text format of the package: the one rule for a comma list of
+numbers, the one CSV reader, and the one CSV and one JSON writer.
 
 All floats are written with 17 significant digits so files round-trip
 binary doubles and reruns are byte-identical.
@@ -13,36 +14,81 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .paths import Path
-from .utils import FLOAT_FORMAT, format_float as _f
 
 __all__ = [
+    "parse_floats",
     "write_path_csv",
     "read_path_csv",
     "read_csv",
-    "write_om_json",
-    "write_manifest",
+    "write_json",
     "write_csv",
+    "format_float",
+    "FLOAT_FORMAT",
 ]
+
+#: Format of every float in omlat's CSV files: 17 significant digits
+#: round-trip any double, so reruns are byte-identical.
+FLOAT_FORMAT = "%.17g"
+
+
+def format_float(x: float) -> str:
+    """``x`` in :data:`FLOAT_FORMAT`: round-trips any double exactly."""
+    return FLOAT_FORMAT % x
+
+
+def parse_floats(text: str, what: str, count: int | None = None) -> list:
+    """The floats of the comma list ``text``, the package's one rule for a
+    list of numbers: an empty (or blank) ``text`` is the empty list, and
+    otherwise every cell must be a finite float, an empty cell rejected;
+    with ``count``, the list must hold that many.  An error names ``what``."""
+    try:
+        values = [float(cell) for cell in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ConfigurationError(f"{what}: not a number in {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"{what}: non-finite value in {text!r}")
+    if count is not None and len(values) != count:
+        raise ConfigurationError(f"{what}: expected {count}, got {len(values)} numbers in {text!r}")
+    return values
 
 
 def write_path_csv(path: Path, dest) -> None:
     """Path as CSV: header ``t,u_-n,...,u_n``, one row per grid point."""
     n = (path.d - 1) // 2
     header = "t," + ",".join(f"u_{i}" for i in range(-n, n + 1))
-    # one %-template per row, FLOAT_FORMAT per value; each row is formatted
-    # and written on its own, so the text never holds more than one row
-    row = ",".join([FLOAT_FORMAT] * (path.d + 1)) + "\n"
+    write_csv(dest, header, ((t, *values.tolist()) for t, values in zip(path.times.tolist(), path.states)))
+
+
+def write_csv(dest, header: str, rows) -> None:
+    """Rows of numbers under ``header``, the package's one CSV writer.  The
+    first row sets one ``%``-template for all: ``%d`` for an int cell,
+    :data:`FLOAT_FORMAT` for any other, so every row must have the first's
+    cell types.  Each row is formatted and written on its own, so the text is
+    never held whole."""
+    rows = iter(rows)
     with open(dest, "w") as f:
         f.write(header + "\n")
-        f.writelines(row % (t, *values.tolist()) for t, values in zip(path.times.tolist(), path.states))
+        first = next(rows, None)
+        if first is None:
+            return
+        template = ",".join("%d" if isinstance(v, (int, np.integer)) else FLOAT_FORMAT for v in first) + "\n"
+        f.write(template % tuple(first))
+        f.writelines(template % tuple(row) for row in rows)
+
+
+def write_json(dest, payload: dict) -> None:
+    """``payload`` as strict JSON, keys in insertion order, the package's
+    one JSON writer: a non-finite float raises ValueError."""
+    FsPath(dest).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def read_csv(src, what: str, header: bool = False) -> tuple:
     """``(names, rows)`` of a CSV file of numbers, the package's one CSV
     reader: the first line's cells with ``header`` (else ``[]``), and a
     float array of one row per line below, as wide as the first line.
-    Every line before the trailing blank ones is a row, a blank or ``#``
-    line too; an error names ``what``, the file and a bad row's line."""
+    Every line before the trailing blank ones is a row, read by
+    :func:`parse_floats`, a blank or ``#`` line too; an error names
+    ``what``, the file and a bad row's line."""
     p = FsPath(src)
     try:
         lines = p.read_text().rstrip().splitlines()
@@ -50,17 +96,14 @@ def read_csv(src, what: str, header: bool = False) -> tuple:
         raise ConfigurationError(f"{what} {p}: cannot read ({exc})") from exc
     if not lines:
         raise ConfigurationError(f"{what} {p}: the file holds no rows")
-    first = lines[0].split(",")
-    names, skip, label = (first, 1, "the header") if header else ([], 0, "line 1")
-    rows = np.empty((len(lines) - skip, len(first)))
+    names, skip, label = (lines[0].split(","), 1, "the header") if header else ([], 0, "line 1")
+    width = len(names) if header else len(parse_floats(lines[0], f"{what} {p}, line 1"))
+    rows = np.empty((len(lines) - skip, width))
     for number, (line, row) in enumerate(zip(lines[skip:], rows), start=1 + skip):
-        cells = line.split(",")
-        if len(cells) != len(first):
-            raise ConfigurationError(f"{what} {p}, line {number}: {len(cells)} cells, {label} has {len(first)}")
-        try:
-            row[:] = [float(cell) for cell in cells]
-        except ValueError:
-            raise ConfigurationError(f"{what} {p}, line {number}: not a number in {line!r}") from None
+        values = parse_floats(line, f"{what} {p}, line {number}")
+        if len(values) != width:
+            raise ConfigurationError(f"{what} {p}, line {number}: {len(values)} cells, {label} has {width}")
+        row[:] = values
     return names, rows
 
 
@@ -83,35 +126,3 @@ def read_path_csv(src) -> Path:
         return Path(data[:, 1:], dt)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
-
-
-def write_om_json(report, dest) -> None:
-    FsPath(dest).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-
-
-def _finite_json(value):
-    """``value`` with each non-finite float written as its name (``"nan"``,
-    ``"inf"`` or ``"-inf"``): strict JSON has no token for them."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
-
-
-def write_manifest(out_dir, payload: dict) -> None:
-    """Manifest written before any computation output; rewritten once
-    when the run ends, finished or failed.  A non-finite flag value, such
-    as ``--lambda nan``, is written as a string."""
-    text = json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False)
-    FsPath(out_dir, "manifest.json").write_text(text + "\n")
-
-
-def write_csv(dest, header: str, rows) -> None:
-    """Rows of floats/ints under a fixed header."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, (int, np.integer)) else _f(float(v)) for v in row))
-    FsPath(dest).write_text("\n".join(lines) + "\n")

@@ -8,11 +8,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["check_count", "check_scale", "worker_count", "map_blocks", "format_float", "FLOAT_FORMAT"]
-
-#: Format of every float in omlat's CSV files: 17 significant digits
-#: round-trip any double, so reruns are byte-identical.
-FLOAT_FORMAT = "%.17g"
+__all__ = ["check_count", "check_scale", "worker_count", "map_blocks"]
 
 
 def check_count(count: int, name: str) -> None:
@@ -58,8 +54,3 @@ def map_blocks(fn, samples: int, block_size: int) -> list:
     blocks = [(i, min(block_size, samples - start)) for i, start in enumerate(range(0, samples, block_size))]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         return list(pool.map(lambda block: fn(*block), blocks))
-
-
-def format_float(x: float) -> str:
-    """``x`` in :data:`FLOAT_FORMAT`: round-trips any double exactly."""
-    return FLOAT_FORMAT % x

@@ -24,7 +24,9 @@ independent check.  :func:`smallball_reference` is the small-ball
 probability from the Cramer-von Mises series, and :func:`binomial_tails`
 tests a hit count against it.  :func:`grid_noise_check` is the noise
 check on a 513-point grid that ``LatticeConfig`` ran before it checked q
-at 0, T and the table's nodes alone.
+at 0, T and the table's nodes alone.  :func:`csv_text` is a CSV of
+numbers formatted value by value, against which the one-template
+``omlat.io.write_csv`` is checked.
 """
 import math
 
@@ -351,3 +353,13 @@ def grid_noise_check(q: NoiseCoefficient, n: int, T: float) -> None:
     signs = np.sign(qs)
     if np.any(signs.min(axis=0) != signs.max(axis=0)):
         raise ConfigurationError("noise coefficient changes sign on [0, T]; it must stay nonzero")
+
+
+def csv_text(header: str, rows) -> str:
+    """The text of a CSV of numbers under ``header``, each value formatted
+    on its own: an int with ``str``, any other as a float in 17
+    significant digits."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (int, np.integer)) else "%.17g" % float(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -329,6 +329,17 @@ class TestCliRuns:
         counted = build_parser().parse_args(argv).peak * 8 * 1201 * 61
         assert 0.8 * counted < peak <= counted
 
+    def test_counted_kl_bytes_bound_the_traced_peak(self, tmp_path, monkeypatch):
+        counted = []
+        monkeypatch.setattr("omlat.cli._check_memory", lambda nbytes, size, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            assert main(["verify", "kl", "--m", "15000", "--out", str(tmp_path / "kl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * counted[0] < peak <= counted[0]
+
     def test_mpp_band_beyond_physical_memory_rejected(self, example5_file, tmp_path, capsys, monkeypatch):
         # the fewest steps of 61 sites whose solver band exceeds physical
         # memory while one trajectory fits; rejected before BVPSpec
@@ -391,6 +402,52 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "--reference" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--u0", "zero:7"], "--u0"),
+            (["verify", "tube", "--reference", "zero:0.8"], "--reference"),
+            (["mpp", "--slice", "i=0,,3"], "--slice"),
+        ],
+        ids=["u0-zero-with-text", "reference-zero-with-text", "slice-empty-site"],
+    )
+    def test_spec_with_stray_text_rejected_before_opening_out(self, scalar_file, tmp_path, capsys, argv, flag):
+        # each ran to exit 0: the zero state, the zero reference, and slices 0 and 3
+        out = tmp_path / "run"
+        assert main(argv + ["--config", scalar_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "2,,3,4", "1,", ",", "nan", " 1 , 2 "])
+    def test_comma_list_rule(self, tmp_path, capsys, text):
+        # one rule for every comma list: empty text is the empty list, and
+        # any other holds only finite numbers.  "2,,3,4" loaded as the
+        # three weights [2, 3, 4] when empty cells were skipped
+        three_sites = SCALAR.replace("n = 0", "n = 1").replace("C_f = 1.0", "C_f = 2.0")
+        config_fields = {
+            "'g'": ("g = zero", "g = "), "'rho'": ("rho = uniform", "rho = "),
+            "'f_coeffs'": ("f_coeffs =", "f_coeffs = "), "example5": ("constant:1.0", "example5:"),
+        }
+        runs = {}
+        for k, (named, (old, key)) in enumerate(config_fields.items()):
+            cfg = tmp_path / f"{k}.cfg"
+            cfg.write_text(three_sites.replace(old, key + text))
+            runs[named] = ["simulate", "--dt", "0.5", "--config", str(cfg)]
+        (tmp_path / "plain.cfg").write_text(three_sites)
+        runs["gauss"] = ["simulate", "--dt", "0.5", "--config", str(tmp_path / "plain.cfg"), "--u0", f"gauss:{text}"]
+        runs["--eps"] = ["verify", "smallball", "--eps", text, "--samples", "1000"]
+        good = {("", "'f_coeffs'"), (" 1 , 2 ", "'f_coeffs'"), (" 1 , 2 ", "gauss"), (" 1 , 2 ", "example5")}
+        for k, (named, argv) in enumerate(runs.items()):
+            out = tmp_path / f"run{k}"
+            code = main(argv + ["--out", str(out)])
+            err = capsys.readouterr().err
+            if (text, named) in good:
+                assert code == 0, (named, err)
+            else:
+                assert code == 2 and named in err and "Traceback" not in err, (named, err)
+                assert not out.exists(), named
 
     def test_memory_error_exits_2_and_closes_manifest(self, tmp_path, capsys, monkeypatch):
         # a size the host cannot hold, past the check phase's estimate; the
@@ -540,8 +597,9 @@ class TestCliRuns:
 
     @pytest.mark.parametrize(
         "row, fault",
-        [("0.25,abc,0,0", "not a number"), ("0.25,0", "2 cells, the header has 4")],
-        ids=["non-numeric", "ragged"],
+        [("0.25,abc,0,0", "not a number"), ("0.25,0", "2 cells, the header has 4"),
+         ("0.25,0,inf,0", "non-finite value")],
+        ids=["non-numeric", "ragged", "non-finite"],
     )
     def test_om_bad_path_csv_names_file_and_line(self, tmp_path, capsys, row, fault):
         cfg = tmp_path / "n1.cfg"
@@ -926,7 +984,8 @@ class TestCliRuns:
             code = main([*command, f"csv:{state}", "--config", example5_file, "--out", str(out), "--dt", "0.5"])
             assert code == 2, command
             err = capsys.readouterr().err
-            assert f"state file {state}: values must be finite" in err and "Traceback" not in err, command
+            assert f"{command[-1]}: state file {state}, line 1: non-finite value in" in err, command
+            assert "Traceback" not in err, command
             assert not out.exists(), command
 
     @pytest.mark.parametrize(
@@ -942,7 +1001,7 @@ class TestCliRuns:
         out = tmp_path / "sim"
         code, err = _run_cli(["simulate", "--config", str(cfg), "--u0", f"csv:{state}", "--dt", "0.5", "--out", str(out)])
         assert code == 2
-        assert err == f"configuration error: state file {state}: {fault}\n"
+        assert err == f"configuration error: --u0: state file {state}: {fault}\n"
         assert not out.exists()
 
     def test_verify_truncation_small_lattices(self, tmp_path, capsys):
@@ -999,11 +1058,11 @@ class TestCliRuns:
     @pytest.mark.parametrize(
         "spec, text, fault",
         [
-            ("table", "0,1\n\n1,1\n", "line 2: 1 cells, line 1 has 2"),
-            ("table", "0,1\n# q rises\n1,2\n", "line 2: 1 cells, line 1 has 2"),
+            ("table", "0,1\n\n1,1\n", "line 2: 0 cells, line 1 has 2"),
+            ("table", "0,1\n# q rises\n1,2\n", "line 2: not a number in '# q rises'"),
             ("table", "0,1\n1,x\n", "line 2: not a number in '1,x'"),
             ("table", "0,1,1\n1,1\n", "line 2: 2 cells, line 1 has 3"),
-            ("csv", "0\n\n0\n", "line 2: not a number in ''"),
+            ("csv", "0\n\n0\n", "line 2: 0 cells, line 1 has 1"),
             ("csv", "# a state\n0\n", "line 1: not a number in '# a state'"),
         ],
         ids=["table-blank-line", "table-comment-line", "table-not-a-number", "table-ragged", "csv-blank-line",
@@ -1020,15 +1079,20 @@ class TestCliRuns:
             config.write_text(SCALAR.replace("constant:1.0", f"table:{data}"))
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(config), "--dt", "0.25", "--out", str(out), *argv]) == 2
-        what = "q_spec table" if spec == "table" else "state file"
+        what = "q_spec table" if spec == "table" else "--u0: state file"
         assert f"configuration error: {what} {data}, {fault}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["0,1\nnan,2\n40,3\n", "0,1\n10,2\ninf,3\n", "0,1\n10,nan\n"],
-                             ids=["nan-time", "inf-time", "nan-value"])
-    def test_non_finite_q_table_rejected(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, fault",
+        [("0,1\nnan,2\n40,3\n", "line 2: non-finite value in 'nan,2'"),
+         ("0,1\n10,2\ninf,3\n", "line 3: non-finite value in 'inf,3'"),
+         ("0,1\n10,nan\n", "line 2: non-finite value in '10,nan'")],
+        ids=["nan-time", "inf-time", "nan-value"],
+    )
+    def test_non_finite_q_table_rejected(self, tmp_path, capsys, text, fault):
         # a nan time passed the strictly-increasing test, and an inf time
-        # loaded and ran to exit 0
+        # loaded and ran to exit 0; the reader now names the line
         table = tmp_path / "q.csv"
         table.write_text(text)
         cfg = tmp_path / "table.cfg"
@@ -1036,7 +1100,7 @@ class TestCliRuns:
         for command in (["simulate"], ["mpp"]):
             out = tmp_path / "run"
             assert main(command + ["--config", str(cfg), "--dt", "0.25", "--out", str(out)]) == 2
-            assert f"q_spec table {table}: table times and values must be finite" in capsys.readouterr().err
+            assert f"q_spec table {table}, {fault}" in capsys.readouterr().err
             assert not out.exists()
 
 

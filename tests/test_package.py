@@ -138,6 +138,30 @@ def test_csv_read_only_in_io():
     assert not users, f"a CSV read outside omlat.io.read_csv: {sorted(users)}"
 
 
+def test_files_written_and_json_used_only_in_io():
+    # omlat.io owns every text format: no other module imports json, opens
+    # a file or writes one (cli's mkdir makes the output directory only)
+    banned = {"json", "open", "write_text", "write_bytes"}
+    users = set()
+    for source in SOURCES:
+        if source.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            else:
+                continue
+            if names & banned:
+                users.add(source.name)
+    assert not users, f"json, open or a file write outside omlat.io: {sorted(users)}"
+
+
 def test_scale_bounds_only_in_check_scale():
     # utils.check_scale holds the rule that a radius or a rate lies in
     # [1e-150, 1e150]; the bounds anywhere else are a second copy of it

@@ -1,11 +1,13 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from omlat import ConfigurationError, Path
-from omlat.io import read_path_csv
-from omlat.utils import format_float, worker_count
+from omlat.io import format_float, read_path_csv, write_csv
+from omlat.utils import worker_count
+from oracles import csv_text
 
 
 class TestPath:
@@ -59,6 +61,17 @@ class TestUtils:
     def test_float_format_round_trips(self):
         for x in (1.0 / 3.0, 1e-300, 123456.789, -0.1):
             assert float(format_float(x)) == x
+
+    def test_write_csv_matches_the_per_value_reference(self, tmp_path):
+        # each column keeps its cell type down the rows, as in every table omlat writes
+        rows = [
+            (1, np.int64(2), np.int32(-3), 0.5, np.float64(-0.0), math.nan, math.inf, -math.inf, 5e-324, 1 / 3),
+            (10**12, np.int64(-5), np.int32(7), -2.0, 0.0, np.float64(math.nan), -np.inf, np.inf, -5e-324, 1e300),
+        ]
+        for table in (rows, rows[:1], []):
+            dest = tmp_path / "t.csv"
+            write_csv(dest, "a,b,c,d,e,f,g,h,i,j", iter(table))
+            assert dest.read_text() == csv_text("a,b,c,d,e,f,g,h,i,j", table)
 
     def test_worker_count_env(self, monkeypatch):
         usable = len(os.sched_getaffinity(0))
