@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import platform
 import sys
 import time
@@ -49,7 +48,7 @@ from .noise import _MAX_STEPS, _MAX_TRAJECTORIES, sample_noise, wq_path
 from .paths import Path
 from .sde import apriori_bound_check, cocycle_check, integrate_ensemble, truncation_tail
 from .tube import TubeExperiment, tube_ratio
-from .utils import check_count, check_scale, worker_count
+from .utils import check_count, check_memory as _check_memory, check_scale, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,16 +83,6 @@ def parse_state_spec(raw: str, n: int) -> np.ndarray:
             raise ConfigurationError(f"state file {rest}: expected {d} values, got {data.size}")
         return data[0]
     raise ConfigurationError(f"unknown state spec {raw!r}")
-
-
-def _check_memory(nbytes: int, size: str, what: str) -> None:
-    """Reject a run on which ``what`` needs more than the host's physical
-    memory; ``size`` names the flag that set the size and its value."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise ConfigurationError(
-            f"{size}: {what} needs {nbytes} bytes, more than the {memory} bytes of physical memory"
-        )
 
 
 def _check(args) -> SimpleNamespace:
@@ -261,10 +250,11 @@ def _run_om(plan, out) -> int:
 def _plan_kl(plan) -> None:
     check_scale(plan.lam, "--lambda")
     check_count(plan.m, "--m")
-    # the peak holds seven doubles an eigenpair: the spectrum's four, the
-    # residual and two temporaries of the residual check; the CSV is written
-    # row by row.  57.7 bytes an eigenpair at m = 50 000 (tracemalloc)
-    _check_memory(64 * plan.m, f"--m={plan.m}", "the spectrum with its residuals")
+    # the peak holds six doubles an eigenpair: the spectrum's four, the
+    # residual and the residual check's one buffer; the CSV is written row
+    # by row.  49.8 bytes an eigenpair at m = 50 000 and 53.9 at m = 15 000
+    # (tracemalloc), about 90 kB more than the six whatever m: seven counted
+    _check_memory(56 * plan.m, f"--m={plan.m}", "the spectrum with its residuals")
 
 
 def _run_kl(plan, out) -> int:
@@ -276,7 +266,9 @@ def _run_kl(plan, out) -> int:
         ((i + 1, spec.gamma[i], spec.mu[i], spec.A[i], res[i]) for i in range(plan.m)),
     )
     print(f"verify kl: m={plan.m} max residual {res.max():.3e}")
-    if np.max(res / np.maximum(1.0, spec.gamma / plan.lam)) > _KL_RESIDUAL_TOL:
+    scaled = np.divide(spec.gamma, plan.lam)  # res / max(1, gamma / lambda), in place
+    np.maximum(scaled, 1.0, out=scaled)
+    if np.max(np.divide(res, scaled, out=scaled)) > _KL_RESIDUAL_TOL:
         print(f"verify kl: a residual exceeds {_KL_RESIDUAL_TOL:g} max(1, gamma_i / lambda)", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNoiseError
+from .utils import check_memory
 
 if TYPE_CHECKING:  # noise numbers its sites with _center_out_order from here
     from .noise import NoiseCoefficient
@@ -216,6 +217,7 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n < 0 or int(self.n) != self.n:
             raise ConfigurationError(f"truncation half-width n must be >= 0, got {self.n}")
+        check_memory(8 * self.d, f"truncation half-width n={self.n}", f"one state of {self.d} sites")
         if not 0 < self.nu < np.inf:
             raise ConfigurationError(f"nu must be positive and finite, got {self.nu}")
         if not 0 < self.lam < np.inf:

@@ -9,17 +9,13 @@ block's sites are numbered centre-out (0, +1, -1, +2, -2, ...), which
 brings every ring neighbour, the wrap included, within 4 positions, so
 the matrix is banded with half-bandwidth min(2d - 1, d + 4) rather than
 the 2d - 1 of natural site order.  Each step is one banded Cholesky solve
-in that order, damped Levenberg-style when the factorization fails.  The
-solve splits the band at the middle interior state: two worker threads
-factor the halves before and after it at once, through LAPACK calls that
-release the GIL, and the calling thread joins them at the middle state's
-Schur complement.  The split is fixed, so the result does not depend on
-the thread count.  The two LAPACK routines, ``dpbtrf`` and ``dtbtrs``,
-come from scipy's ``cython_lapack`` extension, which the first solve
-loads by itself (:func:`_bind_lapack`): importing omlat loads neither
-it nor ``scipy.linalg``, so a process that never solves never maps
-scipy's OpenBLAS.  A solve allocates one band, 8 N d min(2d, d + 5)
-bytes, since each half holds its own copy of the middle state's block,
+in that order, damped Levenberg-style when the factorization fails: one
+LAPACK ``dpbtrf`` on the band of all N - 1 interior states, then one
+forward and one back ``dtbtrs``.  The two routines come from scipy's
+``cython_lapack`` extension, which the first solve loads by itself
+(:func:`_bind_lapack`): importing omlat loads neither it nor
+``scipy.linalg``, so a process that never solves never maps scipy's
+OpenBLAS.  A solve allocates one band, 8 (N - 1) d min(2d, d + 5) bytes,
 and every factorization attempt rebuilds the matrix in it, since the
 Cholesky factor overwrites it.  The band, the action and its gradient
 are built in time blocks of about ``action._BLOCK_VALUES`` values, so no
@@ -53,7 +49,6 @@ from .action import _BLOCK_VALUES, OMReport, _action, _check_grid, _gradient, _m
 from .errors import ConfigurationError, IntegrationError
 from .lattice import LatticeConfig, _center_out_order
 from .paths import Path
-from .utils import map_blocks
 
 __all__ = [
     "BVPSpec",
@@ -187,11 +182,11 @@ _LAPACK_LOCK = threading.Lock()
 def _bind_lapack() -> None:
     """Fill :data:`_LAPACK` on the first call; later calls find it full.
     Only a solve calls LAPACK, so a process that never solves never maps
-    scipy's OpenBLAS.  :func:`_two_ended_solve` binds on its calling
-    thread before its workers start, and the lock keeps two first solves
-    on two threads from loading the extension at once.  Raises
-    ImportError, naming scipy's version, when the extension is missing or
-    declares another signature, and binds nothing then."""
+    scipy's OpenBLAS.  :func:`_solve` binds on its calling thread, and
+    the lock keeps two first solves on two threads from loading the
+    extension at once.  Raises ImportError, naming scipy's version, when
+    the extension is missing or declares another signature, and binds
+    nothing then."""
     with _LAPACK_LOCK:
         if not _LAPACK:
             _LAPACK.update(
@@ -231,10 +226,9 @@ def _substitute(band: np.ndarray, n: int, rhs: np.ndarray, trans: bytes) -> None
 
 def _band_shape(steps: int, d: int) -> tuple:
     """Shape of the band buffer of a solve on a grid of ``steps`` steps and
-    ``d`` sites: min(2d, d + 5) band rows for each site of each interior
-    state, and one block row more, since each of the band's two halves
-    ends in its own copy of the middle state (:func:`_two_ended_solve`)."""
-    return (steps, d, min(2 * d, d + 5))
+    ``d`` sites: min(2d, d + 5) band rows for each site of each of the
+    N - 1 interior states."""
+    return (steps - 1, d, min(2 * d, d + 5))
 
 
 #: Arrays of a path's size, 8 (N + 1) d bytes each, that a solve holds at
@@ -263,16 +257,13 @@ def _shift_entries(d: int, s: int) -> tuple:
 
 
 def _hessian_band(
-    states: np.ndarray, dt: float, cfg: LatticeConfig, row_weight, newton: bool, out: np.ndarray, reverse=False
+    states: np.ndarray, dt: float, cfg: LatticeConfig, row_weight, newton: bool, out: np.ndarray
 ) -> np.ndarray:
     """Lower band of the Gauss-Newton matrix ``2 J^T J`` in the interior
     ``states`` of a path of step ``dt`` (time-major, each time block's
     sites centre-out), plus the exact curvature terms when ``newton``,
     built in place in ``out`` (shape ``(steps - 1, d, min(2d, d + 5))``,
-    any contents); returns the band as a view of ``out``.  ``reverse`` numbers the
-    interior states last to first, which gives the band of the
-    block-permuted matrix; the solver builds the second half of its band
-    that way (:func:`_two_ended_solve`).
+    any contents); returns the band as a view of ``out``.
 
     J is the Jacobian of the scaled residuals ``w_k r_k``, w_k =
     row_weight[k] = sqrt(dt) / q(t_{k+1/2}), with no rho.  Interval k adds
@@ -281,9 +272,7 @@ def _hessian_band(
     H is a product ``M diag(u) M2`` of periodic tridiagonals
     ``diag(c) + h (S + S^T)``, with c the diagonal of M_k^+ or M_k^-,
     ``u = 2 w_k^2`` and S the cyclic shift on the sites: five cyclic
-    diagonals.  In reverse, phi_k and phi_{k+1} trade places, and so do
-    M_k^+ and M_k^-, which is dt negated in them; the residuals r_k keep
-    their values.  ``out`` is zeroed and each shift of the three kinds of
+    diagonals.  ``out`` is zeroed and each shift of the three kinds of
     block is added into it in turn, so shifts that coincide on short rings
     add up.
     Unknown ``j d + p`` is the site at array position ``order[p]`` of
@@ -299,7 +288,6 @@ def _hessian_band(
     passing the states of one time block (:func:`_build_band`).
     """
     d = cfg.d
-    step = -1 if reverse else 1  # the intervals in the band's order
     h = -0.5 * cfg.nu
     out.fill(0.0)
 
@@ -317,39 +305,39 @@ def _hessian_band(
     # every product is formed in place in one of a few work arrays
     mids = _midpoints(states)
     base, work = np.empty_like(mids), np.empty_like(mids)
-    u = np.square(row_weight[::step])
+    u = np.square(row_weight)
     u *= 2.0  # H = 2 J^T J
     if newton:
         # second-order terms of the residuals and the trace part: site-
         # diagonal, coupling phi_k and phi_{k+1} through f'' and f'''
         res = _residuals(states, dt, cfg, mids, out=np.empty_like(mids), work=(base, work))
         curv, base = np.multiply(u, 0.25, out=base), res
-        curv *= res[::step]
-        curv *= cfg.f.deriv(mids[::step], 2, out=base, work=work)
-        curv -= np.multiply(cfg.f.deriv(mids[::step], 3, out=base, work=work), 0.25 * dt, out=base)
-    cfg.f.deriv(mids[::step], out=base, work=work)
+        curv *= res
+        curv *= cfg.f.deriv(mids, 2, out=base, work=work)
+        curv -= np.multiply(cfg.f.deriv(mids, 3, out=base, work=work), 0.25 * dt, out=base)
+    cfg.f.deriv(mids, out=base, work=work)
     base *= 0.5
     base += cfg.nu + 0.5 * cfg.lam
-    cpu = np.add(base, step / dt, out=work)
+    cpu = np.add(base, 1.0 / dt, out=work)
     cpu *= u
-    cmu = np.subtract(base, step / dt, out=mids)
+    cmu = np.subtract(base, 1.0 / dt, out=mids)
     cmu *= u
     ring = np.roll(u, -1, axis=-1)  # h^2 (u[a+1] + u[a-1])
     ring += np.roll(u, 1, axis=-1)
     ring *= h * h
     values = np.empty_like(u)
     # shift 0: the cross blocks cpu cm, then plus = cpu cp and minus = cmu cm
-    cross = np.subtract(base, step / dt, out=values)
+    cross = np.subtract(base, 1.0 / dt, out=values)
     cross *= cpu
     cross += ring
     if newton:
         cross += curv
     add(0, cross[1:-1], cross=True)
-    plus = np.add(base, step / dt, out=values)
+    plus = np.add(base, 1.0 / dt, out=values)
     plus *= cpu
     plus += ring
     minus = base
-    minus -= step / dt
+    minus -= 1.0 / dt
     minus *= cmu
     minus += ring
     if newton:
@@ -374,98 +362,40 @@ def _hessian_band(
     return out.reshape(-1, out.shape[-1]).T
 
 
-def _build_band(states: np.ndarray, dt: float, cfg: LatticeConfig, qs, newton: bool, buffer: np.ndarray) -> int:
+def _build_band(states: np.ndarray, dt: float, cfg: LatticeConfig, qs, newton: bool, buffer: np.ndarray) -> None:
     """Build the band of the interior ``states`` of a path of step ``dt``
-    into ``buffer`` (shape :func:`_band_shape`) as :func:`_two_ended_solve`
-    takes it, and return the middle interior state m = (N - 1) // 2, where
-    the halves meet: the blocks of states 0..m in time order, from the
-    states up to one past m, then those of states N - 2..m in reverse time
-    order, from one before m.  ``qs`` is q at the interval midpoints.
+    into ``buffer`` (shape :func:`_band_shape`), the interior states in
+    time order; ``qs`` is q at the interval midpoints.
 
-    Each half goes in time blocks of B = ``_BLOCK_VALUES // d`` states (at
+    The build goes in time blocks of B = ``_BLOCK_VALUES // d`` states (at
     least one), the action's blocks (:data:`omlat.action._BLOCK_VALUES`):
     one :func:`_hessian_band` call on the B + 3 states that rows j..j + B
-    of the half need, with the row weights of their intervals.  Row j + B
-    lacks its cross block, and the next block builds it again.  Each entry
-    is summed as one call on the whole half sums it, so the bits are the
-    same, and the build holds only block-sized arrays."""
-    middle = (len(states) - 2) // 2
+    need, with the row weights of their intervals.  Row j + B lacks its
+    cross block, and the next block builds it again.  Each entry is summed
+    as one call on the whole path sums it, so the bits are the same, and
+    the build holds only block-sized arrays."""
     scale = np.sqrt(dt)
-    halves = (
-        (states[: middle + 3], qs[: middle + 2], buffer[: middle + 1], False),
-        (states[middle:], qs[middle:], buffer[middle + 1 :], True),
-    )
     block = max(1, _BLOCK_VALUES // cfg.d)
-    for half, q, out, reverse in halves:
-        size = len(half)
-        for j in range(0, max(len(out) - 1, 1), block):
-            # states j..j + B + 2 of the half in the band's order
-            a, b = j, min(j + block + 3, size)
-            if reverse:
-                a, b = size - b, size - a
-            _hessian_band(half[a:b], dt, cfg, scale / q[a : b - 1], newton, out[j : j + b - a - 2], reverse)
-    return middle
+    for j in range(0, max(len(buffer) - 1, 1), block):
+        b = min(j + block + 3, len(states))  # states j..j + B + 2
+        _hessian_band(states[j:b], dt, cfg, scale / qs[j : b - 1], newton, buffer[j : b - 2])
 
 
-def _two_ended_solve(band: np.ndarray, rhs: np.ndarray, middle: int) -> np.ndarray:
+def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``H x = rhs`` for the folded unknowns of the N - 1 interior
-    states (``rhs`` and the result of shape (N - 1, d)) by eliminating
-    toward interior state ``middle`` from both ends, the two-ended
-    ("twisted") block factorization (van der Vorst 1987, Parallel Computing
-    5, 45-54).  The factorization overwrites ``band``.
-
-    ``band`` (shape :func:`_band_shape`) holds blocks 0..middle of H in time
-    order, then blocks N - 2..middle in reverse time order, so each half
-    ends in its own copy of the middle state's block.  One worker thread
-    per half factors the half's blocks before the middle one
-    (:func:`_factor`) and forward-substitutes its part of ``rhs``; the
-    LAPACK calls release the GIL, so the halves run in parallel.  The
-    calling thread then forms the middle state's d x d Schur complement
-    from each half's last factor block and its coupling to the middle
-    state, which the factorization leaves in that block's band rows below
-    the half, factors it with ``np.linalg.cholesky`` and back-substitutes.
-    Returns the solution, in ``rhs`` itself when it is C-contiguous.
-    Raises LinAlgError when H is not positive definite, and ImportError
-    when scipy's LAPACK cannot be bound (:func:`_bind_lapack`).
+    states (``rhs`` and the result of shape (N - 1, d)), with ``band``
+    (shape :func:`_band_shape`) holding H: one Cholesky factorization
+    (:func:`_factor`), which overwrites ``band``, then one forward and one
+    back substitution.  Returns the solution, in ``rhs`` itself when it is
+    C-contiguous.  Raises LinAlgError when H is not positive definite, and
+    ImportError when scipy's LAPACK cannot be bound (:func:`_bind_lapack`).
     """
-    _bind_lapack()  # here, not in the workers, which would race the first load
-    d, rows = band.shape[1:]
-    halves = (band[: middle + 1], band[middle + 1 :])
-    # the early half solves in place in rhs, the late half in a reversed copy
+    _bind_lapack()
     rhs = np.ascontiguousarray(rhs)
-    parts = (rhs[:middle], rhs[:middle:-1].copy())
-
-    def eliminate(i, _):
-        half, y = halves[i], parts[i]
-        if y.size:
-            if _factor(half, y.size):
-                raise np.linalg.LinAlgError("not positive definite")
-            _substitute(half, y.size, y.reshape(1, -1), b"N")
-
-    map_blocks(eliminate, 2, 1)
-    a, b = np.indices((d, d))
-    # the middle block, whose band rows hold its lower triangle
-    low = halves[0][-1][b, np.abs(a - b)]
-    schur = np.where(a >= b, low, low.T)
-    x = rhs[middle].copy()
-    joined = [(half, y) for half, y in zip(halves, parts) if y.size]  # none at N = 2
-    couplings = []
-    for half, y in joined:
-        # coupling[a, b] = H[middle site a, site b of the half's last
-        # eliminated state], solved in place into Y^T, Y = L_last^-1 coupling^T
-        o = d + a - b
-        coupling = np.where(o < rows, half[-2][b, np.minimum(o, rows - 1)], 0.0)
-        _substitute(half[-2], d, coupling, b"N")
-        schur -= coupling @ coupling.T
-        x -= coupling @ y[-1]
-        couplings.append(coupling)
-    lower = np.linalg.cholesky(schur)
-    x = np.linalg.solve(lower.T, np.linalg.solve(lower, x))
-    for (half, y), coupling in zip(joined, couplings):
-        y[-1] -= coupling.T @ x
-        _substitute(half, y.size, y.reshape(1, -1), b"T")
-    rhs[middle] = x
-    rhs[middle + 1 :] = parts[1][::-1]
+    if _factor(band, rhs.size):
+        raise np.linalg.LinAlgError("not positive definite")
+    for trans in (b"N", b"T"):
+        _substitute(band, rhs.size, rhs.reshape(1, -1), trans)
     return rhs
 
 
@@ -533,11 +463,11 @@ def solve_mpp(spec: BVPSpec) -> MPPResult:
         for _ in range(8):
             # the Cholesky factor overwrites the band, so every attempt
             # rebuilds it in the solve's one buffer
-            middle = _build_band(states, dt, cfg, qs, spec.newton, buffer)
+            _build_band(states, dt, cfg, qs, spec.newton, buffer)
             buffer[..., 0] += damping
             tried = damping
             try:  # the solve overwrites -g, in folded order, with the step
-                step = _two_ended_solve(buffer, np.negative(grad.take(order, axis=1)), middle)
+                step = _solve(buffer, np.negative(grad.take(order, axis=1)))
             except np.linalg.LinAlgError:  # not positive definite: damp harder
                 step = None
             if step is not None and np.all(np.isfinite(step)):

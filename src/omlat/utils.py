@@ -8,13 +8,23 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["check_count", "check_scale", "worker_count", "map_blocks"]
+__all__ = ["check_count", "check_memory", "check_scale", "worker_count", "map_blocks"]
 
 
 def check_count(count: int, name: str) -> None:
     """Reject a count below one; ``name`` names it in the message."""
     if count < 1:
         raise ConfigurationError(f"{name} must be at least 1, got {count}")
+
+
+def check_memory(nbytes: int, size: str, what: str) -> None:
+    """Reject a run on which ``what`` needs more than the host's physical
+    memory; ``size`` names what set the size and its value."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigurationError(
+            f"{size}: {what} needs {nbytes} bytes, more than the {memory} bytes of physical memory"
+        )
 
 
 def check_scale(values, name: str) -> None:
@@ -28,8 +38,7 @@ def check_scale(values, name: str) -> None:
 
 def worker_count() -> int:
     """Worker cap for the block pool of :func:`map_blocks`, which runs the
-    tube and small-ball blocks and the two halves of the mpp solver's band
-    factorization: the OMLAT_THREADS environment variable
+    tube and small-ball blocks: the OMLAT_THREADS environment variable
     when set, else the usable CPU count, and never more than the usable
     CPUs, since each running block holds its buffers."""
     try:
@@ -49,8 +58,7 @@ def map_blocks(fn, samples: int, block_size: int) -> list:
     """``fn(block_index, count)`` for each block of ``samples`` cut into
     ``block_size`` pieces (the last may be shorter), run on a pool of
     :func:`worker_count` threads; the results come back in block order.
-    The tube and small ball cut their samples this way, and the mpp solve
-    runs its two band halves as two blocks of one."""
+    The tube and small ball cut their samples this way."""
     blocks = [(i, min(block_size, samples - start)) for i, start in enumerate(range(0, samples, block_size))]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         return list(pool.map(lambda block: fn(*block), blocks))

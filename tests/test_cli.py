@@ -345,8 +345,8 @@ class TestCliRuns:
         # memory while one trajectory fits; rejected before BVPSpec
         # allocates its check path (stubbed here) or a run opens
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        per_step = 8 * math.prod(_band_shape(1, 61))  # the band holds one block row per step
-        steps = memory // per_step + 1
+        per_step = 8 * math.prod(_band_shape(2, 61))  # the band holds one block row per interior state
+        steps = memory // per_step + 2
         assert 8 * (steps + 1) * 61 <= memory < 8 * math.prod(_band_shape(steps, 61))
 
         def no_spec(*args, **kwargs):
@@ -891,6 +891,19 @@ class TestCliRuns:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"field '{field}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e300", "4611686018427387904"], ids=["1e300", "2^62"])
+    def test_huge_n_rejected_before_opening_out(self, tmp_path, capsys, value):
+        # 2n + 1 sites past numpy's largest array: LatticeConfig's first
+        # d-sized array raised ValueError, a traceback and exit 1, before
+        # one state of them was checked against physical memory
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SCALAR.replace("\nn = ", f"\nn = {value} # "))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "truncation half-width n=" in err and "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

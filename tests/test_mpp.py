@@ -33,8 +33,8 @@ from omlat.mpp import (
     _cython_lapack,
     _hessian_band,
     _lapack,
+    _solve,
     _solve_bytes,
-    _two_ended_solve,
     solve_mpp,
 )
 from oracles import el_residual_example5, om_gradient, residuals
@@ -81,7 +81,7 @@ class TestSolveMpp:
         assert np.max(np.abs(res.path.states[:, 0] - exact)) <= 1e-3
 
     def test_single_interior_unknown(self):
-        # d = 1, N = 2: the one unknown is the middle state, and both halves are empty
+        # d = 1, N = 2: one interior state, and a band of one unknown
         spec = BVPSpec(cfg=scalar_cfg(), phi0=np.array([1.0]), phiT=np.array([0.3]), steps=2)
         res = solve_mpp(spec)
         assert res.converged and res.iterations <= 3
@@ -346,13 +346,6 @@ class TestSolverFallback:
         assert res.record[1].backtracks >= 1
 
 
-def path_band_shape(steps, d):
-    """Shape of the band of all interior states of a ``steps``-step path:
-    the solve's buffer has one block row more, for the middle state's
-    second copy."""
-    return (steps - 1,) + _band_shape(steps, d)[1:]
-
-
 def dense_from_lower_band(band):
     half, size = band.shape
     H = np.zeros((size, size))
@@ -417,7 +410,7 @@ class TestHessianBand:
         J = central_jacobian(scaled, x0)
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = (2.0 * J.T @ J)[np.ix_(fold, fold)]
-        band = _hessian_band(path.states, path.dt, cfg, row_weight, False, np.empty(path_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, False, np.empty(_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -430,7 +423,7 @@ class TestHessianBand:
 
         fold = folded_unknowns(n, self.STEPS - 1)
         oracle = central_jacobian(gradient, path.states[1:-1].ravel())[np.ix_(fold, fold)]
-        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, cfg.d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, cfg.d)))
         H = dense_from_lower_band(band)
         assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
@@ -439,7 +432,7 @@ class TestHessianBand:
         # the fold first narrows the band at n = 3: d + 4 < 2d - 1 from d = 7
         cfg, path, row_weight, _ = self.setup_problem(n)
         d = cfg.d
-        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(path_band_shape(self.STEPS, d)))
+        band = _hessian_band(path.states, path.dt, cfg, row_weight, True, np.empty(_band_shape(self.STEPS, d)))
         assert band.shape == (min(2 * d, d + 5), (self.STEPS - 1) * d)
         H = dense_from_lower_band(band)
         rows, cols = np.nonzero(H)
@@ -450,7 +443,7 @@ class TestHessianBand:
     def test_build_ignores_what_the_buffer_held(self, n, newton):
         # d = 1 and 3 have coinciding shifts, which must still add
         cfg, path, row_weight, _ = self.setup_problem(n)
-        shape = path_band_shape(self.STEPS, cfg.d)
+        shape = _band_shape(self.STEPS, cfg.d)
         from_nan = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.full(shape, np.nan))
         from_zero = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.zeros(shape))
         assert_same_bits(from_nan, from_zero)
@@ -506,7 +499,7 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def two_half_band(path, cfg, newton):
+def built_band(path, cfg, newton):
     """The solve's band buffer for ``path``, built fresh into NaN."""
     band = np.full(_band_shape(path.steps, cfg.d), np.nan)
     _build_band(path.states, path.dt, cfg, _check_path(path, cfg), newton, band)
@@ -519,19 +512,19 @@ class TestBandBuffer:
     def solve_with_first_attempt_broken(self, monkeypatch, breaks):
         # ``breaks(band, n, factor)`` stands in for each factorization of the
         # first attempt; every attempt's band is recorded as it reaches the
-        # two-ended solve, and the retry must rebuild the same buffer
+        # solve, and the retry must rebuild the same buffer
         import omlat.mpp as mpp_mod
 
-        seen, factor, solve = [], mpp_mod._factor, mpp_mod._two_ended_solve
+        seen, factor, solve = [], mpp_mod._factor, mpp_mod._solve
 
-        def recording_solve(band, rhs, middle):
+        def recording_solve(band, rhs):
             seen.append((band.__array_interface__["data"][0], band.copy()))
-            return solve(band, rhs, middle)
+            return solve(band, rhs)
 
         def breaking_factor(band, n):
             return breaks(band, n, factor) if len(seen) == 1 else factor(band, n)
 
-        monkeypatch.setattr(mpp_mod, "_two_ended_solve", recording_solve)
+        monkeypatch.setattr(mpp_mod, "_solve", recording_solve)
         monkeypatch.setattr(mpp_mod, "_factor", breaking_factor)
         spec = example5_spec(n=2, steps=16)
         res = solve_mpp(spec)
@@ -541,68 +534,45 @@ class TestBandBuffer:
 
         lam = np.linspace(0.0, 1.0, 17)[:, None]
         start = Path((1.0 - lam) * spec.phi0 + lam * spec.phiT, 30.0 / 16)
-        fresh = two_half_band(start, spec.cfg, False)
+        fresh = built_band(start, spec.cfg, False)
         fresh[..., 0] += res.record[1].damping
         assert_same_bits(seen[1][1], fresh)
 
     def test_failed_attempt_leaves_no_trace_in_the_next_band(self, monkeypatch):
-        # the first factorization of each half scribbles NaN over its half
-        # and fails, as a partial Cholesky factor would
+        # the first factorization scribbles NaN over the band and fails, as
+        # a partial Cholesky factor would
         def scribble(band, n, factor):
             band[...] = np.nan
             return 1
 
         self.solve_with_first_attempt_broken(monkeypatch, scribble)
 
-    @pytest.mark.parametrize("part", ["late-half", "middle-state"])
-    def test_failure_in_one_part_leaves_no_trace_in_the_next_band(self, monkeypatch, part):
-        # late-half: only the reversed half fails to factor.  middle-state:
-        # both halves factor, but the middle block is negated, so the
-        # middle state's Schur complement is indefinite
-        def breaks(band, n, factor):
-            if band.ctypes.data == band.base.ctypes.data:  # the half that starts the buffer
-                info = factor(band, n)
-                if part == "middle-state":
-                    band[-1] *= -1.0
-                return info
-            if part == "middle-state":
-                return factor(band, n)
-            band[...] = np.nan
-            return 1
-
-        self.solve_with_first_attempt_broken(monkeypatch, breaks)
-
     @pytest.mark.parametrize("steps", [2, 3, 16])
     def test_solve_allocates_the_checked_shape(self, monkeypatch, steps):
-        # the two halves are built into one buffer of _band_shape, the
-        # shape the CLI's memory check multiplies out, in blocks of B = 3
-        # rows at d = 5 here: the block at row j of a half writes rows j to
-        # j + B, the last one up to the half's end
+        # the band is built into one buffer of _band_shape, (N - 1, d,
+        # rows), the shape the CLI's memory check multiplies out, in blocks
+        # of B = 3 rows at d = 5 here: the block at row j writes rows j to
+        # j + B, the last one up to row N - 2
         import omlat.mpp as mpp_mod
 
         outs = []
 
-        def recording_build(states, dt, cfg, row_weight, newton, out, reverse=False):
-            outs.append((out, reverse))
-            return _hessian_band(states, dt, cfg, row_weight, newton, out, reverse)
+        def recording_build(states, dt, cfg, row_weight, newton, out):
+            outs.append(out)
+            return _hessian_band(states, dt, cfg, row_weight, newton, out)
 
         monkeypatch.setattr(mpp_mod, "_hessian_band", recording_build)
         monkeypatch.setattr(mpp_mod, "_BLOCK_VALUES", 15)
         spec = example5_spec(n=2, steps=steps)
         solve_mpp(spec)
         assert outs
-        buffers = {id(out.base) for out, _ in outs}
+        buffers = {id(out.base) for out in outs}
         assert len(buffers) == 1
-        buffer = outs[0][0].base
-        assert buffer.shape == _band_shape(steps, 5)
-        m = (steps - 1) // 2
-        expected = []
-        for first, rows, reverse in ((0, m + 1, False), (m + 1, steps - 1 - m, True)):
-            expected += [(first + j, min(4, rows - j), reverse) for j in range(0, max(rows - 1, 1), 3)]
-        builds = [
-            ((out.ctypes.data - buffer.ctypes.data) // buffer[0].nbytes, out.shape[0], reverse)
-            for out, reverse in outs
-        ]
+        buffer = outs[0].base
+        assert buffer.shape == _band_shape(steps, 5) == (steps - 1, 5, 10)
+        rows = steps - 1
+        expected = [(j, min(4, rows - j)) for j in range(0, max(rows - 1, 1), 3)]
+        builds = [((out.ctypes.data - buffer.ctypes.data) // buffer[0].nbytes, out.shape[0]) for out in outs]
         assert builds == expected * (len(builds) // len(expected))
 
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
@@ -624,7 +594,7 @@ class TestBandBuffer:
             finally:
                 tracemalloc.stop()
             block = _BLOCK_VALUES // cfg.d
-            assert 4 * block < steps  # several blocks to each half
+            assert 4 * block < steps  # several blocks
             assert peak <= 12 * 8 * (block + 2) * cfg.d
 
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
@@ -648,26 +618,18 @@ class TestBandBuffer:
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
     @pytest.mark.parametrize("n", [0, 1, 2, 30])
     def test_blocked_build_is_a_one_call_build_of_each_half(self, n, newton):
-        # the halves meet at m = (N - 1) // 2 and hold m + 1 and N - 1 - m
-        # rows; the grids below put them on each side of one and two block
+        # the band is one piece of N - 1 rows (the name is from the build
+        # in two halves), with the bits of one call on the whole path; the
+        # grids below put its end on each side of one and two block
         # lengths B, and past them
         d = 2 * n + 1
         B = _BLOCK_VALUES // d
         for steps in sorted({2, 3, 4, B + 1, B + 2, 2 * B + 1, 2 * B + 2, 2 * B + 3, 4 * B + 3, 4 * B + 5, 1200}):
             cfg, path, row_weight = example_problem(n, steps)
-            m = (steps - 1) // 2
-            blocked = two_half_band(path, cfg, newton)
+            blocked = built_band(path, cfg, newton)
             one_call = np.full_like(blocked, np.nan)
-            _hessian_band(path.states[: m + 3], path.dt, cfg, row_weight[: m + 2], newton, one_call[: m + 1])
-            _hessian_band(path.states[m:], path.dt, cfg, row_weight[m:], newton, one_call[m + 1 :], reverse=True)
+            _hessian_band(path.states, path.dt, cfg, row_weight, newton, one_call)
             assert_same_bits(blocked, one_call)
-
-
-def block_reversed(H, d):
-    """``H`` with its d x d blocks in reverse order, rows and columns."""
-    blocks = H.shape[0] // d
-    perm = (d * np.arange(blocks)[::-1, None] + np.arange(d)[None, :]).ravel()
-    return H[np.ix_(perm, perm)]
 
 
 def example_problem(n, steps, seed=0):
@@ -688,22 +650,9 @@ def example_problem(n, steps, seed=0):
 
 
 class TestTwoEndedSolve:
-    """The two halves of the band and the solve that joins them, against
-    the natural band in time order and scipy's banded Cholesky solve."""
-
-    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
-    @pytest.mark.parametrize("n, steps", [(0, 3), (0, 16), (1, 7), (2, 9), (30, 7)])
-    def test_reversed_build_is_the_block_reversed_band(self, n, steps, newton):
-        cfg, path, row_weight = example_problem(n, steps)
-        shape = path_band_shape(steps, cfg.d)
-        natural, reversed_ = (
-            dense_from_lower_band(
-                _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.empty(shape), reverse)
-            )
-            for reverse in (False, True)
-        )
-        oracle = block_reversed(natural, cfg.d)
-        assert np.max(np.abs(reversed_ - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+    """The solve on the band of all interior states, one piece since the
+    two-ended split went (the class keeps its name), against scipy's
+    banded Cholesky solve of the same matrix."""
 
     @pytest.mark.parametrize("damping", [0.0, 0.5], ids=["undamped", "damped"])
     @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
@@ -713,32 +662,29 @@ class TestTwoEndedSolve:
     def test_matches_scipy_on_the_natural_band(self, n, steps, newton, damping):
         cfg, path, row_weight = example_problem(n, steps)
         d = cfg.d
-        natural = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.empty(path_band_shape(steps, d)))
+        natural = _hessian_band(path.states, path.dt, cfg, row_weight, newton, np.empty(_band_shape(steps, d)))
         natural[0] += damping
         rhs = np.random.default_rng(steps).normal(size=(steps - 1, d))
         # solveh_banded takes at most one band row per unknown
         oracle = solveh_banded(natural[: natural.shape[1]], rhs.ravel(), lower=True).reshape(steps - 1, d)
-        band = two_half_band(path, cfg, newton)
+        band = built_band(path, cfg, newton)
         band[..., 0] += damping
-        x = _two_ended_solve(band, rhs, (steps - 1) // 2)
+        x = _solve(band, rhs)
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_any_memory_order_of_rhs(self):
         # the solve works in place in a C-ordered rhs, and on a copy of any other
         cfg, path, row_weight = example_problem(2, 9)
         rhs = np.random.default_rng(1).normal(size=(8, 5))
-        x = [
-            _two_ended_solve(two_half_band(path, cfg, False), rhs.copy(order=order), 4)
-            for order in "CF"
-        ]
+        x = [_solve(built_band(path, cfg, False), rhs.copy(order=order)) for order in "CF"]
         assert_same_bits(x[0], x[1])
 
     def test_indefinite_matrix_raises(self):
         cfg, path, row_weight = example_problem(1, 9)
-        band = two_half_band(path, cfg, False)
+        band = built_band(path, cfg, False)
         band[..., 0] -= 1e6
         with pytest.raises(np.linalg.LinAlgError):
-            _two_ended_solve(band, np.ones((8, 3)), 4)
+            _solve(band, np.ones((8, 3)))
 
     def test_abi_check_rejects_another_signature(self):
         # a cython_lapack built with 64-bit integers would declare another
@@ -757,6 +703,21 @@ class TestTwoEndedSolve:
             results.append(solve_mpp(spec))
         assert_same_bits(results[0].path.states, results[1].path.states)
         assert results[0].record == results[1].record
+
+    def test_a_solve_starts_no_thread_pool(self, monkeypatch):
+        # the solve runs on its calling thread alone: with the block pool
+        # unable to start, it reaches the same bits
+        spec = replace(example5_spec(n=3, steps=120), newton=True)
+        pooled = solve_mpp(spec)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr("omlat.utils.ThreadPoolExecutor", no_pool)
+        alone = solve_mpp(spec)
+        assert alone.converged
+        assert_same_bits(pooled.path.states, alone.path.states)
+        assert pooled.record == alone.record
 
 
 def fresh_python(code):
@@ -811,10 +772,10 @@ class TestLapackBinding:
         theirs = fresh_python("from scipy.linalg import cython_lapack; print(cython_lapack.__file__)")
         assert ours == theirs and ours.strip().startswith(os.path.dirname(scipy.__file__))
 
-    def test_first_two_ended_solve_binds_once_before_its_workers(self):
-        # the first LAPACK call of the process is a solve whose two halves
-        # run on two worker threads: the calling thread binds first, once,
-        # and the path has the bits of the same solve on one thread
+    def test_first_solve_binds_once_on_its_calling_thread(self):
+        # the first LAPACK call of the process is a solve: the calling
+        # thread binds, once, and the path has the same bits whatever the
+        # thread count
         out = json.loads(fresh_python(
             "import json, os, threading\n"
             "from omlat import mpp\n"
