@@ -9,15 +9,15 @@ block's sites are numbered centre-out (0, +1, -1, +2, -2, ...), which
 brings every ring neighbour, the wrap included, within 4 positions, so
 the matrix is banded with half-bandwidth min(2d - 1, d + 4) rather than
 the 2d - 1 of natural site order.  Each step is one banded Cholesky solve
-in that order, damped Levenberg-style when the factorization fails: one
-LAPACK ``dpbtrf`` on the band of all N - 1 interior states, then one
-forward and one back ``dtbtrs``.  The two routines come from scipy's
-``cython_lapack`` extension, which the first solve loads by itself
-(:func:`_bind_lapack`): importing omlat loads neither it nor
-``scipy.linalg``, so a process that never solves never maps scipy's
-OpenBLAS.  A solve allocates one band, 8 (N - 1) d min(2d, d + 5) bytes,
-and every factorization attempt rebuilds the matrix in it, since the
-Cholesky factor overwrites it.  The band, the action and its gradient
+in that order, damped Levenberg-style when the factorization fails:
+LAPACK ``dpbtrf`` and ``dpbtrs`` on the band of all N - 1 interior states,
+through the f2py wrappers of scipy's ``_flapack`` extension, which the
+first solve loads by itself (:func:`_bind_lapack`): importing omlat loads
+neither it nor ``scipy.linalg``, so a process that never solves never maps
+scipy's OpenBLAS.  The wrappers hold the GIL, so solves on several threads
+take turns in LAPACK.  A solve allocates one band, 8 (N - 1) d min(2d, d + 5)
+bytes, and every factorization attempt rebuilds the matrix in it, since
+the Cholesky factor overwrites it.  The band, the action and its gradient
 are built in time blocks of about ``action._BLOCK_VALUES`` values, so no
 work array grows with N.
 Each kernel takes the states, ``dt`` and the q that :class:`BVPSpec`
@@ -30,13 +30,11 @@ bounded below.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
-import re
 import sys
 import threading
 from collections import namedtuple
@@ -128,100 +126,61 @@ class MPPResult:
     record: tuple = field(repr=False)
 
 
-def _cython_lapack():
-    """scipy's ``scipy.linalg.cython_lapack`` extension, loaded by itself
-    from the ``linalg`` directory of the scipy package: ``scipy.linalg``'s
-    ``__init__``, which imports the rest of ``scipy.linalg`` and through it
-    ``numpy.testing`` and ``numpy.f2py``, never runs.  The module is
-    registered under its own name, so a later ``from scipy.linalg import
-    cython_lapack`` returns this same module (the attribute
-    ``scipy.linalg.cython_lapack`` stays unset: the import system sets it
-    only on a first load).  Raises ImportError when the directory holds no
-    such extension."""
+def _flapack():
+    """scipy's f2py LAPACK wrappers, ``scipy.linalg._flapack``, loaded by
+    path from scipy's ``linalg`` directory, so ``scipy.linalg``'s
+    ``__init__`` (and its ``numpy.testing`` and ``numpy.f2py``) never runs,
+    and registered under its own name for a later ``import scipy.linalg``.
+    The load maps scipy's OpenBLAS, which reads ``OPENBLAS_NUM_THREADS``
+    then: 1, for the load only, unless the caller set it.  Raises
+    ImportError when the directory holds no such extension."""
     directory = os.path.join(scipy.__path__[0], "linalg")
-    spec = importlib.machinery.PathFinder.find_spec("cython_lapack", [directory])
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no cython_lapack extension in {directory}")
-    spec.name = "scipy.linalg.cython_lapack"
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+        raise ImportError(f"scipy {scipy.__version__} has no _flapack extension in {directory}")
+    spec.name = "scipy.linalg._flapack"
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:  # creating the module loads OpenBLAS
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if unset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    sys.modules[spec.name] = module
     return module
 
 
-def _lapack(name: str, signature: str):
-    """LAPACK's ``name``, through the function pointer that
-    ``scipy.linalg.cython_lapack`` publishes, as a ctypes function: the call
-    releases the GIL, which scipy's own LAPACK wrappers hold.  The extension
-    is the one already in ``sys.modules``, else :func:`_cython_lapack` loads
-    it.  ``signature`` is the C signature the binding assumes, with ``d``
-    for double; a capsule that declares any other (a build with 64-bit
-    integers, say) would have the call corrupt memory, so it raises
-    ImportError."""
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    module = sys.modules.get("scipy.linalg.cython_lapack") or _cython_lapack()
-    capsule = module.__pyx_capi__[name]
-    declared = get_name(capsule)
-    if re.sub(r"\w+_d \*", "d *", declared.decode()) != signature:
-        raise ImportError(
-            f"scipy {scipy.__version__} declares LAPACK {name} as {declared.decode()!r}, "
-            f"which is not the {signature!r} that omlat calls"
-        )
-    types = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int), "d *": ctypes.c_void_p}
-    args = signature.removeprefix("void (").removesuffix(")").split(", ")
-    return ctypes.CFUNCTYPE(None, *(types[a] for a in args))(get_pointer(capsule, declared))
-
-
-#: LAPACK's ``dpbtrf`` and ``dtbtrs`` as ctypes functions, once :func:`_bind_lapack` has run.
+#: scipy's LAPACK wrappers ``dpbtrf`` and ``dpbtrs``, once :func:`_bind_lapack` has run.
 _LAPACK = {}
 _LAPACK_LOCK = threading.Lock()
 
 
 def _bind_lapack() -> None:
-    """Fill :data:`_LAPACK` on the first call; later calls find it full.
-    Only a solve calls LAPACK, so a process that never solves never maps
-    scipy's OpenBLAS.  :func:`_solve` binds on its calling thread, and
-    the lock keeps two first solves on two threads from loading the
-    extension at once.  Raises ImportError, naming scipy's version, when
-    the extension is missing or declares another signature, and binds
-    nothing then."""
+    """Fill :data:`_LAPACK` on the first call, from the extension in
+    ``sys.modules``, else from :func:`_flapack`; later calls find it full.
+    The lock keeps two first solves on two threads from loading it at once.
+    Raises ImportError, naming scipy's version, when the extension or one
+    of the two routines is missing, and binds nothing then."""
     with _LAPACK_LOCK:
         if not _LAPACK:
-            _LAPACK.update(
-                dpbtrf=_lapack("dpbtrf", "void (char *, int *, int *, d *, int *, int *)"),
-                dtbtrs=_lapack(
-                    "dtbtrs", "void (char *, char *, char *, int *, int *, int *, d *, int *, d *, int *, int *)"
-                ),
-            )
+            module = sys.modules.get("scipy.linalg._flapack") or _flapack()
+            try:
+                _LAPACK.update(dpbtrf=module.dpbtrf, dpbtrs=module.dpbtrs)
+            except AttributeError as exc:
+                raise ImportError(f"scipy {scipy.__version__}: {exc}") from exc
 
 
 def _factor(band: np.ndarray, n: int) -> int:
     """LAPACK ``dpbtrf``: overwrite the lower band of the first ``n``
-    unknowns of ``band`` with its Cholesky factor L, in place.  ``band``
-    holds min(2d, d + 5) band rows per unknown, ``band[..., o]`` of unknown
-    m being ``H[m + o, m]``: LAPACK's lower band storage, column-major.
-    Returns LAPACK's info, positive when that matrix is not positive
-    definite."""
-    rows = band.shape[-1]
-    info = ctypes.c_int()
-    _LAPACK["dpbtrf"](b"L", ctypes.c_int(n), ctypes.c_int(rows - 1), band.ctypes.data, ctypes.c_int(rows), info)
-    return info.value
-
-
-def _substitute(band: np.ndarray, n: int, rhs: np.ndarray, trans: bytes) -> None:
-    """LAPACK ``dtbtrs``: each row of the C-contiguous ``rhs`` (shape
-    (nrhs, n)) becomes ``L^-1 rhs`` (``trans`` b"N") or ``L^-T rhs`` (b"T"),
-    in place, with L the factor that :func:`_factor` left in ``band``."""
-    rows = band.shape[-1]
-    info = ctypes.c_int()
-    _LAPACK["dtbtrs"](
-        b"L", trans, b"N", ctypes.c_int(n), ctypes.c_int(rows - 1), ctypes.c_int(rhs.shape[0]),
-        band.ctypes.data, ctypes.c_int(rows), rhs.ctypes.data, ctypes.c_int(n), info,
-    )
-    if info.value:
-        raise np.linalg.LinAlgError(f"dtbtrs failed with info {info.value}")
+    unknowns of ``band`` (stored as :func:`_hessian_band` says; the wrapper
+    takes an F-ordered view) with its Cholesky factor L, in place.  Returns
+    LAPACK's info, positive when that matrix is not positive definite."""
+    ab = band.reshape(-1, band.shape[-1])[:n].T
+    factor, info = _LAPACK["dpbtrf"](ab, lower=1, overwrite_ab=1)
+    if not np.shares_memory(factor, band):  # f2py copies what LAPACK cannot take as it is
+        raise ValueError("dpbtrf factored a copy of the band")
+    return info
 
 
 def _band_shape(steps: int, d: int) -> tuple:
@@ -384,19 +343,18 @@ def _build_band(states: np.ndarray, dt: float, cfg: LatticeConfig, qs, newton: b
 def _solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``H x = rhs`` for the folded unknowns of the N - 1 interior
     states (``rhs`` and the result of shape (N - 1, d)), with ``band``
-    (shape :func:`_band_shape`) holding H: one Cholesky factorization
-    (:func:`_factor`), which overwrites ``band``, then one forward and one
-    back substitution.  Returns the solution, in ``rhs`` itself when it is
-    C-contiguous.  Raises LinAlgError when H is not positive definite, and
-    ImportError when scipy's LAPACK cannot be bound (:func:`_bind_lapack`).
-    """
+    (shape :func:`_band_shape`) holding H: :func:`_factor`, which
+    overwrites ``band`` with the Cholesky factor, then LAPACK ``dpbtrs``.
+    Returns the solution, in ``rhs`` itself when it is C-contiguous
+    float64.  Raises LinAlgError when H is not positive definite, and
+    ImportError when scipy's LAPACK cannot be bound (:func:`_bind_lapack`)."""
     _bind_lapack()
-    rhs = np.ascontiguousarray(rhs)
     if _factor(band, rhs.size):
         raise np.linalg.LinAlgError("not positive definite")
-    for trans in (b"N", b"T"):
-        _substitute(band, rhs.size, rhs.reshape(1, -1), trans)
-    return rhs
+    x, info = _LAPACK["dpbtrs"](band.reshape(-1, band.shape[-1]).T, rhs.reshape(-1, 1), lower=1, overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpbtrs failed with info {info}")
+    return x.reshape(rhs.shape)
 
 
 def _backtrack(states, dt: float, cfg: LatticeConfig, qs, direction, t, slope: float, action_val: float, halvings):

@@ -269,9 +269,12 @@ def truncation_tail(pairs, cutoffs, rho, rho_wide) -> tuple:
     for u, v in pairs:
         if (u.d, v.d) != (rho.size, rho_wide.size):
             raise ConfigurationError(f"paths of {u.d} and {v.d} sites, weights of {rho.size} and {rho_wide.size}")
-        # the tails of u at each cutoff, then those of v
-        tail = [np.sum((rho[m] * u.states[:, m]) ** 2, axis=1) for m in masks]
-        tail += [np.sum((rho_wide[m] * v.states[:, m]) ** 2, axis=1) for m in masks_wide]
+        # the tails of u at each cutoff, then those of v, each path squared once
+        sq = (rho * u.states) ** 2
+        tail = [np.sum(sq[:, m], axis=1) for m in masks]
+        sq = (rho_wide * v.states) ** 2
+        tail += [np.sum(sq[:, m], axis=1) for m in masks_wide]
+        del sq  # before the streams step the next pair
         acc = tail if acc is None else [a + t for a, t in zip(acc, tail)]
         msd += np.max(np.sum((u.states - v.states[:, off : off + u.d]) ** 2, axis=1))
         count += 1

@@ -1,6 +1,6 @@
 """Golden digests: the sha256 of every CSV that small ``simulate``,
-``verify truncation``, ``verify bound``, ``verify tube`` and
-``verify smallball`` runs write.
+``verify truncation``, ``verify bound``, ``verify tube``,
+``verify smallball`` and ``mpp`` runs write.
 
 The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
@@ -15,6 +15,12 @@ largest tube; the step chunk size does not move those prune points.  The small-b
 stream of each block's one generator, tail included; both are seeded by
 ``noise._block_bits``.  A change to a random stream changes the digests
 of the runs that draw from it: such a change re-pins them and says so.
+The two ``mpp`` runs, one Gauss-Newton solve with ``--slice`` and one
+``--newton`` solve on the 61-site example, draw nothing: their digests
+pin the solver's bytes, band build and LAPACK solve included.  They were
+taken when the solve called ``dpbtrf`` and two ``dtbtrs`` through a
+``ctypes`` binding, and hold for scipy's ``dpbtrf`` and ``dpbtrs``
+wrappers.
 """
 import hashlib
 from pathlib import Path as FsPath
@@ -42,6 +48,8 @@ RUNS = {
         "--reference", "sine:0.3", "--denominator", "plain", "--dt", "0.015625",
     ],
     "smallball": ["verify", "smallball", "--samples", "70000", "--eps", "0.5,0.4"],
+    "mpp": ["mpp", "--config", EX5, "--dt", "0.5", "--slice", "i=0,10"],
+    "mpp_newton": ["mpp", "--config", EX5, "--dt", "0.5", "--newton"],
 }
 
 DIGESTS = {
@@ -55,18 +63,30 @@ DIGESTS = {
     "tube": {"tube.csv": "f8e4a00d625abe3a30273ab75c950a66c5fc5b3b0b63d1bee17d0834f8fc5cd3"},
     "tube3": {"tube.csv": "89139c59de46c052e2e1255e9a41471b4cf64ace7283ee47c29cde627b0d815a"},
     "smallball": {"smallball.csv": "0a527096989e48efdfd12833b139b8a710b2ddc87f8878a0afe95d09912aa6b8"},
+    "mpp": {
+        "convergence.csv": "efe7a0f2923de86711d4cee35f3584f576ef73db446cb3d415db1feb8582621c",
+        "mpp_path.csv": "6c2b21a9831b58993b8c03589e82b14d35ab3e62eaf172b9e02321cd7a383b75",
+        "slice_i0.csv": "36fac554c95ae89b013c08885cff6c403885792636921220646e02929523465a",
+        "slice_i10.csv": "1545e9a841f024c8e0752ef4afc07560005f22d455e6571bc1a22bca6469728a",
+    },
+    "mpp_newton": {
+        "convergence.csv": "ec18deb277d4dca251a271a416b19cea3255b7e12a392699f0d460dc028a74da",
+        "mpp_path.csv": "319cde9e6058f38f526255c7541d96862757a4d1a948feebacf5836bf120ee7c",
+    },
 }
 
 # (run, variant): ensembles at the default group size and one trajectory
 # per group; tubes on one and two threads, and with their increments
 # drawn and stepped 1 and 7 steps at a time; the small-ball blocks on one
 # and two threads, and its stages drawn in chunks of at most the default
-# 65 536 and 777 normals.
+# 65 536 and 777 normals; each mpp run once.
 TUBE_VARIANTS = ("threads1", "threads2", "steps1", "steps7")
 VARIANTS = {
     "tube": TUBE_VARIANTS,
     "tube3": TUBE_VARIANTS,
     "smallball": ("threads1", "threads2", "chunk65536", "chunk777"),
+    "mpp": ("solve",),
+    "mpp_newton": ("solve",),
 }
 CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
 

@@ -30,9 +30,8 @@ from omlat.mpp import (
     _SOLVE_PATH_ARRAYS,
     _band_shape,
     _build_band,
-    _cython_lapack,
+    _flapack,
     _hessian_band,
-    _lapack,
     _solve,
     _solve_bytes,
     solve_mpp,
@@ -686,13 +685,28 @@ class TestTwoEndedSolve:
         with pytest.raises(np.linalg.LinAlgError):
             _solve(band, np.ones((8, 3)))
 
-    def test_abi_check_rejects_another_signature(self):
-        # a cython_lapack built with 64-bit integers would declare another
-        # signature; the binding refuses it rather than corrupt memory
-        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
-            _lapack("dpbtrf", "void (char *, long *, long *, d *, long *, long *)")
-        with pytest.raises(ImportError, match="dtbtrs"):
-            _lapack("dtbtrs", "void (char *, int *, int *, d *, int *, int *)")
+    @pytest.mark.parametrize("newton", [False, True], ids=["gauss-newton", "newton"])
+    def test_wrappers_work_in_the_solves_own_band_and_rhs(self, monkeypatch, newton):
+        # a copy of the band or of rhs would double the memory that
+        # _solve_bytes counts for them
+        import omlat.mpp as mpp_mod
+
+        mpp_mod._bind_lapack()
+        returned = {}
+        for name in ("dpbtrf", "dpbtrs"):
+            def recording(*args, wrapper=mpp_mod._LAPACK[name], name=name, **kwargs):
+                returned[name] = wrapper(*args, **kwargs)
+                return returned[name]
+
+            monkeypatch.setitem(mpp_mod._LAPACK, name, recording)
+        cfg, path, row_weight = example_problem(2, 40)
+        band = built_band(path, cfg, newton)
+        rhs = np.random.default_rng(2).normal(size=(39, 5))
+        x = _solve(band, rhs)
+        assert band.shape == _band_shape(40, 5)
+        assert np.shares_memory(returned["dpbtrf"][0], band) and returned["dpbtrf"][1] == 0
+        assert np.shares_memory(returned["dpbtrs"][0], rhs) and returned["dpbtrs"][1] == 0
+        assert np.shares_memory(x, rhs)
 
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch):
         base = example5_spec(n=3, steps=120)
@@ -720,11 +734,12 @@ class TestTwoEndedSolve:
         assert pooled.record == alone.record
 
 
-def fresh_python(code):
+def fresh_python(code, env=None):
     """Standard output of ``code`` run in a fresh interpreter that imports
-    this checkout's omlat."""
+    this checkout's omlat, in ``env`` (default this process's environment)."""
     src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
 
 
@@ -738,38 +753,28 @@ FIRST_SOLVE = (
 
 
 class TestLapackBinding:
-    """The first solve loads scipy's ``cython_lapack`` extension by itself,
-    not through ``scipy.linalg``."""
+    """The first solve loads scipy's ``_flapack`` extension by itself, not
+    through ``scipy.linalg``."""
 
     def test_later_scipy_import_sees_the_same_routines(self):
         # omlat first and a solve, as the CLI's mpp does, then scipy.linalg
         # in the same process
         out = json.loads(fresh_python(
-            "import ctypes, json, sys\n"
+            "import json, sys\n"
             "from omlat import mpp\n"
             + FIRST_SOLVE +
             "loaded = 'scipy.linalg' in sys.modules\n"
-            "ours = sys.modules['scipy.linalg.cython_lapack']\n"
-            "from scipy.linalg import cython_lapack\n"
-            "get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(('PyCapsule_GetName', ctypes.pythonapi))\n"
-            "get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(\n"
-            "    ('PyCapsule_GetPointer', ctypes.pythonapi))\n"
-            "pairs = [\n"
-            "    (get_pointer(cython_lapack.__pyx_capi__[name], get_name(cython_lapack.__pyx_capi__[name])),\n"
-            "     ctypes.cast(bound, ctypes.c_void_p).value)\n"
-            "    for name, bound in mpp._LAPACK.items()\n"
-            "]\n"
-            "print(json.dumps({'loaded': loaded, 'same': cython_lapack is ours, 'pairs': pairs}))\n"
+            "ours = sys.modules['scipy.linalg._flapack']\n"
+            "import scipy.linalg.lapack\n"
+            "from scipy.linalg import _flapack\n"
+            "same = [getattr(scipy.linalg.lapack, name) is bound for name, bound in mpp._LAPACK.items()]\n"
+            "print(json.dumps({'loaded': loaded, 'module': _flapack is ours, 'same': same}))\n"
         ))
-        assert not out["loaded"]
-        assert out["same"]
-        assert len(out["pairs"]) == 2
-        for scipys, ours in out["pairs"]:
-            assert scipys is not None and scipys == ours
+        assert out == {"loaded": False, "module": True, "same": [True, True]}
 
     def test_loads_the_extension_scipy_linalg_imports(self):
-        ours = fresh_python(FIRST_SOLVE + "import sys; print(sys.modules['scipy.linalg.cython_lapack'].__file__)")
-        theirs = fresh_python("from scipy.linalg import cython_lapack; print(cython_lapack.__file__)")
+        ours = fresh_python(FIRST_SOLVE + "import sys; print(sys.modules['scipy.linalg._flapack'].__file__)")
+        theirs = fresh_python("from scipy.linalg import _flapack; print(_flapack.__file__)")
         assert ours == theirs and ours.strip().startswith(os.path.dirname(scipy.__file__))
 
     def test_first_solve_binds_once_on_its_calling_thread(self):
@@ -780,8 +785,8 @@ class TestLapackBinding:
             "import json, os, threading\n"
             "from omlat import mpp\n"
             "from omlat import BVPSpec, LatticeConfig, NoiseCoefficient, PolynomialNonlinearity, solve_mpp\n"
-            "loads, load = [], mpp._cython_lapack\n"
-            "mpp._cython_lapack = lambda: loads.append(threading.current_thread().name) or load()\n"
+            "loads, load = [], mpp._flapack\n"
+            "mpp._flapack = lambda: loads.append(threading.current_thread().name) or load()\n"
             "f = PolynomialNonlinearity(coeffs=(0.0, 0.1), p=1, growth_constant=0.1)\n"
             "cfg = LatticeConfig(n=3, nu=0.1, lam=0.4, f=f, q=NoiseCoefficient.affine(0.01, 31.0), T=30.0)\n"
             "spec = BVPSpec(cfg=cfg, phi0=[0.1, 0.3, 0.5, 0.6, 0.5, 0.3, 0.1], phiT=[0.0] * 7, steps=120,\n"
@@ -800,8 +805,8 @@ class TestLapackBinding:
         out = json.loads(fresh_python(
             "import json, threading\n"
             "from omlat import mpp\n"
-            "loads, load = [], mpp._cython_lapack\n"
-            "mpp._cython_lapack = lambda: loads.append(1) or load()\n"
+            "loads, load = [], mpp._flapack\n"
+            "mpp._flapack = lambda: loads.append(1) or load()\n"
             "start = threading.Barrier(2)\n"
             "def solve():\n"
             "    start.wait()\n"
@@ -811,15 +816,36 @@ class TestLapackBinding:
             "for t in threads: t.join()\n"
             "print(json.dumps({'loads': len(loads), 'bound': sorted(mpp._LAPACK)}))\n"
         ))
-        assert out == {"loads": 1, "bound": ["dpbtrf", "dtbtrs"]}
+        assert out == {"loads": 1, "bound": ["dpbtrf", "dpbtrs"]}
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc/self/maps")
+    def test_first_solve_loads_openblas_on_one_thread(self):
+        # with OPENBLAS_NUM_THREADS unset, scipy's OpenBLAS starts on one
+        # thread, and the caller's environment is as it was
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        out = json.loads(fresh_python(
+            "import ctypes, json, os\n"
+            + FIRST_SOLVE +
+            "libs = {line.split()[-1] for line in open('/proc/self/maps') if 'scipy_openblas' in line}\n"
+            "threads = []\n"
+            "for lib in sorted(libs):\n"
+            "    get = getattr(ctypes.CDLL(lib), 'scipy_openblas_get_num_threads', None)\n"
+            "    if get:\n"
+            "        threads.append(get())\n"
+            "print(json.dumps({'set': 'OPENBLAS_NUM_THREADS' in os.environ, 'threads': threads}))\n",
+            env,
+        ))
+        if not out["threads"]:
+            pytest.skip("no scipy_openblas_get_num_threads in the libraries this scipy maps")
+        assert out == {"set": False, "threads": [1]}
 
     def test_missing_extension_raises(self, monkeypatch, tmp_path):
-        # a scipy whose linalg directory holds no cython_lapack is refused,
+        # a scipy whose linalg directory holds no _flapack is refused,
         # naming its version; nothing else is tried
         (tmp_path / "linalg").mkdir()
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
         with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
-            _cython_lapack()
+            _flapack()
 
 
 def natural_gauss_newton(path, cfg, row_weight):

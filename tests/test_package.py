@@ -197,11 +197,12 @@ def test_key_tags_distinct_and_not_retired():
 
 
 def test_ctypes_and_lapack_only_in_mpp():
-    # the solver's GIL-free LAPACK binding is the package's one use of
-    # ctypes and its one direct LAPACK caller: any other module that
-    # called LAPACK would bypass the binding's signature check
+    # the package uses no ctypes, and the solver is its one direct LAPACK
+    # caller: any other module that called LAPACK would bypass the
+    # solver's lazy load of scipy's wrappers
+    assert not any("ctypes" in source.read_text() for source in SOURCES), "ctypes used in src/omlat"
     lapack = {
-        "ctypes", "cython_lapack", "lapack", "get_lapack_funcs",
+        "_flapack", "cython_lapack", "lapack", "get_lapack_funcs", "dpbtrf", "dpbtrs",
         "solveh_banded", "cholesky_banded", "cho_solve_banded",
     }
     users = set()
@@ -219,7 +220,7 @@ def test_ctypes_and_lapack_only_in_mpp():
                 continue
             if names & lapack:
                 users.add(source.name)
-    assert users <= {"mpp.py"}, f"ctypes or LAPACK used outside mpp.py: {sorted(users - {'mpp.py'})}"
+    assert users <= {"mpp.py"}, f"LAPACK used outside mpp.py: {sorted(users - {'mpp.py'})}"
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
@@ -228,7 +229,7 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     # extension it calls by itself, and only when it runs, so a command
     # that never solves never maps scipy's OpenBLAS.  Checked by module,
     # not by time.
-    heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py", "scipy.linalg.cython_lapack")
+    heavy = ("scipy.linalg", "numpy.testing", "numpy.f2py", "scipy.linalg._flapack")
     src = os.path.dirname(os.path.dirname(os.path.realpath(omlat.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = tmp_path / "scalar.cfg"
@@ -243,8 +244,8 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
         "import contextlib, io, json, sys\n"
         "import omlat.cli\n"
         "from omlat import mpp\n"
-        "loads, load = [], mpp._cython_lapack\n"
-        "mpp._cython_lapack = lambda: loads.append(1) or load()\n"
+        "loads, load = [], mpp._flapack\n"
+        "mpp._flapack = lambda: loads.append(1) or load()\n"
         "seen = {}\n"
         f"for name, argv in {commands!r}.items():\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -256,4 +257,4 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     seen = json.loads(proc.stdout)
     assert seen["import"] == [None, [], 0], f"import omlat.cli loaded {seen['import'][1]}"
     assert seen["verify kl"] == [0, [], 0], f"verify kl loaded {seen['verify kl'][1]}"
-    assert seen["mpp"] == [0, ["scipy.linalg.cython_lapack"], 1]
+    assert seen["mpp"] == [0, ["scipy.linalg._flapack"], 1]
