@@ -5,7 +5,8 @@ truncation tail statistics.
 
 :func:`euler_maruyama` is the one time stepper: it advances a batch of
 trajectories together.  :func:`integrate` is its one-trajectory case and
-:func:`integrate_ensemble` steps keyed noise trajectories in groups.
+:func:`integrate_ensemble` steps keyed noise trajectories in groups, on
+one lattice or, from each one draw, on a lattice and its centre.
 """
 from __future__ import annotations
 
@@ -29,10 +30,9 @@ __all__ = [
     "truncation_tail",
 ]
 
-#: States one group of :func:`integrate_ensemble` may hold, in bytes: a
-#: group has ``ENSEMBLE_STATE_BYTES // (8 (steps + 1) d)`` trajectories,
-#: and at least one.
-ENSEMBLE_STATE_BYTES = 32 * 2**20
+#: Noise and states one group of :func:`integrate_ensemble` may hold, in
+#: bytes.  A group holds at least one trajectory, whatever its size.
+ENSEMBLE_STATE_BYTES = 10 * 2**20
 
 
 def euler_maruyama(u0, increments, cfg: LatticeConfig, dt: float, trajectories,
@@ -140,33 +140,58 @@ def integrate(u0, noise: NoisePath, cfg: LatticeConfig) -> Path:
     return Path(states[0], dt)
 
 
-def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig):
+def integrate_ensemble(u0, seed: int, count: int, steps: int, cfg: LatticeConfig, centre=None):
     """Trajectories 0..count-1 of the keyed noise, each integrated from u0
     over ``steps`` steps of T / steps: yields ``(noise, path)`` in
     trajectory order, the same pairs as
     ``integrate(u0, sample_noise(seed, steps, d, dt, trajectory=j), cfg)``.
 
-    Trajectories are stepped together in groups that hold at most
-    :data:`ENSEMBLE_STATE_BYTES` of states, each group's noise drawn once
-    into the (m, steps, d) array the stepper reads.  A group is stepped
-    only when the previous one has been consumed and released, so a
-    consumer that reduces each pair as it comes holds one group and one
-    pair, a copy of its rows: a view would keep its whole group alive.
+    With ``centre``, a pair ``(u0_c, cfg_c)`` on a lattice of at most d
+    sites, each trajectory is also stepped from u0_c on the centre columns
+    of its one draw, and ``(path_c, path)`` is yielded instead.  A noise
+    row's sites are drawn centre-out, so path_c is
+    ``integrate(u0_c, sample_noise(seed, steps, cfg_c.d, dt, j), cfg_c)``
+    bit for bit.
+
+    Trajectories are stepped together in the fewest groups that hold at
+    most :data:`ENSEMBLE_STATE_BYTES` of noise and states each, their
+    sizes differing by at most one, each group's noise drawn once into the
+    (m, steps, d) array the stepper reads.  A group is stepped only when
+    the previous one has been consumed and released.  Each path is a copy
+    of its rows, and each noise a view of its group's noise, which it
+    keeps alive: a consumer that drops each noise before it takes the next
+    pair holds one group and one pair.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (cfg.d,):
-        raise ConfigurationError(f"u0 must have shape ({cfg.d},), got {u0.shape}")
+    lattices = [(np.asarray(u0, dtype=float), cfg)]
+    if centre is not None:
+        lattices.insert(0, (np.asarray(centre[0], dtype=float), centre[1]))
+    for start, sub in lattices:
+        if start.shape != (sub.d,):
+            raise ConfigurationError(f"u0 must have shape ({sub.d},), got {start.shape}")
+    if lattices[0][1].d > cfg.d:
+        raise ConfigurationError(f"the centre lattice has {lattices[0][1].d} sites, more than {cfg.d}")
     dt = cfg.T / steps
-    size = max(1, ENSEMBLE_STATE_BYTES // (8 * (steps + 1) * cfg.d))
-    for start in range(0, count, size):
-        group = range(start, min(start + size, count))
+    doubles = steps * cfg.d + (steps + 1) * sum(sub.d for _, sub in lattices)
+    groups = -(-count // max(1, ENSEMBLE_STATE_BYTES // (8 * doubles)))  # the fewest within the budget
+    bounds = [count * k // groups for k in range(groups + 1)]
+    for first, stop in zip(bounds, bounds[1:]):
+        group = range(first, stop)
         increments = np.empty((len(group), steps, cfg.d))
-        for j, row in zip(group, increments):
-            row[:] = sample_noise(seed, steps, cfg.d, dt, trajectory=j).increments
-        states = euler_maruyama(np.tile(u0, (len(group), 1)), increments, cfg, dt, group)
-        for j, row, path_states in zip(group, increments, states):
-            yield NoisePath(dt=dt, increments=row.copy(), trajectory=j), Path(path_states.copy(), dt)
-        del increments, states, row, path_states  # before the next group is allocated
+        for j in group:
+            increments[j - first] = sample_noise(seed, steps, cfg.d, dt, trajectory=j).increments
+        states = [
+            euler_maruyama(np.tile(start, (len(group), 1)), increments[:, :, cfg.n - sub.n : cfg.n + sub.n + 1],
+                           sub, dt, group)
+            for start, sub in lattices
+        ]
+        if centre is None:
+            heads = (NoisePath(dt=dt, increments=row, trajectory=j) for j, row in zip(group, increments))
+        else:
+            heads = (Path(rows.copy(), dt) for rows in states[0])
+        del increments  # from here only the noise views hold it
+        for head, rows in zip(heads, states[-1]):
+            yield head, Path(rows.copy(), dt)
+        del states, heads, head, rows  # before the next group is allocated
 
 
 @dataclass(frozen=True)
@@ -245,7 +270,8 @@ def truncation_tail(pairs, cutoffs, rho, rho_wide) -> tuple:
     """Tail statistics of an ensemble truncated at n and of the same
     trajectories on a lattice widened to n' >= n, in one pass over
     ``pairs``, the (u, v) paths of each trajectory at n and at n': a list,
-    or a stream such as ``zip`` of two :func:`integrate_ensemble` runs.
+    or a stream such as :func:`integrate_ensemble`'s on the lattice at n'
+    with the lattice at n as its ``centre``.
 
     ``rho`` and ``rho_wide`` are the weights of the two lattices.  For
     each cutoff K, at most n (K = n gives the empty sum, 0),
@@ -274,10 +300,11 @@ def truncation_tail(pairs, cutoffs, rho, rho_wide) -> tuple:
         tail = [np.sum(sq[:, m], axis=1) for m in masks]
         sq = (rho_wide * v.states) ** 2
         tail += [np.sum(sq[:, m], axis=1) for m in masks_wide]
-        del sq  # before the streams step the next pair
+        del sq
         acc = tail if acc is None else [a + t for a, t in zip(acc, tail)]
         msd += np.max(np.sum((u.states - v.states[:, off : off + u.d]) ** 2, axis=1))
         count += 1
+        del u, v  # before the stream steps the next pair
     if not count:
         raise ConfigurationError("the tails need at least one trajectory")
     tails = [float(np.max(a / count)) for a in acc]

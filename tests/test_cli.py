@@ -224,7 +224,9 @@ class TestCliRuns:
     )
     def test_ensemble_beyond_the_noise_keys_rejected(self, tmp_path, capsys, monkeypatch, command):
         # the noise keys address trajectories 0 .. 2^24 - 1: 2^24 trajectories
-        # reach the draws (stubbed here), one more is rejected before a run opens
+        # reach the draws (stubbed here), one more is rejected before a run
+        # opens.  The first draw is stubbed too, so a command that reached the
+        # ensemble some other way would stop there, not step 2^24 trajectories
         class Drawn(Exception):
             pass
 
@@ -232,6 +234,7 @@ class TestCliRuns:
             raise Drawn
 
         monkeypatch.setattr("omlat.cli.integrate_ensemble", stub)
+        monkeypatch.setattr("omlat.sde.sample_noise", stub)
         cfg = tmp_path / "n1.cfg"
         cfg.write_text(EXAMPLE5.replace("n = 30", "n = 1").replace("T = 30", "T = 0.25"))
         argv = command + ["--config", str(cfg), "--dt", "0.25"]
@@ -314,7 +317,7 @@ class TestCliRuns:
     )
     def test_counted_peak_bounds_the_traced_peak(self, example5_file, tmp_path, monkeypatch, command):
         # one trajectory per group, as on a grid whose trajectory exceeds the
-        # group's 32 MB, and enough trajectories for the peak to level off
+        # group's budget, and enough trajectories for the peak to level off
         monkeypatch.setattr("omlat.sde.ENSEMBLE_STATE_BYTES", 1)
         argv = command + ["--config", example5_file, "--dt", "0.025", "--out", str(tmp_path / "run")]
         if command[-1] != "cocycle":

@@ -4,11 +4,11 @@
 
 The digests were taken from the per-trajectory Euler-Maruyama loops that
 the batched stepper replaced, so they check on every run that batching
-leaves each file byte-identical.  The ensemble runs are repeated with one
-trajectory per group, the tube runs with one and with two worker
-threads and with two step chunk sizes, and the small-ball run with one
-and with two worker threads and with two caps on the normals of one
-draw.  The tube runs span two keyed blocks of 32 768 paths, and their
+leaves each file byte-identical.  The ensemble runs are repeated at
+three more group budgets, from one trajectory per group to 32 MB, the
+tube runs with one and with two worker threads and with two step chunk
+sizes, and the small-ball run with one and with two worker threads and
+with two caps on the normals of one draw.  The tube runs span two keyed blocks of 32 768 paths, and their
 digests pin the staged time-major SFC64 stream of each block, whose
 stages after the first draw only for the trajectories still inside the
 largest tube; the step chunk size does not move those prune points.  The small-ball digest pins the staged SFC64
@@ -75,8 +75,13 @@ DIGESTS = {
     },
 }
 
-# (run, variant): ensembles at the default group size and one trajectory
-# per group; tubes on one and two threads, and with their increments
+# Group budgets of the ensemble variants: one trajectory per group, groups
+# of one and two trajectories of simulate and bound (truncation's are
+# larger, so it runs one per group), and the 32 MB of earlier versions.
+ENSEMBLE_BUDGETS = {"single": 1, "pairs": 2 * 8 * (60 + 61) * 61, "32MB": 32 * 2**20}
+
+# (run, variant): ensembles at the default group budget and at each of
+# ENSEMBLE_BUDGETS; tubes on one and two threads, and with their increments
 # drawn and stepped 1 and 7 steps at a time; the small-ball blocks on one
 # and two threads, and its stages drawn in chunks of at most the default
 # 65 536 and 777 normals; each mpp run once.
@@ -88,15 +93,15 @@ VARIANTS = {
     "mpp": ("solve",),
     "mpp_newton": ("solve",),
 }
-CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", "single"))]
+CASES = [(run, variant) for run in RUNS for variant in VARIANTS.get(run, ("grouped", *ENSEMBLE_BUDGETS))]
 
 
 @pytest.mark.parametrize("run, variant", CASES, ids=[f"{r}-{v}" for r, v in CASES])
 def test_csv_digests(tmp_path, monkeypatch, run, variant):
     three_sites = tmp_path / "three_sites.cfg"
     three_sites.write_text(THREE_SITES)
-    if variant == "single":
-        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", 1)
+    if variant in ENSEMBLE_BUDGETS:
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", ENSEMBLE_BUDGETS[variant])
     elif variant.startswith("threads"):
         monkeypatch.setenv("OMLAT_THREADS", variant[-1])
     elif variant.startswith("chunk"):

@@ -201,6 +201,39 @@ class TestBatchedStepper:
                 np.testing.assert_array_equal(path.states, ref.states)
                 np.testing.assert_array_equal(path.times, ref.times)
 
+    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 1, 2 * 8 * (32 * 9 + 33 * (9 + 5))])
+    def test_centre_paths_equal_integrate_on_their_own_draws(self, monkeypatch, budget):
+        # one draw per trajectory on 9 sites; the 5-site lattice steps on its
+        # centre columns, and equals a run on its own 5-site draw bit for bit
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
+        cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.affine(0.3, 2.0), T=1.0)
+        wide = cfg.widened(4)
+        u0, u0_wide = np.linspace(0.1, 0.5, 5), np.linspace(-0.4, 0.4, 9)
+        steps, dt = 32, 1.0 / 32
+        pairs = list(integrate_ensemble(u0_wide, 6, 5, steps, wide, centre=(u0, cfg)))
+        assert len(pairs) == 5
+        for j, (path, path_wide) in enumerate(pairs):
+            ref = integrate(u0, sample_noise(6, steps, 5, dt, trajectory=j), cfg)
+            ref_wide = integrate(u0_wide, sample_noise(6, steps, 9, dt, trajectory=j), wide)
+            assert path.states.tobytes() == ref.states.tobytes()
+            assert path_wide.states.tobytes() == ref_wide.states.tobytes()
+            assert (path.dt, path_wide.dt) == (dt, dt)
+
+    def test_centre_lattice_checked(self):
+        cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.4), T=1.0)
+        wide = cfg.widened(3)
+        with pytest.raises(ConfigurationError, match="more than 5"):
+            next(integrate_ensemble(np.zeros(5), 1, 2, 8, cfg, centre=(np.zeros(7), wide)))
+        with pytest.raises(ConfigurationError, match=r"shape \(5,\)"):
+            next(integrate_ensemble(np.zeros(7), 1, 2, 8, wide, centre=(np.zeros(7), cfg)))
+
+    def test_a_noise_is_a_view_of_its_group(self, monkeypatch):
+        # the pairs of one group share its one noise array; no copy is made
+        monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", 2 * 8 * (8 + 9) * 5)
+        cfg = LatticeConfig(n=2, nu=0.2, lam=0.5, f=CUBIC, q=NoiseCoefficient.constant(0.4), T=1.0)
+        noises = [noise.increments for noise, _ in integrate_ensemble(np.zeros(5), 1, 4, 8, cfg)]
+        assert [a.base is b.base for a, b in zip(noises, noises[1:])] == [True, False, True]
+
     @pytest.mark.parametrize("chunk", [1, 7, 16, 40])
     def test_chunks_through_k0_equal_one_call(self, chunk):
         # q varies in time, so a chunk that evaluated it at the wrong times
@@ -505,7 +538,7 @@ class TestEnsembleStream:
         monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
         cfg, wide = self.cfgs()
         count, steps, cutoffs = 6, 20, range(1, cfg.n + 1)
-        stream = zip(*((p for _, p in integrate_ensemble(self.bump(sub), 9, count, steps, sub)) for sub in (cfg, wide)))
+        stream = integrate_ensemble(self.bump(wide), 9, count, steps, wide, centre=(self.bump(cfg), cfg))
         tails, tails_wide, msd = truncation_tail(stream, cutoffs, cfg.rho, wide.rho)
         (_, paths), (_, paths_wide) = self.kept(cfg, count, steps), self.kept(wide, count, steps)
         assert (tails, tails_wide, msd) == truncation_tail(zip(paths, paths_wide), cutoffs, cfg.rho, wide.rho)

@@ -232,6 +232,16 @@ def test_tube_ratio_reports_the_first_blow_up_in_sample_order(monkeypatch):
         assert first_blow_up(lambda: tube_ratio(exp)) == (84, 56)
 
 
+def chunks(N):
+    """(k0, steps) of each chunk a block draws over N steps: stages of
+    _TUBE_STAGE_STEPS steps, each cut into chunks of _TUBE_CHUNK_STEPS."""
+    return [
+        (k0, min(k0 + tube._TUBE_CHUNK_STEPS, s0 + _TUBE_STAGE_STEPS, N) - k0)
+        for s0 in range(0, N, _TUBE_STAGE_STEPS)
+        for k0 in range(s0, min(s0 + _TUBE_STAGE_STEPS, N), tube._TUBE_CHUNK_STEPS)
+    ]
+
+
 def test_a_block_draws_each_chunk_in_one_call_from_its_one_generator(monkeypatch):
     generators, draws = [], []
 
@@ -253,10 +263,10 @@ def test_a_block_draws_each_chunk_in_one_call_from_its_one_generator(monkeypatch
     np.testing.assert_array_equal(got[0], expected[0])
     np.testing.assert_array_equal(got[1], expected[1])
     assert len(generators) == 1
-    # four stages: three of four 8-step chunks, then one of 4 steps
-    assert [steps for steps, _, _ in draws] == [8] * 12 + [4]
+    # four stages, of 32, 32, 32 and 4 steps, each drawn a chunk at a time
+    assert [steps for steps, _, _ in draws] == [steps for _, steps in chunks(N)]
     stages = matmul_block_distances(exp, 1, 5000)[2]
-    assert [alive for _, alive, _ in draws] == [int(stages[k // 4].sum()) for k in range(13)]
+    assert [alive for _, alive, _ in draws] == [int(stages[k0 // _TUBE_STAGE_STEPS].sum()) for k0, _ in chunks(N)]
 
 
 def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
@@ -273,7 +283,7 @@ def test_each_stage_steps_and_labels_the_surviving_trajectories(monkeypatch):
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.3,), samples=300, seed=2)
     _block_distances(exp, 2, 300)
     stages = matmul_block_distances(exp, 2, 300)[2]
-    assert [k0 for k0, _ in calls] == [0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96]
+    assert [k0 for k0, _ in calls] == [k0 for k0, _ in chunks(N)]
     for k0, labels in calls:
         alive = np.flatnonzero(stages[k0 // _TUBE_STAGE_STEPS])
         assert labels == (2 * tube.TUBE_BLOCK_SIZE + alive).tolist()
@@ -317,7 +327,7 @@ def test_a_block_whose_trajectories_all_leave_stops_drawing(monkeypatch):
     phi = Path(np.ones((N + 1, 1)), 1.0 / N)
     exp = TubeExperiment(cfg=scalar_cfg(), phi=phi, eps=(0.01,), samples=200, seed=3)
     num_sq, den_sq = _block_distances(exp, 0, 200)
-    assert calls == [(200, 8, 1)] * 4  # the first stage's four chunks
+    assert calls == [(200, steps, 1) for k0, steps in chunks(N) if k0 < _TUBE_STAGE_STEPS]  # the first stage's chunks
     assert np.all(num_sq > 1e-4) and np.all(den_sq > 1e-4)
 
 
