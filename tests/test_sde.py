@@ -533,7 +533,7 @@ class TestEnsembleStream:
         noises = [sample_noise(9, steps, cfg.d, dt, trajectory=j) for j in range(count)]
         return noises, [integrate(self.bump(cfg), noise, cfg) for noise in noises]
 
-    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 1])
+    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 32 * 2**20, 1])
     def test_truncation_tails_from_the_stream_equal_the_per_cutoff_walk_over_a_list(self, monkeypatch, budget):
         monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
         cfg, wide = self.cfgs()
@@ -560,7 +560,7 @@ class TestEnsembleStream:
         ) / count
         assert np.float64(msd).tobytes() == np.float64(expected).tobytes()
 
-    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 1])
+    @pytest.mark.parametrize("budget", [sde.ENSEMBLE_STATE_BYTES, 32 * 2**20, 1])
     def test_bound_from_the_stream_equals_the_bound_from_a_list(self, monkeypatch, budget):
         monkeypatch.setattr(sde, "ENSEMBLE_STATE_BYTES", budget)
         cfg, _ = self.cfgs()
